@@ -6,8 +6,8 @@ from .data import Dataset, load_labels, load_matrix, save_matrix, standardize
 from .exceptions import DegenerateDataError, InputError, ParseError
 from .importance import (FeatureRanking, GradientField, arrow_field, feature_score,
                          gradient_field, rank_features)
-from .kernels import (GramMatrix, KernelSpec, center_cross, center_gram, eval_kernel,
-                      gram_matrix, kernel_partial, kernel_row, sigma_heuristic)
+from .kernels import (GramMatrix, KernelSpec, center_cross, center_gram, gram_matrix,
+                      kernel_row, sigma_heuristic)
 from .kpca import (Embedding, FittedKpca, SigmaRule, explained_variance, fit_kpca,
                    grid_search_sigma, project, project_training, resolve_spec)
 from .metrics import ClusteringResult, clustering_accuracy, kmeans, nmi, silhouette
@@ -19,9 +19,9 @@ __all__ = [
     "DegenerateDataError", "Embedding", "FeatureRanking", "FittedKpca",
     "GradientField", "GramMatrix", "InputError", "KernelSpec", "ParseError",
     "SigmaRule", "arrow_field", "center_cross", "center_gram",
-    "clustering_accuracy", "eval_kernel", "explained_variance", "feature_score",
+    "clustering_accuracy", "explained_variance", "feature_score",
     "fit_kpca", "gradient_field", "gram_matrix", "grid_search_sigma",
-    "kernel_partial", "kernel_row", "kmeans", "laplacian_score", "load_labels",
+    "kernel_row", "kmeans", "laplacian_score", "load_labels",
     "load_matrix", "nmi", "permutation_importance", "project",
     "project_training", "rank_features", "resolve_spec", "save_matrix",
     "selection_curve", "sigma_heuristic", "silhouette", "silhouette_curve",

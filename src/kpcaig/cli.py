@@ -69,28 +69,20 @@ class RunConfig:
             d["d_grid"] = list(d["d_grid"])
         return "# " + json.dumps(d, sort_keys=True)
 
-    @classmethod
-    def from_comment(cls, line: str) -> "RunConfig":
-        body = line.lstrip("#").strip()
-        d = json.loads(body)
-        if d.get("d_grid") is not None:
-            d["d_grid"] = tuple(int(v) for v in d["d_grid"])
-        return cls(**d)
-
 
 def _parse_d_grid(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+    is_range = ":" in text
+    try:
+        grid = tuple(int(v) for v in text.split(":" if is_range else ",") if v)
+    except ValueError:
+        raise InputError(f"d-grid must be integers, got {text!r}") from None
+    if is_range:
+        if len(grid) != 3:
             raise InputError(f"d-grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (int(v) for v in parts)
+        start, stop, step = grid
         if step < 1 or start < 1 or stop < start:
             raise InputError(f"invalid d-grid range {text!r}")
         return tuple(range(start, stop + 1, step))
-    try:
-        grid = tuple(int(v) for v in text.split(",") if v)
-    except ValueError:
-        raise InputError(f"d-grid must be integers, got {text!r}") from None
     if not grid:
         raise InputError("d-grid is empty")
     return grid

@@ -7,8 +7,10 @@ derivatives d k(x_m, x_i) / d x_m[j] against all training points. The mean
 Euclidean norm of these rows is the variable's score; sorting the scores
 descending yields the ranking.
 
-Fields are produced one variable at a time (an n x q working set), so the
-full p x n x q tensor is never materialized even for very wide matrices.
+With the kernel slope matrix P and the centred alphas B, the fields of a
+block of variables are one product P @ [x_j * B]_j, subtracted from
+x_j * (P B) for distance kernels (rbf). Blocks fit in FIELD_BLOCK_BYTES, so
+the p x n x q tensor is never materialized even for very wide matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import numpy as np
 
 from .exceptions import InputError
 from .kpca import FittedKpca, project_training
-from .kernels import partial_matrix, partial_prefactor
+from .kernels import kernel_rule
+
+# memory for the n x c x q fields of one block of c variables
+FIELD_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -38,23 +43,31 @@ class FeatureRanking:
     feature_names: tuple[str, ...]
 
 
-def _centered_alphas(model: FittedKpca) -> np.ndarray:
-    # (I - (1/n) 11^T) alpha, shared by every variable
-    return model.alphas - model.alphas.mean(axis=0)
-
-
-def _field(model: FittedKpca, j: int, B: np.ndarray, prefactor) -> np.ndarray:
-    D = partial_matrix(model.kernel, model.training_data.matrix, j, prefactor)
-    return D @ B
+def _fields(model: FittedKpca, blocks):
+    """Yield the n x c x q fields of each column slice in ``blocks``."""
+    rule = kernel_rule(model.kernel)
+    X = model.training_data.matrix
+    P = rule.slope(X, model.K.values)
+    B = model.alphas - model.alphas.mean(axis=0)  # (I - (1/n) 11^T) alpha
+    PB = P @ B
+    for cols in blocks:
+        Xb = X[:, cols]
+        if rule.distance:
+            # x_m[j] - x_i[j] ignores a shift: constant columns give exact zeros
+            Xb = Xb - Xb[0]
+        XB = Xb[:, :, None] * B[:, None, :]
+        W = (P @ XB.reshape(len(X), -1)).reshape(XB.shape)
+        if rule.distance:
+            W = Xb[:, :, None] * PB[:, None, :] - W
+        yield W
 
 
 def gradient_field(model: FittedKpca, j: int) -> GradientField:
     """n x q matrix of projected gradient directions for variable j."""
     if not 0 <= j < model.p:
         raise InputError(f"feature index {j} out of range for p={model.p}")
-    pre = partial_prefactor(model.kernel, model.training_data.matrix, gram=model.K)
-    return GradientField(variable_index=j,
-                         W=_field(model, j, _centered_alphas(model), pre))
+    W = next(_fields(model, [slice(j, j + 1)]))
+    return GradientField(variable_index=j, W=W[:, 0, :])
 
 
 def feature_score(model: FittedKpca, j: int) -> tuple[float, float]:
@@ -66,17 +79,15 @@ def feature_score(model: FittedKpca, j: int) -> tuple[float, float]:
 
 def rank_features(model: FittedKpca) -> FeatureRanking:
     """Score every variable and sort descending (ties: lower index first)."""
-    X = model.training_data.matrix
-    p = X.shape[1]
-    B = _centered_alphas(model)
-    pre = partial_prefactor(model.kernel, X, gram=model.K)
+    n, p = model.training_data.matrix.shape
+    width = max(1, FIELD_BLOCK_BYTES // (8 * n * model.q))
+    blocks = [slice(s, s + width) for s in range(0, p, width)]
     scores = np.empty(p)
     stds = np.empty(p)
-    for j in range(p):
-        W = _field(model, j, B, pre)
-        norms = np.sqrt(np.einsum("ik,ik->i", W, W))
-        scores[j] = norms.mean()
-        stds[j] = norms.std()
+    for cols, W in zip(blocks, _fields(model, blocks)):
+        norms = np.sqrt(np.einsum("ick,ick->ic", W, W))
+        scores[cols] = norms.mean(axis=0)
+        stds[cols] = norms.std(axis=0)
     order = np.lexsort((np.arange(p), -scores))
     return FeatureRanking(scores=scores, stds=stds, order=order,
                           feature_names=model.training_data.feature_names)

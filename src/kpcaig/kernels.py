@@ -1,18 +1,23 @@
-"""Kernel evaluation, analytic first derivatives, Gram matrices and centering.
+"""Kernel families, Gram matrices, kernel slopes and centering.
 
-Families:
-    rbf        : k(x, y) = exp(-sigma * ||x - y||^2)
-    linear     : k(x, y) = <x, y>
-    polynomial : k(x, y) = (<x, y> + coef0)^degree
+Each family is one rule k(x, y) = value(b) over a pairwise base b:
 
-All families admit a closed-form partial derivative with respect to a
-single coordinate of the first argument, which is what the feature
-importance machinery consumes.
+    rbf        : b = ||x - y||^2,  k = exp(-sigma * b)
+    linear     : b = <x, y>,       k = b
+    polynomial : b = <x, y>,       k = (b + coef0)^degree
+
+The rule's slope matrix P over training pairs gives every first derivative
+with respect to one coordinate j of the first argument:
+d k(x_m, x_i) / d x_m[j] is P[m, i] * (x_m[j] - x_i[j]) for the distance
+base and P[m, i] * x_i[j] for the inner-product base. The distance slope has
+a zero diagonal: P[m, m] multiplies x_m[j] - x_m[j] = 0, and a nonzero value
+would only cancel between the field products when K is near the identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
@@ -33,8 +38,8 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family == "rbf":
-            if self.sigma is None or not self.sigma > 0:
-                raise InputError(f"rbf kernel needs sigma > 0, got {self.sigma}")
+            if self.sigma is None or not 0 < self.sigma < np.inf:
+                raise InputError(f"rbf kernel needs a finite sigma > 0, got {self.sigma}")
         if self.family == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InputError(f"polynomial degree must be an integer >= 1, got {self.degree}")
@@ -63,40 +68,39 @@ def _as_matrix(data) -> np.ndarray:
     return np.asarray(X, dtype=np.float64)
 
 
-def _check_pair(x, y):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape or x.size < 1:
-        raise InputError(f"point dimensions differ: {x.shape} vs {y.shape}")
-    return x, y
+def _mirror_upper(M: np.ndarray) -> np.ndarray:
+    # bitwise symmetry: each off-diagonal pair stored once, then mirrored
+    U = np.triu(M)
+    return U + np.triu(M, 1).T
 
 
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Scalar kernel value k(x, y); symmetric in its arguments."""
-    x, y = _check_pair(x, y)
+@dataclass(frozen=True)
+class KernelRule:
+    """One kernel family with its parameters bound (see the module docstring)."""
+
+    distance: bool                                          # b = ||x - y||^2, else <x, y>
+    value: Callable[[np.ndarray], np.ndarray]               # k from b
+    slope: Callable[[np.ndarray, np.ndarray], np.ndarray]   # P from training X and its K
+
+    def base(self, X: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
+        """Base b over all pairs of rows of X, or between x and each row."""
+        if x is None:
+            return squareform(pdist(X, "sqeuclidean")) if self.distance else _mirror_upper(X @ X.T)
+        return cdist(x[None, :], X, "sqeuclidean")[0] if self.distance else X @ x
+
+
+def kernel_rule(spec: KernelSpec) -> KernelRule:
+    """The rule of spec's kernel family."""
     if spec.family == "rbf":
-        d = x - y
-        return float(np.exp(-spec.sigma * np.dot(d, d)))
+        s = spec.sigma
+        # dk/db = -sigma * k and db/dx_m[j] = 2 * (x_m[j] - x_i[j])
+        return KernelRule(True, lambda d2: np.exp(-s * d2),
+                          lambda X, K: -2.0 * s * (K - np.eye(len(K))))
     if spec.family == "linear":
-        return float(np.dot(x, y))
-    return float((np.dot(x, y) + spec.coef0) ** spec.degree)
-
-
-def kernel_partial(spec: KernelSpec, x, x_i, j: int) -> float:
-    """Partial derivative of k(x, x_i) with respect to coordinate j of x.
-
-    For the rbf family this is -2*sigma*k(x, x_i)*(x[j] - x_i[j]); linear
-    and polynomial use their own closed forms. Index j is zero-based.
-    """
-    x, x_i = _check_pair(x, x_i)
-    if not 0 <= j < x.size:
-        raise InputError(f"feature index {j} out of range for p={x.size}")
-    if spec.family == "rbf":
-        d = x - x_i
-        return float(-2.0 * spec.sigma * np.exp(-spec.sigma * np.dot(d, d)) * (x[j] - x_i[j]))
-    if spec.family == "linear":
-        return float(x_i[j])
-    return float(spec.degree * (np.dot(x, x_i) + spec.coef0) ** (spec.degree - 1) * x_i[j])
+        return KernelRule(False, lambda g: g, lambda X, K: np.ones_like(K))
+    c, d = spec.coef0, spec.degree
+    return KernelRule(False, lambda g: (g + c) ** d,
+                      lambda X, K: float(d) * (X @ X.T + c) ** (d - 1))
 
 
 def kernel_row(spec: KernelSpec, X, x) -> np.ndarray:
@@ -105,18 +109,8 @@ def kernel_row(spec: KernelSpec, X, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size != X.shape[1]:
         raise InputError(f"point has {x.size} coords, training data has p={X.shape[1]}")
-    if spec.family == "rbf":
-        d2 = cdist(x[None, :], X, "sqeuclidean")[0]
-        return np.exp(-spec.sigma * d2)
-    if spec.family == "linear":
-        return X @ x
-    return (X @ x + spec.coef0) ** spec.degree
-
-
-def _mirror_upper(M: np.ndarray) -> np.ndarray:
-    # bitwise symmetry: each off-diagonal pair stored once, then mirrored
-    U = np.triu(M)
-    return U + np.triu(M, 1).T
+    rule = kernel_rule(spec)
+    return rule.value(rule.base(X, x))
 
 
 def gram_matrix(spec: KernelSpec, data) -> GramMatrix:
@@ -125,14 +119,8 @@ def gram_matrix(spec: KernelSpec, data) -> GramMatrix:
     n = X.shape[0]
     if n < 2:
         raise InputError(f"need at least 2 samples, got n={n}")
-    if spec.family == "rbf":
-        K = squareform(np.exp(-spec.sigma * pdist(X, "sqeuclidean")))
-        np.fill_diagonal(K, 1.0)
-        return GramMatrix(K, centered=False)
-    G = X @ X.T
-    if spec.family == "linear":
-        return GramMatrix(_mirror_upper(G), centered=False)
-    return GramMatrix(_mirror_upper((G + spec.coef0) ** spec.degree), centered=False)
+    rule = kernel_rule(spec)
+    return GramMatrix(rule.value(rule.base(X)), centered=False)
 
 
 def center_gram(K: GramMatrix) -> GramMatrix:
@@ -163,41 +151,6 @@ def center_cross(K: GramMatrix, Z) -> np.ndarray:
         raise InputError(f"cross-kernel vector has length {Z.size}, expected n={K.n}")
     v = Z - K.values.mean(axis=0)
     return v - v.mean()
-
-
-def partial_prefactor(spec: KernelSpec, X, gram: GramMatrix | None = None):
-    """Feature-independent pairwise factor of the kernel derivative.
-
-    Returns the n x n matrix P such that the full derivative matrix for
-    feature j is P * (xj[:, None] - xj[None, :]) for rbf and
-    P * xj[None, :] for polynomial; linear kernels need no prefactor
-    (None is returned).
-    """
-    X = _as_matrix(X)
-    if spec.family == "rbf":
-        K = gram.values if gram is not None and not gram.centered else \
-            gram_matrix(spec, X).values
-        return -2.0 * spec.sigma * K
-    if spec.family == "linear":
-        return None
-    G = X @ X.T
-    return float(spec.degree) * (G + spec.coef0) ** (spec.degree - 1)
-
-
-def partial_matrix(spec: KernelSpec, X, j: int, prefactor=None) -> np.ndarray:
-    """Matrix D with D[m, i] = d k(x_m, x_i) / d x_m[j] over training pairs."""
-    X = _as_matrix(X)
-    n, p = X.shape
-    if not 0 <= j < p:
-        raise InputError(f"feature index {j} out of range for p={p}")
-    xj = X[:, j]
-    if spec.family == "linear":
-        return np.broadcast_to(xj, (n, n))
-    if prefactor is None:
-        prefactor = partial_prefactor(spec, X)
-    if spec.family == "rbf":
-        return prefactor * (xj[:, None] - xj[None, :])
-    return prefactor * xj[None, :]
 
 
 def sigma_heuristic(data) -> float:

@@ -124,8 +124,8 @@ class SigmaRule:
     def __post_init__(self):
         if self.mode not in ("fixed", "median", "grid"):
             raise InputError(f"unknown sigma mode {self.mode!r}")
-        if self.mode == "fixed" and (self.value is None or not self.value > 0):
-            raise InputError(f"fixed sigma must be > 0, got {self.value}")
+        if self.mode == "fixed" and (self.value is None or not 0 < self.value < np.inf):
+            raise InputError(f"fixed sigma must be finite and > 0, got {self.value}")
         if self.mode == "grid" and not self.grid:
             raise InputError("grid sigma mode needs a non-empty grid")
 
@@ -134,10 +134,12 @@ class SigmaRule:
         """Parse a CLI-style value: a number, 'median', or 'grid:v1,v2,...'."""
         if text == "median":
             return cls("median")
-        if text.startswith("grid:"):
-            vals = tuple(float(v) for v in text[5:].split(",") if v)
-            return cls("grid", grid=vals)
-        return cls("fixed", value=float(text))
+        grid = text.startswith("grid:")
+        try:
+            values = tuple(float(v) for v in text[5:].split(",") if v) if grid else float(text)
+        except ValueError:
+            raise InputError(f"sigma {text!r} is not a number, 'median' or 'grid:v1,...'") from None
+        return cls("grid", grid=values) if grid else cls("fixed", value=values)
 
     def resolve(self, data: Dataset, q: int) -> float:
         if self.mode == "fixed":

@@ -67,7 +67,8 @@ def kmeans(coords, k: int, seed: int, *, max_iter: int = 300,
             centers[c] = X[far]
             d2[:, c] = cdist(X, X[far:far + 1], "sqeuclidean")[:, 0]
         cost = float(d2[np.arange(m), labels].sum())
-        assert cost <= prev_cost + 1e-9 * (1.0 + cost), "k-means objective increased"
+        if cost > prev_cost + 1e-9 * (1.0 + cost):
+            raise RuntimeError(f"k-means objective increased from {prev_cost} to {cost}")
         prev_cost = cost
         centers = np.stack([X[labels == c].mean(axis=0) for c in range(k)])
         if prev is not None and np.array_equal(labels, prev):

@@ -24,6 +24,14 @@ def planted_files(tmp_path, seed=0):
     return str(mpath), str(lpath)
 
 
+def config_from_comment(line):
+    """RunConfig parsed back from an output's ``# {...}`` header line."""
+    d = json.loads(line.lstrip("#").strip())
+    if d.get("d_grid") is not None:
+        d["d_grid"] = tuple(int(v) for v in d["d_grid"])
+    return RunConfig(**d)
+
+
 def read_table(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[1].split("\t")
@@ -58,11 +66,11 @@ def test_config_header_round_trip(tmp_path):
     main(["rank", toy_matrix(tmp_path), "-o", str(out), "--sigma", "0.25",
           "--q", "3", "--seed", "5"])
     comment = out.read_text(encoding="utf-8").splitlines()[0]
-    cfg = RunConfig.from_comment(comment)
+    cfg = config_from_comment(comment)
     assert cfg == RunConfig(command="rank", input=toy_matrix(tmp_path),
                             output=str(out), sigma="0.25", sigma_resolved=0.25,
                             q=3, seed=5)
-    assert RunConfig.from_comment(cfg.to_comment()) == cfg
+    assert config_from_comment(cfg.to_comment()) == cfg
 
 
 def test_project_embedding_and_sidecar(tmp_path):
@@ -154,6 +162,16 @@ def test_exit_codes(tmp_path):
     assert main(["rank", str(bad)]) == 4                      # parse error
     assert main(["curve", "selection", src, "--d-grid", "2,4"]) == 3  # no labels
     assert main(["bench"]) == 3
+    assert main(["rank", src, "--sigma", "abc"]) == 3
+    assert main(["rank", src, "--sigma", "grid:1e-3,x"]) == 3
+    assert main(["curve", "selection", src, "--k", "2", "--d-grid", "1:x:1"]) == 3
+
+
+@pytest.mark.parametrize("sigma", ["inf", "grid:1e-3,inf"])
+def test_non_finite_sigma_rejected(tmp_path, sigma):
+    out = tmp_path / "rank.tsv"
+    assert main(["rank", toy_matrix(tmp_path), "--sigma", sigma, "-o", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_orientation_and_no_standardize(tmp_path):

@@ -1,10 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpcaig import (Dataset, InputError, KernelSpec, arrow_field, feature_score,
-                    fit_kpca, gradient_field, kernel_partial, project,
-                    project_training, rank_features, sigma_heuristic, standardize)
+                    fit_kpca, gradient_field, project, project_training,
+                    rank_features, sigma_heuristic, standardize)
+from kpcaig import importance
 from kpcaig.synthetic import planted_clusters
+
+from kernel_oracles import kernel_partial, partial_matrix
 
 RBF = KernelSpec("rbf", sigma=0.6)
 FAMILIES = [
@@ -81,6 +88,39 @@ def test_score_matches_dense_algebra_oracle():
         score, std = feature_score(model, j)
         assert abs(score - norms.mean()) < 1e-12
         assert abs(std - norms.std()) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")  # tiny instances may drop rank
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(FAMILIES + [KernelSpec("polynomial", degree=3)]),
+       st.integers(3, 9), st.integers(1, 6), st.integers(1, 4))
+def test_blocked_fields_match_per_feature_reference(seed, spec, n, p_free, width):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2, 2, size=(n, p_free + 2))
+    X[:, p_free] = rng.uniform(-2, 2)   # constant column
+    X[:, p_free + 1] = X[:, 0]          # duplicate of column 0
+    p = X.shape[1]
+    model = fit(X, spec, q=min(3, n - 1))
+    B = model.alphas - model.alphas.mean(axis=0)
+    ref = np.stack([partial_matrix(spec, X, j) @ B for j in range(p)], axis=1)
+    scale = 1e-9 * (1.0 + np.abs(X).max()) * max(
+        (np.abs(partial_matrix(spec, X, j)) @ np.abs(B)).max() for j in range(p))
+
+    # blocks of `width` columns, so p > width crosses block boundaries
+    blocks = [slice(s, s + width) for s in range(0, p, width)]
+    got = np.concatenate(list(importance._fields(model, blocks)), axis=1)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= scale
+    if spec.family == "rbf":
+        assert np.array_equal(got[:, p_free], np.zeros((n, model.q)))
+
+    norms = np.sqrt((ref**2).sum(axis=2))
+    with mock.patch.object(importance, "FIELD_BLOCK_BYTES", 8 * n * model.q * width):
+        ranking = rank_features(model)
+    assert np.abs(ranking.scores - norms.mean(axis=0)).max() <= scale
+    assert np.abs(ranking.stds - norms.std(axis=0)).max() <= scale
+    for j in (0, p_free, p - 1):
+        assert np.abs(gradient_field(model, j).W - ref[:, j]).max() <= scale
 
 
 def test_single_driving_feature_ranks_first():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpcaig import (Dataset, DegenerateDataError, GramMatrix, InputError, KernelSpec,
-                    center_cross, center_gram, eval_kernel, gram_matrix,
-                    kernel_partial, kernel_row, sigma_heuristic)
+                    center_cross, center_gram, gram_matrix, kernel_row, sigma_heuristic)
+
+from kernel_oracles import eval_kernel, gram_formula, kernel_partial
 
 RBF1 = KernelSpec("rbf", sigma=1.0)
 ALL_SPECS = [
@@ -25,8 +26,9 @@ def fd_partial(spec, x, x_i, j, h=1e-5):
 
 
 def test_spec_validation():
-    with pytest.raises(InputError):
-        KernelSpec("rbf", sigma=0.0)
+    for sigma in (0.0, math.inf, math.nan):
+        with pytest.raises(InputError):
+            KernelSpec("rbf", sigma=sigma)
     with pytest.raises(InputError):
         KernelSpec("rbf")
     with pytest.raises(InputError):
@@ -142,6 +144,15 @@ def test_gram_bitwise_symmetric(spec):
     for i in range(7):
         if spec.family == "rbf":
             assert K[i, i] == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 12), st.integers(1, 9),
+       st.sampled_from(ALL_SPECS + [KernelSpec("polynomial", degree=2, coef0=0.5)]))
+def test_gram_bitwise_equals_family_formulas(seed, n, p, spec):
+    X = np.random.default_rng(seed).normal(size=(n, p))
+    assert np.array_equal(gram_matrix(spec, Dataset.from_matrix(X)).values,
+                          gram_formula(spec, X))
 
 
 def test_gram_needs_two_samples():

@@ -196,8 +196,12 @@ def test_sigma_rule_parse_and_resolve():
     assert SigmaRule.parse("median").resolve(data, 1) == sigma_heuristic(data)
     rule = SigmaRule.parse("grid:0.1,1.0")
     assert rule.grid == (0.1, 1.0)
-    with pytest.raises(InputError):
-        SigmaRule("fixed", value=-1.0)
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(InputError):
+            SigmaRule("fixed", value=bad)
+    for text in ("abc", "grid:1e-3,x", "inf"):
+        with pytest.raises(InputError):
+            SigmaRule.parse(text)
     with pytest.raises(InputError):
         SigmaRule("grid")
     with pytest.raises(InputError):
