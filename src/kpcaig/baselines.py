@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import pdist, squareform
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .kernels import KernelSpec, center_gram, gram_matrix
+from .kernels import KernelSpec, center_gram, gram_matrix, pairwise_base
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,9 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Bas
     n, p = X.shape
     if not 0 < k_nn < n:
         raise InputError(f"k_nn must be in [1, n-1], got {k_nn} for n={n}")
-    condensed = pdist(X, "sqeuclidean")
-    d2 = squareform(condensed)
+    d2 = pairwise_base(data, True)
     if t is None:
-        t = float(condensed.mean())
+        t = float(d2[np.triu_indices(n, 1)].mean())
     if not t > 0:
         raise DegenerateDataError("heat-kernel width t is not positive "
                                   "(all samples identical?)")

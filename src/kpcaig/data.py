@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +22,9 @@ class Dataset:
     standardized      : True once columns have zero mean / unit variance
     constant_features : indices of columns that were constant when the
                         dataset was standardized (left at zero)
+
+    The matrix is never changed in place: kernels.pairwise_base keeps the
+    pairwise distances and inner products of its rows in ``_bases``.
     """
 
     matrix: np.ndarray
@@ -29,6 +33,7 @@ class Dataset:
     labels: np.ndarray | None = None
     standardized: bool = False
     constant_features: tuple[int, ...] = ()
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.float64))
@@ -92,21 +97,8 @@ def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def load_matrix(path, orientation: str = "rows") -> Dataset:
-    """Load a delimited text matrix (one header row, one leading ID column).
-
-    orientation "rows" means samples are rows; "cols" means samples are
-    columns (the table is transposed on load).
-    """
-    if orientation not in ("rows", "cols"):
-        raise InputError(f"orientation must be 'rows' or 'cols', got {orientation!r}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ParseError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        fh.seek(0)
-        rows = [row for row in csv.reader(fh, delimiter=delim) if row]
+def _parse_rows(path, rows):
+    """Header, row ids and matrix from csv rows, checked cell by cell."""
     header = rows[0]
     width = len(header)
     if width < 2:
@@ -130,14 +122,83 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
         values.append(parsed)
     if not values:
         raise ParseError(f"{path}: no data rows")
-    matrix = np.asarray(values, dtype=np.float64)
+    return header, ids, np.asarray(values, dtype=np.float64)
+
+
+# np.loadtxt strips these around a number, float() rejects them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_block(fh, delim: str):
+    """Header, row ids and matrix of a well-formed file in one np.loadtxt call.
+
+    Returns None whenever the result might differ from ``_parse_rows``:
+    quotes, a lone carriage return, a row without a data cell, a cell
+    np.loadtxt rejects, a shape other than one row per data line by
+    header width - 1 columns, or a non-finite value.
+    """
+    text = fh.read()
+    if "\r" in text:  # a scan is ~10x cheaper than a replace that finds nothing
+        text = text.replace("\r\n", "\n")
+    if any(ch in text for ch in '"\r' + _LOADTXT_ONLY_SPACE):
+        return None
+    lines = [line for line in text.split("\n") if line]  # csv drops empty lines too
+    del text  # at 40 MB, each copy of the file counts in peak memory
+    header = lines[0].split(delim)
+    if len(header) < 2 or len(lines) < 2:
+        return None
+    ids, cells = [], []
+    for line in lines[1:]:
+        rid, _, rest = line.partition(delim)
+        if not rest:
+            return None
+        ids.append(rid)
+        cells.append(rest)
+    del lines
+    try:
+        matrix = np.loadtxt(cells, delimiter=delim, comments=None,
+                            dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if matrix.shape != (len(ids), len(header) - 1) or not np.isfinite(matrix).all():
+        return None
+    return header, ids, matrix
+
+
+def load_matrix(path, orientation: str = "rows") -> Dataset:
+    """Load a delimited text matrix (one header row, one leading ID column).
+
+    orientation "rows" means samples are rows; "cols" means samples are
+    columns (the table is transposed on load).
+
+    A file without quotes is parsed in one np.loadtxt call. Any file that
+    call cannot take as is (quoted fields, ragged rows, blank or non-finite
+    cells, cells such as ``1_0`` that only float() accepts) is parsed again
+    row by row, which raises the ParseError naming the row, column and cell.
+    Both parsers give the same matrix, bit for bit, on every file the first
+    one accepts.
+    """
+    if orientation not in ("rows", "cols"):
+        raise InputError(f"orientation must be 'rows' or 'cols', got {orientation!r}")
+    with open(path, encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        if not first.strip():
+            raise ParseError(f"{path}: empty file")
+        delim = _sniff_delimiter(first)
+        fh.seek(0)
+        parsed = _parse_block(fh, delim)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_rows(path, [row for row in csv.reader(fh, delimiter=delim) if row])
+    header, ids, matrix = parsed
     if orientation == "cols":
         matrix = matrix.T.copy()
         feature_names, sample_ids = tuple(ids), tuple(header[1:])
     else:
         feature_names, sample_ids = tuple(header[1:]), tuple(ids)
-    if len(set(feature_names)) != len(feature_names):
-        dupes = sorted({nm for nm in feature_names if feature_names.count(nm) > 1})
+    counts = Counter(feature_names)
+    if len(counts) != len(feature_names):
+        dupes = sorted(nm for nm, k in counts.items() if k > 1)
         raise ParseError(f"{path}: duplicate feature names {dupes}")
     return Dataset(matrix, feature_names, sample_ids)
 

@@ -7,10 +7,12 @@ derivatives d k(x_m, x_i) / d x_m[j] against all training points. The mean
 Euclidean norm of these rows is the variable's score; sorting the scores
 descending yields the ranking.
 
-With the kernel slope matrix P and the centred alphas B, the fields of a
-block of variables are one product P @ [x_j * B]_j, subtracted from
-x_j * (P B) for distance kernels (rbf). Blocks fit in FIELD_BLOCK_BYTES, so
-the p x n x q tensor is never materialized even for very wide matrices.
+With the kernel slope matrix P and the centred alphas B, column k of the
+field is P (x_j * B_k) for inner-product kernels, and x_j * (P B_k) minus
+that for distance kernels (rbf). Stacking P diag(B_1), ..., P diag(B_q)
+into one qn x n slope S, the fields of a block of variables X_b are the
+single product S @ X_b, read as q x n x c. Blocks fit in FIELD_BLOCK_BYTES,
+so the q x n x p tensor is never materialized even for very wide matrices.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import numpy as np
 
 from .exceptions import InputError
 from .kpca import FittedKpca, project_training
-from .kernels import kernel_rule
+from .kernels import kernel_rule, pairwise_base
 
-# memory for the n x c x q fields of one block of c variables
+# memory for the q x n x c fields of one block of c variables
 FIELD_BLOCK_BYTES = 1 << 21
 
 
@@ -44,21 +46,25 @@ class FeatureRanking:
 
 
 def _fields(model: FittedKpca, blocks):
-    """Yield the n x c x q fields of each column slice in ``blocks``."""
+    """Yield the q x n x c fields of each column slice in ``blocks``."""
     rule = kernel_rule(model.kernel)
-    X = model.training_data.matrix
-    P = rule.slope(X, model.K.values)
+    data = model.training_data
+    X = data.matrix
+    n, q = model.n, model.q
+    P = rule.slope(pairwise_base(data, rule.distance), model.K.values)
     B = model.alphas - model.alphas.mean(axis=0)  # (I - (1/n) 11^T) alpha
-    PB = P @ B
+    # row k n + m of S is row m of P diag(B_k): S @ x_j stacks P (x_j * B_k)
+    S = (B.T[:, None, :] * P[None, :, :]).reshape(q * n, n)
+    if rule.distance:
+        PB = (P @ B).T[:, :, None]
     for cols in blocks:
         Xb = X[:, cols]
         if rule.distance:
             # x_m[j] - x_i[j] ignores a shift: constant columns give exact zeros
             Xb = Xb - Xb[0]
-        XB = Xb[:, :, None] * B[:, None, :]
-        W = (P @ XB.reshape(len(X), -1)).reshape(XB.shape)
+        W = (S @ Xb).reshape(q, n, -1)
         if rule.distance:
-            W = Xb[:, :, None] * PB[:, None, :] - W
+            W = Xb * PB - W
         yield W
 
 
@@ -67,7 +73,7 @@ def gradient_field(model: FittedKpca, j: int) -> GradientField:
     if not 0 <= j < model.p:
         raise InputError(f"feature index {j} out of range for p={model.p}")
     W = next(_fields(model, [slice(j, j + 1)]))
-    return GradientField(variable_index=j, W=W[:, 0, :])
+    return GradientField(variable_index=j, W=W[:, :, 0].T)
 
 
 def feature_score(model: FittedKpca, j: int) -> tuple[float, float]:
@@ -85,7 +91,7 @@ def rank_features(model: FittedKpca) -> FeatureRanking:
     scores = np.empty(p)
     stds = np.empty(p)
     for cols, W in zip(blocks, _fields(model, blocks)):
-        norms = np.sqrt(np.einsum("ick,ick->ic", W, W))
+        norms = np.sqrt(np.einsum("kic,kic->ic", W, W))
         scores[cols] = norms.mean(axis=0)
         stds[cols] = norms.std(axis=0)
     order = np.lexsort((np.arange(p), -scores))

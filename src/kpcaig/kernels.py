@@ -12,6 +12,10 @@ d k(x_m, x_i) / d x_m[j] is P[m, i] * (x_m[j] - x_i[j]) for the distance
 base and P[m, i] * x_i[j] for the inner-product base. The distance slope has
 a zero diagonal: P[m, m] multiplies x_m[j] - x_m[j] = 0, and a nonzero value
 would only cancel between the field products when K is near the identity.
+
+``pairwise_base`` computes the base over all pairs of rows once per Dataset;
+the median heuristic, every Gram matrix (one per grid sigma) and the slope
+reuse it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
 
 FAMILIES = ("rbf", "linear", "polynomial")
@@ -74,18 +79,36 @@ def _mirror_upper(M: np.ndarray) -> np.ndarray:
     return U + np.triu(M, 1).T
 
 
+def _pairs(X: np.ndarray, distance: bool) -> np.ndarray:
+    return squareform(pdist(X, "sqeuclidean")) if distance else _mirror_upper(X @ X.T)
+
+
+def pairwise_base(data, distance: bool) -> np.ndarray:
+    """Squared distances (distance=True) or inner products over all pairs of rows.
+
+    A Dataset computes each base once and keeps it, read-only, for every
+    later bandwidth, Gram matrix and slope; a plain array, which its owner
+    may change in place, gets a fresh base on every call.
+    """
+    if not isinstance(data, Dataset):
+        return _pairs(_as_matrix(data), distance)
+    if distance not in data._bases:
+        b = _pairs(data.matrix, distance)
+        b.flags.writeable = False
+        data._bases[distance] = b
+    return data._bases[distance]
+
+
 @dataclass(frozen=True)
 class KernelRule:
     """One kernel family with its parameters bound (see the module docstring)."""
 
     distance: bool                                          # b = ||x - y||^2, else <x, y>
     value: Callable[[np.ndarray], np.ndarray]               # k from b
-    slope: Callable[[np.ndarray, np.ndarray], np.ndarray]   # P from training X and its K
+    slope: Callable[[np.ndarray, np.ndarray], np.ndarray]   # P from the training b and K
 
-    def base(self, X: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-        """Base b over all pairs of rows of X, or between x and each row."""
-        if x is None:
-            return squareform(pdist(X, "sqeuclidean")) if self.distance else _mirror_upper(X @ X.T)
+    def base(self, X: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Base b between x and each row of X."""
         return cdist(x[None, :], X, "sqeuclidean")[0] if self.distance else X @ x
 
 
@@ -95,12 +118,13 @@ def kernel_rule(spec: KernelSpec) -> KernelRule:
         s = spec.sigma
         # dk/db = -sigma * k and db/dx_m[j] = 2 * (x_m[j] - x_i[j])
         return KernelRule(True, lambda d2: np.exp(-s * d2),
-                          lambda X, K: -2.0 * s * (K - np.eye(len(K))))
+                          lambda b, K: -2.0 * s * (K - np.eye(len(K))))
     if spec.family == "linear":
-        return KernelRule(False, lambda g: g, lambda X, K: np.ones_like(K))
+        # a copy: the Gram must not share the read-only base
+        return KernelRule(False, np.copy, lambda b, K: np.ones_like(K))
     c, d = spec.coef0, spec.degree
     return KernelRule(False, lambda g: (g + c) ** d,
-                      lambda X, K: float(d) * (X @ X.T + c) ** (d - 1))
+                      lambda b, K: float(d) * (b + c) ** (d - 1))
 
 
 def kernel_row(spec: KernelSpec, X, x) -> np.ndarray:
@@ -120,7 +144,7 @@ def gram_matrix(spec: KernelSpec, data) -> GramMatrix:
     if n < 2:
         raise InputError(f"need at least 2 samples, got n={n}")
     rule = kernel_rule(spec)
-    return GramMatrix(rule.value(rule.base(X)), centered=False)
+    return GramMatrix(rule.value(pairwise_base(data, rule.distance)), centered=False)
 
 
 def center_gram(K: GramMatrix) -> GramMatrix:
@@ -153,12 +177,18 @@ def center_cross(K: GramMatrix, Z) -> np.ndarray:
     return v - v.mean()
 
 
+def median_sq_distance(data) -> float:
+    """Median squared distance over all pairs of distinct rows."""
+    D2 = pairwise_base(data, True)
+    return float(np.median(D2[np.triu_indices(len(D2), 1)]))
+
+
 def sigma_heuristic(data) -> float:
     """Default rbf bandwidth: inverse median squared pairwise distance."""
     X = _as_matrix(data)
     if X.shape[0] < 2:
         raise InputError(f"need at least 2 samples, got n={X.shape[0]}")
-    med = float(np.median(pdist(X, "sqeuclidean")))
+    med = median_sq_distance(data)
     if med <= 0:
         raise DegenerateDataError("all pairwise distances vanish; cannot pick a bandwidth")
     return 1.0 / med

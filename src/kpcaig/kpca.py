@@ -17,8 +17,8 @@ import scipy.linalg
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .kernels import (GramMatrix, KernelSpec, center_cross, center_gram,
-                      gram_matrix, kernel_row, sigma_heuristic)
+from .kernels import (GramMatrix, KernelSpec, center_cross, center_gram, gram_matrix,
+                      kernel_row, median_sq_distance, pairwise_base, sigma_heuristic)
 
 # relative cutoff below which an eigenvalue is treated as numerically zero
 EIG_DROP_REL = 1e-10
@@ -73,6 +73,11 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     if evals[0] <= 0:
+        if spec.family == "rbf" and pairwise_base(data, True).any():
+            raise DegenerateDataError(
+                f"rbf bandwidth sigma={spec.sigma!r} is too small for these samples: "
+                f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}, "
+                "so every kernel value rounds to 1 (K ~ 11^T); use a larger sigma")
         raise DegenerateDataError("centered Gram matrix has no positive eigenvalue "
                                   "(all samples identical?)")
     eigval_total = float(evals[evals > 0].sum())

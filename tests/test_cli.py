@@ -167,6 +167,13 @@ def test_exit_codes(tmp_path):
     assert main(["curve", "selection", src, "--k", "2", "--d-grid", "1:x:1"]) == 3
 
 
+def test_tiny_sigma_exits_3_naming_the_bandwidth(tmp_path, capsys):
+    out = tmp_path / "rank.tsv"
+    assert main(["rank", toy_matrix(tmp_path), "--sigma", "1e-20", "-o", str(out)]) == 3
+    assert "rbf bandwidth sigma=1e-20 is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["inf", "grid:1e-3,inf"])
 def test_non_finite_sigma_rejected(tmp_path, sigma):
     out = tmp_path / "rank.tsv"

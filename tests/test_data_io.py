@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpcaig import (Dataset, InputError, ParseError, load_labels, load_matrix,
                     save_matrix, standardize)
+from kpcaig import data as data_module
 
 
 def write(path, text):
@@ -57,6 +62,71 @@ def test_duplicate_feature_names(tmp_path):
     p = write(tmp_path / "m.csv", "id,f1,f1\ns1,1.0,2.0\n")
     with pytest.raises(ParseError, match="duplicate"):
         load_matrix(p)
+    # a paper-width header with one name repeated far apart
+    names = [f"g{j}" for j in range(12626)]
+    names[-1] = names[7] = "g7"
+    wide = write(tmp_path / "wide.tsv", "id\t" + "\t".join(names) + "\n"
+                 + "s1\t" + "\t".join(["1"] * len(names)) + "\n")
+    with pytest.raises(ParseError) as info:
+        load_matrix(wide)
+    assert str(info.value) == f"{wide}: duplicate feature names ['g7']"
+    cols = write(tmp_path / "cols.csv", "id,s1,s2\nb,1,2\na,3,4\nb,5,6\na,7,8\n")
+    with pytest.raises(ParseError) as info:
+        load_matrix(cols, orientation="cols")
+    assert str(info.value) == f"{cols}: duplicate feature names ['a', 'b']"
+
+
+# (file text, the exact ParseError message after "<path>: ")
+MALFORMED = [
+    ('id,f1,f2\ns1,"1.0",x\n', "non-numeric value 'x' at row 2, column 3"),
+    ('id,f1\ns1,"NA"\n', "non-numeric value 'NA' at row 2, column 2"),
+    ("id,f1,f2\ns1,1.0,2.0,\n", "row 2 has 4 fields, expected 3"),
+    ("id,f1,f2,\ns1,1.0,2.0,\n", "non-numeric value '' at row 2, column 4"),
+    ("id\tf1\ns1\t1.0\n  \ns2\t2.0\n", "row 3 has 1 fields, expected 2"),
+    ("id,f1\ns1,1.0\n\ns2,\n", "non-numeric value '' at row 3, column 2"),
+    ("\nid,f1\ns1,1.0\n", "empty file"),
+    ("id,f1,f2\n", "no data rows"),
+    ("id,f1,f2\r\n\r\n", "no data rows"),
+    ("id\ns1\n", "need at least one data column besides the ID column"),
+    ("id,f1\ns1\n", "row 2 has 1 fields, expected 2"),
+    ("id,f1,f2\ns1,1,2\ns2\n", "row 3 has 1 fields, expected 3"),
+    ("id,f1\ns1,nan\n", "non-finite value 'nan' at row 2, column 2"),
+    ("id\tf1\ts2\ns1\t1\t-inf\n", "non-finite value '-inf' at row 2, column 3"),
+    ("id,f1\ns1,1e999\n", "non-finite value '1e999' at row 2, column 2"),
+    ("id,f1,f2\ns1,1.0,NA\ns2,2.0,3.0\n", "non-numeric value 'NA' at row 2, column 3"),
+    ("id,f1\r\ns1,1.5\r\ns2,x\r\n", "non-numeric value 'x' at row 3, column 2"),
+    ("id,f1\rs1,1.5\rs2,,\r", "row 3 has 3 fields, expected 2"),
+    ("id,f1\ns1\rs2,2.5\n", "row 2 has 1 fields, expected 2"),
+    ("id,f1\ns1,\x1c1\n", "non-numeric value '\\x1c1' at row 2, column 2"),
+    ("id,f1\ns1,0x10\n", "non-numeric value '0x10' at row 2, column 2"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_malformed_file_messages(tmp_path, text, message):
+    p = write(tmp_path / "m.txt", text)
+    with pytest.raises(ParseError) as info:
+        load_matrix(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
+# files both parsers accept: (file text, matrix, feature names, sample ids)
+ACCEPTED = [
+    ('id,"f,1",f2\n"s 1","1.5",2\n', [[1.5, 2.0]], ("f,1", "f2"), ("s 1",)),
+    ("id,f1\n\ns1,1.0\n\n\ns2,2.0\n", [[1.0], [2.0]], ("f1",), ("s1", "s2")),
+    ('id,"f1","g 2"\n"s1",1,2\n', [[1.0, 2.0]], ("f1", "g 2"), ("s1",)),
+    ("id,f1\ns1,1.5\rs2,2.5\n", [[1.5], [2.5]], ("f1",), ("s1", "s2")),
+    ("id,f1,f2\ns1,1_0,2\n", [[10.0, 2.0]], ("f1", "f2"), ("s1",)),
+    ("id\tf1\ns1\t \u06f1\u06f2 \n", [[12.0]], ("f1",), ("s1",)),
+    ("id,f1\r\ns1, 3 \r\n", [[3.0]], ("f1",), ("s1",)),
+]
+
+
+@pytest.mark.parametrize("text, matrix, names, ids", ACCEPTED)
+def test_accepted_irregular_files(tmp_path, text, matrix, names, ids):
+    d = load_matrix(write(tmp_path / "m.txt", text))
+    assert d.matrix.tolist() == matrix
+    assert d.feature_names == names and d.sample_ids == ids
 
 
 def test_bad_orientation(tmp_path):
@@ -122,3 +192,33 @@ def test_select_and_subset():
     rows = d.subset_samples([1])
     assert rows.sample_ids == ("s1",)
     assert rows.labels.tolist() == [1]
+
+
+CELL_FORMATS = [repr, "{:.3g}".format, lambda v: str(int(v)), lambda v: f" {v!r}  "]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 6), st.sampled_from([",", "\t"]),
+       st.sampled_from(["\n", "\r\n"]), st.sampled_from(["rows", "cols"]))
+def test_block_parse_matches_row_validator(tmp_path_factory, draw, n, p, delim, eol,
+                                           orientation):
+    values = draw.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * p,
+                                max_size=n * p))
+    formats = draw.draw(st.lists(st.sampled_from(CELL_FORMATS), min_size=n * p,
+                                 max_size=n * p))
+    cells = [fmt(v) for fmt, v in zip(formats, values)]
+    lines = ["id" + delim + delim.join(f"c {j}" for j in range(p))]
+    lines += [f"r-{i}" + delim + delim.join(cells[i * p:(i + 1) * p]) for i in range(n)]
+    text = eol.join(lines) + eol
+    path = tmp_path_factory.mktemp("m") / "m.txt"
+    path.write_bytes(text.encode("utf-8"))
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert data_module._parse_block(fh, delim) is not None   # the one-call path ran
+    got = load_matrix(path, orientation=orientation)
+    with mock.patch.object(data_module, "_parse_block", return_value=None):
+        want = load_matrix(path, orientation=orientation)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.matrix.shape == want.matrix.shape
+    assert got.feature_names == want.feature_names
+    assert got.sample_ids == want.sample_ids

@@ -108,7 +108,7 @@ def test_blocked_fields_match_per_feature_reference(seed, spec, n, p_free, width
 
     # blocks of `width` columns, so p > width crosses block boundaries
     blocks = [slice(s, s + width) for s in range(0, p, width)]
-    got = np.concatenate(list(importance._fields(model, blocks)), axis=1)
+    got = np.concatenate(list(importance._fields(model, blocks)), axis=2).transpose(1, 2, 0)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= scale
     if spec.family == "rbf":
@@ -121,6 +121,22 @@ def test_blocked_fields_match_per_feature_reference(seed, spec, n, p_free, width
     assert np.abs(ranking.stds - norms.std(axis=0)).max() <= scale
     for j in (0, p_free, p - 1):
         assert np.abs(gradient_field(model, j).W - ref[:, j]).max() <= scale
+
+
+def test_rank_near_identity_kernel_matches_per_feature_reference():
+    # at 10x the median sigma K is near I, where the two rbf products nearly
+    # cancel; a slope with a nonzero diagonal drifts to ~3e-14 of the top score
+    data = standardize(planted_clusters(120, 300, 2, 6, seed=1))
+    spec = KernelSpec("rbf", sigma=10 * sigma_heuristic(data))
+    model = fit_kpca(data, spec, 3)
+    B = model.alphas - model.alphas.mean(axis=0)
+    ref = np.stack([partial_matrix(spec, data.matrix, j) @ B for j in range(data.p)], axis=1)
+    norms = np.sqrt((ref**2).sum(axis=2))
+    ranking = rank_features(model)
+    tol = 4e-15 * norms.mean(axis=0).max()
+    assert np.abs(ranking.scores - norms.mean(axis=0)).max() <= tol
+    assert np.abs(ranking.stds - norms.std(axis=0)).max() <= tol
+    assert np.array_equal(ranking.order, np.lexsort((np.arange(data.p), -norms.mean(axis=0))))
 
 
 def test_single_driving_feature_ranks_first():

@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from kpcaig import (Dataset, DegenerateDataError, GramMatrix, InputError, KernelSpec,
                     center_cross, center_gram, gram_matrix, kernel_row, sigma_heuristic)
+from kpcaig import kernels
 
 from kernel_oracles import eval_kernel, gram_formula, kernel_partial
 
@@ -153,6 +156,23 @@ def test_gram_bitwise_equals_family_formulas(seed, n, p, spec):
     X = np.random.default_rng(seed).normal(size=(n, p))
     assert np.array_equal(gram_matrix(spec, Dataset.from_matrix(X)).values,
                           gram_formula(spec, X))
+
+
+def test_pairwise_base_once_per_dataset_fresh_for_arrays():
+    X = np.random.default_rng(4).normal(size=(9, 4))
+    data = Dataset.from_matrix(X.copy())
+    with mock.patch.object(kernels, "pdist", wraps=kernels.pdist) as spy:
+        sigma = sigma_heuristic(data)
+        for s in (sigma, 0.1, 3.0):
+            spec = KernelSpec("rbf", sigma=s)
+            assert np.array_equal(gram_matrix(spec, data).values, gram_formula(spec, X))
+        assert spy.call_count == 1
+    assert sigma == 1.0 / np.median(pdist(X, "sqeuclidean"))
+    # a plain array may be changed in place by its owner, as the permutation baseline does
+    spec = KernelSpec("polynomial", degree=2)
+    gram_matrix(spec, X)
+    X[:, 1] = X[::-1, 1]
+    assert np.array_equal(gram_matrix(spec, X).values, gram_formula(spec, X))
 
 
 def test_gram_needs_two_samples():

@@ -37,8 +37,20 @@ def test_invalid_q():
 
 def test_degenerate_data():
     data = Dataset.from_matrix(np.ones((6, 3)), standardized=True)
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match="all samples identical"):
         fit_kpca(data, RBF, 1)
+
+
+def test_tiny_sigma_names_the_bandwidth():
+    # the samples differ, but exp(-sigma d^2) rounds to 1 for every pair
+    data = random_standardized(8, 4, 3)
+    med = 1.0 / sigma_heuristic(data)
+    with pytest.raises(DegenerateDataError) as info:
+        fit_kpca(data, KernelSpec("rbf", sigma=1e-20), 2)
+    assert str(info.value) == (
+        f"rbf bandwidth sigma=1e-20 is too small for these samples: "
+        f"sigma * median d^2 = {1e-20 * med:.3g}, so every kernel value rounds "
+        "to 1 (K ~ 11^T); use a larger sigma")
 
 
 def test_duplicated_rows_reduce_rank():
