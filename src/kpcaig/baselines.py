@@ -1,12 +1,13 @@
 """Comparison selectors: Laplacian score and permutation-based kernel importance.
 
 The Laplacian score favours features that respect local neighbourhood
-structure (lower is better). The permutation selector scores a feature by
-how strongly shuffling its values across samples perturbs the kernel PCA
-eigenspace (higher is better); the subspace perturbation is measured with
-the projection-matrix Frobenius metric d = ||U U^T - U' U'^T||_F / sqrt(2),
-with a plain Frobenius distance between raw Gram matrices available as an
-alternative.
+structure (lower is better); one pair of dense products with the k-NN
+graph gives f^T L f / f^T D f for every feature f at once. The permutation
+selector scores a feature by how strongly shuffling its values across
+samples perturbs the leading q kernel PCA eigenvectors (higher is better);
+the subspace perturbation is measured with the projection-matrix Frobenius
+metric d = ||U U^T - U' U'^T||_F / sqrt(2), with a plain Frobenius distance
+between raw Gram matrices available as an alternative.
 """
 
 from __future__ import annotations
@@ -46,26 +47,19 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Bas
     if not t > 0:
         raise DegenerateDataError("heat-kernel width t is not positive "
                                   "(all samples identical?)")
+    # the self-distance sorts last, so each row's first k_nn are its neighbours
+    neigh = np.argsort(d2 + np.diag(np.full(n, np.inf)), axis=1, kind="stable")[:, :k_nn]
+    rows = np.arange(n)[:, None]
     W = np.zeros((n, n))
-    for i in range(n):
-        order = np.argsort(d2[i], kind="stable")
-        neigh = [m for m in order if m != i][:k_nn]
-        W[i, neigh] = np.exp(-d2[i, neigh] / t)
+    W[rows, neigh] = np.exp(-d2[rows, neigh] / t)
     W = np.maximum(W, W.T)
     deg = W.sum(axis=1)
     if np.any(deg == 0):
         raise DegenerateDataError("neighbourhood graph has an isolated sample")
-    deg_total = deg.sum()
-    scores = np.empty(p)
-    for j in range(p):
-        f = X[:, j]
-        if np.ptp(f) == 0:
-            scores[j] = np.inf
-            continue
-        fc = f - (f @ deg) / deg_total      # D-weighted mean removal
-        den = fc @ (deg * fc)
-        num = den - fc @ (W @ fc)           # f^T L f with L = D - W
-        scores[j] = num / den
+    F = X - (deg @ X) / deg.sum()                    # D-weighted mean removal
+    den = np.einsum("ij,i,ij->j", F, deg, F)
+    num = den - np.einsum("ij,ij->j", F, W @ F)      # f^T L f with L = D - W
+    scores = np.divide(num, den, out=np.full(p, np.inf), where=np.ptp(X, axis=0) > 0)
     order = np.lexsort((np.arange(p), scores))
     return BaselineRanking("laplacian", scores, order, "lower_is_better")
 
@@ -82,8 +76,8 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
 
 
 def _leading_subspace(K_centered: np.ndarray, q: int) -> np.ndarray:
-    evals, evecs = scipy.linalg.eigh(K_centered)
-    return evecs[:, ::-1][:, :q]
+    n = len(K_centered)
+    return scipy.linalg.eigh(K_centered, subset_by_index=[n - q, n - 1])[1]
 
 
 def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
@@ -107,7 +101,7 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
         raise InputError(f"q must be in [1, n-1], got {q}")
     K = gram_matrix(spec, X)
     if metric == "subspace":
-        U = _leading_subspace(center_gram(K).values, q)
+        U = _leading_subspace(center_gram(K), q)
     scores = np.empty(p)
     Xp = X.copy()
     for j in range(p):
@@ -118,10 +112,10 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
             Xp[:, j] = col[rng.permutation(n)]
             Kp = gram_matrix(spec, Xp)
             if metric == "subspace":
-                Up = _leading_subspace(center_gram(Kp).values, q)
+                Up = _leading_subspace(center_gram(Kp), q)
                 dists[r] = subspace_distance(U, Up)
             else:
-                dists[r] = float(np.linalg.norm(K.values - Kp.values, "fro"))
+                dists[r] = float(np.linalg.norm(K - Kp, "fro"))
         Xp[:, j] = col
         scores[j] = dists.mean()
     order = np.lexsort((np.arange(p), -scores))

@@ -51,7 +51,7 @@ def _fields(model: FittedKpca, blocks):
     data = model.training_data
     X = data.matrix
     n, q = model.n, model.q
-    P = rule.slope(pairwise_base(data, rule.distance), model.K.values)
+    P = rule.slope(pairwise_base(data, rule.distance), model.K)
     B = model.alphas - model.alphas.mean(axis=0)  # (I - (1/n) 11^T) alpha
     # row k n + m of S is row m of P diag(B_k): S @ x_j stacks P (x_j * B_k)
     S = (B.T[:, None, :] * P[None, :, :]).reshape(q * n, n)

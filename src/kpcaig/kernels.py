@@ -15,7 +15,8 @@ would only cancel between the field products when K is near the identity.
 
 ``pairwise_base`` computes the base over all pairs of rows once per Dataset;
 the median heuristic, every Gram matrix (one per grid sigma) and the slope
-reuse it.
+reuse it. Gram matrices are plain arrays; ``kpca.project`` centres a new
+point's kernel row.
 """
 
 from __future__ import annotations
@@ -48,24 +49,6 @@ class KernelSpec:
         if self.family == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InputError(f"polynomial degree must be an integer >= 1, got {self.degree}")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise kernel similarities; ``centered`` marks double-centering."""
-
-    values: np.ndarray
-    centered: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InputError(f"Gram matrix must be square, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -137,44 +120,30 @@ def kernel_row(spec: KernelSpec, X, x) -> np.ndarray:
     return rule.value(rule.base(X, x))
 
 
-def gram_matrix(spec: KernelSpec, data) -> GramMatrix:
+def gram_matrix(spec: KernelSpec, data) -> np.ndarray:
     """Uncentered n x n Gram matrix of all pairwise similarities."""
     X = _as_matrix(data)
     n = X.shape[0]
     if n < 2:
         raise InputError(f"need at least 2 samples, got n={n}")
     rule = kernel_rule(spec)
-    return GramMatrix(rule.value(pairwise_base(data, rule.distance)), centered=False)
+    return rule.value(pairwise_base(data, rule.distance))
 
 
-def center_gram(K: GramMatrix) -> GramMatrix:
+def center_gram(K) -> np.ndarray:
     """Double-center a Gram matrix so feature-space coordinates have zero mean.
 
     Idempotent: centering an already centered matrix is a no-op up to
     rounding.
     """
-    V = K.values
+    V = np.asarray(K, dtype=np.float64)
+    if V.ndim != 2 or V.shape[0] != V.shape[1]:
+        raise InputError(f"Gram matrix must be square, got shape {V.shape}")
     row = V.mean(axis=1)
     col = V.mean(axis=0)
     grand = V.mean()
     out = V - row[:, None] - col[None, :] + grand
-    return GramMatrix(_mirror_upper(out), centered=True)
-
-
-def center_cross(K: GramMatrix, Z) -> np.ndarray:
-    """Centered cross-kernel row (Z^T - (1/n) 1^T K)(I - (1/n) 11^T).
-
-    K is the raw (uncentered) training Gram matrix and Z the kernel values
-    of a query point against the training points. When the query equals
-    training point m the result is row m of the centered Gram matrix.
-    """
-    if K.centered:
-        raise InputError("center_cross expects the uncentered training Gram matrix")
-    Z = np.asarray(Z, dtype=np.float64).ravel()
-    if Z.size != K.n:
-        raise InputError(f"cross-kernel vector has length {Z.size}, expected n={K.n}")
-    v = Z - K.values.mean(axis=0)
-    return v - v.mean()
+    return _mirror_upper(out)
 
 
 def median_sq_distance(data) -> float:

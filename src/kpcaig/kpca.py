@@ -17,8 +17,8 @@ import scipy.linalg
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .kernels import (GramMatrix, KernelSpec, center_cross, center_gram, gram_matrix,
-                      kernel_row, median_sq_distance, pairwise_base, sigma_heuristic)
+from .kernels import (KernelSpec, center_gram, gram_matrix, kernel_row, median_sq_distance,
+                      pairwise_base, sigma_heuristic)
 
 # relative cutoff below which an eigenvalue is treated as numerically zero
 EIG_DROP_REL = 1e-10
@@ -30,8 +30,8 @@ class FittedKpca:
 
     training_data: Dataset
     kernel: KernelSpec
-    K: GramMatrix            # uncentered training Gram matrix
-    K_centered: GramMatrix
+    K: np.ndarray            # uncentered n x n training Gram matrix
+    K_centered: np.ndarray   # double-centered K
     eigvals: np.ndarray      # q retained eigenvalues of K~, descending
     alphas: np.ndarray       # n x q, scaled so alpha^T K~ alpha = 1 per column
     q: int
@@ -69,7 +69,7 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
     n = data.n
     K = gram_matrix(spec, data)
     Kc = center_gram(K)
-    evals, evecs = scipy.linalg.eigh(Kc.values)
+    evals, evecs = scipy.linalg.eigh(Kc)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     if evals[0] <= 0:
@@ -97,14 +97,15 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
 
 
 def project(model: FittedKpca, x) -> np.ndarray:
-    """Coordinates of an arbitrary point on the retained kernel axes."""
+    """Coordinates of an arbitrary point: its kernel row, centred like a row of K~, times alpha."""
     Z = kernel_row(model.kernel, model.training_data.matrix, x)
-    return center_cross(model.K, Z) @ model.alphas
+    v = Z - model.K.mean(axis=0)
+    return (v - v.mean()) @ model.alphas
 
 
 def project_training(model: FittedKpca) -> Embedding:
     """Training-set coordinates K~ @ alpha together with variance shares."""
-    coords = model.K_centered.values @ model.alphas
+    coords = model.K_centered @ model.alphas
     return Embedding(coords=coords, component_variance=explained_variance(model))
 
 

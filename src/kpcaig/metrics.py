@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .exceptions import InputError
@@ -92,6 +91,8 @@ def _contingency(pred, truth) -> np.ndarray:
 
 def clustering_accuracy(pred, truth) -> float:
     """Best label-agreement fraction over one-to-one class assignments."""
+    # imported here: scipy.optimize costs every CLI start about 0.1 s
+    from scipy.optimize import linear_sum_assignment
     C = _contingency(pred, truth)
     ri, ci = linear_sum_assignment(C, maximize=True)
     return float(C[ri, ci].sum()) / C.sum()
@@ -142,15 +143,12 @@ def silhouette(coords, labels) -> float:
     sums = np.zeros((X.shape[0], classes.size))
     for c in range(classes.size):
         sums[:, c] = D[:, inv == c].sum(axis=1)
-    vals = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        c = inv[i]
-        if counts[c] == 1:
-            vals[i] = 0.0
-            continue
-        a = sums[i, c] / (counts[c] - 1)
-        others = [sums[i, o] / counts[o] for o in range(classes.size) if o != c]
-        b = min(others)
-        top = max(a, b)
-        vals[i] = 0.0 if top == 0 else (b - a) / top
+    rows = np.arange(X.shape[0])
+    own = counts[inv]
+    a = sums[rows, inv] / np.maximum(own - 1, 1)
+    means = sums / counts
+    means[rows, inv] = np.inf
+    b = means.min(axis=1)
+    top = np.maximum(a, b)
+    vals = np.divide(b - a, top, out=np.zeros(X.shape[0]), where=(own > 1) & (top > 0))
     return float(vals.mean())

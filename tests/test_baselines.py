@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kpcaig import (Dataset, InputError, KernelSpec, laplacian_score,
-                    permutation_importance, sigma_heuristic, subspace_distance)
+from kpcaig import (BaselineRanking, Dataset, DegenerateDataError, InputError, KernelSpec,
+                    laplacian_score, permutation_importance, sigma_heuristic,
+                    subspace_distance)
+from kpcaig.kernels import pairwise_base
 from kpcaig.synthetic import two_blobs
 
 
@@ -60,6 +64,69 @@ def test_laplacian_invariant_to_adding_constant():
     a = laplacian_score(Dataset.from_matrix(X), k_nn=4)
     b = laplacian_score(Dataset.from_matrix(shifted), k_nn=4)
     assert np.abs(a.scores - b.scores).max() < 1e-10
+
+
+def laplacian_score_loop(data: Dataset, k_nn: int = 5, t: float | None = None) -> BaselineRanking:
+    """Reference: the per-sample neighbour loop and per-feature score loop."""
+    X = data.matrix
+    n, p = X.shape
+    if not 0 < k_nn < n:
+        raise InputError(f"k_nn must be in [1, n-1], got {k_nn} for n={n}")
+    d2 = pairwise_base(data, True)
+    if t is None:
+        t = float(d2[np.triu_indices(n, 1)].mean())
+    if not t > 0:
+        raise DegenerateDataError("heat-kernel width t is not positive "
+                                  "(all samples identical?)")
+    W = np.zeros((n, n))
+    for i in range(n):
+        order = np.argsort(d2[i], kind="stable")
+        neigh = [m for m in order if m != i][:k_nn]
+        W[i, neigh] = np.exp(-d2[i, neigh] / t)
+    W = np.maximum(W, W.T)
+    deg = W.sum(axis=1)
+    if np.any(deg == 0):
+        raise DegenerateDataError("neighbourhood graph has an isolated sample")
+    deg_total = deg.sum()
+    scores = np.empty(p)
+    for j in range(p):
+        f = X[:, j]
+        if np.ptp(f) == 0:
+            scores[j] = np.inf
+            continue
+        fc = f - (f @ deg) / deg_total      # D-weighted mean removal
+        den = fc @ (deg * fc)
+        num = den - fc @ (W @ fc)           # f^T L f with L = D - W
+        scores[j] = num / den
+    order = np.lexsort((np.arange(p), scores))
+    return BaselineRanking("laplacian", scores, order, "lower_is_better")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 9), st.integers(1, 6), st.data())
+def test_laplacian_matches_loop_reference(n, p, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p))
+    # duplicated rows tie distances, so the neighbour tie order is exercised
+    X = X[data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    for j in data.draw(st.sets(st.integers(0, p - 1))):
+        X[:, j] = 1.5
+    k_nn = data.draw(st.integers(1, n - 1))
+    d = Dataset.from_matrix(X)
+    # t on the scale of the distances: a weight near 1e-30 leaves a score that
+    # the rounding of the weighted mean decides, in the loop and product forms alike
+    t = data.draw(st.floats(0.25, 4.0)) * max(float(pairwise_base(d, True).mean()), 1e-3)
+    ref = laplacian_score_loop(d, k_nn=k_nn, t=t)
+    got = laplacian_score(d, k_nn=k_nn, t=t)
+    const = np.ptp(X, axis=0) == 0
+    m = p - int(const.sum())
+    assert np.all(got.scores[const] == np.inf)
+    assert np.array_equal(got.order[m:], np.flatnonzero(const))
+    # scores lie in [0, 2], so an absolute bound is relative to their range
+    assert np.abs(got.scores[~const] - ref.scores[~const]).max(initial=0.0) <= 1e-12
+    # exact ties (every score is 1 when few rows are distinct) may break either
+    # way in rounding; all other pairs keep the reference order
+    assert np.all(np.diff(ref.scores[got.order[:m]]) >= -1e-12)
 
 
 def test_laplacian_knn_bounds():

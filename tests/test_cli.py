@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kpcaig
 from kpcaig import Dataset, save_matrix, standardize
 from kpcaig.cli import RunConfig, main
 from kpcaig.synthetic import planted_clusters
@@ -200,3 +205,15 @@ def test_orientation_and_no_standardize(tmp_path):
     a_lines = out_a.read_text().splitlines()[1:]
     b_lines = out_b.read_text().splitlines()[1:]
     assert a_lines == b_lines
+
+
+def test_cli_import_skips_scipy_optimize():
+    # every CLI run pays for what importing kpcaig.cli loads
+    src = str(Path(kpcaig.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, kpcaig.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

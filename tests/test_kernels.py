@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from kpcaig import (Dataset, DegenerateDataError, GramMatrix, InputError, KernelSpec,
-                    center_cross, center_gram, gram_matrix, kernel_row, sigma_heuristic)
+from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, center_gram,
+                    gram_matrix, sigma_heuristic)
 from kpcaig import kernels
 
 from kernel_oracles import eval_kernel, gram_formula, kernel_partial
@@ -119,14 +119,13 @@ def test_partial_vs_finite_difference_random(spec):
 def test_gram_identical_points_rbf():
     data = Dataset.from_matrix([[1.0, 2.0], [1.0, 2.0]])
     K = gram_matrix(RBF1, data)
-    assert np.array_equal(K.values, np.ones((2, 2)))
-    assert not K.centered
+    assert np.array_equal(K, np.ones((2, 2)))
 
 
 def test_gram_linear_matches_matmul_oracle():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(3, 4))
-    K = gram_matrix(KernelSpec("linear"), Dataset.from_matrix(X)).values
+    K = gram_matrix(KernelSpec("linear"), Dataset.from_matrix(X))
     oracle = np.array([[np.dot(X[i], X[j]) for j in range(3)] for i in range(3)])
     assert np.abs(K - oracle).max() < 1e-12
 
@@ -134,7 +133,7 @@ def test_gram_linear_matches_matmul_oracle():
 def test_gram_rbf_psd():
     rng = np.random.default_rng(2)
     K = gram_matrix(KernelSpec("rbf", sigma=2.0),
-                    Dataset.from_matrix(rng.normal(size=(5, 3)))).values
+                    Dataset.from_matrix(rng.normal(size=(5, 3))))
     ev = np.linalg.eigvalsh(K)
     assert ev.min() >= -1e-8 * ev.max()
 
@@ -142,7 +141,7 @@ def test_gram_rbf_psd():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
 def test_gram_bitwise_symmetric(spec):
     rng = np.random.default_rng(3)
-    K = gram_matrix(spec, Dataset.from_matrix(rng.normal(size=(7, 4)))).values
+    K = gram_matrix(spec, Dataset.from_matrix(rng.normal(size=(7, 4))))
     assert np.array_equal(K, K.T)
     for i in range(7):
         if spec.family == "rbf":
@@ -154,7 +153,7 @@ def test_gram_bitwise_symmetric(spec):
        st.sampled_from(ALL_SPECS + [KernelSpec("polynomial", degree=2, coef0=0.5)]))
 def test_gram_bitwise_equals_family_formulas(seed, n, p, spec):
     X = np.random.default_rng(seed).normal(size=(n, p))
-    assert np.array_equal(gram_matrix(spec, Dataset.from_matrix(X)).values,
+    assert np.array_equal(gram_matrix(spec, Dataset.from_matrix(X)),
                           gram_formula(spec, X))
 
 
@@ -165,14 +164,14 @@ def test_pairwise_base_once_per_dataset_fresh_for_arrays():
         sigma = sigma_heuristic(data)
         for s in (sigma, 0.1, 3.0):
             spec = KernelSpec("rbf", sigma=s)
-            assert np.array_equal(gram_matrix(spec, data).values, gram_formula(spec, X))
+            assert np.array_equal(gram_matrix(spec, data), gram_formula(spec, X))
         assert spy.call_count == 1
     assert sigma == 1.0 / np.median(pdist(X, "sqeuclidean"))
     # a plain array may be changed in place by its owner, as the permutation baseline does
     spec = KernelSpec("polynomial", degree=2)
     gram_matrix(spec, X)
     X[:, 1] = X[::-1, 1]
-    assert np.array_equal(gram_matrix(spec, X).values, gram_formula(spec, X))
+    assert np.array_equal(gram_matrix(spec, X), gram_formula(spec, X))
 
 
 def test_gram_needs_two_samples():
@@ -181,14 +180,18 @@ def test_gram_needs_two_samples():
 
 
 def test_center_identical_points_to_zero():
-    K = GramMatrix(np.ones((2, 2)))
-    assert np.array_equal(center_gram(K).values, np.zeros((2, 2)))
+    assert np.array_equal(center_gram(np.ones((2, 2))), np.zeros((2, 2)))
+
+
+def test_center_rejects_non_square():
+    with pytest.raises(InputError, match="square"):
+        center_gram(np.ones((3, 4)))
 
 
 def _random_psd_gram(n, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, n + 2))
-    return GramMatrix(X @ X.T)
+    return X @ X.T
 
 
 def test_center_matches_hkh_oracle():
@@ -196,20 +199,19 @@ def test_center_matches_hkh_oracle():
         K = _random_psd_gram(6, seed)
         n = 6
         H = np.eye(n) - np.ones((n, n)) / n
-        assert np.abs(center_gram(K).values - H @ K.values @ H).max() < 1e-12
+        assert np.abs(center_gram(K) - H @ K @ H).max() < 1e-12
 
 
 def test_center_idempotent():
     K = _random_psd_gram(8, 11)
     once = center_gram(K)
     twice = center_gram(once)
-    assert np.abs(twice.values - once.values).max() < 1e-10
-    assert once.centered and twice.centered
+    assert np.abs(twice - once).max() < 1e-10
 
 
 def test_center_annihilates_means():
     K = _random_psd_gram(9, 12)
-    C = center_gram(K).values
+    C = center_gram(K)
     assert np.abs(C.sum(axis=0)).max() < 1e-8
     assert np.abs(C.sum(axis=1)).max() < 1e-8
     scale = np.abs(C).max()
@@ -219,7 +221,7 @@ def test_center_annihilates_means():
 
 def test_center_preserves_psd():
     K = _random_psd_gram(10, 13)
-    ev = np.linalg.eigvalsh(center_gram(K).values)
+    ev = np.linalg.eigvalsh(center_gram(K))
     assert ev.min() >= -1e-8 * ev.max()
 
 
@@ -228,39 +230,7 @@ def test_center_preserves_psd():
 def test_center_idempotence_property(seed):
     K = _random_psd_gram(5, seed)
     once = center_gram(K)
-    assert np.abs(center_gram(once).values - once.values).max() < 1e-10
-
-
-def test_center_cross_equals_training_row():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(6, 3))
-    K = gram_matrix(RBF1, Dataset.from_matrix(X))
-    Z = kernel_row(RBF1, X, X[1])
-    got = center_cross(K, Z)
-    assert np.abs(got - center_gram(K).values[1]).max() < 1e-10
-
-
-def test_center_cross_identical_points_zero():
-    X = np.ones((4, 2))
-    K = gram_matrix(RBF1, Dataset.from_matrix(X))
-    assert np.array_equal(center_cross(K, kernel_row(RBF1, X, X[0])), np.zeros(4))
-
-
-def test_center_cross_matches_dense_oracle():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(5, 3))
-    K = gram_matrix(KernelSpec("rbf", sigma=0.4), Dataset.from_matrix(X))
-    Z = kernel_row(KernelSpec("rbf", sigma=0.4), X, rng.normal(size=3))
-    n = 5
-    H = np.eye(n) - np.ones((n, n)) / n
-    oracle = (Z - np.ones(n) @ K.values / n) @ H
-    assert np.abs(center_cross(K, Z) - oracle).max() < 1e-12
-
-
-def test_center_cross_rejects_centered_input():
-    K = center_gram(_random_psd_gram(4, 6))
-    with pytest.raises(InputError):
-        center_cross(K, np.zeros(4))
+    assert np.abs(center_gram(once) - once).max() < 1e-10
 
 
 def test_sigma_heuristic_two_points():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, SigmaRule,
-                    explained_variance, fit_kpca, grid_search_sigma, project,
-                    project_training, sigma_heuristic, standardize)
+from kpcaig import (Dataset, DegenerateDataError, FittedKpca, InputError, KernelSpec, SigmaRule,
+                    center_gram, explained_variance, fit_kpca, gram_matrix, grid_search_sigma,
+                    kernel_row, project, project_training, sigma_heuristic, standardize)
 
 RBF = KernelSpec("rbf", sigma=0.8)
 
@@ -74,7 +74,7 @@ def test_unstandardized_warning_and_optout():
 def test_alpha_normalization_and_orthogonality():
     data = random_standardized(15, 4, 1)
     model = fit_kpca(data, RBF, 4)
-    Kc = model.K_centered.values
+    Kc = model.K_centered
     for k in range(model.q):
         a = model.alphas[:, k]
         assert a @ Kc @ a == pytest.approx(1.0, abs=1e-8)
@@ -110,13 +110,46 @@ def test_project_dimension_mismatch():
         project(model, np.zeros(4))
 
 
+def centred_row_model(X, spec):
+    """A model with alphas = I, so ``project`` returns the centred kernel row itself."""
+    data = Dataset.from_matrix(X)
+    K = gram_matrix(spec, data)
+    n = data.n
+    return FittedKpca(training_data=data, kernel=spec, K=K, K_centered=center_gram(K),
+                      eigvals=np.ones(n), alphas=np.eye(n), q=n, eigval_total=float(n))
+
+
+def test_project_training_row_is_centred_gram_row():
+    X = np.random.default_rng(4).normal(size=(6, 3))
+    model = centred_row_model(X, KernelSpec("rbf", sigma=1.0))
+    assert np.abs(project(model, X[1]) - model.K_centered[1]).max() < 1e-10
+
+
+def test_project_identical_points_zero():
+    X = np.ones((4, 2))
+    model = centred_row_model(X, KernelSpec("rbf", sigma=1.0))
+    assert np.array_equal(project(model, X[0]), np.zeros(4))
+
+
+def test_project_matches_dense_oracle():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(5, 3))
+    spec = KernelSpec("rbf", sigma=0.4)
+    model = centred_row_model(X, spec)
+    x = rng.normal(size=3)
+    n = 5
+    H = np.eye(n) - np.ones((n, n)) / n
+    oracle = (kernel_row(spec, X, x) - np.ones(n) @ model.K / n) @ H
+    assert np.abs(project(model, x) - oracle).max() < 1e-12
+
+
 def test_project_far_point_limit():
     # rbf values underflow to exactly 0 far away; limit from centering algebra
     data = random_standardized(9, 3, 5)
     model = fit_kpca(data, RBF, 2)
     n = data.n
     H = np.eye(n) - np.ones((n, n)) / n
-    limit = (-np.ones(n) / n) @ model.K.values @ H @ model.alphas
+    limit = (-np.ones(n) / n) @ model.K @ H @ model.alphas
     far = project(model, np.full(3, 1e6))
     assert np.abs(far - limit).max() < 1e-12
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from kpcaig import InputError, clustering_accuracy, kmeans, nmi, silhouette
 from kpcaig.synthetic import two_blobs
@@ -46,6 +47,29 @@ def brute_force_silhouette(X, labels):
                 for c in set(labels) if c != labels[i])
         vals.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
     return float(np.mean(vals))
+
+
+def silhouette_loop(coords, labels) -> float:
+    """Reference: the per-point loop ``silhouette`` replaced, same arithmetic."""
+    X = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    classes, inv = np.unique(np.asarray(labels).ravel(), return_inverse=True)
+    D = squareform(pdist(X))
+    counts = np.bincount(inv)
+    sums = np.zeros((X.shape[0], classes.size))
+    for c in range(classes.size):
+        sums[:, c] = D[:, inv == c].sum(axis=1)
+    vals = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        c = inv[i]
+        if counts[c] == 1:
+            vals[i] = 0.0
+            continue
+        a = sums[i, c] / (counts[c] - 1)
+        others = [sums[i, o] / counts[o] for o in range(classes.size) if o != c]
+        b = min(others)
+        top = max(a, b)
+        vals[i] = 0.0 if top == 0 else (b - a) / top
+    return float(vals.mean())
 
 
 # --- k-means -------------------------------------------------------------
@@ -198,6 +222,18 @@ def test_silhouette_matches_definition_oracle():
             continue
         assert silhouette(X, labels) == pytest.approx(
             brute_force_silhouette(X, labels), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 25), st.integers(2, 5), st.data())
+def test_silhouette_equals_loop_reference(m, k, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # few distinct points: duplicates give a = 0 and b = 0 cases
+    X = rng.integers(0, 3, size=(m, 2)).astype(float)
+    labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+    if np.unique(labels).size < 2:
+        return
+    assert silhouette(X, labels) == silhouette_loop(X, labels)
 
 
 def test_silhouette_random_labels_near_zero():
