@@ -7,7 +7,9 @@ selector scores a feature by how strongly shuffling its values across
 samples perturbs the leading q kernel PCA eigenvectors (higher is better);
 the subspace perturbation is measured with the projection-matrix Frobenius
 metric d = ||U U^T - U' U'^T||_F / sqrt(2), with a plain Frobenius distance
-between raw Gram matrices available as an alternative.
+between raw Gram matrices available as an alternative. The permuted Gram
+comes from the Dataset's pairwise base with one column's term swapped, so
+each (feature, draw) costs O(n^2) elementwise work and one top-q eigensolve.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import scipy.linalg
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .kernels import KernelSpec, center_gram, gram_matrix, pairwise_base
+from .kernels import KernelSpec, center_gram, kernel_rule, pairwise_base
+from .kpca import check_top_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -64,20 +67,25 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Bas
     return BaselineRanking("laplacian", scores, order, "lower_is_better")
 
 
+def _frobenius(D: np.ndarray) -> float:
+    # not np.linalg.norm: its BLAS ddot over n^2 entries took ~9 ms right after a LAPACK
+    # call with 2 OpenBLAS threads (2-vCPU VM, n = 120); this sum uses no BLAS
+    return float(np.sqrt((D * D).sum()))
+
+
 def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
     """Projection-metric distance between the column spans of U and V.
 
     For orthonormal q-column bases the value lies in [0, sqrt(q)] and is 0
     exactly when the subspaces coincide.
     """
-    P = U @ U.T
-    Q = V @ V.T
-    return float(np.linalg.norm(P - Q, "fro") / np.sqrt(2.0))
+    return _frobenius(U @ U.T - V @ V.T) / np.sqrt(2.0)
 
 
-def _leading_subspace(K_centered: np.ndarray, q: int) -> np.ndarray:
+def _leading_subspace(K_centered: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-q eigenvalues (ascending) and eigenvectors of a centred Gram."""
     n = len(K_centered)
-    return scipy.linalg.eigh(K_centered, subset_by_index=[n - q, n - 1])[1]
+    return scipy.linalg.eigh(K_centered, subset_by_index=[n - q, n - 1])
 
 
 def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
@@ -85,11 +93,15 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
                            metric: str = "subspace") -> BaselineRanking:
     """Score features by the kernel perturbation their permutation causes.
 
-    For each feature and each draw the column is shuffled across samples,
-    the Gram matrix is rebuilt from scratch and the distance to the
-    original kernel structure is recorded; the score is the mean over
-    draws. Every (feature, draw) pair uses its own seeded substream, so
-    parallel and sequential evaluation orders agree exactly.
+    For each feature and each draw the column is shuffled across samples
+    and the distance to the original kernel structure is recorded; the
+    score is the mean over draws. Shuffling column j changes one term of
+    the pairwise base, t_j = (x_ij - x_kj)^2 for squared distances or
+    x_ij x_kj for inner products, so the permuted Gram is the kernel value
+    of base + (t_j(perm) - t_j): no Gram is rebuilt, and a constant
+    column reproduces the base bitwise and scores exactly 0. Every
+    (feature, draw) pair uses its own seeded substream, so parallel and
+    sequential evaluation orders agree exactly.
     """
     if n_perm < 1:
         raise InputError(f"n_perm must be >= 1, got {n_perm}")
@@ -99,24 +111,24 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     n, p = X.shape
     if not 1 <= q <= n - 1:
         raise InputError(f"q must be in [1, n-1], got {q}")
-    K = gram_matrix(spec, X)
+    rule = kernel_rule(spec)
+    base = pairwise_base(data, rule.distance)
+    K = rule.value(base)
     if metric == "subspace":
-        U = _leading_subspace(center_gram(K), q)
+        mu, U = _leading_subspace(center_gram(K), q)
+        check_top_eigenvalue(data, spec, K, mu[-1])
     scores = np.empty(p)
-    Xp = X.copy()
     for j in range(p):
         col = X[:, j]
+        t = rule.term(col)
         dists = np.empty(n_perm)
         for r in range(n_perm):
-            rng = np.random.default_rng([seed, j, r])
-            Xp[:, j] = col[rng.permutation(n)]
-            Kp = gram_matrix(spec, Xp)
+            perm = np.random.default_rng([seed, j, r]).permutation(n)
+            Kp = rule.value(base + (rule.term(col[perm]) - t))
             if metric == "subspace":
-                Up = _leading_subspace(center_gram(Kp), q)
-                dists[r] = subspace_distance(U, Up)
+                dists[r] = subspace_distance(U, _leading_subspace(center_gram(Kp), q)[1])
             else:
-                dists[r] = float(np.linalg.norm(K - Kp, "fro"))
-        Xp[:, j] = col
+                dists[r] = _frobenius(K - Kp)
         scores[j] = dists.mean()
     order = np.lexsort((np.arange(p), -scores))
     return BaselineRanking("kpca_permute", scores, order, "higher_is_better")

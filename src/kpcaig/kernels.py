@@ -14,9 +14,11 @@ a zero diagonal: P[m, m] multiplies x_m[j] - x_m[j] = 0, and a nonzero value
 would only cancel between the field products when K is near the identity.
 
 ``pairwise_base`` computes the base over all pairs of rows once per Dataset;
-the median heuristic, every Gram matrix (one per grid sigma) and the slope
-reuse it. Gram matrices are plain arrays; ``kpca.project`` centres a new
-point's kernel row.
+the median heuristic, every Gram matrix (one per grid sigma), the slope and
+the permutation baseline reuse it. The base is a sum over columns, and
+``KernelRule.term`` gives one column's summand, (x_ij - x_kj)^2 or x_ij x_kj.
+Gram matrices are plain arrays; ``kpca.project`` centres a new point's
+kernel row.
 """
 
 from __future__ import annotations
@@ -93,6 +95,10 @@ class KernelRule:
     def base(self, X: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Base b between x and each row of X."""
         return cdist(x[None, :], X, "sqeuclidean")[0] if self.distance else X @ x
+
+    def term(self, c: np.ndarray) -> np.ndarray:
+        """One column c's summand of the base over all pairs of rows."""
+        return np.subtract.outer(c, c) ** 2 if self.distance else np.multiply.outer(c, c)
 
 
 def kernel_rule(spec: KernelSpec) -> KernelRule:

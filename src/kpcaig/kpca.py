@@ -72,14 +72,7 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
     evals, evecs = scipy.linalg.eigh(Kc)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
-    if evals[0] <= 0:
-        if spec.family == "rbf" and pairwise_base(data, True).any():
-            raise DegenerateDataError(
-                f"rbf bandwidth sigma={spec.sigma!r} is too small for these samples: "
-                f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}, "
-                "so every kernel value rounds to 1 (K ~ 11^T); use a larger sigma")
-        raise DegenerateDataError("centered Gram matrix has no positive eigenvalue "
-                                  "(all samples identical?)")
+    check_top_eigenvalue(data, spec, K, evals[0])
     eigval_total = float(evals[evals > 0].sum())
     rank = int(np.count_nonzero(evals > EIG_DROP_REL * evals[0]))
     q_eff = min(q, rank, n - 1)
@@ -94,6 +87,20 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
     alphas = A / np.sqrt(mu)
     return FittedKpca(training_data=data, kernel=spec, K=K, K_centered=Kc,
                       eigvals=mu, alphas=alphas, q=q_eff, eigval_total=eigval_total)
+
+
+def check_top_eigenvalue(data, spec: KernelSpec, K: np.ndarray, top: float) -> None:
+    """Raise DegenerateDataError unless top, the largest eigenvalue of K centred,
+    stands above the rounding level of K, 4 n eps max|K|."""
+    if top > 4 * len(K) * np.finfo(np.float64).eps * np.abs(K).max():
+        return
+    if spec.family == "rbf" and pairwise_base(data, True).any():
+        raise DegenerateDataError(
+            f"rbf bandwidth sigma={spec.sigma!r} is too small for these samples: "
+            f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}, "
+            "so every kernel value rounds to 1 (K ~ 11^T); use a larger sigma")
+    raise DegenerateDataError("centered Gram matrix has no eigenvalue above its "
+                              "rounding level (all samples identical?)")
 
 
 def project(model: FittedKpca, x) -> np.ndarray:

@@ -3,13 +3,17 @@
 Each family is written out on its own here, independent of the family rules
 in ``kpcaig.kernels``: a scalar kernel value, its closed-form partial
 derivative, the dense n x n derivative matrix of one feature, and the Gram
-matrix formulas the package must reproduce bit for bit.
+matrix formulas the package must reproduce bit for bit. The permutation
+baseline's reference rebuilds and eigendecomposes the whole Gram of every
+permuted matrix.
 """
 
 import numpy as np
+import scipy.linalg
 from scipy.spatial.distance import pdist, squareform
 
 from kpcaig import InputError, KernelSpec
+from kpcaig.kernels import center_gram, gram_matrix
 
 
 def _check_pair(x, y):
@@ -77,3 +81,41 @@ def gram_formula(spec: KernelSpec, X) -> np.ndarray:
     if spec.family == "linear":
         return _mirror_upper(G)
     return _mirror_upper((G + spec.coef0) ** spec.degree)
+
+
+def permutation_scores_rebuild(X, spec: KernelSpec, q: int, n_perm: int = 1, seed: int = 0,
+                               metric: str = "subspace") -> tuple[np.ndarray, float]:
+    """Permutation scores from a full Gram rebuild and eigh per (feature, draw).
+
+    Also returns the smallest q-th eigengap mu_q - mu_{q+1} met over the
+    original and every permuted centred Gram: the leading subspace, and so
+    the subspace score, is only defined where it is open.
+    """
+    X = np.array(X, dtype=np.float64)
+    n, p = X.shape
+
+    def leading(K):
+        mu, V = scipy.linalg.eigh(center_gram(K))
+        return V[:, -q:], mu[-q] - mu[-q - 1]
+
+    K = gram_matrix(spec, X)
+    U, min_gap = leading(K)
+    P = U @ U.T
+    scores = np.empty(p)
+    Xp = X.copy()
+    for j in range(p):
+        col = X[:, j]
+        dists = np.empty(n_perm)
+        for r in range(n_perm):
+            rng = np.random.default_rng([seed, j, r])
+            Xp[:, j] = col[rng.permutation(n)]
+            Kp = gram_matrix(spec, Xp)
+            if metric == "subspace":
+                Up, gap = leading(Kp)
+                min_gap = min(min_gap, gap)
+                dists[r] = float(np.linalg.norm(P - Up @ Up.T, "fro") / np.sqrt(2.0))
+            else:
+                dists[r] = float(np.linalg.norm(K - Kp, "fro"))
+        Xp[:, j] = col
+        scores[j] = dists.mean()
+    return scores, min_gap

@@ -1,15 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpcaig import (BaselineRanking, Dataset, DegenerateDataError, InputError, KernelSpec,
                     laplacian_score, permutation_importance, sigma_heuristic,
                     subspace_distance)
-from kpcaig.kernels import pairwise_base
-from kpcaig.synthetic import two_blobs
+from kpcaig import kernels
+from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
+from kpcaig.synthetic import planted_clusters, two_blobs
+
+from kernel_oracles import permutation_scores_rebuild
 
 
 def rbf_for(data):
@@ -102,7 +107,7 @@ def laplacian_score_loop(data: Dataset, k_nn: int = 5, t: float | None = None) -
     return BaselineRanking("laplacian", scores, order, "lower_is_better")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(3, 9), st.integers(1, 6), st.data())
 def test_laplacian_matches_loop_reference(n, p, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -230,3 +235,83 @@ def test_permutation_input_validation():
         permutation_importance(d, rbf_for(d), 0)
     with pytest.raises(InputError):
         permutation_importance(d, rbf_for(d), 2, metric="spectral")
+
+
+def test_permutation_tiny_sigma_names_the_bandwidth():
+    # every kernel value rounds to 1, so the leading subspace is rounding noise
+    d = two_blobs(12, 4, seed=6)
+    with pytest.raises(DegenerateDataError, match="rbf bandwidth sigma=1e-20 is too small"):
+        permutation_importance(d, KernelSpec("rbf", sigma=1e-20), 2)
+
+
+def test_permutation_one_pairwise_pass():
+    d = two_blobs(12, 5, seed=7)
+    with mock.patch.object(kernels, "_pairs", wraps=kernels._pairs) as pairs, \
+            mock.patch.object(kernels, "gram_matrix", wraps=kernels.gram_matrix) as grams:
+        spec = KernelSpec("rbf", sigma=sigma_heuristic(d))
+        for metric in ("subspace", "gram"):
+            permutation_importance(d, spec, 2, n_perm=2, metric=metric)
+        assert pairs.call_count == 1
+        assert grams.call_count == 0
+
+
+def _draw_kernel(draw, d):
+    family = draw(st.sampled_from(["rbf", "linear", "polynomial"]))
+    if family == "rbf":
+        return KernelSpec("rbf", sigma=draw(st.floats(0.25, 4.0)) * sigma_heuristic(d))
+    if family == "linear":
+        return KernelSpec("linear")
+    return KernelSpec("polynomial", degree=draw(st.integers(2, 3)))
+
+
+def _gram_rounding(spec, X):
+    """Entrywise rounding level of the Gram, shared by the update and the rebuild:
+    each base entry sums p terms of size up to s, and the kernel value scales an
+    error in the base by up to |dk/db|."""
+    if spec.family == "rbf":
+        s, slope = float(pairwise_base(X, True).max()), spec.sigma
+    else:
+        A = np.abs(X)
+        s = float((A @ A.T).max())
+        slope = 1.0 if spec.family == "linear" else spec.degree * (s + spec.coef0) ** (spec.degree - 1)
+    return (X.shape[1] + 2) * np.finfo(np.float64).eps * s * slope
+
+
+@settings(max_examples=150)
+@given(st.integers(4, 9), st.integers(1, 5), st.data())
+def test_permutation_matches_rebuild_reference(n, p, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** np.array(data.draw(st.lists(st.floats(-2, 2), min_size=p, max_size=p)))
+    X = rng.normal(size=(n, p)) * scales
+    for j in data.draw(st.sets(st.integers(0, p - 1), max_size=p - 1)):
+        X[:, j] = scales[j]
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                                   max_size=2)):
+        X[:, a] = X[:, b]
+    d = Dataset.from_matrix(X)
+    assume(pairwise_base(d, True).any())
+    spec = _draw_kernel(data.draw, d)
+    # at q = n - 1 the leading subspace is the whole centred space, so every
+    # score is 0 in exact arithmetic and rounding noise in both forms
+    q = data.draw(st.integers(1, min(3, n - 2)))
+    n_perm = data.draw(st.integers(1, 3))
+    metric = data.draw(st.sampled_from(["subspace", "gram"]))
+    seed = data.draw(st.integers(0, 1000))
+    ref, gap = permutation_scores_rebuild(X, spec, q, n_perm=n_perm, seed=seed, metric=metric)
+    # both forms round the Gram alike; a score that is a small difference of
+    # large kernel values is only known to that level (over the gap, for subspaces)
+    floor = n * _gram_rounding(spec, X)
+    if metric == "subspace":
+        K = gram_matrix(spec, X)
+        mu1 = scipy.linalg.eigvalsh(center_gram(K))[-1]
+        assume(mu1 > 1e-12 * np.abs(K).max())
+        # a closing q-th eigengap leaves the leading subspace undefined in both forms
+        assume(gap >= 1e-6 * mu1)
+        floor /= gap
+    got = permutation_importance(d, spec, q, n_perm=n_perm, seed=seed, metric=metric)
+    const = np.ptp(X, axis=0) == 0
+    assert np.all(got.scores[const] == 0.0)
+    tol = 1e-10 * ref.max() + floor
+    assert np.abs(got.scores - ref).max() <= tol
+    # the order follows the reference except among scores tied at that level
+    assert np.all(np.diff(ref[got.order]) <= tol)

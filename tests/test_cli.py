@@ -179,6 +179,17 @@ def test_tiny_sigma_exits_3_naming_the_bandwidth(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, sigma", [(["rank"], "1e-18"),
+                                            (["baseline", "permute"], "1e-20")])
+def test_noise_level_kernel_exits_3(tmp_path, capsys, command, sigma):
+    # the centred Gram's eigenvalues are at its rounding level, so any ranking is noise
+    mpath, _ = planted_files(tmp_path)
+    out = tmp_path / "out.tsv"
+    assert main([*command, mpath, "--sigma", sigma, "-o", str(out)]) == 3
+    assert f"rbf bandwidth sigma={sigma} is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["inf", "grid:1e-3,inf"])
 def test_non_finite_sigma_rejected(tmp_path, sigma):
     out = tmp_path / "rank.tsv"

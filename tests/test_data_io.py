@@ -197,7 +197,7 @@ def test_select_and_subset():
 CELL_FORMATS = [repr, "{:.3g}".format, lambda v: str(int(v)), lambda v: f" {v!r}  "]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.data(), st.integers(1, 6), st.integers(1, 6), st.sampled_from([",", "\t"]),
        st.sampled_from(["\n", "\r\n"]), st.sampled_from(["rows", "cols"]))
 def test_block_parse_matches_row_validator(tmp_path_factory, draw, n, p, delim, eol,

@@ -91,7 +91,7 @@ def test_score_matches_dense_algebra_oracle():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # tiny instances may drop rank
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 10_000), st.sampled_from(FAMILIES + [KernelSpec("polynomial", degree=3)]),
        st.integers(3, 9), st.integers(1, 6), st.integers(1, 4))
 def test_blocked_fields_match_per_feature_reference(seed, spec, n, p_free, width):

@@ -66,7 +66,7 @@ def test_symmetry_exact_random_pairs():
         assert eval_kernel(spec, x, y) == eval_kernel(spec, y, x)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6), st.data())
 def test_symmetry_property(xs, data):
     ys = data.draw(st.lists(st.floats(-5, 5), min_size=len(xs), max_size=len(xs)))
@@ -148,7 +148,7 @@ def test_gram_bitwise_symmetric(spec):
             assert K[i, i] == 1.0
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(1, 9),
        st.sampled_from(ALL_SPECS + [KernelSpec("polynomial", degree=2, coef0=0.5)]))
 def test_gram_bitwise_equals_family_formulas(seed, n, p, spec):
@@ -225,7 +225,7 @@ def test_center_preserves_psd():
     assert ev.min() >= -1e-8 * ev.max()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 10_000))
 def test_center_idempotence_property(seed):
     K = _random_psd_gram(5, seed)

@@ -4,6 +4,7 @@ import pytest
 from kpcaig import (Dataset, DegenerateDataError, FittedKpca, InputError, KernelSpec, SigmaRule,
                     center_gram, explained_variance, fit_kpca, gram_matrix, grid_search_sigma,
                     kernel_row, project, project_training, sigma_heuristic, standardize)
+from kpcaig.synthetic import planted_clusters
 
 RBF = KernelSpec("rbf", sigma=0.8)
 
@@ -51,6 +52,16 @@ def test_tiny_sigma_names_the_bandwidth():
         f"rbf bandwidth sigma=1e-20 is too small for these samples: "
         f"sigma * median d^2 = {1e-20 * med:.3g}, so every kernel value rounds "
         "to 1 (K ~ 11^T); use a larger sigma")
+
+
+def test_noise_level_eigenvalues_name_the_bandwidth():
+    # sigma * median d^2 ~ 1e-16: the centred eigenvalues (~7e-15) are rounding
+    # noise below 4 n eps max|K|, although not all of them are 0
+    data = standardize(planted_clusters(100, 60, 4, 8, within_std=0.1, seed=0))
+    mu = np.linalg.eigvalsh(center_gram(gram_matrix(KernelSpec("rbf", sigma=1e-18), data)))
+    assert mu[-1] > 0
+    with pytest.raises(DegenerateDataError, match="rbf bandwidth sigma=1e-18 is too small"):
+        fit_kpca(data, KernelSpec("rbf", sigma=1e-18), 2)
 
 
 def test_duplicated_rows_reduce_rank():

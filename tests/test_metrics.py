@@ -197,7 +197,7 @@ def test_nmi_geometric_flag():
         nmi(pred, truth, normalization="harmonic")
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=30), st.data())
 def test_nmi_bounds_property(a, data):
     b = data.draw(st.lists(st.integers(0, 4), min_size=len(a), max_size=len(a)))
@@ -224,7 +224,7 @@ def test_silhouette_matches_definition_oracle():
             brute_force_silhouette(X, labels), abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(2, 25), st.integers(2, 5), st.data())
 def test_silhouette_equals_loop_reference(m, k, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
