@@ -4,8 +4,7 @@ from .baselines import BaselineRanking, laplacian_score, permutation_importance,
 from .curves import CurvePoint, selection_curve, silhouette_curve, variance_generalization
 from .data import Dataset, load_labels, load_matrix, save_matrix, standardize
 from .exceptions import DegenerateDataError, InputError, ParseError
-from .importance import (FeatureRanking, GradientField, arrow_field, feature_score,
-                         gradient_field, rank_features)
+from .importance import FeatureRanking, GradientField, arrow_field, gradient_field, rank_features
 from .kernels import KernelSpec, center_gram, gram_matrix, kernel_row, sigma_heuristic
 from .kpca import (Embedding, FittedKpca, SigmaRule, explained_variance, fit_kpca,
                    grid_search_sigma, project, project_training, resolve_spec)
@@ -18,7 +17,7 @@ __all__ = [
     "DegenerateDataError", "Embedding", "FeatureRanking", "FittedKpca",
     "GradientField", "InputError", "KernelSpec", "ParseError",
     "SigmaRule", "arrow_field", "center_gram",
-    "clustering_accuracy", "explained_variance", "feature_score",
+    "clustering_accuracy", "explained_variance",
     "fit_kpca", "gradient_field", "gram_matrix", "grid_search_sigma",
     "kernel_row", "kmeans", "laplacian_score", "load_labels",
     "load_matrix", "nmi", "permutation_importance", "project",

@@ -2,9 +2,9 @@
 
 The Laplacian score favours features that respect local neighbourhood
 structure (lower is better); one pair of dense products with the k-NN
-graph gives f^T L f / f^T D f for every feature f at once. The permutation
-selector scores a feature by how strongly shuffling its values across
-samples perturbs the leading q kernel PCA eigenvectors (higher is better);
+graph gives f^T L f / f^T D f for every feature of a block at once. The
+permutation selector scores a feature by how strongly shuffling its values
+across samples perturbs the leading q kernel PCA eigenvectors (higher is better);
 the subspace perturbation is measured with the projection-matrix Frobenius
 metric d = ||U U^T - U' U'^T||_F / sqrt(2), with a plain Frobenius distance
 between raw Gram matrices available as an alternative. The permuted Gram
@@ -24,6 +24,9 @@ from .exceptions import DegenerateDataError, InputError
 from .kernels import KernelSpec, center_gram, kernel_rule, pairwise_base
 from .kpca import check_top_eigenvalue
 
+# memory for one of the Laplacian score's two n x c temporaries, c features a block
+LAPLACIAN_BLOCK_BYTES = 1 << 21
+
 
 @dataclass(frozen=True)
 class BaselineRanking:
@@ -38,7 +41,8 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Bas
 
     Weights are exp(-||x_i - x_j||^2 / t); t defaults to the mean squared
     pairwise distance. Constant features receive a +inf sentinel and always
-    rank last.
+    rank last. A sample whose graph degree is below n eps times the largest
+    (t far below its neighbour distances) raises DegenerateDataError.
     """
     X = data.matrix
     n, p = X.shape
@@ -59,10 +63,24 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Bas
     deg = W.sum(axis=1)
     if np.any(deg == 0):
         raise DegenerateDataError("neighbourhood graph has an isolated sample")
-    F = X - (deg @ X) / deg.sum()                    # D-weighted mean removal
-    den = np.einsum("ij,i,ij->j", F, deg, F)
-    num = den - np.einsum("ij,ij->j", F, W @ F)      # f^T L f with L = D - W
-    scores = np.divide(num, den, out=np.full(p, np.inf), where=np.ptp(X, axis=0) > 0)
+    # below n eps max(degree) a sample's weights sink under the rounding of the
+    # D-weighted mean removal, and the scores are set by that rounding
+    floor = n * np.finfo(np.float64).eps * deg.max()
+    if deg.min() < floor:
+        i = int(deg.argmin())
+        raise DegenerateDataError(
+            f"heat-kernel width t={t!r} is too small for sample {data.sample_ids[i]!r}: "
+            f"its graph degree {deg[i]:.3g} is below the rounding level {floor:.3g} "
+            "(n eps max degree); use a larger t")
+    mean = (deg @ X) / deg.sum()
+    scores = np.full(p, np.inf)
+    varying = np.ptp(X, axis=0) > 0
+    width = max(1, LAPLACIAN_BLOCK_BYTES // (8 * n))
+    for s in range(0, p, width):
+        F = X[:, s:s + width] - mean[s:s + width]     # D-weighted mean removal
+        den = np.einsum("ij,i,ij->j", F, deg, F)
+        num = den - np.einsum("ij,ij->j", F, W @ F)  # f^T L f with L = D - W
+        np.divide(num, den, out=scores[s:s + width], where=varying[s:s + width])
     order = np.lexsort((np.arange(p), scores))
     return BaselineRanking("laplacian", scores, order, "lower_is_better")
 

@@ -95,17 +95,15 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _write_table(output, config: RunConfig, header, columns) -> None:
+    """Write the config comment, the column names and one line per entry of
+    the columns.
 
-
-def _write_table(output, config: RunConfig, columns, rows) -> None:
-    lines = [config.to_comment(), "\t".join(columns)]
-    lines += ["\t".join(_fmt(v) for v in row) for row in rows]
+    Cells are Python str, int or float (numpy columns go through tolist()),
+    so str() writes every float as its repr, which reads back exactly.
+    """
+    cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col) for col in columns]
+    lines = [config.to_comment(), "\t".join(header), *map("\t".join, zip(*cells))]
     text = "\n".join(lines) + "\n"
     if output is None:
         sys.stdout.write(text)
@@ -227,9 +225,10 @@ def _cmd_rank(args) -> int:
     model = fit_kpca(data, spec, args.q, allow_unstandardized=True)
     ranking = rank_features(model)
     cfg = RunConfig(**_config(args, "rank", sigma_resolved=spec.sigma))
-    rows = [(r + 1, ranking.feature_names[j], ranking.scores[j], ranking.stds[j])
-            for r, j in enumerate(ranking.order)]
-    _write_table(args.output, cfg, ("rank", "feature", "score", "std"), rows)
+    order = ranking.order
+    names = [ranking.feature_names[j] for j in order.tolist()]
+    _write_table(args.output, cfg, ("rank", "feature", "score", "std"),
+                 (range(1, len(order) + 1), names, ranking.scores[order], ranking.stds[order]))
     return EXIT_OK
 
 
@@ -241,8 +240,7 @@ def _cmd_project(args) -> int:
     emb = project_training(model)
     cfg = RunConfig(**_config(args, "project", sigma_resolved=spec.sigma))
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
-    rows = [(sid,) + tuple(row) for sid, row in zip(data.sample_ids, emb.coords)]
-    _write_table(args.output, cfg, cols, rows)
+    _write_table(args.output, cfg, cols, (data.sample_ids, *emb.coords.T))
     sidecar = {"config": json.loads(cfg.to_comment()[2:]),
                "q": model.q,
                "eigenvalues": [float(v) for v in model.eigvals],
@@ -274,12 +272,11 @@ def _cmd_arrows(args) -> int:
     spec = resolve_spec(spec, rule, data, args.q)
     model = fit_kpca(data, spec, args.q, allow_unstandardized=True)
     j = _feature_index(data, args.feature)
-    arrows = arrow_field(model, j, scale=args.scale)
+    points, vectors = zip(*arrow_field(model, j, scale=args.scale))
     cfg = RunConfig(**_config(args, "arrows", sigma_resolved=spec.sigma,
                               feature=args.feature, scale=args.scale))
-    rows = [(x, y, dx, dy, sid)
-            for ((x, y), (dx, dy)), sid in zip(arrows, data.sample_ids)]
-    _write_table(args.output, cfg, ("x", "y", "dx", "dy", "sample_id"), rows)
+    _write_table(args.output, cfg, ("x", "y", "dx", "dy", "sample_id"),
+                 (*zip(*points), *zip(*vectors), data.sample_ids))
     return EXIT_OK
 
 
@@ -297,9 +294,10 @@ def _cmd_baseline(args) -> int:
         cfg = RunConfig(**_config(args, "baseline", variant="permute",
                                   sigma_resolved=spec.sigma, n_perm=args.n_perm,
                                   metric=args.metric))
-    rows = [(r + 1, data.feature_names[j], ranking.scores[j])
-            for r, j in enumerate(ranking.order)]
-    _write_table(args.output, cfg, ("rank", "feature", "score"), rows)
+    order = ranking.order
+    names = [data.feature_names[j] for j in order.tolist()]
+    _write_table(args.output, cfg, ("rank", "feature", "score"),
+                 (range(1, len(order) + 1), names, ranking.scores[order]))
     return EXIT_OK
 
 
@@ -321,7 +319,7 @@ def _cmd_curve(args) -> int:
                                          sigma_rule=rule)
         cfg = RunConfig(**_config(args, "curve", **extra))
         rows = [(pt.split, pt.d, pt.var_train, pt.var_test) for pt in points]
-        _write_table(args.output, cfg, ("split", "d", "var_train", "var_test"), rows)
+        _write_table(args.output, cfg, ("split", "d", "var_train", "var_test"), zip(*rows))
         return EXIT_OK
 
     if k is None:
@@ -336,14 +334,14 @@ def _cmd_curve(args) -> int:
         rows = [(pt.d, pt.acc_mean, pt.acc_std, pt.nmi_mean, pt.nmi_std)
                 for pt in points]
         _write_table(args.output, cfg,
-                     ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std"), rows)
+                     ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std"), zip(*rows))
         return EXIT_OK
 
     points = silhouette_curve(data, order, spec, k, d_grid,
                               sigma_rule=rule, seed=args.seed)
     cfg = RunConfig(**_config(args, "curve", **extra))
     rows = [(pt.d, pt.silhouette) for pt in points]
-    _write_table(args.output, cfg, ("d", "silhouette"), rows)
+    _write_table(args.output, cfg, ("d", "silhouette"), zip(*rows))
     return EXIT_OK
 
 
@@ -376,7 +374,7 @@ def _cmd_bench(args) -> int:
             ("fit", t_fit, data.n, data.p),
             ("rank", t_rank, data.n, data.p),
             ("total", t_load + t_fit + t_rank, data.n, data.p)]
-    _write_table(args.output, cfg, ("stage", "seconds", "n", "p"), rows)
+    _write_table(args.output, cfg, ("stage", "seconds", "n", "p"), zip(*rows))
     return EXIT_OK
 
 

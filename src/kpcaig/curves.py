@@ -22,7 +22,7 @@ from .exceptions import InputError
 from .importance import rank_features
 from .kernels import KernelSpec
 from .kpca import SigmaRule, explained_variance, fit_kpca, project_training, resolve_spec
-from .metrics import clustering_accuracy, kmeans, nmi, silhouette
+from .metrics import contingency_tables, kmeans, silhouette, table_accuracy, table_nmi
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ def selection_curve(data: Dataset, order, truth, k: int, d_grid,
     """Mean/std k-means ACC and NMI for each top-d feature subset.
 
     k-means runs use consecutive seeds seed..seed+runs-1 on the selected
-    raw columns; the std is the population standard deviation over runs.
+    raw columns, all in one lockstep call per d; the std is the population
+    standard deviation over runs.
     """
     grid = _check_grid(d_grid, data.p)
     if runs < 1:
@@ -61,13 +62,10 @@ def selection_curve(data: Dataset, order, truth, k: int, d_grid,
     truth = np.asarray(truth).ravel()
     points = []
     for d in grid:
-        sub = data.matrix[:, order[:d]]
-        accs = np.empty(runs)
-        nmis = np.empty(runs)
-        for r in range(runs):
-            res = kmeans(sub, k, seed + r)
-            accs[r] = clustering_accuracy(res.labels, truth)
-            nmis[r] = nmi(res.labels, truth)
+        results = kmeans(data.matrix[:, order[:d]], k, range(seed, seed + runs))
+        tables = contingency_tables([res.labels for res in results], truth)
+        accs = np.array([table_accuracy(C) for C in tables])
+        nmis = np.array([table_nmi(C) for C in tables])
         points.append(CurvePoint(d=d,
                                  acc_mean=float(accs.mean()), acc_std=float(accs.std()),
                                  nmi_mean=float(nmis.mean()), nmi_std=float(nmis.std())))
@@ -81,8 +79,9 @@ def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
 
     When a sigma rule is given the rbf bandwidth is re-resolved on every
     feature subset, so the kernel adapts to the number of columns kept.
-    The clustering takes the best of ``restarts`` seeded k-means runs by
-    inertia, which keeps the curve stable against unlucky initializations.
+    The clustering takes the best of ``restarts`` seeded k-means runs (the
+    first of equal inertia), which keeps the curve stable against unlucky
+    initializations.
     """
     grid = _check_grid(d_grid, data.p)
     if restarts < 1:
@@ -94,7 +93,7 @@ def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
         spec_d = resolve_spec(spec, sigma_rule, sub, 2)
         model = fit_kpca(sub, spec_d, 2, allow_unstandardized=True)
         coords = project_training(model).coords
-        best = min((kmeans(coords, k, seed + r) for r in range(restarts)),
+        best = min(kmeans(coords, k, range(seed, seed + restarts)),
                    key=lambda res: res.inertia)
         points.append(CurvePoint(d=d, silhouette=silhouette(coords, best.labels)))
     return points

@@ -76,13 +76,6 @@ def gradient_field(model: FittedKpca, j: int) -> GradientField:
     return GradientField(variable_index=j, W=W[:, :, 0].T)
 
 
-def feature_score(model: FittedKpca, j: int) -> tuple[float, float]:
-    """Mean and population standard deviation of the per-sample field norms."""
-    W = gradient_field(model, j).W
-    norms = np.sqrt(np.einsum("ik,ik->i", W, W))
-    return float(norms.mean()), float(norms.std())
-
-
 def rank_features(model: FittedKpca) -> FeatureRanking:
     """Score every variable and sort descending (ties: lower index first)."""
     n, p = model.training_data.matrix.shape

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
@@ -69,7 +68,9 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
     n = data.n
     K = gram_matrix(spec, data)
     Kc = center_gram(K)
-    evals, evecs = scipy.linalg.eigh(Kc)
+    # numpy's LAPACK, not scipy's: scipy ships a second OpenBLAS, and right after
+    # a call into it the two thread pools contend and numpy's products slow down
+    evals, evecs = np.linalg.eigh(Kc)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     check_top_eigenvalue(data, spec, K, evals[0])

@@ -15,87 +15,214 @@ class ClusteringResult:
     labels: np.ndarray
     inertia: float
     seed: int
+    n_iter: int              # Lloyd iterations run
 
 
-def _kmeanspp(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp(X: np.ndarray, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """k-means++ centres (runs x k x d), one run per generator, and the squared
+    distances (m x runs x k) from every point to them.
+
+    Each run makes the generator calls a run on its own makes, on the same
+    distances, so it draws the same centres.
+    """
     m = X.shape[0]
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(m)
-    d2 = cdist(X, X[chosen[:1]], "sqeuclidean")[:, 0]
-    for c in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(m, p=d2 / total)
-        else:
-            # all remaining points coincide with a chosen center
-            taken = set(chosen[:c].tolist())
-            idx = next(i for i in range(m) if i not in taken)
-        chosen[c] = idx
-        d2 = np.minimum(d2, cdist(X, X[idx:idx + 1], "sqeuclidean")[:, 0])
-    return X[chosen].copy()
+    chosen = np.empty((len(rngs), k), dtype=np.int64)
+    D2 = np.empty((m, len(rngs), k))
+    for c in range(k):
+        for r, rng in enumerate(rngs):
+            if c == 0:
+                idx = rng.integers(m)
+            elif (total := nearest[r].sum()) > 0:
+                idx = rng.choice(m, p=nearest[r] / total)
+            else:
+                # all remaining points coincide with a chosen center
+                taken = set(chosen[r, :c].tolist())
+                idx = next(i for i in range(m) if i not in taken)
+            chosen[r, c] = idx
+        D2[:, :, c] = cdist(X, X[chosen[:, c]], "sqeuclidean")
+        nearest = D2[:, :, 0].T.copy() if c == 0 else np.minimum(nearest, D2[:, :, c].T)
+    return X[chosen], D2
 
 
-def kmeans(coords, k: int, seed: int, *, max_iter: int = 300,
-           init_centers=None) -> ClusteringResult:
-    """Lloyd's algorithm with k-means++ seeding.
+def _repair_empty(X: np.ndarray, d2: np.ndarray, labels: np.ndarray, k: int) -> None:
+    """Give each empty cluster of one run the point farthest from its centroid,
+    among clusters that can spare a point; d2 (m x k) and labels change in place."""
+    m = len(labels)
+    for c in range(k):
+        if np.any(labels == c):
+            continue
+        own = d2[np.arange(m), labels]
+        counts = np.bincount(labels, minlength=k)
+        movable = counts[labels] > 1
+        far = int(np.flatnonzero(movable)[own[movable].argmax()])
+        labels[far] = c
+        d2[:, c] = cdist(X, X[far:far + 1], "sqeuclidean")[:, 0]
 
-    Stops when the assignment stabilizes or after max_iter iterations.
+
+def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int, wanted: np.ndarray) -> np.ndarray:
+    """Centroids of the clusters flagged in ``wanted`` (runs x k), none of them
+    empty, in run-major order.
+
+    Each centroid is the mean of one contiguous block of rows, taken in the
+    order ``X[labels == c]`` takes them, so it equals that of a run on its
+    own bit for bit: numpy adds the rows of a block one after another (or
+    pairwise, for a single column) the same way in both.
+    """
+    runs, m = labels.shape
+    groups = (labels + k * np.arange(runs)[:, None]).ravel()
+    order = np.argsort(groups, kind="stable")
+    order = order[wanted.ravel()[groups[order]]]
+    counts = np.bincount(groups, minlength=runs * k)[wanted.ravel()]
+    rows = X[order % m]                      # cluster by cluster
+    ends = np.cumsum(counts).tolist()
+    sums = np.stack([np.add.reduce(rows[e - c:e], axis=0)
+                     for e, c in zip(ends, counts.tolist())])
+    return sums / counts[:, None]
+
+
+def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
+    """Lloyd's algorithm with k-means++ seeding, for one seed or a sequence of them.
+
+    One seed gives one ClusteringResult; a sequence gives one per seed, in
+    order. The runs are seeded together, then iterate in lockstep: each
+    iteration assigns every active run's points from one distance array,
+    and a run drops out when its assignment stops changing (or after
+    max_iter iterations). Distances are recomputed only for centres that
+    moved, so each result equals that of a call with its seed alone.
     Empty clusters are repaired by claiming the point farthest from its
     assigned centroid (among clusters that can spare a point).
     """
-    X = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    # row-major, like the arrays X[labels == c] and X - centers[labels] that a
+    # run on its own sums, so every sum below adds in the same order
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(coords, dtype=np.float64)))
     m = X.shape[0]
     if not 1 <= k <= m:
         raise InputError(f"k must be in [1, m], got k={k} for m={m}")
-    rng = np.random.default_rng(seed)
-    centers = np.array(init_centers, dtype=np.float64) if init_centers is not None \
-        else _kmeanspp(X, k, rng)
-    prev = None
-    prev_cost = np.inf
+    if max_iter < 1:
+        raise InputError(f"max_iter must be >= 1, got {max_iter}")
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    if not seeds:
+        raise InputError("k-means needs at least one seed")
+    runs = len(seeds)
+    if init_centers is None:
+        centers, D2 = _kmeanspp(X, k, [np.random.default_rng(s) for s in seeds])
+    else:
+        centers = np.repeat(np.array(init_centers, dtype=np.float64)[None], runs, axis=0)
+        D2 = cdist(X, centers.reshape(runs * k, -1), "sqeuclidean").reshape(m, runs, k)
+    # D2[:, r, c] always holds the squared distances to centers[r, c]; the flat
+    # forms are views of the same (contiguous) memory, indexed by r k + c
+    flat_D2, flat_centers = D2.reshape(m, runs * k), centers.reshape(runs * k, -1)
+    labels = np.full((runs, m), -1)          # each run's latest assignment
+    prev_cost = np.full(runs, np.inf)
+    n_iter = np.zeros(runs, dtype=np.int64)
+    active = np.arange(runs)
+    rows = np.arange(m)
     for _ in range(max_iter):
-        d2 = cdist(X, centers, "sqeuclidean")
-        labels = d2.argmin(axis=1)
-        for c in range(k):
-            if np.any(labels == c):
-                continue
-            own = d2[np.arange(m), labels]
-            counts = np.bincount(labels, minlength=k)
-            movable = counts[labels] > 1
-            far = int(np.flatnonzero(movable)[own[movable].argmax()])
-            labels[far] = c
-            centers[c] = X[far]
-            d2[:, c] = cdist(X, X[far:far + 1], "sqeuclidean")[:, 0]
-        cost = float(d2[np.arange(m), labels].sum())
-        if cost > prev_cost + 1e-9 * (1.0 + cost):
-            raise RuntimeError(f"k-means objective increased from {prev_cost} to {cost}")
-        prev_cost = cost
-        centers = np.stack([X[labels == c].mean(axis=0) for c in range(k)])
-        if prev is not None and np.array_equal(labels, prev):
+        a = active.size
+        d2 = D2[:, active]                   # a copy: the repair below edits it
+        lab = np.ascontiguousarray(d2.argmin(axis=2).T)
+        sizes = np.bincount((lab + k * np.arange(a)[:, None]).ravel(), minlength=a * k)
+        for i in np.flatnonzero(sizes.reshape(a, k).min(axis=1) == 0):
+            _repair_empty(X, d2[:, i], lab[i], k)
+        cost = d2[rows, np.arange(a)[:, None], lab].sum(axis=1)
+        worse = cost > prev_cost[active] + 1e-9 * (1.0 + cost)
+        if worse.any():
+            i = int(np.argmax(worse))
+            raise RuntimeError(f"k-means objective increased from "
+                               f"{prev_cost[active[i]]} to {cost[i]}")
+        prev_cost[active] = cost
+        n_iter[active] += 1
+        # a cluster whose members all stay keeps its centre bit for bit
+        moved = lab != labels[active]
+        changed = np.zeros((a, k + 1), dtype=bool)   # column k: the no-label -1
+        changed[np.nonzero(moved)[0], lab[moved]] = True
+        changed[np.nonzero(moved)[0], labels[active][moved]] = True
+        labels[active] = lab
+        going = changed.any(axis=1)
+        active = active[going]
+        if not active.size:
             break
-        prev = labels
-    inertia = float(((X - centers[labels]) ** 2).sum())
-    return ClusteringResult(labels=labels, inertia=inertia, seed=seed)
+        wanted = changed[going, :k]
+        stale = (active[:, None] * k + np.arange(k))[wanted]
+        flat_centers[stale] = _cluster_means(X, lab[going], k, wanted)
+        flat_D2[:, stale] = cdist(X, flat_centers[stale], "sqeuclidean")
+    results = []
+    diff = np.empty_like(X)      # one buffer: a fresh array per run costs page faults
+    for r, s in enumerate(seeds):
+        np.square(np.subtract(X, centers[r, labels[r]], out=diff), out=diff)
+        results.append(ClusteringResult(labels=labels[r], inertia=float(diff.sum()),
+                                        seed=s, n_iter=int(n_iter[r])))
+    return results[0] if np.ndim(seed) == 0 else results
 
 
-def _contingency(pred, truth) -> np.ndarray:
-    pred = np.asarray(pred).ravel()
+def contingency_tables(preds, truth) -> np.ndarray:
+    """Counts (runs x predicted x true classes) of each row of preds against truth.
+
+    Predicted classes are the labels seen in any row, so a run that leaves
+    one out has a zero row there, which changes neither its accuracy nor
+    its NMI.
+    """
+    preds = np.atleast_2d(np.asarray(preds))
     truth = np.asarray(truth).ravel()
-    if pred.shape != truth.shape:
-        raise InputError(f"label vectors differ in length: {pred.size} vs {truth.size}")
-    _, pi = np.unique(pred, return_inverse=True)
+    if preds.shape[1] != truth.size:
+        raise InputError(f"label vectors differ in length: {preds.shape[1]} vs {truth.size}")
+    _, pi = np.unique(preds.ravel(), return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
-    C = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
-    np.add.at(C, (pi, ti), 1)
-    return C
+    runs, kp, kt = preds.shape[0], pi.max() + 1, ti.max() + 1
+    cells = (pi.reshape(preds.shape) + kp * np.arange(runs)[:, None]) * kt + ti
+    return np.bincount(cells.ravel(), minlength=runs * kp * kt).reshape(runs, kp, kt)
+
+
+def _max_matching(C: np.ndarray) -> int:
+    """Largest total count of a one-to-one matching of the rows of C to its columns.
+
+    The Hungarian algorithm (Kuhn 1955) in its O(k^3) shortest-augmenting-path
+    form, on the costs max(C) - C in exact integer arithmetic. It stands in
+    for scipy.optimize.linear_sum_assignment, whose import costs 10 MB of
+    memory and 0.1 s.
+    """
+    C = np.asarray(C, dtype=np.int64)
+    if C.shape[0] > C.shape[1]:
+        C = C.T
+    n, m = C.shape
+    top = int(C.max())
+    cost = [[0] * (m + 1)] + [[0] + [top - c for c in row] for row in C.tolist()]
+    u, v = [0] * (n + 1), [0] * (m + 1)
+    owner, way = [0] * (m + 1), [0] * (m + 1)   # owner[j]: row matched to column j
+    for i in range(1, n + 1):
+        owner[0], j0 = i, 0
+        slack, used = [np.inf] * (m + 1), [False] * (m + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], np.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = cost[i0][j] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    return sum(int(C[owner[j] - 1, j - 1]) for j in range(1, m + 1) if owner[j])
+
+
+def table_accuracy(C: np.ndarray) -> float:
+    """Best agreement fraction of one contingency table over one-to-one class matchings."""
+    return float(_max_matching(C)) / C.sum()
 
 
 def clustering_accuracy(pred, truth) -> float:
     """Best label-agreement fraction over one-to-one class assignments."""
-    # imported here: scipy.optimize costs every CLI start about 0.1 s
-    from scipy.optimize import linear_sum_assignment
-    C = _contingency(pred, truth)
-    ri, ci = linear_sum_assignment(C, maximize=True)
-    return float(C[ri, ci].sum()) / C.sum()
+    return table_accuracy(contingency_tables(np.ravel(pred), truth)[0])
 
 
 def nmi(pred, truth, normalization: str = "arithmetic") -> float:
@@ -104,9 +231,13 @@ def nmi(pred, truth, normalization: str = "arithmetic") -> float:
     normalization='geometric' divides by sqrt(H_p * H_t) instead. If both
     labelings are constant the partitions coincide and the value is 1.
     """
+    return table_nmi(contingency_tables(np.ravel(pred), truth)[0], normalization)
+
+
+def table_nmi(C: np.ndarray, normalization: str = "arithmetic") -> float:
+    """NMI of one contingency table; see ``nmi``."""
     if normalization not in ("arithmetic", "geometric"):
         raise InputError(f"unknown normalization {normalization!r}")
-    C = _contingency(pred, truth)
     if np.all((C > 0).sum(axis=0) <= 1) and np.all((C > 0).sum(axis=1) <= 1):
         return 1.0  # identical partitions (covers the both-constant edge case)
     n = C.sum()

@@ -37,26 +37,6 @@ def planted_clusters(n: int, p: int, k: int, n_informative: int, *,
     return Dataset.from_matrix(X, labels=labels)
 
 
-def two_blobs(n: int, dim: int = 2, *, separation: float = 10.0,
-              spread: float = 1.0, seed: int = 0) -> Dataset:
-    """Two isotropic Gaussian blobs along the first axis, labels attached."""
-    rng = np.random.default_rng(seed)
-    labels = rng.permutation(np.arange(n) % 2)
-    X = spread * rng.normal(size=(n, dim))
-    X[:, 0] += separation * labels
-    return Dataset.from_matrix(X, labels=labels)
-
-
-def smooth_manifold(n: int, p: int, *, noise: float = 0.02, seed: int = 0) -> Dataset:
-    """Points on a smooth closed curve embedded linearly in p dimensions."""
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    Z = np.column_stack([np.cos(t), np.sin(t), 0.5 * np.cos(2.0 * t)])
-    A = rng.normal(size=(p, Z.shape[1]))
-    X = Z @ A.T + noise * rng.normal(size=(n, p))
-    return Dataset.from_matrix(X)
-
-
 def gaussian_matrix(n: int, p: int, seed: int = 0) -> Dataset:
     """Pure white-noise matrix."""
     rng = np.random.default_rng(seed)

@@ -21,8 +21,9 @@ from kpcaig import (Dataset, KernelSpec, center_gram, clustering_accuracy,
                     sigma_heuristic, silhouette, silhouette_curve, standardize,
                     variance_generalization)
 from kpcaig.kpca import SigmaRule
-from kpcaig.synthetic import planted_clusters, random_ranking, smooth_manifold
+from kpcaig.synthetic import planted_clusters, random_ranking
 
+from generators import smooth_manifold
 from kernel_oracles import eval_kernel, kernel_partial
 from test_metrics import brute_force_acc, brute_force_silhouette
 

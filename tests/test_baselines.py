@@ -12,8 +12,9 @@ from kpcaig import (BaselineRanking, Dataset, DegenerateDataError, InputError, K
                     subspace_distance)
 from kpcaig import kernels
 from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
-from kpcaig.synthetic import planted_clusters, two_blobs
+from kpcaig.synthetic import planted_clusters
 
+from generators import two_blobs
 from kernel_oracles import permutation_scores_rebuild
 
 
@@ -132,6 +133,19 @@ def test_laplacian_matches_loop_reference(n, p, data):
     # exact ties (every score is 1 when few rows are distinct) may break either
     # way in rounding; all other pairs keep the reference order
     assert np.all(np.diff(ref.scores[got.order[:m]]) >= -1e-12)
+
+
+def test_laplacian_underflow_names_t_and_the_sample():
+    # b's only neighbour weight is exp(-71) ~ 1.5e-31: below the rounding of
+    # the weighted mean removal, which then sets every score
+    a, b = np.random.default_rng(3).normal(size=(5, 4))[:2]
+    d = Dataset.from_matrix(np.array([a, a, a, a, b]))
+    with pytest.raises(DegenerateDataError) as info:
+        laplacian_score(d, k_nn=1, t=0.25)
+    assert str(info.value).startswith("heat-kernel width t=0.25 is too small for sample 's4': "
+                                      "its graph degree 1.46e-31 is below the rounding level")
+    # at a t on the scale of the distances the same rows score normally
+    assert np.all(np.isfinite(laplacian_score(d, k_nn=1).scores))
 
 
 def test_laplacian_knn_bounds():

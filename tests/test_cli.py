@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import kpcaig
-from kpcaig import Dataset, save_matrix, standardize
+from kpcaig import (Dataset, KernelSpec, fit_kpca, laplacian_score, load_matrix,
+                    project_training, rank_features, save_matrix, sigma_heuristic, standardize)
 from kpcaig.cli import RunConfig, main
 from kpcaig.synthetic import planted_clusters
 
@@ -115,6 +116,47 @@ def test_baseline_outputs(tmp_path):
     assert len(rows) == 5
 
 
+def per_cell_table(header, rows):
+    """Table lines as the writer built them one cell at a time, before it
+    formatted whole tolist() columns."""
+    def fmt(v):
+        if v is None:
+            return ""
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return str(v)
+    return ["\t".join(header)] + ["\t".join(fmt(v) for v in row) for row in rows]
+
+
+def test_writer_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(12, 7)) * 10.0 ** rng.uniform(-8, 8, size=7)
+    X[:, 3] = 2.0                     # the Laplacian scores it +inf
+    path = tmp_path / "fixture.tsv"
+    save_matrix(Dataset.from_matrix(X), path)
+    data = standardize(load_matrix(path))
+    model = fit_kpca(data, KernelSpec("rbf", sigma=sigma_heuristic(data)), 3)
+    ranking = rank_features(model)
+    lap = laplacian_score(data, k_nn=3)
+    names = data.feature_names
+    expected = {
+        "rank": per_cell_table(("rank", "feature", "score", "std"), [
+            (r + 1, names[j], ranking.scores[j], ranking.stds[j])
+            for r, j in enumerate(ranking.order)]),
+        "baseline": per_cell_table(("rank", "feature", "score"), [
+            (r + 1, names[j], lap.scores[j]) for r, j in enumerate(lap.order)]),
+        "project": per_cell_table(("sample_id", "pc1", "pc2", "pc3"), [
+            (sid,) + tuple(row)
+            for sid, row in zip(data.sample_ids, project_training(model).coords)]),
+    }
+    for command, argv in (("rank", ["rank"]), ("baseline", ["baseline", "laplacian", "--knn", "3"]),
+                          ("project", ["project"])):
+        out = tmp_path / f"{command}.tsv"
+        assert main(argv + [str(path), "--q", "3", "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").split("\n")[1:] == expected[command] + [""]
+    assert "inf" in expected["baseline"][-1]
+
+
 def test_curve_selection_planted_dominates_random(tmp_path):
     mpath, lpath = planted_files(tmp_path)
     got = {}
@@ -170,6 +212,18 @@ def test_exit_codes(tmp_path):
     assert main(["rank", src, "--sigma", "abc"]) == 3
     assert main(["rank", src, "--sigma", "grid:1e-3,x"]) == 3
     assert main(["curve", "selection", src, "--k", "2", "--d-grid", "1:x:1"]) == 3
+
+
+def test_laplacian_underflow_exits_3_naming_t_and_the_sample(tmp_path, capsys):
+    a, b = np.random.default_rng(3).normal(size=(5, 4))[:2]
+    path = tmp_path / "aaaab.tsv"
+    save_matrix(Dataset.from_matrix(np.array([a, a, a, a, b])), path)
+    out = tmp_path / "lap.tsv"
+    assert main(["baseline", "laplacian", str(path), "--no-standardize", "--knn", "1",
+                 "--t", "0.25", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "t=0.25 is too small for sample 's4'" in err
+    assert not out.exists()
 
 
 def test_tiny_sigma_exits_3_naming_the_bandwidth(tmp_path, capsys):

@@ -3,9 +3,14 @@ import pytest
 
 from kpcaig import (Dataset, InputError, KernelSpec, SigmaRule, clustering_accuracy,
                     explained_variance, fit_kpca, kmeans, nmi, rank_features,
-                    selection_curve, sigma_heuristic, silhouette_curve, standardize,
-                    variance_generalization)
+                    selection_curve, sigma_heuristic, silhouette, silhouette_curve,
+                    standardize, variance_generalization)
 from kpcaig.synthetic import gaussian_matrix, planted_clusters, random_ranking
+
+from kpcaig.kpca import project_training, resolve_spec
+
+from generators import smooth_manifold
+from metric_oracles import kmeans_per_run
 
 MEDIAN = SigmaRule("median")
 
@@ -30,6 +35,28 @@ def test_selection_curve_full_set_matches_direct_clustering():
     assert pts[0].acc_mean == pytest.approx(np.mean(accs), abs=1e-15)
     assert pts[0].acc_std == pytest.approx(np.std(accs), abs=1e-15)
     assert pts[0].nmi_mean == pytest.approx(np.mean(nmis), abs=1e-15)
+
+
+def test_curves_equal_per_run_loops():
+    # one lockstep k-means call per d gives the values of one call per run
+    data = planted(3, n=50, p=30)
+    order = kpcaig_order(data)
+    grid = [1, 2, 5, 12, 30]
+    points = selection_curve(data, order, data.labels, 4, grid, runs=6, seed=3)
+    for pt, d in zip(points, grid):
+        runs = [kmeans_per_run(data.matrix[:, order[:d]], 4, 3 + r) for r in range(6)]
+        accs = np.array([clustering_accuracy(res.labels, data.labels) for res in runs])
+        nmis = np.array([nmi(res.labels, data.labels) for res in runs])
+        assert (pt.acc_mean, pt.acc_std, pt.nmi_mean, pt.nmi_std) == \
+            (accs.mean(), accs.std(), nmis.mean(), nmis.std())
+    spec = KernelSpec("rbf", sigma=1.0)
+    points = silhouette_curve(data, order, spec, 4, grid, sigma_rule=MEDIAN, seed=2, restarts=4)
+    for pt, d in zip(points, grid):
+        sub = data.select_features(order[:d])
+        model = fit_kpca(sub, resolve_spec(spec, MEDIAN, sub, 2), 2, allow_unstandardized=True)
+        coords = project_training(model).coords
+        best = min((kmeans_per_run(coords, 4, 2 + r) for r in range(4)), key=lambda res: res.inertia)
+        assert pt.silhouette == silhouette(coords, best.labels)
 
 
 def test_selection_curve_validation():
@@ -124,7 +151,6 @@ def test_variance_generalization_split_too_small():
 
 
 def test_variance_generalization_smooth_manifold_gap():
-    from kpcaig.synthetic import smooth_manifold
     data = standardize(smooth_manifold(200, 40, noise=0.02, seed=5))
     pts = variance_generalization(data, KernelSpec("rbf", sigma=1.0), 2,
                                   [5, 10, 20, 40], n_splits=5, seed=11,

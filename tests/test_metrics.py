@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist, squareform
 
 from kpcaig import InputError, clustering_accuracy, kmeans, nmi, silhouette
-from kpcaig.synthetic import two_blobs
+from kpcaig.metrics import table_accuracy
+
+from generators import two_blobs
+from metric_oracles import kmeans_per_run
 
 # hand-computed for contingency [[3, 1], [1, 3]]: I = 0.75*ln(3/2) + 0.25*ln(1/2),
 # H_pred = H_true = ln 2, NMI = I / ln 2
@@ -120,6 +124,55 @@ def test_kmeans_nonincreasing_objective_smoke():
         kmeans(X, 5, seed=seed)
 
 
+def test_kmeans_single_seed_is_the_one_run_case():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(25, 3))
+    one = kmeans(X, 3, 4)
+    (batch,) = kmeans(X, 3, [4])
+    assert np.array_equal(one.labels, batch.labels)
+    assert (one.inertia, one.seed, one.n_iter) == (batch.inertia, batch.seed, batch.n_iter)
+    with pytest.raises(InputError):
+        kmeans(X, 3, [])
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 30), st.integers(1, 4), st.data())
+def test_kmeans_lockstep_matches_per_run_reference(m, d, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        # few distinct points: duplicate rows, coinciding k-means++ centres
+        # and the empty clusters they leave
+        X = rng.integers(0, 3, size=(m, d)).astype(float)
+    else:
+        X = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-2, 2, size=d)
+        X = X[data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+    if data.draw(st.booleans()):
+        X = np.asfortranarray(X)    # as a column selection of a data matrix is
+    k = data.draw(st.integers(1, m))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6))
+    init = None
+    if data.draw(st.booleans()):
+        # fixed start centres, some far from every point: forced repairs
+        init = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(0, 3, size=(k, 1))
+    # duplicate-heavy data with k near the number of distinct rows can cycle
+    # until max_iter, in both forms; a small cap keeps such draws cheap
+    max_iter = data.draw(st.integers(1, 40))
+    try:
+        refs = [kmeans_per_run(X, k, s, max_iter=max_iter, init_centers=init) for s in seeds]
+    except RuntimeError:        # if the objective rises in a run, both forms raise
+        with pytest.raises(RuntimeError):
+            kmeans(X, k, seeds, max_iter=max_iter, init_centers=init)
+        assume(False)
+    # every distance, centre and so every tie is computed as in the
+    # reference, so exact ties break the same way and need no assume()
+    got = kmeans(X, k, seeds, max_iter=max_iter, init_centers=init)
+    assert [r.seed for r in got] == seeds
+    for ref, res in zip(refs, got):
+        assert np.array_equal(res.labels, ref.labels)
+        assert res.n_iter == ref.n_iter
+        assert abs(res.inertia - ref.inertia) <= 1e-12 * ref.inertia
+
+
 # --- accuracy ------------------------------------------------------------
 
 def test_acc_identity_and_relabeling():
@@ -145,6 +198,17 @@ def test_acc_rectangular_classes():
         truth = rng.integers(0, int(rng.integers(2, 6)), 15)
         assert clustering_accuracy(pred, truth) == pytest.approx(
             brute_force_acc(pred, truth), abs=1e-12)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+def test_accuracy_matches_scipy_assignment(a, b, data):
+    # the in-package assignment against the scipy solver it replaced
+    C = np.array(data.draw(st.lists(st.integers(0, 30), min_size=a * b, max_size=a * b)))
+    C = C.reshape(a, b)
+    assume(C.sum() > 0)
+    ri, ci = linear_sum_assignment(C, maximize=True)
+    assert table_accuracy(C) == float(C[ri, ci].sum()) / C.sum()
 
 
 def test_acc_length_mismatch():
