@@ -51,9 +51,11 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Bas
     d2 = pairwise_base(data, True)
     if t is None:
         t = float(d2[np.triu_indices(n, 1)].mean())
-    if not t > 0:
-        raise DegenerateDataError("heat-kernel width t is not positive "
-                                  "(all samples identical?)")
+        if not t > 0:
+            raise DegenerateDataError("heat-kernel width t is not positive "
+                                      "(all samples identical?)")
+    elif not 0 < t < np.inf:
+        raise InputError(f"heat-kernel width t must be finite and > 0, got {t}")
     # the self-distance sorts last, so each row's first k_nn are its neighbours
     neigh = np.argsort(d2 + np.diag(np.full(n, np.inf)), axis=1, kind="stable")[:, :k_nn]
     rows = np.arange(n)[:, None]
@@ -100,10 +102,25 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
     return _frobenius(U @ U.T - V @ V.T) / np.sqrt(2.0)
 
 
-def _leading_subspace(K_centered: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _undetermined(spec: KernelSpec, q: int) -> DegenerateDataError:
+    """The error for a Gram matrix whose top-q eigenvectors are not determined."""
+    if spec.family == "rbf":
+        return DegenerateDataError(
+            f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: every "
+            "off-diagonal kernel value underflows to 0 (K = I), so the top "
+            f"q={q} eigenvectors are not determined; use a smaller sigma")
+    return DegenerateDataError(f"the top q={q} eigenvalues of the centred Gram matrix "
+                               "are tied, so its eigenvectors are not determined")
+
+
+def _leading_subspace(K_centered: np.ndarray, q: int,
+                      spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Top-q eigenvalues (ascending) and eigenvectors of a centred Gram."""
     n = len(K_centered)
-    return scipy.linalg.eigh(K_centered, subset_by_index=[n - q, n - 1])
+    mu, U = scipy.linalg.eigh(K_centered, subset_by_index=[n - q, n - 1])
+    if len(mu) < q:     # LAPACK can return fewer pairs on a tied spectrum
+        raise _undetermined(spec, q)
+    return mu, U
 
 
 def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
@@ -132,8 +149,10 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     rule = kernel_rule(spec)
     base = pairwise_base(data, rule.distance)
     K = rule.value(base)
+    if spec.family == "rbf" and np.array_equal(K, np.eye(n)):
+        raise _undetermined(spec, q)
     if metric == "subspace":
-        mu, U = _leading_subspace(center_gram(K), q)
+        mu, U = _leading_subspace(center_gram(K), q, spec)
         check_top_eigenvalue(data, spec, K, mu[-1])
     scores = np.empty(p)
     for j in range(p):
@@ -144,7 +163,7 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
             perm = np.random.default_rng([seed, j, r]).permutation(n)
             Kp = rule.value(base + (rule.term(col[perm]) - t))
             if metric == "subspace":
-                dists[r] = subspace_distance(U, _leading_subspace(center_gram(Kp), q)[1])
+                dists[r] = subspace_distance(U, _leading_subspace(center_gram(Kp), q, spec)[1])
             else:
                 dists[r] = _frobenius(K - Kp)
         scores[j] = dists.mean()

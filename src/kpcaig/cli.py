@@ -1,4 +1,4 @@
-"""Command-line workflow: rank / project / arrows / baseline / curve / bench.
+"""Command-line workflow: rank / project / arrows / baseline / curve.
 
 Every output table starts with a ``# ``-prefixed JSON comment recording the
 fully resolved run configuration, so results are self-describing and
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -23,8 +22,8 @@ from .data import Dataset, load_labels, load_matrix, standardize
 from .exceptions import DegenerateDataError, InputError, ParseError
 from .importance import arrow_field, rank_features
 from .kernels import KernelSpec
-from .kpca import SigmaRule, fit_kpca, project_training, resolve_spec
-from .synthetic import gaussian_matrix, random_ranking
+from .kpca import FittedKpca, SigmaRule, fit_kpca, project_training, resolve_spec
+from .synthetic import random_ranking
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,13 +60,9 @@ class RunConfig:
     metric: str = "subspace"
     ranking: str = "kpcaig"
     k: int | None = None
-    synthetic: str | None = None
 
     def to_comment(self) -> str:
-        d = asdict(self)
-        if d["d_grid"] is not None:
-            d["d_grid"] = list(d["d_grid"])
-        return "# " + json.dumps(d, sort_keys=True)
+        return "# " + json.dumps(asdict(self), sort_keys=True)
 
 
 def _parse_d_grid(text: str) -> tuple[int, ...]:
@@ -95,6 +90,14 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
+def _emit(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_table(output, config: RunConfig, header, columns) -> None:
     """Write the config comment, the column names and one line per entry of
     the columns.
@@ -104,16 +107,20 @@ def _write_table(output, config: RunConfig, header, columns) -> None:
     """
     cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col) for col in columns]
     lines = [config.to_comment(), "\t".join(header), *map("\t".join, zip(*cells))]
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8", newline="\n")
+    _emit(output, "\n".join(lines) + "\n")
 
 
-def _add_common(sub: argparse.ArgumentParser, *, with_input: bool = True) -> None:
-    if with_input:
-        sub.add_argument("input", help="delimited matrix file (header row + leading ID column)")
+def _write_ranking(output, config: RunConfig, names, scores, order, stds=None) -> None:
+    """Write the rank, feature, score[, std] table, best feature first."""
+    header = ("rank", "feature", "score") + (() if stds is None else ("std",))
+    columns = [range(1, len(order) + 1), [names[j] for j in order.tolist()], scores[order]]
+    if stds is not None:
+        columns.append(stds[order])
+    _write_table(output, config, header, columns)
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("input", help="delimited matrix file (header row + leading ID column)")
     sub.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
     sub.add_argument("--kernel", choices=("rbf", "linear", "poly"), default="rbf")
     sub.add_argument("--sigma", default="median",
@@ -164,12 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", type=int, default=5, help="variance-split: train/test splits")
     p.add_argument("--ranking", choices=("kpcaig", "random", "laplacian", "permute"),
                    default="kpcaig")
-
-    p = cmds.add_parser("bench", help="timing report (informational)")
-    _add_common(p, with_input=False)
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--synthetic", default=None, metavar="NxP",
-                   help="generate an NxP Gaussian matrix instead of reading a file")
     return ap
 
 
@@ -189,68 +190,63 @@ def _spec_and_rule(args) -> tuple[KernelSpec, SigmaRule | None]:
     return KernelSpec("rbf", sigma=1.0), rule
 
 
-def _config(args, command, **extra) -> dict:
-    base = dict(command=command,
-                input=getattr(args, "input", None),
-                output=args.output,
-                kernel=args.kernel,
-                sigma=args.sigma,
-                degree=args.degree,
-                coef0=args.coef0,
-                q=args.q,
-                seed=args.seed,
-                orientation=args.orientation,
-                standardize=not args.no_standardize)
-    base.update(extra)
-    return base
+def _resolved_spec(args, data: Dataset) -> KernelSpec:
+    spec, rule = _spec_and_rule(args)
+    return resolve_spec(spec, rule, data, args.q)
 
 
-def _ranking_order(name: str, data: Dataset, spec: KernelSpec,
-                   rule: SigmaRule | None, q: int, seed: int) -> np.ndarray:
-    if name == "random":
-        return random_ranking(data.p, seed)
-    if name == "laplacian":
+def _fit(args, data: Dataset) -> FittedKpca:
+    return fit_kpca(data, _resolved_spec(args, data), args.q, allow_unstandardized=True)
+
+
+def _config(args, **extra) -> RunConfig:
+    return RunConfig(command=args.command,
+                     input=args.input,
+                     output=args.output,
+                     kernel=args.kernel,
+                     sigma=args.sigma,
+                     degree=args.degree,
+                     coef0=args.coef0,
+                     q=args.q,
+                     seed=args.seed,
+                     orientation=args.orientation,
+                     standardize=not args.no_standardize,
+                     **extra)
+
+
+def _ranking_order(args, data: Dataset) -> np.ndarray:
+    if args.ranking == "random":
+        return random_ranking(data.p, args.seed)
+    if args.ranking == "laplacian":
         return laplacian_score(data).order
-    resolved = resolve_spec(spec, rule, data, q)
-    if name == "permute":
-        return permutation_importance(data, resolved, q, seed=seed).order
-    model = fit_kpca(data, resolved, q, allow_unstandardized=True)
-    return rank_features(model).order
+    if args.ranking == "permute":
+        return permutation_importance(data, _resolved_spec(args, data), args.q,
+                                      seed=args.seed).order
+    return rank_features(_fit(args, data)).order
 
 
 def _cmd_rank(args) -> int:
     data = _load(args)
-    spec, rule = _spec_and_rule(args)
-    spec = resolve_spec(spec, rule, data, args.q)
-    model = fit_kpca(data, spec, args.q, allow_unstandardized=True)
+    model = _fit(args, data)
     ranking = rank_features(model)
-    cfg = RunConfig(**_config(args, "rank", sigma_resolved=spec.sigma))
-    order = ranking.order
-    names = [ranking.feature_names[j] for j in order.tolist()]
-    _write_table(args.output, cfg, ("rank", "feature", "score", "std"),
-                 (range(1, len(order) + 1), names, ranking.scores[order], ranking.stds[order]))
+    _write_ranking(args.output, _config(args, sigma_resolved=model.kernel.sigma),
+                   data.feature_names, ranking.scores, ranking.order, ranking.stds)
     return EXIT_OK
 
 
 def _cmd_project(args) -> int:
     data = _load(args)
-    spec, rule = _spec_and_rule(args)
-    spec = resolve_spec(spec, rule, data, args.q)
-    model = fit_kpca(data, spec, args.q, allow_unstandardized=True)
+    model = _fit(args, data)
     emb = project_training(model)
-    cfg = RunConfig(**_config(args, "project", sigma_resolved=spec.sigma))
+    cfg = _config(args, sigma_resolved=model.kernel.sigma)
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
     _write_table(args.output, cfg, cols, (data.sample_ids, *emb.coords.T))
-    sidecar = {"config": json.loads(cfg.to_comment()[2:]),
+    sidecar = {"config": asdict(cfg),
                "q": model.q,
                "eigenvalues": [float(v) for v in model.eigvals],
                "explained_variance": [float(v) for v in emb.component_variance]}
-    payload = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
-    if args.output is None:
-        sys.stdout.write(payload)
-    else:
-        Path(args.output).with_suffix(".variance.json").write_text(
-            payload, encoding="utf-8", newline="\n")
+    _emit(None if args.output is None else Path(args.output).with_suffix(".variance.json"),
+          json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -268,13 +264,11 @@ def _feature_index(data: Dataset, name: str) -> int:
 
 def _cmd_arrows(args) -> int:
     data = _load(args)
-    spec, rule = _spec_and_rule(args)
-    spec = resolve_spec(spec, rule, data, args.q)
-    model = fit_kpca(data, spec, args.q, allow_unstandardized=True)
+    model = _fit(args, data)
     j = _feature_index(data, args.feature)
     points, vectors = zip(*arrow_field(model, j, scale=args.scale))
-    cfg = RunConfig(**_config(args, "arrows", sigma_resolved=spec.sigma,
-                              feature=args.feature, scale=args.scale))
+    cfg = _config(args, sigma_resolved=model.kernel.sigma, feature=args.feature,
+                  scale=args.scale)
     _write_table(args.output, cfg, ("x", "y", "dx", "dy", "sample_id"),
                  (*zip(*points), *zip(*vectors), data.sample_ids))
     return EXIT_OK
@@ -284,21 +278,21 @@ def _cmd_baseline(args) -> int:
     data = _load(args)
     if args.variant == "laplacian":
         ranking = laplacian_score(data, k_nn=args.knn, t=args.t)
-        cfg = RunConfig(**_config(args, "baseline", variant="laplacian",
-                                  knn=args.knn, t=args.t))
+        cfg = _config(args, variant="laplacian", knn=args.knn, t=args.t)
     else:
-        spec, rule = _spec_and_rule(args)
-        spec = resolve_spec(spec, rule, data, args.q)
+        spec = _resolved_spec(args, data)
         ranking = permutation_importance(data, spec, args.q, n_perm=args.n_perm,
                                          seed=args.seed, metric=args.metric)
-        cfg = RunConfig(**_config(args, "baseline", variant="permute",
-                                  sigma_resolved=spec.sigma, n_perm=args.n_perm,
-                                  metric=args.metric))
-    order = ranking.order
-    names = [data.feature_names[j] for j in order.tolist()]
-    _write_table(args.output, cfg, ("rank", "feature", "score"),
-                 (range(1, len(order) + 1), names, ranking.scores[order]))
+        cfg = _config(args, variant="permute", sigma_resolved=spec.sigma,
+                      n_perm=args.n_perm, metric=args.metric)
+    _write_ranking(args.output, cfg, data.feature_names, ranking.scores, ranking.order)
     return EXIT_OK
+
+
+# output columns of each curve, each a CurvePoint field
+_CURVE_COLUMNS = {"selection": ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std"),
+                  "silhouette": ("d", "silhouette"),
+                  "variance-split": ("split", "d", "var_train", "var_test")}
 
 
 def _cmd_curve(args) -> int:
@@ -310,71 +304,27 @@ def _cmd_curve(args) -> int:
         raise InputError(f"{truth.size} labels for n={data.n} samples")
     k = args.k if args.k is not None else \
         (int(np.unique(truth).size) if truth is not None else None)
-    extra = dict(variant=args.variant, labels=args.labels, d_grid=d_grid,
-                 runs=args.runs, splits=args.splits, ranking=args.ranking, k=k)
-
+    cfg = _config(args, variant=args.variant, labels=args.labels, d_grid=d_grid,
+                  runs=args.runs, splits=args.splits, ranking=args.ranking, k=k)
     if args.variant == "variance-split":
         points = variance_generalization(data, spec, args.q, d_grid,
                                          n_splits=args.splits, seed=args.seed,
                                          sigma_rule=rule)
-        cfg = RunConfig(**_config(args, "curve", **extra))
-        rows = [(pt.split, pt.d, pt.var_train, pt.var_test) for pt in points]
-        _write_table(args.output, cfg, ("split", "d", "var_train", "var_test"), zip(*rows))
-        return EXIT_OK
-
-    if k is None:
-        raise InputError("curve needs --k (or --labels to infer the cluster count)")
-    order = _ranking_order(args.ranking, data, spec, rule, args.q, args.seed)
-    if args.variant == "selection":
-        if truth is None:
-            raise InputError("curve selection needs --labels")
-        points = selection_curve(data, order, truth, k, d_grid,
-                                 runs=args.runs, seed=args.seed)
-        cfg = RunConfig(**_config(args, "curve", **extra))
-        rows = [(pt.d, pt.acc_mean, pt.acc_std, pt.nmi_mean, pt.nmi_std)
-                for pt in points]
-        _write_table(args.output, cfg,
-                     ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std"), zip(*rows))
-        return EXIT_OK
-
-    points = silhouette_curve(data, order, spec, k, d_grid,
-                              sigma_rule=rule, seed=args.seed)
-    cfg = RunConfig(**_config(args, "curve", **extra))
-    rows = [(pt.d, pt.silhouette) for pt in points]
-    _write_table(args.output, cfg, ("d", "silhouette"), zip(*rows))
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    if (args.input is None) == (args.synthetic is None):
-        raise InputError("bench needs either an input file or --synthetic NxP")
-    t0 = time.perf_counter()
-    if args.synthetic:
-        try:
-            n, p = (int(v) for v in args.synthetic.lower().split("x"))
-        except ValueError:
-            raise InputError(f"--synthetic must look like 165x12626, got {args.synthetic!r}") from None
-        data = gaussian_matrix(n, p, seed=args.seed)
-        if not args.no_standardize:
-            data = standardize(data)
     else:
-        data = _load(args)
-    t_load = time.perf_counter() - t0
-    spec, rule = _spec_and_rule(args)
-    t0 = time.perf_counter()
-    spec = resolve_spec(spec, rule, data, args.q)
-    model = fit_kpca(data, spec, args.q, allow_unstandardized=True)
-    t_fit = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rank_features(model)
-    t_rank = time.perf_counter() - t0
-    cfg = RunConfig(**_config(args, "bench", synthetic=args.synthetic,
-                              sigma_resolved=spec.sigma))
-    rows = [("load", t_load, data.n, data.p),
-            ("fit", t_fit, data.n, data.p),
-            ("rank", t_rank, data.n, data.p),
-            ("total", t_load + t_fit + t_rank, data.n, data.p)]
-    _write_table(args.output, cfg, ("stage", "seconds", "n", "p"), zip(*rows))
+        if k is None:
+            raise InputError("curve needs --k (or --labels to infer the cluster count)")
+        order = _ranking_order(args, data)
+        if args.variant == "selection":
+            if truth is None:
+                raise InputError("curve selection needs --labels")
+            points = selection_curve(data, order, truth, k, d_grid,
+                                     runs=args.runs, seed=args.seed)
+        else:
+            points = silhouette_curve(data, order, spec, k, d_grid,
+                                      sigma_rule=rule, seed=args.seed)
+    columns = _CURVE_COLUMNS[args.variant]
+    _write_table(args.output, cfg, columns,
+                 [[getattr(pt, name) for pt in points] for name in columns])
     return EXIT_OK
 
 
@@ -384,7 +334,6 @@ _COMMANDS = {
     "arrows": _cmd_arrows,
     "baseline": _cmd_baseline,
     "curve": _cmd_curve,
-    "bench": _cmd_bench,
 }
 
 

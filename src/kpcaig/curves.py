@@ -24,6 +24,9 @@ from .kernels import KernelSpec
 from .kpca import SigmaRule, explained_variance, fit_kpca, project_training, resolve_spec
 from .metrics import contingency_tables, kmeans, silhouette, table_accuracy, table_nmi
 
+# seeded k-means runs per silhouette point, of which the lowest inertia is scored
+SILHOUETTE_RESTARTS = 5
+
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -74,18 +77,16 @@ def selection_curve(data: Dataset, order, truth, k: int, d_grid,
 
 def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
                      sigma_rule: SigmaRule | None = None,
-                     seed: int = 0, restarts: int = 5) -> list[CurvePoint]:
+                     seed: int = 0) -> list[CurvePoint]:
     """Mean silhouette of k-means clusters on the 2-D embedding per d.
 
     When a sigma rule is given the rbf bandwidth is re-resolved on every
     feature subset, so the kernel adapts to the number of columns kept.
-    The clustering takes the best of ``restarts`` seeded k-means runs (the
-    first of equal inertia), which keeps the curve stable against unlucky
-    initializations.
+    The clustering takes the best of SILHOUETTE_RESTARTS seeded k-means runs
+    (the first of equal inertia), which keeps the curve stable against
+    unlucky initializations.
     """
     grid = _check_grid(d_grid, data.p)
-    if restarts < 1:
-        raise InputError(f"restarts must be >= 1, got {restarts}")
     order = np.asarray(order, dtype=np.int64)
     points = []
     for d in grid:
@@ -93,7 +94,7 @@ def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
         spec_d = resolve_spec(spec, sigma_rule, sub, 2)
         model = fit_kpca(sub, spec_d, 2, allow_unstandardized=True)
         coords = project_training(model).coords
-        best = min(kmeans(coords, k, range(seed, seed + restarts)),
+        best = min(kmeans(coords, k, range(seed, seed + SILHOUETTE_RESTARTS)),
                    key=lambda res: res.inertia)
         points.append(CurvePoint(d=d, silhouette=silhouette(coords, best.labels)))
     return points

@@ -101,8 +101,8 @@ def arrow_field(model: FittedKpca, j: int, scale: float = 1.0):
     """
     if model.q < 2:
         raise InputError(f"arrow field needs q >= 2 retained components, got q={model.q}")
-    if scale < 0:
-        raise InputError(f"scale must be >= 0, got {scale}")
+    if not 0 <= scale < np.inf:
+        raise InputError(f"scale must be finite and >= 0, got {scale}")
     coords = project_training(model).coords[:, :2]
     vects = gradient_field(model, j).W[:, :2] * scale
     return [((float(px), float(py)), (float(vx), float(vy)))

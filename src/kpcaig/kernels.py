@@ -51,6 +51,8 @@ class KernelSpec:
         if self.family == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InputError(f"polynomial degree must be an integer >= 1, got {self.degree}")
+            if not np.isfinite(self.coef0):
+                raise InputError(f"polynomial coef0 must be finite, got {self.coef0}")
 
 
 def _as_matrix(data) -> np.ndarray:

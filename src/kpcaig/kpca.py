@@ -21,6 +21,9 @@ from .kernels import (KernelSpec, center_gram, gram_matrix, kernel_row, median_s
 
 # relative cutoff below which an eigenvalue is treated as numerically zero
 EIG_DROP_REL = 1e-10
+# entries this close to an eigenvector's largest |entry|, relatively, tie with it:
+# repeated samples make exact ties, and rounding would pick among them per LAPACK
+SIGN_TIE_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,9 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
 
     Components whose eigenvalue falls below EIG_DROP_REL * mu_1 are dropped
     (with a warning); the sign of each eigenvector is fixed so its largest
-    absolute entry is positive, making refits bit-reproducible.
+    absolute entry is positive, making refits bit-reproducible. Entries
+    within SIGN_TIE_REL of the largest count as tied with it, and the first
+    of them sets the sign.
     """
     if q < 1:
         raise InputError(f"q must be >= 1, got {q}")
@@ -82,9 +87,9 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
                       f"reduced to q={q_eff}", UserWarning, stacklevel=2)
     mu = np.ascontiguousarray(evals[:q_eff])
     A = np.ascontiguousarray(evecs[:, :q_eff])
-    for k in range(q_eff):
-        if A[np.argmax(np.abs(A[:, k])), k] < 0:
-            A[:, k] = -A[:, k]
+    mag = np.abs(A)
+    lead = np.argmax(mag >= (1 - SIGN_TIE_REL) * mag.max(axis=0), axis=0)
+    A *= np.sign(A[lead, np.arange(q_eff)])
     alphas = A / np.sqrt(mu)
     return FittedKpca(training_data=data, kernel=spec, K=K, K_centered=Kc,
                       eigvals=mu, alphas=alphas, q=q_eff, eigval_total=eigval_total)

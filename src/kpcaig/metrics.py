@@ -86,11 +86,12 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
     One seed gives one ClusteringResult; a sequence gives one per seed, in
     order. The runs are seeded together, then iterate in lockstep: each
     iteration assigns every active run's points from one distance array,
-    and a run drops out when its assignment stops changing (or after
-    max_iter iterations). Distances are recomputed only for centres that
-    moved, so each result equals that of a call with its seed alone.
-    Empty clusters are repaired by claiming the point farthest from its
-    assigned centroid (among clusters that can spare a point).
+    and a run drops out when its assignment stops changing, when its cost
+    stops falling (it then keeps its previous assignment) or after max_iter
+    iterations. Distances are recomputed only for centres that moved, so
+    each result equals that of a call with its seed alone. Empty clusters
+    are repaired by claiming the point farthest from its assigned centroid
+    (among clusters that can spare a point).
     """
     # row-major, like the arrays X[labels == c] and X - centers[labels] that a
     # run on its own sums, so every sum below adds in the same order
@@ -130,6 +131,10 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
             i = int(np.argmax(worse))
             raise RuntimeError(f"k-means objective increased from "
                                f"{prev_cost[active[i]]} to {cost[i]}")
+        # a run whose cost stops falling keeps its previous assignment and stops:
+        # on repeated rows, ties and the repair can move points back and forth
+        stalled = cost >= prev_cost[active]
+        lab[stalled] = labels[active[stalled]]
         prev_cost[active] = cost
         n_iter[active] += 1
         # a cluster whose members all stay keeps its centre bit for bit
@@ -225,19 +230,16 @@ def clustering_accuracy(pred, truth) -> float:
     return table_accuracy(contingency_tables(np.ravel(pred), truth)[0])
 
 
-def nmi(pred, truth, normalization: str = "arithmetic") -> float:
+def nmi(pred, truth) -> float:
     """Normalized mutual information, 2*I/(H_p + H_t) with natural logs.
 
-    normalization='geometric' divides by sqrt(H_p * H_t) instead. If both
-    labelings are constant the partitions coincide and the value is 1.
+    If both labelings are constant the partitions coincide and the value is 1.
     """
-    return table_nmi(contingency_tables(np.ravel(pred), truth)[0], normalization)
+    return table_nmi(contingency_tables(np.ravel(pred), truth)[0])
 
 
-def table_nmi(C: np.ndarray, normalization: str = "arithmetic") -> float:
+def table_nmi(C: np.ndarray) -> float:
     """NMI of one contingency table; see ``nmi``."""
-    if normalization not in ("arithmetic", "geometric"):
-        raise InputError(f"unknown normalization {normalization!r}")
     if np.all((C > 0).sum(axis=0) <= 1) and np.all((C > 0).sum(axis=1) <= 1):
         return 1.0  # identical partitions (covers the both-constant edge case)
     n = C.sum()
@@ -249,7 +251,7 @@ def table_nmi(C: np.ndarray, normalization: str = "arithmetic") -> float:
     mask = Pij > 0
     outer = np.outer(Pi, Pj)
     info = float((Pij[mask] * np.log(Pij[mask] / outer[mask])).sum())
-    den = 0.5 * (hp + ht) if normalization == "arithmetic" else np.sqrt(hp * ht)
+    den = 0.5 * (hp + ht)
     if den == 0.0:
         return 0.0
     return float(min(1.0, max(0.0, info / den)))

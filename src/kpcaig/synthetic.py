@@ -37,12 +37,6 @@ def planted_clusters(n: int, p: int, k: int, n_informative: int, *,
     return Dataset.from_matrix(X, labels=labels)
 
 
-def gaussian_matrix(n: int, p: int, seed: int = 0) -> Dataset:
-    """Pure white-noise matrix."""
-    rng = np.random.default_rng(seed)
-    return Dataset.from_matrix(rng.normal(size=(n, p)))
-
-
 def random_ranking(p: int, seed: int) -> np.ndarray:
     """A seeded random permutation of the feature indices."""
     return np.random.default_rng(seed).permutation(p)

@@ -54,11 +54,13 @@ def kmeans_per_run(coords, k: int, seed: int, *, max_iter: int = 300,
             movable = counts[labels] > 1
             far = int(np.flatnonzero(movable)[own[movable].argmax()])
             labels[far] = c
-            centers[c] = X[far]
             d2[:, c] = cdist(X, X[far:far + 1], "sqeuclidean")[:, 0]
         cost = float(d2[np.arange(m), labels].sum())
         if cost > prev_cost + 1e-9 * (1.0 + cost):
             raise RuntimeError(f"k-means objective increased from {prev_cost} to {cost}")
+        if cost >= prev_cost:   # no longer falling: keep the previous assignment
+            labels = prev
+            break
         prev_cost = cost
         centers = np.stack([X[labels == c].mean(axis=0) for c in range(k)])
         if prev is not None and np.array_equal(labels, prev):

@@ -154,6 +154,9 @@ def test_laplacian_knn_bounds():
         laplacian_score(d, k_nn=10)
     with pytest.raises(InputError):
         laplacian_score(d, k_nn=0)
+    for t in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InputError, match=f"t must be finite and > 0, got {t}"):
+            laplacian_score(d, t=t)
 
 
 # --- subspace distance ------------------------------------------------------
@@ -256,6 +259,27 @@ def test_permutation_tiny_sigma_names_the_bandwidth():
     d = two_blobs(12, 4, seed=6)
     with pytest.raises(DegenerateDataError, match="rbf bandwidth sigma=1e-20 is too small"):
         permutation_importance(d, KernelSpec("rbf", sigma=1e-20), 2)
+
+
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+def test_permutation_identity_gram_names_the_bandwidth(metric):
+    # every off-diagonal kernel value underflows to 0, so K = I exactly
+    d = two_blobs(12, 4, seed=6)
+    with pytest.raises(DegenerateDataError, match="rbf bandwidth sigma=1000.0 is too large"):
+        permutation_importance(d, KernelSpec("rbf", sigma=1e3), 2, metric=metric)
+
+
+def test_permutation_short_eigensolve_raises(monkeypatch):
+    # on a tied spectrum LAPACK's subset solver can return fewer than q pairs
+    def short_eigh(K, subset_by_index):
+        return np.empty(0), np.empty((len(K), 0))
+
+    monkeypatch.setattr(scipy.linalg, "eigh", short_eigh)
+    d = two_blobs(12, 4, seed=6)
+    with pytest.raises(DegenerateDataError, match="top q=2 eigenvectors are not determined"):
+        permutation_importance(d, rbf_for(d), 2)
+    with pytest.raises(DegenerateDataError, match="top q=2 eigenvalues .* are tied"):
+        permutation_importance(d, KernelSpec("linear"), 2)
 
 
 def test_permutation_one_pairwise_pass():

@@ -191,14 +191,6 @@ def test_curve_silhouette_and_variance(tmp_path):
         assert 0.0 < float(r[2]) <= 1.0 and 0.0 < float(r[3]) <= 1.0
 
 
-def test_bench_synthetic(tmp_path, capsys):
-    assert main(["bench", "--synthetic", "30x40", "--q", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split("\t") == ["stage", "seconds", "n", "p"]
-    stages = [ln.split("\t")[0] for ln in lines[2:]]
-    assert stages == ["load", "fit", "rank", "total"]
-
-
 def test_exit_codes(tmp_path):
     src = toy_matrix(tmp_path)
     assert main(["rank", src, "--nonsense-flag"]) == 2        # usage
@@ -208,7 +200,7 @@ def test_exit_codes(tmp_path):
     bad.write_text("id,f1\ns1,NA\n", encoding="utf-8")
     assert main(["rank", str(bad)]) == 4                      # parse error
     assert main(["curve", "selection", src, "--d-grid", "2,4"]) == 3  # no labels
-    assert main(["bench"]) == 3
+    assert main(["bench"]) == 2                               # no such command
     assert main(["rank", src, "--sigma", "abc"]) == 3
     assert main(["rank", src, "--sigma", "grid:1e-3,x"]) == 3
     assert main(["curve", "selection", src, "--k", "2", "--d-grid", "1:x:1"]) == 3
@@ -241,6 +233,31 @@ def test_noise_level_kernel_exits_3(tmp_path, capsys, command, sigma):
     out = tmp_path / "out.tsv"
     assert main([*command, mpath, "--sigma", sigma, "-o", str(out)]) == 3
     assert f"rbf bandwidth sigma={sigma} is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+def test_identity_gram_permute_exits_3_naming_the_bandwidth(tmp_path, capsys, metric):
+    # at sigma = 1e3 every off-diagonal kernel value underflows to 0: K = I exactly
+    mpath, _ = planted_files(tmp_path)
+    out = tmp_path / "perm.tsv"
+    for q in ("1", "2", "3"):
+        assert main(["baseline", "permute", mpath, "--sigma", "1e3", "--q", q,
+                     "--metric", metric, "-o", str(out)]) == 3
+        assert "rbf bandwidth sigma=1000.0 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rank", "--kernel", "poly", "--coef0", "nan"], "coef0 must be finite, got nan"),
+    (["arrows", "--feature", "f1", "--scale", "nan"], "scale must be finite and >= 0, got nan"),
+    (["arrows", "--feature", "f1", "--scale", "inf"], "scale must be finite and >= 0, got inf"),
+    (["baseline", "laplacian", "--t", "nan"], "t must be finite and > 0, got nan"),
+])
+def test_non_finite_option_exits_3_naming_it(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.tsv"
+    assert main([*argv, toy_matrix(tmp_path), "-o", str(out)]) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -238,6 +238,13 @@ def test_arrow_field_zero_scale():
         assert pt == (float(row[0]), float(row[1]))
 
 
+@pytest.mark.parametrize("scale", [-1.0, np.inf, np.nan])
+def test_arrow_field_rejects_bad_scale(scale):
+    model = fit(np.random.default_rng(10).normal(size=(8, 3)))
+    with pytest.raises(InputError, match=f"scale must be finite and >= 0, got {scale}"):
+        arrow_field(model, 1, scale=scale)
+
+
 def test_arrow_field_needs_two_components():
     data = Dataset.from_matrix([[0.0, 0.0], [1.0, 1.0]])
     with pytest.warns(UserWarning):

@@ -36,6 +36,9 @@ def test_spec_validation():
         KernelSpec("rbf")
     with pytest.raises(InputError):
         KernelSpec("polynomial", degree=0)
+    for coef0 in (math.inf, math.nan):
+        with pytest.raises(InputError, match=f"coef0 must be finite, got {coef0}"):
+            KernelSpec("polynomial", coef0=coef0)
     with pytest.raises(InputError):
         KernelSpec("cosine")
 

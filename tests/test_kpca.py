@@ -299,9 +299,23 @@ def scipy_fit(model):
     evals, evecs = scipy.linalg.eigh(model.K_centered)
     mu, A = evals[::-1], evecs[:, ::-1][:, :model.q].copy()
     for k in range(model.q):
-        if A[np.argmax(np.abs(A[:, k])), k] < 0:
+        col = np.abs(A[:, k])
+        if A[np.flatnonzero(col >= (1 - 1e-10) * col.max())[0], k] < 0:
             A[:, k] = -A[:, k]
     return dataclasses.replace(model, eigvals=mu[:model.q], alphas=A / np.sqrt(mu[:model.q])), mu
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sign_fix_ignores_rounding_among_tied_entries(monkeypatch, seed):
+    # two samples, each twice: the top eigenvector is +-(0.5, 0.5, -0.5, -0.5), and
+    # for seeds 0 and 2 numpy's and scipy's eigh round its entries differently
+    x0, x1 = np.random.default_rng(seed).normal(size=(2, 3))
+    data = Dataset.from_matrix(np.array([x0, x0, x1, x1]))
+    model = fit_kpca(data, KernelSpec("linear"), 1, allow_unstandardized=True)
+    monkeypatch.setattr(np.linalg, "eigh", scipy.linalg.eigh)
+    other = fit_kpca(data, KernelSpec("linear"), 1, allow_unstandardized=True)
+    assert np.allclose(model.alphas, other.alphas, rtol=0, atol=1e-12)
+    assert model.alphas[0, 0] > 0
 
 
 @settings(max_examples=150)
@@ -338,14 +352,7 @@ def test_fit_matches_scipy_eigh_reference(n, p, q, family, data):
     # missed a plain 1e-12
     g = np.minimum(gaps, np.concatenate(([np.inf], gaps[:-1])))
     tol = 1e-12 + 10 * n * np.finfo(np.float64).eps * mu[0] / g
-    alphas = model.alphas.copy()
-    for k, col in enumerate(ref.alphas.T):
-        # the sign fix reads the largest |entry|; where entries of opposite sign
-        # tie for it, rounding picks the sign in either LAPACK
-        top = col[np.abs(col) >= (1 - 1e-10) * np.abs(col).max()]
-        if top.min() < 0 < top.max() and alphas[:, k] @ col < 0:
-            alphas[:, k] = -alphas[:, k]
-    assert np.all(np.abs(alphas - ref.alphas) <= tol * np.abs(ref.alphas).max(axis=0))
+    assert np.all(np.abs(model.alphas - ref.alphas) <= tol * np.abs(ref.alphas).max(axis=0))
     got, want = rank_features(model), rank_features(ref)
     top = want.scores.max() * tol.max()
     assert np.abs(got.scores - want.scores).max() <= top
