@@ -49,13 +49,12 @@ def main():
     hits = sorted(int(j) for j in ranking.order[:10] if j < 10)
     print(f"informative features recovered in top 10: {len(hits)}/10 {hits}")
     write_tsv(out / "ranking.tsv", ("rank", "feature", "score", "std"),
-              [(r + 1, ranking.feature_names[j], ranking.scores[j], ranking.stds[j])
+              [(r + 1, data.feature_names[j], ranking.scores[j], ranking.stds[j])
                for r, j in enumerate(ranking.order)])
 
-    emb = project_training(model)
     write_tsv(out / "embedding.tsv", ("sample", "pc1", "pc2", "label"),
               [(sid, c[0], c[1], int(lab)) for sid, c, lab in
-               zip(data.sample_ids, emb.coords, data.labels)])
+               zip(data.sample_ids, project_training(model), data.labels)])
 
     grid = [10, 20, 50, 100, 150, 200, 250]
     sel_kpcaig = selection_curve(data, ranking.order, data.labels, 4, grid,
@@ -82,7 +81,7 @@ def main():
 
     top = int(ranking.order[0])
     arrows = arrow_field(model, top, scale=1.0)
-    write_tsv(out / f"arrows_{ranking.feature_names[top]}.tsv",
+    write_tsv(out / f"arrows_{data.feature_names[top]}.tsv",
               ("x", "y", "dx", "dy"),
               [(p[0], p[1], v[0], v[1]) for p, v in arrows])
     print("done")

@@ -88,8 +88,7 @@ def main():
 
         t0 = time.perf_counter()
         sigma = SigmaRule("grid", grid=SIGMA_GRID).resolve(data, q)
-        model = fit_kpca(data, KernelSpec("rbf", sigma=sigma), q,
-                         allow_unstandardized=True)
+        model = fit_kpca(data, KernelSpec("rbf", sigma=sigma), q)
         ranking = rank_features(model)
         print(f"  sigma={sigma:g}, ranking in {time.perf_counter() - t0:.1f}s")
         curve = selection_curve(data, ranking.order, y, k, grid,

@@ -14,29 +14,20 @@ each (feature, draw) costs O(n^2) elementwise work and one top-q eigensolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
+from .importance import FeatureRanking
 from .kernels import KernelSpec, center_gram, kernel_rule, pairwise_base
-from .kpca import check_top_eigenvalue
+from .kpca import check_determined, check_top_eigenvalue
 
 # memory for one of the Laplacian score's two n x c temporaries, c features a block
 LAPLACIAN_BLOCK_BYTES = 1 << 21
 
 
-@dataclass(frozen=True)
-class BaselineRanking:
-    method: str                  # laplacian | kpca_permute
-    scores: np.ndarray
-    order: np.ndarray            # best feature first
-    direction: str               # lower_is_better | higher_is_better
-
-
-def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> BaselineRanking:
+def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> FeatureRanking:
     """Laplacian score over a symmetric k-NN heat-kernel graph.
 
     Weights are exp(-||x_i - x_j||^2 / t); t defaults to the mean squared
@@ -84,7 +75,7 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Bas
         num = den - np.einsum("ij,ij->j", F, W @ F)  # f^T L f with L = D - W
         np.divide(num, den, out=scores[s:s + width], where=varying[s:s + width])
     order = np.lexsort((np.arange(p), scores))
-    return BaselineRanking("laplacian", scores, order, "lower_is_better")
+    return FeatureRanking(scores, order)
 
 
 def _frobenius(D: np.ndarray) -> float:
@@ -102,30 +93,19 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
     return _frobenius(U @ U.T - V @ V.T) / np.sqrt(2.0)
 
 
-def _undetermined(spec: KernelSpec, q: int) -> DegenerateDataError:
-    """The error for a Gram matrix whose top-q eigenvectors are not determined."""
-    if spec.family == "rbf":
-        return DegenerateDataError(
-            f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: every "
-            "off-diagonal kernel value underflows to 0 (K = I), so the top "
-            f"q={q} eigenvectors are not determined; use a smaller sigma")
-    return DegenerateDataError(f"the top q={q} eigenvalues of the centred Gram matrix "
-                               "are tied, so its eigenvectors are not determined")
-
-
-def _leading_subspace(K_centered: np.ndarray, q: int,
-                      spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+def _leading_subspace(K_centered: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-q eigenvalues (ascending) and eigenvectors of a centred Gram."""
     n = len(K_centered)
     mu, U = scipy.linalg.eigh(K_centered, subset_by_index=[n - q, n - 1])
     if len(mu) < q:     # LAPACK can return fewer pairs on a tied spectrum
-        raise _undetermined(spec, q)
+        raise DegenerateDataError(f"the top q={q} eigenvalues of the centred Gram matrix are "
+                                  f"tied, so its top q={q} eigenvectors are not determined")
     return mu, U
 
 
 def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
                            n_perm: int = 1, seed: int = 0,
-                           metric: str = "subspace") -> BaselineRanking:
+                           metric: str = "subspace") -> FeatureRanking:
     """Score features by the kernel perturbation their permutation causes.
 
     For each feature and each draw the column is shuffled across samples
@@ -149,10 +129,9 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     rule = kernel_rule(spec)
     base = pairwise_base(data, rule.distance)
     K = rule.value(base)
-    if spec.family == "rbf" and np.array_equal(K, np.eye(n)):
-        raise _undetermined(spec, q)
+    check_determined(spec, K, q)
     if metric == "subspace":
-        mu, U = _leading_subspace(center_gram(K), q, spec)
+        mu, U = _leading_subspace(center_gram(K), q)
         check_top_eigenvalue(data, spec, K, mu[-1])
     scores = np.empty(p)
     for j in range(p):
@@ -163,9 +142,9 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
             perm = np.random.default_rng([seed, j, r]).permutation(n)
             Kp = rule.value(base + (rule.term(col[perm]) - t))
             if metric == "subspace":
-                dists[r] = subspace_distance(U, _leading_subspace(center_gram(Kp), q, spec)[1])
+                dists[r] = subspace_distance(U, _leading_subspace(center_gram(Kp), q)[1])
             else:
                 dists[r] = _frobenius(K - Kp)
         scores[j] = dists.mean()
     order = np.lexsort((np.arange(p), -scores))
-    return BaselineRanking("kpca_permute", scores, order, "higher_is_better")
+    return FeatureRanking(scores, order)

@@ -20,9 +20,10 @@ from .baselines import laplacian_score, permutation_importance
 from .curves import selection_curve, silhouette_curve, variance_generalization
 from .data import Dataset, load_labels, load_matrix, standardize
 from .exceptions import DegenerateDataError, InputError, ParseError
-from .importance import arrow_field, rank_features
+from .importance import FeatureRanking, arrow_field, rank_features
 from .kernels import KernelSpec
-from .kpca import FittedKpca, SigmaRule, fit_kpca, project_training, resolve_spec
+from .kpca import (FittedKpca, SigmaRule, explained_variance, fit_kpca, project_training,
+                   resolve_spec)
 from .synthetic import random_ranking
 
 EXIT_OK = 0
@@ -110,10 +111,12 @@ def _write_table(output, config: RunConfig, header, columns) -> None:
     _emit(output, "\n".join(lines) + "\n")
 
 
-def _write_ranking(output, config: RunConfig, names, scores, order, stds=None) -> None:
+def _write_ranking(output, config: RunConfig, names, ranking: FeatureRanking) -> None:
     """Write the rank, feature, score[, std] table, best feature first."""
+    order, stds = ranking.order, ranking.stds
     header = ("rank", "feature", "score") + (() if stds is None else ("std",))
-    columns = [range(1, len(order) + 1), [names[j] for j in order.tolist()], scores[order]]
+    columns = [range(1, len(order) + 1), [names[j] for j in order.tolist()],
+               ranking.scores[order]]
     if stds is not None:
         columns.append(stds[order])
     _write_table(output, config, header, columns)
@@ -196,7 +199,7 @@ def _resolved_spec(args, data: Dataset) -> KernelSpec:
 
 
 def _fit(args, data: Dataset) -> FittedKpca:
-    return fit_kpca(data, _resolved_spec(args, data), args.q, allow_unstandardized=True)
+    return fit_kpca(data, _resolved_spec(args, data), args.q)
 
 
 def _config(args, **extra) -> RunConfig:
@@ -228,23 +231,21 @@ def _ranking_order(args, data: Dataset) -> np.ndarray:
 def _cmd_rank(args) -> int:
     data = _load(args)
     model = _fit(args, data)
-    ranking = rank_features(model)
     _write_ranking(args.output, _config(args, sigma_resolved=model.kernel.sigma),
-                   data.feature_names, ranking.scores, ranking.order, ranking.stds)
+                   data.feature_names, rank_features(model))
     return EXIT_OK
 
 
 def _cmd_project(args) -> int:
     data = _load(args)
     model = _fit(args, data)
-    emb = project_training(model)
     cfg = _config(args, sigma_resolved=model.kernel.sigma)
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
-    _write_table(args.output, cfg, cols, (data.sample_ids, *emb.coords.T))
+    _write_table(args.output, cfg, cols, (data.sample_ids, *project_training(model).T))
     sidecar = {"config": asdict(cfg),
                "q": model.q,
                "eigenvalues": [float(v) for v in model.eigvals],
-               "explained_variance": [float(v) for v in emb.component_variance]}
+               "explained_variance": [float(v) for v in explained_variance(model)]}
     _emit(None if args.output is None else Path(args.output).with_suffix(".variance.json"),
           json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
@@ -285,7 +286,7 @@ def _cmd_baseline(args) -> int:
                                          seed=args.seed, metric=args.metric)
         cfg = _config(args, variant="permute", sigma_resolved=spec.sigma,
                       n_perm=args.n_perm, metric=args.metric)
-    _write_ranking(args.output, cfg, data.feature_names, ranking.scores, ranking.order)
+    _write_ranking(args.output, cfg, data.feature_names, ranking)
     return EXIT_OK
 
 
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        # every header records coef0, and json writes a non-finite float as invalid JSON
+        if not np.isfinite(args.coef0):
+            raise InputError(f"coef0 must be finite, got {args.coef0}")
         return _COMMANDS[args.command](args)
     except (InputError, DegenerateDataError) as e:
         print(f"kpcaig: {e}", file=sys.stderr)

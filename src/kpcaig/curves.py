@@ -92,8 +92,7 @@ def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
     for d in grid:
         sub = data.select_features(order[:d])
         spec_d = resolve_spec(spec, sigma_rule, sub, 2)
-        model = fit_kpca(sub, spec_d, 2, allow_unstandardized=True)
-        coords = project_training(model).coords
+        coords = project_training(fit_kpca(sub, spec_d, 2))
         best = min(kmeans(coords, k, range(seed, seed + SILHOUETTE_RESTARTS)),
                    key=lambda res: res.inertia)
         points.append(CurvePoint(d=d, silhouette=silhouette(coords, best.labels)))
@@ -132,15 +131,13 @@ def variance_generalization(data: Dataset, spec: KernelSpec, q: int, d_grid,
         train = data.subset_samples(tr)
         test = data.subset_samples(te)
         spec_rank = resolve_spec(spec, sigma_rule, train, q)
-        ranking = rank_features(fit_kpca(train, spec_rank, q, allow_unstandardized=True))
+        ranking = rank_features(fit_kpca(train, spec_rank, q))
         for d in grid:
             cols = ranking.order[:d]
             sub_tr = train.select_features(cols)
             sub_te = test.select_features(cols)
-            m_tr = fit_kpca(sub_tr, resolve_spec(spec, sigma_rule, sub_tr, q), q,
-                            allow_unstandardized=True)
-            m_te = fit_kpca(sub_te, resolve_spec(spec, sigma_rule, sub_te, q), q,
-                            allow_unstandardized=True)
+            m_tr = fit_kpca(sub_tr, resolve_spec(spec, sigma_rule, sub_tr, q), q)
+            m_te = fit_kpca(sub_te, resolve_spec(spec, sigma_rule, sub_te, q), q)
             points.append(CurvePoint(d=d, split=s,
                                      var_train=float(explained_variance(m_tr).sum()),
                                      var_test=float(explained_variance(m_te).sum())))

@@ -1,4 +1,7 @@
-"""Dataset container, delimited-matrix I/O and column standardization."""
+"""Dataset container, delimited-matrix I/O and column standardization.
+
+``standardize`` returns a new Dataset; none records whether it was standardized.
+"""
 
 from __future__ import annotations
 
@@ -19,9 +22,6 @@ class Dataset:
     feature_names     : p unique column names
     sample_ids        : n row identifiers
     labels            : optional integer class labels, one per sample
-    standardized      : True once columns have zero mean / unit variance
-    constant_features : indices of columns that were constant when the
-                        dataset was standardized (left at zero)
 
     The matrix is never changed in place: kernels.pairwise_base keeps the
     pairwise distances and inner products of its rows in ``_bases``.
@@ -31,8 +31,6 @@ class Dataset:
     feature_names: tuple[str, ...]
     sample_ids: tuple[str, ...]
     labels: np.ndarray | None = None
-    standardized: bool = False
-    constant_features: tuple[int, ...] = ()
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -65,7 +63,7 @@ class Dataset:
 
     @classmethod
     def from_matrix(cls, matrix, feature_names=None, sample_ids=None,
-                    labels=None, standardized=False) -> "Dataset":
+                    labels=None) -> "Dataset":
         """Wrap a raw array, synthesizing f0..f{p-1} / s0..s{n-1} names."""
         m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
         n, p = m.shape
@@ -73,24 +71,21 @@ class Dataset:
             feature_names = tuple(f"f{j}" for j in range(p))
         if sample_ids is None:
             sample_ids = tuple(f"s{i}" for i in range(n))
-        return cls(m, tuple(feature_names), tuple(sample_ids),
-                   labels=labels, standardized=standardized)
+        return cls(m, tuple(feature_names), tuple(sample_ids), labels=labels)
 
     def select_features(self, indices) -> "Dataset":
         """Restrict to the given column indices (order preserved)."""
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.matrix[:, idx],
                        tuple(self.feature_names[j] for j in idx),
-                       self.sample_ids, labels=self.labels,
-                       standardized=self.standardized)
+                       self.sample_ids, labels=self.labels)
 
     def subset_samples(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.matrix[idx],
                        self.feature_names,
                        tuple(self.sample_ids[i] for i in idx),
-                       labels=None if self.labels is None else self.labels[idx],
-                       standardized=self.standardized)
+                       labels=None if self.labels is None else self.labels[idx])
 
 
 def _sniff_delimiter(header_line: str) -> str:
@@ -231,8 +226,7 @@ def load_labels(path) -> np.ndarray:
 def standardize(data: Dataset) -> Dataset:
     """Center each column and scale to unit (population) standard deviation.
 
-    Constant columns are set to exactly zero and recorded in
-    ``constant_features`` instead of being divided by zero.
+    Constant columns are set to exactly zero instead of being divided by zero.
     """
     X = data.matrix
     centered = X - X.mean(axis=0)
@@ -242,5 +236,4 @@ def standardize(data: Dataset) -> Dataset:
     safe[const] = 1.0
     out = centered / safe
     out[:, const] = 0.0
-    return replace(data, matrix=out, standardized=True,
-                   constant_features=tuple(int(j) for j in const))
+    return replace(data, matrix=out)

@@ -13,6 +13,10 @@ that for distance kernels (rbf). Stacking P diag(B_1), ..., P diag(B_q)
 into one qn x n slope S, the fields of a block of variables X_b are the
 single product S @ X_b, read as q x n x c. Blocks fit in FIELD_BLOCK_BYTES,
 so the q x n x p tensor is never materialized even for very wide matrices.
+
+Fields are plain n x q arrays; FeatureRanking is the one ranking type, which
+the baselines return too. An rbf Gram that is exactly I raises instead
+(``kpca.check_determined``): its top-q axes are arbitrary.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError
-from .kpca import FittedKpca, project_training
+from .kpca import FittedKpca, check_determined, project_training
 from .kernels import kernel_rule, pairwise_base
 
 # memory for the q x n x c fields of one block of c variables
@@ -30,23 +34,15 @@ FIELD_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
-class GradientField:
-    """Projected maximum-variation directions of one variable, per sample."""
-
-    variable_index: int
-    W: np.ndarray  # n x q
-
-
-@dataclass(frozen=True)
 class FeatureRanking:
-    scores: np.ndarray           # p mean gradient norms
-    stds: np.ndarray             # population std of the n per-sample norms
-    order: np.ndarray            # feature indices sorted by score descending
-    feature_names: tuple[str, ...]
+    scores: np.ndarray              # p scores
+    order: np.ndarray               # feature indices, best first (Laplacian: lowest score)
+    stds: np.ndarray | None = None  # kpcaig: population std of the n per-sample norms
 
 
 def _fields(model: FittedKpca, blocks):
     """Yield the q x n x c fields of each column slice in ``blocks``."""
+    check_determined(model.kernel, model.K, model.q)
     rule = kernel_rule(model.kernel)
     data = model.training_data
     X = data.matrix
@@ -68,12 +64,11 @@ def _fields(model: FittedKpca, blocks):
         yield W
 
 
-def gradient_field(model: FittedKpca, j: int) -> GradientField:
+def gradient_field(model: FittedKpca, j: int) -> np.ndarray:
     """n x q matrix of projected gradient directions for variable j."""
     if not 0 <= j < model.p:
         raise InputError(f"feature index {j} out of range for p={model.p}")
-    W = next(_fields(model, [slice(j, j + 1)]))
-    return GradientField(variable_index=j, W=W[:, :, 0].T)
+    return next(_fields(model, [slice(j, j + 1)]))[:, :, 0].T
 
 
 def rank_features(model: FittedKpca) -> FeatureRanking:
@@ -88,8 +83,7 @@ def rank_features(model: FittedKpca) -> FeatureRanking:
         scores[cols] = norms.mean(axis=0)
         stds[cols] = norms.std(axis=0)
     order = np.lexsort((np.arange(p), -scores))
-    return FeatureRanking(scores=scores, stds=stds, order=order,
-                          feature_names=model.training_data.feature_names)
+    return FeatureRanking(scores, order, stds)
 
 
 def arrow_field(model: FittedKpca, j: int, scale: float = 1.0):
@@ -103,7 +97,7 @@ def arrow_field(model: FittedKpca, j: int, scale: float = 1.0):
         raise InputError(f"arrow field needs q >= 2 retained components, got q={model.q}")
     if not 0 <= scale < np.inf:
         raise InputError(f"scale must be finite and >= 0, got {scale}")
-    coords = project_training(model).coords[:, :2]
-    vects = gradient_field(model, j).W[:, :2] * scale
+    coords = project_training(model)[:, :2]
+    vects = gradient_field(model, j)[:, :2] * scale
     return [((float(px), float(py)), (float(vx), float(vy)))
             for (px, py), (vx, vy) in zip(coords, vects)]

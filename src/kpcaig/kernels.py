@@ -55,11 +55,6 @@ class KernelSpec:
                 raise InputError(f"polynomial coef0 must be finite, got {self.coef0}")
 
 
-def _as_matrix(data) -> np.ndarray:
-    X = getattr(data, "matrix", data)
-    return np.asarray(X, dtype=np.float64)
-
-
 def _mirror_upper(M: np.ndarray) -> np.ndarray:
     # bitwise symmetry: each off-diagonal pair stored once, then mirrored
     U = np.triu(M)
@@ -70,15 +65,12 @@ def _pairs(X: np.ndarray, distance: bool) -> np.ndarray:
     return squareform(pdist(X, "sqeuclidean")) if distance else _mirror_upper(X @ X.T)
 
 
-def pairwise_base(data, distance: bool) -> np.ndarray:
+def pairwise_base(data: Dataset, distance: bool) -> np.ndarray:
     """Squared distances (distance=True) or inner products over all pairs of rows.
 
-    A Dataset computes each base once and keeps it, read-only, for every
-    later bandwidth, Gram matrix and slope; a plain array, which its owner
-    may change in place, gets a fresh base on every call.
+    Each base is computed once per Dataset and kept, read-only, for every
+    later bandwidth, Gram matrix and slope.
     """
-    if not isinstance(data, Dataset):
-        return _pairs(_as_matrix(data), distance)
     if distance not in data._bases:
         b = _pairs(data.matrix, distance)
         b.flags.writeable = False
@@ -120,7 +112,7 @@ def kernel_rule(spec: KernelSpec) -> KernelRule:
 
 def kernel_row(spec: KernelSpec, X, x) -> np.ndarray:
     """Vector (k(x, x_i))_i over the rows of X."""
-    X = _as_matrix(X)
+    X = np.asarray(X, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size != X.shape[1]:
         raise InputError(f"point has {x.size} coords, training data has p={X.shape[1]}")
@@ -128,12 +120,10 @@ def kernel_row(spec: KernelSpec, X, x) -> np.ndarray:
     return rule.value(rule.base(X, x))
 
 
-def gram_matrix(spec: KernelSpec, data) -> np.ndarray:
+def gram_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     """Uncentered n x n Gram matrix of all pairwise similarities."""
-    X = _as_matrix(data)
-    n = X.shape[0]
-    if n < 2:
-        raise InputError(f"need at least 2 samples, got n={n}")
+    if data.n < 2:
+        raise InputError(f"need at least 2 samples, got n={data.n}")
     rule = kernel_rule(spec)
     return rule.value(pairwise_base(data, rule.distance))
 
@@ -154,17 +144,16 @@ def center_gram(K) -> np.ndarray:
     return _mirror_upper(out)
 
 
-def median_sq_distance(data) -> float:
+def median_sq_distance(data: Dataset) -> float:
     """Median squared distance over all pairs of distinct rows."""
     D2 = pairwise_base(data, True)
     return float(np.median(D2[np.triu_indices(len(D2), 1)]))
 
 
-def sigma_heuristic(data) -> float:
+def sigma_heuristic(data: Dataset) -> float:
     """Default rbf bandwidth: inverse median squared pairwise distance."""
-    X = _as_matrix(data)
-    if X.shape[0] < 2:
-        raise InputError(f"need at least 2 samples, got n={X.shape[0]}")
+    if data.n < 2:
+        raise InputError(f"need at least 2 samples, got n={data.n}")
     med = median_sq_distance(data)
     if med <= 0:
         raise DegenerateDataError("all pairwise distances vanish; cannot pick a bandwidth")

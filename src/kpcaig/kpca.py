@@ -4,7 +4,8 @@ The centered Gram matrix K~ is diagonalized directly; its eigenvalues mu_k
 are kept in descending order and the eigenvectors are rescaled by
 1/sqrt(mu_k) so that each principal axis has unit norm in feature space
 (alpha_k^T K~ alpha_k = 1). Projections of training or new points then only
-require kernel evaluations against the training set.
+require kernel evaluations against the training set and come back as plain
+arrays. A fit takes any Dataset; standardizing it first is the caller's choice.
 """
 
 from __future__ import annotations
@@ -48,14 +49,7 @@ class FittedKpca:
         return self.training_data.p
 
 
-@dataclass(frozen=True)
-class Embedding:
-    coords: np.ndarray             # m x q projected coordinates
-    component_variance: np.ndarray  # per-axis share of total variance
-
-
-def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
-             allow_unstandardized: bool = False) -> FittedKpca:
+def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     """Fit kernel PCA with q retained components.
 
     Components whose eigenvalue falls below EIG_DROP_REL * mu_1 are dropped
@@ -66,10 +60,6 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int, *,
     """
     if q < 1:
         raise InputError(f"q must be >= 1, got {q}")
-    if not data.standardized and not allow_unstandardized:
-        warnings.warn("fitting on unstandardized data; feature scales will skew "
-                      "rbf distances (pass allow_unstandardized=True to silence)",
-                      UserWarning, stacklevel=2)
     n = data.n
     K = gram_matrix(spec, data)
     Kc = center_gram(K)
@@ -109,6 +99,17 @@ def check_top_eigenvalue(data, spec: KernelSpec, K: np.ndarray, top: float) -> N
                               "rounding level (all samples identical?)")
 
 
+def check_determined(spec: KernelSpec, K: np.ndarray, q: int) -> None:
+    """Raise DegenerateDataError when K is an rbf Gram that is exactly I, whose
+    top-q eigenvectors are arbitrary. Rankings call this, fits do not: grid
+    search scores a K = I fit like any other."""
+    if spec.family == "rbf" and np.array_equal(K, np.eye(len(K))):
+        raise DegenerateDataError(
+            f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: every "
+            "off-diagonal kernel value underflows to 0 (K = I), so the top "
+            f"q={q} eigenvectors are not determined; use a smaller sigma")
+
+
 def project(model: FittedKpca, x) -> np.ndarray:
     """Coordinates of an arbitrary point: its kernel row, centred like a row of K~, times alpha."""
     Z = kernel_row(model.kernel, model.training_data.matrix, x)
@@ -116,10 +117,9 @@ def project(model: FittedKpca, x) -> np.ndarray:
     return (v - v.mean()) @ model.alphas
 
 
-def project_training(model: FittedKpca) -> Embedding:
-    """Training-set coordinates K~ @ alpha together with variance shares."""
-    coords = model.K_centered @ model.alphas
-    return Embedding(coords=coords, component_variance=explained_variance(model))
+def project_training(model: FittedKpca) -> np.ndarray:
+    """n x q training-set coordinates K~ @ alpha."""
+    return model.K_centered @ model.alphas
 
 
 def explained_variance(model: FittedKpca) -> np.ndarray:
@@ -175,8 +175,7 @@ def grid_search_sigma(data: Dataset, grid, q: int) -> float:
         raise InputError("sigma grid is empty")
     best_sigma, best_score = None, -np.inf
     for sigma in grid:
-        model = fit_kpca(data, KernelSpec("rbf", sigma=sigma), q,
-                         allow_unstandardized=True)
+        model = fit_kpca(data, KernelSpec("rbf", sigma=sigma), q)
         score = float(explained_variance(model).sum())
         if score > best_score:
             best_sigma, best_score = sigma, score

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import pdist, squareform
 
-from kpcaig import InputError, KernelSpec
+from kpcaig import Dataset, InputError, KernelSpec
 from kpcaig.kernels import center_gram, gram_matrix
 
 
@@ -98,7 +98,7 @@ def permutation_scores_rebuild(X, spec: KernelSpec, q: int, n_perm: int = 1, see
         mu, V = scipy.linalg.eigh(center_gram(K))
         return V[:, -q:], mu[-q] - mu[-q - 1]
 
-    K = gram_matrix(spec, X)
+    K = gram_matrix(spec, Dataset.from_matrix(X))
     U, min_gap = leading(K)
     P = U @ U.T
     scores = np.empty(p)
@@ -109,7 +109,7 @@ def permutation_scores_rebuild(X, spec: KernelSpec, q: int, n_perm: int = 1, see
         for r in range(n_perm):
             rng = np.random.default_rng([seed, j, r])
             Xp[:, j] = col[rng.permutation(n)]
-            Kp = gram_matrix(spec, Xp)
+            Kp = gram_matrix(spec, Dataset.from_matrix(Xp))
             if metric == "subspace":
                 Up, gap = leading(Kp)
                 min_gap = min(min_gap, gap)

@@ -49,8 +49,7 @@ def test_criterion_1_gradient_oracle():
         n = int(rng.integers(5, 12))
         p = int(rng.integers(2, 6))
         X = rng.uniform(-2, 2, size=(n, p))
-        model = fit_kpca(Dataset.from_matrix(X), spec, min(3, n - 1),
-                         allow_unstandardized=True)
+        model = fit_kpca(Dataset.from_matrix(X), spec, min(3, n - 1))
         for _ in range(20):
             m = int(rng.integers(n))
             i = int(rng.integers(n))
@@ -61,7 +60,7 @@ def test_criterion_1_gradient_oracle():
             fd = (eval_kernel(spec, X[m] + e, X[i]) - eval_kernel(spec, X[m] - e, X[i])) / (2 * h)
             if abs(got) > 1e-3:
                 assert abs(got - fd) / abs(got) < 1e-6
-            W = gradient_field(model, j).W
+            W = gradient_field(model, j)
             fd_row = (project(model, X[m] + e) - project(model, X[m] - e)) / (2 * h)
             denom = max(np.linalg.norm(W[m]), 1e-8)
             assert np.linalg.norm(fd_row - W[m]) / denom < 1e-4
@@ -82,7 +81,7 @@ def test_criterion_2_pca_equivalence():
         Xc = data.matrix - data.matrix.mean(axis=0)
         U, S, Vt = np.linalg.svd(Xc, full_matrices=False)
         scores = Xc @ Vt.T
-        emb = project_training(model).coords
+        emb = project_training(model)
         ratios = S**2 / (S**2).sum()
         assert np.abs(explained_variance(model) - ratios[: model.q]).max() < 1e-8
         xs = rng.normal(size=(4, p))
@@ -118,17 +117,15 @@ def test_criterion_4_ranking_properties():
     X[:, 3] = 0.25          # constant
     X[:, 6] = X[:, 1]       # duplicate
     spec = KernelSpec("rbf", sigma=0.4)
-    model = fit_kpca(Dataset.from_matrix(X), spec, 3, allow_unstandardized=True)
+    model = fit_kpca(Dataset.from_matrix(X), spec, 3)
     ranking = rank_features(model)
     assert ranking.scores[3] == 0.0 and ranking.stds[3] == 0.0
     assert ranking.order[-1] == 3
     assert ranking.scores[1] == ranking.scores[6]
     perm = rng.permutation(8)
-    permuted = fit_kpca(Dataset.from_matrix(X[:, perm]), spec, 3,
-                        allow_unstandardized=True)
+    permuted = fit_kpca(Dataset.from_matrix(X[:, perm]), spec, 3)
     assert np.abs(rank_features(permuted).scores - ranking.scores[perm]).max() < 1e-10
-    again = rank_features(fit_kpca(Dataset.from_matrix(X), spec, 3,
-                                   allow_unstandardized=True))
+    again = rank_features(fit_kpca(Dataset.from_matrix(X), spec, 3))
     assert np.array_equal(again.scores, ranking.scores)
     assert np.array_equal(again.order, ranking.order)
     report(4, "constant/duplicate/permutation/determinism ranking properties")

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kpcaig import (BaselineRanking, Dataset, DegenerateDataError, InputError, KernelSpec,
+from kpcaig import (Dataset, DegenerateDataError, FeatureRanking, InputError, KernelSpec,
                     laplacian_score, permutation_importance, sigma_heuristic,
                     subspace_distance)
 from kpcaig import kernels
@@ -40,7 +40,6 @@ def test_laplacian_constant_feature_sentinel():
     r = laplacian_score(Dataset.from_matrix(X), k_nn=3)
     assert r.scores[1] == np.inf
     assert r.order[-1] == 1
-    assert r.direction == "lower_is_better"
 
 
 def test_laplacian_four_point_hand_expansion():
@@ -72,7 +71,7 @@ def test_laplacian_invariant_to_adding_constant():
     assert np.abs(a.scores - b.scores).max() < 1e-10
 
 
-def laplacian_score_loop(data: Dataset, k_nn: int = 5, t: float | None = None) -> BaselineRanking:
+def laplacian_score_loop(data: Dataset, k_nn: int = 5, t: float | None = None) -> FeatureRanking:
     """Reference: the per-sample neighbour loop and per-feature score loop."""
     X = data.matrix
     n, p = X.shape
@@ -105,7 +104,7 @@ def laplacian_score_loop(data: Dataset, k_nn: int = 5, t: float | None = None) -
         num = den - fc @ (W @ fc)           # f^T L f with L = D - W
         scores[j] = num / den
     order = np.lexsort((np.arange(p), scores))
-    return BaselineRanking("laplacian", scores, order, "lower_is_better")
+    return FeatureRanking(scores, order)
 
 
 @settings(max_examples=150)
@@ -199,7 +198,6 @@ def test_permutation_constant_feature_exact_zero():
     r = permutation_importance(d, rbf_for(d), 2, n_perm=3, seed=0)
     assert r.scores[2] == 0.0
     assert r.order[-1] == 2
-    assert r.direction == "higher_is_better"
 
 
 def test_permutation_planted_feature_wins():
@@ -302,17 +300,17 @@ def _draw_kernel(draw, d):
     return KernelSpec("polynomial", degree=draw(st.integers(2, 3)))
 
 
-def _gram_rounding(spec, X):
+def _gram_rounding(spec, d):
     """Entrywise rounding level of the Gram, shared by the update and the rebuild:
     each base entry sums p terms of size up to s, and the kernel value scales an
     error in the base by up to |dk/db|."""
     if spec.family == "rbf":
-        s, slope = float(pairwise_base(X, True).max()), spec.sigma
+        s, slope = float(pairwise_base(d, True).max()), spec.sigma
     else:
-        A = np.abs(X)
+        A = np.abs(d.matrix)
         s = float((A @ A.T).max())
         slope = 1.0 if spec.family == "linear" else spec.degree * (s + spec.coef0) ** (spec.degree - 1)
-    return (X.shape[1] + 2) * np.finfo(np.float64).eps * s * slope
+    return (d.p + 2) * np.finfo(np.float64).eps * s * slope
 
 
 @settings(max_examples=150)
@@ -338,9 +336,9 @@ def test_permutation_matches_rebuild_reference(n, p, data):
     ref, gap = permutation_scores_rebuild(X, spec, q, n_perm=n_perm, seed=seed, metric=metric)
     # both forms round the Gram alike; a score that is a small difference of
     # large kernel values is only known to that level (over the gap, for subspaces)
-    floor = n * _gram_rounding(spec, X)
+    floor = n * _gram_rounding(spec, d)
     if metric == "subspace":
-        K = gram_matrix(spec, X)
+        K = gram_matrix(spec, d)
         mu1 = scipy.linalg.eigvalsh(center_gram(K))[-1]
         assume(mu1 > 1e-12 * np.abs(K).max())
         # a closing q-th eigengap leaves the leading subspace undefined in both forms

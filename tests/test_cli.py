@@ -147,7 +147,7 @@ def test_writer_matches_per_cell_formatting(tmp_path):
             (r + 1, names[j], lap.scores[j]) for r, j in enumerate(lap.order)]),
         "project": per_cell_table(("sample_id", "pc1", "pc2", "pc3"), [
             (sid,) + tuple(row)
-            for sid, row in zip(data.sample_ids, project_training(model).coords)]),
+            for sid, row in zip(data.sample_ids, project_training(model))]),
     }
     for command, argv in (("rank", ["rank"]), ("baseline", ["baseline", "laplacian", "--knn", "3"]),
                           ("project", ["project"])):
@@ -248,11 +248,29 @@ def test_identity_gram_permute_exits_3_naming_the_bandwidth(tmp_path, capsys, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, extra", [
+    (["rank"], []),
+    (["arrows"], ["--feature", "f1"]),
+    (["curve", "selection"], ["--d-grid", "5,10", "--runs", "2"]),
+])
+def test_identity_gram_ranking_exits_3_naming_the_bandwidth(tmp_path, capsys, command, extra):
+    # at sigma = 1e3 K = I exactly: the fit is valid, but its gradients are all zero
+    mpath, lpath = planted_files(tmp_path)
+    labels = ["--labels", lpath] if command[0] == "curve" else []
+    out = tmp_path / "out.tsv"
+    assert main([*command, mpath, "--sigma", "1e3", *labels, *extra, "-o", str(out)]) == 3
+    assert "rbf bandwidth sigma=1000.0 is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["rank", "--kernel", "poly", "--coef0", "nan"], "coef0 must be finite, got nan"),
     (["arrows", "--feature", "f1", "--scale", "nan"], "scale must be finite and >= 0, got nan"),
     (["arrows", "--feature", "f1", "--scale", "inf"], "scale must be finite and >= 0, got inf"),
     (["baseline", "laplacian", "--t", "nan"], "t must be finite and > 0, got nan"),
+    # every header records coef0, whatever the kernel, and NaN is not JSON
+    (["rank", "--coef0", "nan"], "coef0 must be finite, got nan"),
+    (["rank", "--kernel", "linear", "--coef0", "inf"], "coef0 must be finite, got inf"),
 ])
 def test_non_finite_option_exits_3_naming_it(tmp_path, capsys, argv, message):
     out = tmp_path / "out.tsv"

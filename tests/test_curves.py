@@ -57,8 +57,8 @@ def test_curves_equal_per_run_loops():
     points = silhouette_curve(data, order, spec, 4, grid, sigma_rule=MEDIAN, seed=2)
     for pt, d in zip(points, grid):
         sub = data.select_features(order[:d])
-        model = fit_kpca(sub, resolve_spec(spec, MEDIAN, sub, 2), 2, allow_unstandardized=True)
-        coords = project_training(model).coords
+        model = fit_kpca(sub, resolve_spec(spec, MEDIAN, sub, 2), 2)
+        coords = project_training(model)
         best = min((kmeans_per_run(coords, 4, 2 + r) for r in range(5)), key=lambda res: res.inertia)
         assert pt.silhouette == silhouette(coords, best.labels)
 
@@ -130,7 +130,7 @@ def test_variance_generalization_full_set_equals_full_fit():
     # recompute the train-side value for split 0 directly
     perm = np.random.default_rng([3, 0]).permutation(40)
     train = data.subset_samples(perm[: int(0.75 * 40)])
-    model = fit_kpca(train, spec, 2, allow_unstandardized=True)
+    model = fit_kpca(train, spec, 2)
     want = float(explained_variance(model).sum())
     got = [pt.var_train for pt in pts if pt.split == 0][0]
     assert got == pytest.approx(want, abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpcaig import (Dataset, InputError, KernelSpec, arrow_field, fit_kpca,
+from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, arrow_field, fit_kpca,
                     gradient_field, project, project_training, rank_features,
                     sigma_heuristic, standardize)
 from kpcaig import importance
@@ -16,7 +16,7 @@ from kernel_oracles import kernel_partial, partial_matrix
 
 def feature_score(model, j: int) -> tuple[float, float]:
     """Mean and population standard deviation of one variable's per-sample field norms."""
-    W = gradient_field(model, j).W
+    W = gradient_field(model, j)
     norms = np.sqrt(np.einsum("ik,ik->i", W, W))
     return float(norms.mean()), float(norms.std())
 
@@ -29,7 +29,7 @@ FAMILIES = [
 
 
 def fit(matrix, spec=RBF, q=2):
-    return fit_kpca(Dataset.from_matrix(matrix), spec, q, allow_unstandardized=True)
+    return fit_kpca(Dataset.from_matrix(matrix), spec, q)
 
 
 def test_constant_feature_zero_field():
@@ -37,7 +37,7 @@ def test_constant_feature_zero_field():
     X = rng.normal(size=(8, 3))
     X[:, 1] = 2.5
     model = fit(X)
-    assert np.array_equal(gradient_field(model, 1).W, np.zeros((8, model.q)))
+    assert np.array_equal(gradient_field(model, 1), np.zeros((8, model.q)))
     assert feature_score(model, 1) == (0.0, 0.0)
     ranking = rank_features(model)
     assert ranking.order[-1] == 1
@@ -58,7 +58,7 @@ def test_field_matches_finite_difference_of_projection(spec):
         X = rng.normal(size=(6, 3))
         model = fit(X, spec, q=3)
         for j in range(3):
-            W = gradient_field(model, j).W
+            W = gradient_field(model, j)
             for m in range(6):
                 e = np.zeros(3)
                 e[j] = h
@@ -72,8 +72,8 @@ def test_duplicated_columns_identical_fields():
     X = rng.normal(size=(7, 4))
     X[:, 3] = X[:, 0]
     model = fit(X)
-    Wa = gradient_field(model, 0).W
-    Wb = gradient_field(model, 3).W
+    Wa = gradient_field(model, 0)
+    Wb = gradient_field(model, 3)
     assert np.array_equal(Wa, Wb)
     assert feature_score(model, 0) == feature_score(model, 3)
 
@@ -127,7 +127,7 @@ def test_blocked_fields_match_per_feature_reference(seed, spec, n, p_free, width
     assert np.abs(ranking.scores - norms.mean(axis=0)).max() <= scale
     assert np.abs(ranking.stds - norms.std(axis=0)).max() <= scale
     for j in (0, p_free, p - 1):
-        assert np.abs(gradient_field(model, j).W - ref[:, j]).max() <= scale
+        assert np.abs(gradient_field(model, j) - ref[:, j]).max() <= scale
 
 
 def test_rank_near_identity_kernel_matches_per_feature_reference():
@@ -232,7 +232,7 @@ def test_arrow_field_zero_scale():
     X = rng.normal(size=(8, 3))
     model = fit(X)
     arrows = arrow_field(model, 1, scale=0.0)
-    coords = project_training(model).coords[:, :2]
+    coords = project_training(model)[:, :2]
     for (pt, vec), row in zip(arrows, coords):
         assert vec == (0.0, 0.0)
         assert pt == (float(row[0]), float(row[1]))
@@ -248,15 +248,25 @@ def test_arrow_field_rejects_bad_scale(scale):
 def test_arrow_field_needs_two_components():
     data = Dataset.from_matrix([[0.0, 0.0], [1.0, 1.0]])
     with pytest.warns(UserWarning):
-        model = fit_kpca(data, RBF, 2, allow_unstandardized=True)  # rank 1
+        model = fit_kpca(data, RBF, 2)  # rank 1
     with pytest.raises(InputError):
         arrow_field(model, 0)
+
+
+def test_identity_gram_names_the_bandwidth():
+    # every off-diagonal kernel value underflows to 0, so K = I exactly: every
+    # direction is a top eigenvector and each field would be all zeros
+    model = fit(np.random.default_rng(3).normal(size=(10, 4)), KernelSpec("rbf", sigma=1e4))
+    assert np.array_equal(model.K, np.eye(10))  # the fit itself is accepted
+    for call in (rank_features, lambda m: gradient_field(m, 0), lambda m: arrow_field(m, 0)):
+        with pytest.raises(DegenerateDataError, match="sigma=10000.0 is too large"):
+            call(model)
 
 
 def test_arrows_point_towards_high_value_cluster():
     data = standardize(planted_clusters(60, 30, 2, 5, within_std=0.05, seed=1))
     model = fit_kpca(data, KernelSpec("rbf", sigma=sigma_heuristic(data)), 2)
-    emb = project_training(model).coords[:, :2]
+    emb = project_training(model)[:, :2]
     lab = data.labels
     col = data.matrix[:, 0]
     hi = int(col[lab == 1].mean() > col[lab == 0].mean())

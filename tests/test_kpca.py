@@ -31,11 +31,11 @@ def classical_pca(X):
 
 
 def test_two_points_single_component():
-    data = Dataset.from_matrix([[0.0, 0.0], [1.0, 1.0]], standardized=True)
+    data = Dataset.from_matrix([[0.0, 0.0], [1.0, 1.0]])
     with pytest.warns(UserWarning):
         model = fit_kpca(data, RBF, 2)  # only one valid component exists
     assert model.q == 1
-    coords = project_training(model).coords[:, 0]
+    coords = project_training(model)[:, 0]
     assert coords[0] == pytest.approx(-coords[1], rel=1e-12)
     assert abs(coords[0]) > 0
 
@@ -46,7 +46,7 @@ def test_invalid_q():
 
 
 def test_degenerate_data():
-    data = Dataset.from_matrix(np.ones((6, 3)), standardized=True)
+    data = Dataset.from_matrix(np.ones((6, 3)))
     with pytest.raises(DegenerateDataError, match="all samples identical"):
         fit_kpca(data, RBF, 1)
 
@@ -75,20 +75,10 @@ def test_noise_level_eigenvalues_name_the_bandwidth():
 
 def test_duplicated_rows_reduce_rank():
     base = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
-    data = Dataset.from_matrix(np.vstack([base, base]), standardized=True)
+    data = Dataset.from_matrix(np.vstack([base, base]))
     with pytest.warns(UserWarning, match="reduced"):
         model = fit_kpca(data, KernelSpec("linear"), 5)
     assert model.q <= 2
-
-
-def test_unstandardized_warning_and_optout():
-    raw = Dataset.from_matrix(np.random.default_rng(0).normal(size=(8, 3)))
-    with pytest.warns(UserWarning, match="unstandardized"):
-        fit_kpca(raw, RBF, 2)
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fit_kpca(raw, RBF, 2, allow_unstandardized=True)
 
 
 def test_alpha_normalization_and_orthogonality():
@@ -98,7 +88,7 @@ def test_alpha_normalization_and_orthogonality():
     for k in range(model.q):
         a = model.alphas[:, k]
         assert a @ Kc @ a == pytest.approx(1.0, abs=1e-8)
-    coords = project_training(model).coords
+    coords = project_training(model)
     # columns mutually orthogonal after normalization, each sums to ~0
     for a in range(model.q):
         for b in range(a + 1, model.q):
@@ -111,7 +101,7 @@ def test_alpha_normalization_and_orthogonality():
 def test_training_column_norms_match_eigvals():
     data = random_standardized(12, 3, 2)
     model = fit_kpca(data, RBF, 3)
-    coords = project_training(model).coords
+    coords = project_training(model)
     sq = (coords**2).sum(axis=0)
     assert np.abs(sq - model.eigvals).max() < 1e-6 * model.eigvals.max()
 
@@ -119,7 +109,7 @@ def test_training_column_norms_match_eigvals():
 def test_project_consistent_with_training():
     data = random_standardized(10, 4, 3)
     model = fit_kpca(data, RBF, 3)
-    coords = project_training(model).coords
+    coords = project_training(model)
     for m in (0, 4, 9):
         assert np.abs(project(model, data.matrix[m]) - coords[m]).max() < 1e-10
 
@@ -182,7 +172,7 @@ def test_linear_kernel_equals_classical_pca(seed):
     data = standardize(Dataset.from_matrix(rng.normal(size=(n, p))))
     model = fit_kpca(data, KernelSpec("linear"), p)
     scores, Vt, ratios, mean = classical_pca(data.matrix)
-    emb = project_training(model).coords
+    emb = project_training(model)
     for k in range(model.q):
         s = np.sign(np.dot(emb[:, k], scores[:, k]))
         assert np.abs(emb[:, k] - s * scores[:, k]).max() < 1e-8
@@ -195,15 +185,15 @@ def test_linear_kernel_equals_classical_pca(seed):
 def test_monotone_embedding_on_line():
     # small sigma keeps the first component monotone along a 1-D arrangement
     xs = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
-    data = Dataset.from_matrix(xs, standardized=True)
+    data = Dataset.from_matrix(xs)
     model = fit_kpca(data, KernelSpec("rbf", sigma=0.01), 1)
-    c = project_training(model).coords[:, 0]
+    c = project_training(model)[:, 0]
     diffs = np.diff(c)
     assert np.all(diffs > 0) or np.all(diffs < 0)
 
 
 def test_explained_variance_two_points():
-    data = Dataset.from_matrix([[0.0], [1.0]], standardized=True)
+    data = Dataset.from_matrix([[0.0], [1.0]])
     model = fit_kpca(data, RBF, 1)
     assert np.array_equal(explained_variance(model), np.array([1.0]))
 
@@ -235,12 +225,12 @@ def test_sample_permutation_equivariance():
     data = random_standardized(12, 4, 9)
     rng = np.random.default_rng(10)
     perm = rng.permutation(12)
-    permuted = Dataset.from_matrix(data.matrix[perm], standardized=True)
+    permuted = Dataset.from_matrix(data.matrix[perm])
     a = fit_kpca(data, RBF, 3)
     b = fit_kpca(permuted, RBF, 3)
     assert np.abs(a.eigvals - b.eigvals).max() < 1e-10
-    ca = project_training(a).coords
-    cb = project_training(b).coords
+    ca = project_training(a)
+    cb = project_training(b)
     assert np.abs(ca[perm] - cb).max() < 1e-10
 
 
@@ -250,13 +240,13 @@ def test_grid_search_sigma_maximizes_retained_variance():
     best = grid_search_sigma(data, grid, 2)
     scores = {}
     for s in grid:
-        m = fit_kpca(data, KernelSpec("rbf", sigma=s), 2, allow_unstandardized=True)
+        m = fit_kpca(data, KernelSpec("rbf", sigma=s), 2)
         scores[s] = explained_variance(m).sum()
     assert scores[best] == max(scores.values())
 
 
 def test_sigma_rule_parse_and_resolve():
-    data = Dataset.from_matrix([[0.0], [2.0], [4.0]], standardized=True)
+    data = Dataset.from_matrix([[0.0], [2.0], [4.0]])
     assert SigmaRule.parse("0.5") == SigmaRule("fixed", value=0.5)
     assert SigmaRule.parse("median").resolve(data, 1) == sigma_heuristic(data)
     rule = SigmaRule.parse("grid:0.1,1.0")
@@ -311,9 +301,9 @@ def test_sign_fix_ignores_rounding_among_tied_entries(monkeypatch, seed):
     # for seeds 0 and 2 numpy's and scipy's eigh round its entries differently
     x0, x1 = np.random.default_rng(seed).normal(size=(2, 3))
     data = Dataset.from_matrix(np.array([x0, x0, x1, x1]))
-    model = fit_kpca(data, KernelSpec("linear"), 1, allow_unstandardized=True)
+    model = fit_kpca(data, KernelSpec("linear"), 1)
     monkeypatch.setattr(np.linalg, "eigh", scipy.linalg.eigh)
-    other = fit_kpca(data, KernelSpec("linear"), 1, allow_unstandardized=True)
+    other = fit_kpca(data, KernelSpec("linear"), 1)
     assert np.allclose(model.alphas, other.alphas, rtol=0, atol=1e-12)
     assert model.alphas[0, 0] > 0
 
@@ -339,7 +329,7 @@ def test_fit_matches_scipy_eigh_reference(n, p, q, family, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         try:
-            model = fit_kpca(d, spec, min(q, n - 1), allow_unstandardized=True)
+            model = fit_kpca(d, spec, min(q, n - 1))
         except DegenerateDataError:     # no eigenvalue above the rounding level
             assume(False)
     ref, mu = scipy_fit(model)

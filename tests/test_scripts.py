@@ -1,0 +1,52 @@
+"""Smoke tests: each script in scripts/ runs end to end on small inputs."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.io
+
+from kpcaig.synthetic import planted_clusters
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args, cwd):
+    done = subprocess.run([sys.executable, str(SCRIPTS / name), *map(str, args)],
+                          cwd=cwd, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def table(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines[0].split("\t"), [line.split("\t") for line in lines[1:]]
+
+
+def test_planted_demo_writes_every_table(tmp_path):
+    out = tmp_path / "demo"
+    stdout = run_script("planted_demo.py", out, "--seed", 1, cwd=tmp_path)
+    assert "informative features recovered in top 10" in stdout
+    header, rows = table(out / "ranking.tsv")
+    assert header == ["rank", "feature", "score", "std"] and len(rows) == 500
+    top = rows[0][1]
+    assert table(out / f"arrows_{top}.tsv")[0] == ["x", "y", "dx", "dy"]
+    header, rows = table(out / "embedding.tsv")
+    assert header == ["sample", "pc1", "pc2", "label"] and len(rows) == 120
+    for name in ("selection_curve", "silhouette_curve", "variance_split"):
+        assert len(table(out / f"{name}.tsv")[1]) >= 7
+
+
+def test_reproduce_benchmarks_with_baselines(tmp_path):
+    data = planted_clusters(30, 320, 3, 20, within_std=0.1, seed=0)
+    scipy.io.savemat(tmp_path / "Glioma.mat",
+                     {"X": data.matrix, "Y": (data.labels + 1).reshape(-1, 1)})
+    out = tmp_path / "bench_out"
+    run_script("reproduce_benchmarks.py", tmp_path, "--datasets", "Glioma",
+               "--outdir", out, "--baselines", cwd=tmp_path)
+    for method in ("kpcaig", "laplacian", "permute"):
+        header, rows = table(out / f"Glioma_{method}.tsv")
+        assert header == ["d", "acc_mean", "acc_std", "nmi_mean", "nmi_std"]
+        assert [int(r[0]) for r in rows] == list(range(10, 301, 10))
+        assert all(0 < float(r[1]) <= 1 for r in rows)
