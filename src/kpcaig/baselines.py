@@ -15,13 +15,12 @@ each (feature, draw) costs O(n^2) elementwise work and one top-q eigensolve.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
 from .kernels import KernelSpec, center_gram, kernel_rule, pairwise_base
-from .kpca import check_determined, check_top_eigenvalue
+from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue
 
 # memory for one of the Laplacian score's two n x c temporaries, c features a block
 LAPLACIAN_BLOCK_BYTES = 1 << 21
@@ -95,6 +94,8 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
 
 def _leading_subspace(K_centered: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-q eigenvalues (ascending) and eigenvectors of a centred Gram."""
+    import scipy.linalg     # numpy's eigh has no subset; only this baseline loads scipy
+
     n = len(K_centered)
     mu, U = scipy.linalg.eigh(K_centered, subset_by_index=[n - q, n - 1])
     if len(mu) < q:     # LAPACK can return fewer pairs on a tied spectrum
@@ -133,6 +134,12 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     if metric == "subspace":
         mu, U = _leading_subspace(center_gram(K), q)
         check_top_eigenvalue(data, spec, K, mu[-1])
+        rank = int(np.count_nonzero(mu > EIG_DROP_REL * mu[-1]))
+        if rank < q:
+            raise DegenerateDataError(
+                f"q={q} exceeds the numerical rank of the centred Gram matrix: only {rank} "
+                f"of its eigenvalues exceed {EIG_DROP_REL:g} times the largest, so its top "
+                f"q={q} eigenvectors are not determined; use q <= {rank}")
     scores = np.empty(p)
     for j in range(p):
         col = X[:, j]

@@ -23,8 +23,11 @@ class Dataset:
     sample_ids        : n row identifiers
     labels            : optional integer class labels, one per sample
 
-    The matrix is never changed in place: kernels.pairwise_base keeps the
-    pairwise distances and inner products of its rows in ``_bases``.
+    The matrix is read-only and no caller can change it in place:
+    kernels.pairwise_base keeps the pairwise distances and inner products of
+    its rows in ``_bases``. A float64 C array that is read-only and owns its
+    memory (as this module's functions pass in) is kept as it is; any other
+    array is copied.
     """
 
     matrix: np.ndarray
@@ -34,11 +37,15 @@ class Dataset:
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=np.float64))
+        m = self.matrix
+        if not (isinstance(m, np.ndarray) and m.dtype == np.float64 and m.flags.c_contiguous
+                and m.flags.owndata and not m.flags.writeable):
+            m = np.array(m, dtype=np.float64, order="C")
         if m.ndim != 2:
             raise InputError(f"matrix must be 2-D, got ndim={m.ndim}")
         if not np.all(np.isfinite(m)):
             raise InputError("matrix contains NaN or Inf entries")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         n, p = m.shape
         if len(self.feature_names) != p:
@@ -82,10 +89,16 @@ class Dataset:
 
     def subset_samples(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.matrix[idx],
+        return Dataset(_read_only(self.matrix[idx]),
                        self.feature_names,
                        tuple(self.sample_ids[i] for i in idx),
                        labels=None if self.labels is None else self.labels[idx])
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """A fresh array no caller holds, marked so that Dataset keeps it without a copy."""
+    m.flags.writeable = False
+    return m
 
 
 def _sniff_delimiter(header_line: str) -> str:
@@ -195,7 +208,7 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
     if len(counts) != len(feature_names):
         dupes = sorted(nm for nm, k in counts.items() if k > 1)
         raise ParseError(f"{path}: duplicate feature names {dupes}")
-    return Dataset(matrix, feature_names, sample_ids)
+    return Dataset(_read_only(matrix), feature_names, sample_ids)
 
 
 def save_matrix(data: Dataset, path) -> None:
@@ -236,4 +249,4 @@ def standardize(data: Dataset) -> Dataset:
     safe[const] = 1.0
     out = centered / safe
     out[:, const] = 0.0
-    return replace(data, matrix=out)
+    return replace(data, matrix=_read_only(out))

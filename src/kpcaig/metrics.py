@@ -1,11 +1,14 @@
-"""Clustering metrics: k-means, accuracy by optimal matching, NMI, silhouette."""
+"""Clustering metrics: k-means, accuracy by optimal matching, NMI, silhouette.
+
+k-means and silhouette import scipy's cdist and pdist where they run, so a
+process that only ranks features never loads scipy (and its second BLAS).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .exceptions import InputError
 
@@ -25,6 +28,7 @@ def _kmeanspp(X: np.ndarray, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     Each run makes the generator calls a run on its own makes, on the same
     distances, so it draws the same centres.
     """
+    from scipy.spatial.distance import cdist
     m = X.shape[0]
     chosen = np.empty((len(rngs), k), dtype=np.int64)
     D2 = np.empty((m, len(rngs), k))
@@ -47,6 +51,7 @@ def _kmeanspp(X: np.ndarray, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
 def _repair_empty(X: np.ndarray, d2: np.ndarray, labels: np.ndarray, k: int) -> None:
     """Give each empty cluster of one run the point farthest from its centroid,
     among clusters that can spare a point; d2 (m x k) and labels change in place."""
+    from scipy.spatial.distance import cdist
     m = len(labels)
     for c in range(k):
         if np.any(labels == c):
@@ -93,6 +98,8 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
     are repaired by claiming the point farthest from its assigned centroid
     (among clusters that can spare a point).
     """
+    from scipy.spatial.distance import cdist
+
     # row-major, like the arrays X[labels == c] and X - centers[labels] that a
     # run on its own sums, so every sum below adds in the same order
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(coords, dtype=np.float64)))
@@ -263,6 +270,8 @@ def silhouette(coords, labels) -> float:
     Points in singleton clusters contribute 0; a single-cluster labeling is
     an error.
     """
+    from scipy.spatial.distance import pdist, squareform
+
     X = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     lab = np.asarray(labels).ravel()
     if lab.size != X.shape[0]:

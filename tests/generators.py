@@ -1,4 +1,5 @@
-"""Seeded toy data for tests: two separated blobs and a noisy closed curve."""
+"""Seeded toy data for tests: two separated blobs, a noisy closed curve and
+repeated rows."""
 
 import numpy as np
 
@@ -23,3 +24,8 @@ def smooth_manifold(n: int, p: int, *, noise: float = 0.02, seed: int = 0) -> Da
     A = rng.normal(size=(p, Z.shape[1]))
     X = Z @ A.T + noise * rng.normal(size=(n, p))
     return Dataset.from_matrix(X)
+
+
+def repeated_rows() -> Dataset:
+    """12 x 6: 3 distinct rows repeated 4 times, so the centred Gram has rank 2."""
+    return Dataset.from_matrix(np.tile(np.random.default_rng(0).normal(size=(3, 6)), (4, 1)))

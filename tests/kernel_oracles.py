@@ -3,7 +3,9 @@
 Each family is written out on its own here, independent of the family rules
 in ``kpcaig.kernels``: a scalar kernel value, its closed-form partial
 derivative, the dense n x n derivative matrix of one feature, and the Gram
-matrix formulas the package must reproduce bit for bit. The permutation
+matrix formulas the package must reproduce: bit for bit for the inner-product
+families, and to 1e-12 relative for rbf, whose squared distances come here from
+explicit row differences. The permutation
 baseline's reference rebuilds and eigendecomposes the whole Gram of every
 permuted matrix.
 """
@@ -70,13 +72,18 @@ def _mirror_upper(M):
     return np.triu(M) + np.triu(M, 1).T
 
 
+def sq_distances(X) -> np.ndarray:
+    """Squared distances between all pairs of rows, from explicit row differences."""
+    X = np.asarray(X, dtype=np.float64)
+    diff = X[:, None, :] - X[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
 def gram_formula(spec: KernelSpec, X) -> np.ndarray:
     """Uncentered Gram matrix, one formula per family."""
     X = np.asarray(X, dtype=np.float64)
     if spec.family == "rbf":
-        K = squareform(np.exp(-spec.sigma * pdist(X, "sqeuclidean")))
-        np.fill_diagonal(K, 1.0)
-        return K
+        return np.exp(-spec.sigma * sq_distances(X))
     G = X @ X.T
     if spec.family == "linear":
         return _mirror_upper(G)

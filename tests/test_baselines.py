@@ -14,7 +14,7 @@ from kpcaig import kernels
 from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
 from kpcaig.synthetic import planted_clusters
 
-from generators import two_blobs
+from generators import repeated_rows, two_blobs
 from kernel_oracles import permutation_scores_rebuild
 
 
@@ -278,6 +278,16 @@ def test_permutation_short_eigensolve_raises(monkeypatch):
         permutation_importance(d, rbf_for(d), 2)
     with pytest.raises(DegenerateDataError, match="top q=2 eigenvalues .* are tied"):
         permutation_importance(d, KernelSpec("linear"), 2)
+
+
+def test_permutation_q_above_numerical_rank_raises():
+    # a third eigenvector would span rounding noise and every score would be ~1
+    d = repeated_rows()
+    with pytest.raises(DegenerateDataError,
+                       match=r"q=3 exceeds the numerical rank .*: only 2 of its eigenvalues"):
+        permutation_importance(d, rbf_for(d), 3)
+    scores = permutation_importance(d, rbf_for(d), 2).scores
+    assert np.all(np.isfinite(scores)) and scores.max() > 0
 
 
 def test_permutation_one_pairwise_pass():

@@ -13,6 +13,8 @@ from kpcaig import (Dataset, KernelSpec, fit_kpca, laplacian_score, load_matrix,
 from kpcaig.cli import RunConfig, main
 from kpcaig.synthetic import planted_clusters
 
+from generators import repeated_rows
+
 
 def toy_matrix(tmp_path, n=10, p=5, seed=0):
     rng = np.random.default_rng(seed)
@@ -236,6 +238,19 @@ def test_noise_level_kernel_exits_3(tmp_path, capsys, command, sigma):
     assert not out.exists()
 
 
+def test_permute_q_above_numerical_rank_exits_3(tmp_path, capsys):
+    # the centred Gram has rank 2, so a third eigenvector would be rounding noise
+    path = tmp_path / "repeated.tsv"
+    save_matrix(repeated_rows(), path)
+    out = tmp_path / "perm.tsv"
+    assert main(["baseline", "permute", str(path), "--q", "3", "-o", str(out)]) == 3
+    assert "q=3 exceeds the numerical rank" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["baseline", "permute", str(path), "--q", "2", "-o", str(out)]) == 0
+    _, _, rows = read_table(out)
+    assert len(rows) == 6
+
+
 @pytest.mark.parametrize("metric", ["subspace", "gram"])
 def test_identity_gram_permute_exits_3_naming_the_bandwidth(tmp_path, capsys, metric):
     # at sigma = 1e3 every off-diagonal kernel value underflows to 0: K = I exactly
@@ -307,13 +322,49 @@ def test_orientation_and_no_standardize(tmp_path):
     assert a_lines == b_lines
 
 
-def test_cli_import_skips_scipy_optimize():
-    # every CLI run pays for what importing kpcaig.cli loads
+def run_python(code, *args):
+    """``code`` run with ``args`` by a fresh interpreter that imports this checkout's kpcaig."""
     src = str(Path(kpcaig.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, kpcaig.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_cli_import_skips_scipy_optimize():
+    # every CLI run pays for what importing kpcaig.cli loads; scipy alone costs
+    # about 0.4 s and starts a second BLAS thread pool
+    proc = run_python("import sys, kpcaig.cli; "
+                      "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+NO_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} imported by a command that must not load scipy")
+
+sys.meta_path.insert(0, NoScipy())
+from kpcaig.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[:2]} failed")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    mpath, _ = planted_files(tmp_path)
+    out = str(tmp_path / "out.tsv")
+    commands = [
+        ["rank", mpath, "-o", out],
+        ["project", mpath, "-o", out, "--q", "2"],
+        ["arrows", mpath, "-o", out, "--feature", "f1"],
+        ["baseline", "laplacian", mpath, "-o", out],
+        ["curve", "variance-split", mpath, "--d-grid", "8,30", "--splits", "2", "-o", out],
+    ]
+    proc = run_python(NO_SCIPY, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr

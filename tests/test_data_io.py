@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpcaig import (Dataset, InputError, ParseError, load_labels, load_matrix,
-                    save_matrix, standardize)
+                    save_matrix, sigma_heuristic, standardize)
 from kpcaig import data as data_module
 
 
@@ -150,6 +150,21 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), ("a", "a"), ("s1", "s2"))
     with pytest.raises(InputError):
         Dataset(np.zeros((2, 2)), ("a", "b"), ("s1",))
+
+
+def test_dataset_keeps_a_private_read_only_copy():
+    # changing the caller's array must change neither the Dataset nor the
+    # pairwise distances kept for it
+    X = np.random.default_rng(2).normal(size=(8, 3))
+    d = Dataset.from_matrix(X)
+    before = X.copy()
+    sigma_heuristic(d)
+    X[:, 0] *= 100
+    assert np.array_equal(d.matrix, before)
+    assert sigma_heuristic(d) == sigma_heuristic(Dataset.from_matrix(before))
+    for derived in (d, standardize(d), d.select_features([1]), d.subset_samples([0, 1])):
+        with pytest.raises(ValueError):
+            derived.matrix[0, 0] = 1.0
 
 
 def test_standardize_columns():

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
 
 from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, center_gram,
                     gram_matrix, sigma_heuristic)
 from kpcaig import kernels
 
-from kernel_oracles import eval_kernel, gram_formula, kernel_partial
+from kernel_oracles import eval_kernel, gram_formula, kernel_partial, sq_distances
 
 RBF1 = KernelSpec("rbf", sigma=1.0)
 ALL_SPECS = [
@@ -151,25 +150,66 @@ def test_gram_bitwise_symmetric(spec):
             assert K[i, i] == 1.0
 
 
+def assert_gram_equals_formula(spec, X, K):
+    """Bitwise for the inner-product families; rbf to 1e-12 relative, since its
+    distances come from one GEMM and the reference sums explicit differences."""
+    ref = gram_formula(spec, X)
+    if spec.family == "rbf":
+        assert np.allclose(K, ref, rtol=1e-12, atol=0)
+    else:
+        assert np.array_equal(K, ref)
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(1, 9),
        st.sampled_from(ALL_SPECS + [KernelSpec("polynomial", degree=2, coef0=0.5)]))
 def test_gram_bitwise_equals_family_formulas(seed, n, p, spec):
     X = np.random.default_rng(seed).normal(size=(n, p))
-    assert np.array_equal(gram_matrix(spec, Dataset.from_matrix(X)),
-                          gram_formula(spec, X))
+    assert_gram_equals_formula(spec, X, gram_matrix(spec, Dataset.from_matrix(X)))
 
 
 def test_pairwise_base_once_per_dataset():
     X = np.random.default_rng(4).normal(size=(9, 4))
-    data = Dataset.from_matrix(X.copy())
-    with mock.patch.object(kernels, "pdist", wraps=kernels.pdist) as spy:
+    data = Dataset.from_matrix(X)
+    with mock.patch.object(kernels, "_sq_distances", wraps=kernels._sq_distances) as spy:
         sigma = sigma_heuristic(data)
         for s in (sigma, 0.1, 3.0):
             spec = KernelSpec("rbf", sigma=s)
-            assert np.array_equal(gram_matrix(spec, data), gram_formula(spec, X))
+            assert_gram_equals_formula(spec, X, gram_matrix(spec, data))
         assert spy.call_count == 1
-    assert sigma == 1.0 / np.median(pdist(X, "sqeuclidean"))
+    d2 = sq_distances(X)[np.triu_indices(9, 1)]
+    assert sigma == pytest.approx(1.0 / np.median(d2), rel=1e-12)
+
+
+@st.composite
+def distance_inputs(draw):
+    """Rows with duplicates, near-duplicates, tight clusters, large column
+    offsets or integer values: every case where the GEMM loses digits."""
+    n, p = draw(st.integers(2, 12)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):     # tight clusters around a few far-apart centres
+        centres = 100.0 * rng.normal(size=(draw(st.integers(1, 3)), p))
+        spread = draw(st.sampled_from([1e-3, 1e-1]))
+        X = centres[rng.integers(len(centres), size=n)] + spread * rng.normal(size=(n, p))
+    else:
+        X = rng.normal(size=(n, p))
+    if draw(st.booleans()):
+        X = np.round(4.0 * X)
+    for _ in range(draw(st.integers(0, 3))):    # duplicate and near-duplicate rows
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        X[b] = X[a] + draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4])) * rng.normal(size=p)
+    return X + draw(st.sampled_from([0.0, 1.0, 1e3, 1e6])) * rng.normal(size=p)
+
+
+@settings(max_examples=200)
+@given(distance_inputs())
+def test_pairwise_distances_match_explicit_differences(X):
+    D = kernels.pairwise_base(Dataset.from_matrix(X), True)
+    ref = sq_distances(X)
+    assert np.array_equal(D, D.T)
+    assert np.all(np.diag(D) == 0.0)
+    assert np.array_equal(D == 0, ref == 0)     # duplicate rows give exactly 0
+    assert np.allclose(D, ref, rtol=1e-12, atol=0)
 
 
 def test_gram_needs_two_samples():
