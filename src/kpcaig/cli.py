@@ -1,9 +1,12 @@
 """Command-line workflow: rank / project / arrows / baseline / curve.
 
-Every output table starts with a ``# ``-prefixed JSON comment recording the
-fully resolved run configuration, so results are self-describing and
-reproducible byte for byte. Exit codes: 0 success, 2 usage error, 3 invalid
-configuration or input values, 4 unreadable or malformed data files.
+Every output table starts with a ``# ``-prefixed JSON comment: the command's
+options as parsed plus the values resolved from the data (``sigma_resolved``
+and ``q_resolved`` of a fit; a curve's expanded ``d_grid`` and ``k``), the same
+object as ``project``'s sidecar ``config``. Identical command lines give
+byte-identical output. Warnings print once each as ``kpcaig: warning: ...``.
+Exit codes: 0 success, 2 usage error, 3 invalid configuration or input values,
+4 unreadable or malformed data files.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,40 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_DATA = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation settings, serialized into output headers."""
-
-    command: str
-    input: str | None = None
-    variant: str | None = None
-    output: str | None = None
-    labels: str | None = None
-    kernel: str = "rbf"
-    sigma: str = "median"          # requested rule: value | median | grid:...
-    sigma_resolved: float | None = None
-    degree: int = 2
-    coef0: float = 1.0
-    q: int = 2
-    seed: int = 0
-    d_grid: tuple[int, ...] | None = None
-    runs: int = 20
-    splits: int = 5
-    orientation: str = "rows"
-    standardize: bool = True
-    feature: str | None = None
-    scale: float = 1.0
-    knn: int = 5
-    t: float | None = None
-    n_perm: int = 1
-    metric: str = "subspace"
-    ranking: str = "kpcaig"
-    k: int | None = None
-
-    def to_comment(self) -> str:
-        return "# " + json.dumps(asdict(self), sort_keys=True)
 
 
 def _parse_d_grid(text: str) -> tuple[int, ...]:
@@ -99,19 +68,25 @@ def _emit(path, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_table(output, config: RunConfig, header, columns) -> None:
-    """Write the config comment, the column names and one line per entry of
+def _settings(args, **resolved) -> dict:
+    """The header object: the parsed options, overridden by values resolved from the data."""
+    return {**vars(args), **resolved}
+
+
+def _write_table(output, settings: dict, header, columns) -> None:
+    """Write the settings comment, the column names and one line per entry of
     the columns.
 
     Cells are Python str, int or float (numpy columns go through tolist()),
     so str() writes every float as its repr, which reads back exactly.
     """
     cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col) for col in columns]
-    lines = [config.to_comment(), "\t".join(header), *map("\t".join, zip(*cells))]
+    lines = ["# " + json.dumps(settings, sort_keys=True), "\t".join(header),
+             *map("\t".join, zip(*cells))]
     _emit(output, "\n".join(lines) + "\n")
 
 
-def _write_ranking(output, config: RunConfig, names, ranking: FeatureRanking) -> None:
+def _write_ranking(output, settings: dict, names, ranking: FeatureRanking) -> None:
     """Write the rank, feature, score[, std] table, best feature first."""
     order, stds = ranking.order, ranking.stds
     header = ("rank", "feature", "score") + (() if stds is None else ("std",))
@@ -119,7 +94,7 @@ def _write_ranking(output, config: RunConfig, names, ranking: FeatureRanking) ->
                ranking.scores[order]]
     if stds is not None:
         columns.append(stds[order])
-    _write_table(output, config, header, columns)
+    _write_table(output, settings, header, columns)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -134,7 +109,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=_nonneg_int, default=0)
     sub.add_argument("--orientation", choices=("rows", "cols"), default="rows",
                      help="'rows': samples are rows; 'cols': samples are columns")
-    sub.add_argument("--no-standardize", action="store_true",
+    sub.add_argument("--no-standardize", dest="standardize", action="store_false",
                      help="skip column standardization")
 
 
@@ -179,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Dataset:
     data = load_matrix(args.input, orientation=args.orientation)
-    if not args.no_standardize:
+    if args.standardize:
         data = standardize(data)
     return data
 
@@ -202,19 +177,8 @@ def _fit(args, data: Dataset) -> FittedKpca:
     return fit_kpca(data, _resolved_spec(args, data), args.q)
 
 
-def _config(args, **extra) -> RunConfig:
-    return RunConfig(command=args.command,
-                     input=args.input,
-                     output=args.output,
-                     kernel=args.kernel,
-                     sigma=args.sigma,
-                     degree=args.degree,
-                     coef0=args.coef0,
-                     q=args.q,
-                     seed=args.seed,
-                     orientation=args.orientation,
-                     standardize=not args.no_standardize,
-                     **extra)
+def _fit_settings(args, model: FittedKpca) -> dict:
+    return _settings(args, sigma_resolved=model.kernel.sigma, q_resolved=model.q)
 
 
 def _ranking_order(args, data: Dataset) -> np.ndarray:
@@ -231,18 +195,18 @@ def _ranking_order(args, data: Dataset) -> np.ndarray:
 def _cmd_rank(args) -> int:
     data = _load(args)
     model = _fit(args, data)
-    _write_ranking(args.output, _config(args, sigma_resolved=model.kernel.sigma),
-                   data.feature_names, rank_features(model))
+    _write_ranking(args.output, _fit_settings(args, model), data.feature_names,
+                   rank_features(model))
     return EXIT_OK
 
 
 def _cmd_project(args) -> int:
     data = _load(args)
     model = _fit(args, data)
-    cfg = _config(args, sigma_resolved=model.kernel.sigma)
+    settings = _fit_settings(args, model)
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
-    _write_table(args.output, cfg, cols, (data.sample_ids, *project_training(model).T))
-    sidecar = {"config": asdict(cfg),
+    _write_table(args.output, settings, cols, (data.sample_ids, *project_training(model).T))
+    sidecar = {"config": settings,
                "q": model.q,
                "eigenvalues": [float(v) for v in model.eigvals],
                "explained_variance": [float(v) for v in explained_variance(model)]}
@@ -268,9 +232,7 @@ def _cmd_arrows(args) -> int:
     model = _fit(args, data)
     j = _feature_index(data, args.feature)
     points, vectors = zip(*arrow_field(model, j, scale=args.scale))
-    cfg = _config(args, sigma_resolved=model.kernel.sigma, feature=args.feature,
-                  scale=args.scale)
-    _write_table(args.output, cfg, ("x", "y", "dx", "dy", "sample_id"),
+    _write_table(args.output, _fit_settings(args, model), ("x", "y", "dx", "dy", "sample_id"),
                  (*zip(*points), *zip(*vectors), data.sample_ids))
     return EXIT_OK
 
@@ -279,14 +241,13 @@ def _cmd_baseline(args) -> int:
     data = _load(args)
     if args.variant == "laplacian":
         ranking = laplacian_score(data, k_nn=args.knn, t=args.t)
-        cfg = _config(args, variant="laplacian", knn=args.knn, t=args.t)
+        settings = _settings(args)
     else:
         spec = _resolved_spec(args, data)
         ranking = permutation_importance(data, spec, args.q, n_perm=args.n_perm,
                                          seed=args.seed, metric=args.metric)
-        cfg = _config(args, variant="permute", sigma_resolved=spec.sigma,
-                      n_perm=args.n_perm, metric=args.metric)
-    _write_ranking(args.output, cfg, data.feature_names, ranking)
+        settings = _settings(args, sigma_resolved=spec.sigma)
+    _write_ranking(args.output, settings, data.feature_names, ranking)
     return EXIT_OK
 
 
@@ -305,8 +266,6 @@ def _cmd_curve(args) -> int:
         raise InputError(f"{truth.size} labels for n={data.n} samples")
     k = args.k if args.k is not None else \
         (int(np.unique(truth).size) if truth is not None else None)
-    cfg = _config(args, variant=args.variant, labels=args.labels, d_grid=d_grid,
-                  runs=args.runs, splits=args.splits, ranking=args.ranking, k=k)
     if args.variant == "variance-split":
         points = variance_generalization(data, spec, args.q, d_grid,
                                          n_splits=args.splits, seed=args.seed,
@@ -324,7 +283,7 @@ def _cmd_curve(args) -> int:
             points = silhouette_curve(data, order, spec, k, d_grid,
                                       sigma_rule=rule, seed=args.seed)
     columns = _CURVE_COLUMNS[args.variant]
-    _write_table(args.output, cfg, columns,
+    _write_table(args.output, _settings(args, d_grid=d_grid, k=k), columns,
                  [[getattr(pt, name) for pt in points] for name in columns])
     return EXIT_OK
 
@@ -345,17 +304,23 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        # every header records coef0, and json writes a non-finite float as invalid JSON
-        if not np.isfinite(args.coef0):
-            raise InputError(f"coef0 must be finite, got {args.coef0}")
-        return _COMMANDS[args.command](args)
-    except (InputError, DegenerateDataError) as e:
-        print(f"kpcaig: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParseError, OSError) as e:
-        print(f"kpcaig: {e}", file=sys.stderr)
-        return EXIT_DATA
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            # every header records coef0, and json writes a non-finite float as invalid JSON
+            if not np.isfinite(args.coef0):
+                raise InputError(f"coef0 must be finite, got {args.coef0}")
+            return _COMMANDS[args.command](args)
+        except (InputError, DegenerateDataError) as e:
+            error, code = e, EXIT_CONFIG
+        except (ParseError, OSError) as e:
+            error, code = e, EXIT_DATA
+        finally:
+            # each distinct warning once, like an error line: no source path or line
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"kpcaig: warning: {message}", file=sys.stderr)
+    print(f"kpcaig: {error}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

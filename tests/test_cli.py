@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import kpcaig
 from kpcaig import (Dataset, KernelSpec, fit_kpca, laplacian_score, load_matrix,
                     project_training, rank_features, save_matrix, sigma_heuristic, standardize)
-from kpcaig.cli import RunConfig, main
+from kpcaig.cli import build_parser, main
 from kpcaig.synthetic import planted_clusters
 
 from generators import repeated_rows
@@ -30,14 +31,6 @@ def planted_files(tmp_path, seed=0):
     lpath = tmp_path / "labels.txt"
     lpath.write_text("\n".join(str(int(v)) for v in data.labels) + "\n", encoding="utf-8")
     return str(mpath), str(lpath)
-
-
-def config_from_comment(line):
-    """RunConfig parsed back from an output's ``# {...}`` header line."""
-    d = json.loads(line.lstrip("#").strip())
-    if d.get("d_grid") is not None:
-        d["d_grid"] = tuple(int(v) for v in d["d_grid"])
-    return RunConfig(**d)
 
 
 def read_table(path):
@@ -69,16 +62,73 @@ def test_rank_byte_identical_reruns(tmp_path):
     assert a.read_bytes().replace(b"a.tsv", b"") == b.read_bytes().replace(b"b.tsv", b"")
 
 
-def test_config_header_round_trip(tmp_path):
-    out = tmp_path / "rank.tsv"
-    main(["rank", toy_matrix(tmp_path), "-o", str(out), "--sigma", "0.25",
-          "--q", "3", "--seed", "5"])
-    comment = out.read_text(encoding="utf-8").splitlines()[0]
-    cfg = config_from_comment(comment)
-    assert cfg == RunConfig(command="rank", input=toy_matrix(tmp_path),
-                            output=str(out), sigma="0.25", sigma_resolved=0.25,
-                            q=3, seed=5)
-    assert config_from_comment(cfg.to_comment()) == cfg
+def header_of(path):
+    """The JSON object of an output's ``# {...}`` first line."""
+    line = Path(path).read_text(encoding="utf-8").splitlines()[0]
+    assert line.startswith("# ")
+    return json.loads(line[2:])
+
+
+def option_dests(command):
+    """The top-level ``command`` plus every option dest of that subparser."""
+    cmds = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {"command"} | {a.dest for a in cmds.choices[command]._actions if a.dest != "help"}
+
+
+FIT_RESOLVED = {"sigma_resolved": 0.25, "q_resolved": 3}
+
+
+@pytest.mark.parametrize("argv, resolved", [
+    (["rank"], FIT_RESOLVED),
+    (["project"], FIT_RESOLVED),
+    (["arrows", "--feature", "f1"], FIT_RESOLVED),
+    (["baseline", "laplacian"], {}),
+    (["baseline", "permute"], {"sigma_resolved": 0.25}),
+    (["curve", "selection", "--d-grid", "2:4:2", "--runs", "2", "--labels", "LABELS"],
+     {"d_grid": [2, 4], "k": 2}),
+    (["curve", "silhouette", "--d-grid", "2:4:2", "--k", "3"], {"d_grid": [2, 4], "k": 3}),
+    (["curve", "variance-split", "--d-grid", "2:4:2", "--splits", "2"],
+     {"d_grid": [2, 4], "k": None}),
+], ids=["rank", "project", "arrows", "baseline-laplacian", "baseline-permute",
+        "curve-selection", "curve-silhouette", "curve-variance-split"])
+def test_header_is_the_parsed_options_plus_resolved_values(tmp_path, argv, resolved):
+    src = toy_matrix(tmp_path, n=12)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n" * 6, encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    full = [str(labels) if a == "LABELS" else a for a in argv]
+    full += [src, "-o", str(out), "--sigma", "0.25", "--q", "3", "--seed", "5"]
+    assert main(full) == 0
+    header = header_of(out)
+    # only this command's options, so a rank header has no knn or runs
+    assert set(header) == option_dests(argv[0]) | set(resolved)
+    assert header == {**vars(build_parser().parse_args(full)), **resolved}
+    assert (header["sigma"], header["q"], header["seed"]) == ("0.25", 3, 5)
+    if argv[0] == "project":
+        sidecar = json.loads((tmp_path / "out.variance.json").read_text(encoding="utf-8"))
+        assert sidecar["config"] == header
+
+
+@pytest.mark.parametrize("command", [["rank"], ["project"], ["arrows", "--feature", "f1"]],
+                         ids=["rank", "project", "arrows"])
+def test_header_records_the_reduced_q_and_warns_once(tmp_path, capsys, command):
+    out = tmp_path / "out.tsv"
+    assert main([*command, toy_matrix(tmp_path, n=12, p=6), "--q", "50", "-o", str(out)]) == 0
+    header = header_of(out)
+    assert (header["q"], header["q_resolved"]) == (50, 11)
+    assert capsys.readouterr().err == ("kpcaig: warning: requested q=50 exceeds the "
+                                       "numerically valid rank; reduced to q=11\n")
+
+
+def test_repeated_warnings_print_once_without_a_source_location(tmp_path, capsys):
+    mpath, _ = planted_files(tmp_path)
+    out = tmp_path / "var.tsv"
+    assert main(["curve", "variance-split", mpath, "--d-grid", "8,30", "--splits", "2",
+                 "--q", "40", "-o", str(out)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines and len(lines) == len(set(lines))
+    assert all(line.startswith("kpcaig: warning: requested q=40") for line in lines)
 
 
 def test_project_embedding_and_sidecar(tmp_path):
