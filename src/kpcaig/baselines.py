@@ -19,11 +19,8 @@ import numpy as np
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
-from .kernels import KernelSpec, center_gram, kernel_rule, pairwise_base
+from .kernels import KernelSpec, center_gram, column_blocks, kernel_rule, pairwise_base
 from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue
-
-# memory for one of the Laplacian score's two n x c temporaries, c features a block
-LAPLACIAN_BLOCK_BYTES = 1 << 21
 
 
 def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> FeatureRanking:
@@ -67,12 +64,11 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Fea
     mean = (deg @ X) / deg.sum()
     scores = np.full(p, np.inf)
     varying = np.ptp(X, axis=0) > 0
-    width = max(1, LAPLACIAN_BLOCK_BYTES // (8 * n))
-    for s in range(0, p, width):
-        F = X[:, s:s + width] - mean[s:s + width]     # D-weighted mean removal
+    for cols in column_blocks(p, 8 * n):             # two n x c temporaries a block
+        F = X[:, cols] - mean[cols]                   # D-weighted mean removal
         den = np.einsum("ij,i,ij->j", F, deg, F)
         num = den - np.einsum("ij,ij->j", F, W @ F)  # f^T L f with L = D - W
-        np.divide(num, den, out=scores[s:s + width], where=varying[s:s + width])
+        np.divide(num, den, out=scores[cols], where=varying[cols])
     order = np.lexsort((np.arange(p), scores))
     return FeatureRanking(scores, order)
 

@@ -1,12 +1,14 @@
 """Command-line workflow: rank / project / arrows / baseline / curve.
 
-Every output table starts with a ``# ``-prefixed JSON comment: the command's
-options as parsed plus the values resolved from the data (``sigma_resolved``
-and ``q_resolved`` of a fit; a curve's expanded ``d_grid`` and ``k``), the same
-object as ``project``'s sidecar ``config``. Identical command lines give
-byte-identical output. Warnings print once each as ``kpcaig: warning: ...``.
-Exit codes: 0 success, 2 usage error, 3 invalid configuration or input values,
-4 unreadable or malformed data files.
+Each command, and each variant of ``baseline`` and ``curve``, takes only the
+options it reads; any other option is a usage error. Every output table
+starts with a ``# ``-prefixed JSON comment: the command's options as parsed
+plus the values resolved from the data (``sigma_resolved`` and
+``q_resolved`` of a fit, a curve's ranking included; a curve's expanded
+``d_grid`` and ``k``), the same object as ``project``'s sidecar ``config``.
+Identical command lines give byte-identical output. Warnings print once
+each as ``kpcaig: warning: ...``. Exit codes: 0 success, 2 usage error,
+3 invalid configuration or input values, 4 unreadable or malformed data files.
 """
 
 from __future__ import annotations
@@ -97,58 +99,90 @@ def _write_ranking(output, settings: dict, names, ranking: FeatureRanking) -> No
     _write_table(output, settings, header, columns)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_input(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="delimited matrix file (header row + leading ID column)")
     sub.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-    sub.add_argument("--kernel", choices=("rbf", "linear", "poly"), default="rbf")
-    sub.add_argument("--sigma", default="median",
-                     help="rbf bandwidth: a number, 'median', or 'grid:v1,v2,...'")
-    sub.add_argument("--degree", type=int, default=2, help="polynomial degree")
-    sub.add_argument("--coef0", type=float, default=1.0, help="polynomial offset")
-    sub.add_argument("--q", type=int, default=2, help="retained components")
-    sub.add_argument("--seed", type=_nonneg_int, default=0)
     sub.add_argument("--orientation", choices=("rows", "cols"), default="rows",
                      help="'rows': samples are rows; 'cols': samples are columns")
     sub.add_argument("--no-standardize", dest="standardize", action="store_false",
                      help="skip column standardization")
 
 
+def _add_kernel(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--kernel", choices=("rbf", "linear", "poly"), default="rbf")
+    sub.add_argument("--sigma", default="median",
+                     help="rbf bandwidth: a number, 'median', or 'grid:v1,v2,...'")
+    sub.add_argument("--degree", type=int, default=2, help="polynomial degree")
+    sub.add_argument("--coef0", type=float, default=1.0, help="polynomial offset")
+    sub.add_argument("--q", type=int, default=2, help="retained components")
+
+
+def _add_seed(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=_nonneg_int, default=0)
+
+
+def _add_curve(variants, name: str, summary: str) -> argparse.ArgumentParser:
+    """A curve variant with the options every curve reads."""
+    v = variants.add_parser(name, help=summary)
+    _add_input(v)
+    _add_kernel(v)
+    _add_seed(v)
+    v.add_argument("--d-grid", default="10:300:10",
+                   help="feature counts: start:stop:step or comma list")
+    return v
+
+
+def _add_clusters(v: argparse.ArgumentParser) -> None:
+    """Options of the curves that cluster the top-d features of a ranking."""
+    v.add_argument("--labels", default=None, help="true labels, one integer per sample")
+    v.add_argument("--k", type=int, default=None, help="number of clusters")
+    v.add_argument("--ranking", choices=("kpcaig", "random", "laplacian", "permute"),
+                   default="kpcaig")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per command, and per variant of ``baseline`` and ``curve``,
+    each taking only the options its command reads."""
     ap = argparse.ArgumentParser(prog="kpcaig",
                                  description="Kernel PCA feature importance toolkit")
     cmds = ap.add_subparsers(dest="command", required=True)
 
     p = cmds.add_parser("rank", help="gradient-based feature ranking")
-    _add_common(p)
+    _add_input(p)
+    _add_kernel(p)
 
     p = cmds.add_parser("project", help="training-set embedding + variance sidecar")
-    _add_common(p)
+    _add_input(p)
+    _add_kernel(p)
 
     p = cmds.add_parser("arrows", help="per-sample arrows of one variable on the 2-D embedding")
-    _add_common(p)
+    _add_input(p)
+    _add_kernel(p)
     p.add_argument("--feature", required=True, help="feature name (or 0-based index)")
     p.add_argument("--scale", type=float, default=1.0)
 
-    p = cmds.add_parser("baseline", help="baseline feature selectors")
-    p.add_argument("variant", choices=("laplacian", "permute"))
-    _add_common(p)
-    p.add_argument("--knn", type=int, default=5, help="laplacian: neighbourhood size")
-    p.add_argument("--t", type=float, default=None, help="laplacian: heat-kernel width")
-    p.add_argument("--n-perm", type=int, default=1, help="permute: draws per feature")
-    p.add_argument("--metric", choices=("subspace", "gram"), default="subspace",
-                   help="permute: kernel perturbation distance")
+    variants = cmds.add_parser("baseline", help="baseline feature selectors") \
+        .add_subparsers(dest="variant", required=True)
+    v = variants.add_parser("laplacian", help="Laplacian score on a k-NN graph")
+    _add_input(v)
+    v.add_argument("--knn", type=int, default=5, help="neighbourhood size")
+    v.add_argument("--t", type=float, default=None, help="heat-kernel width")
+    v = variants.add_parser("permute", help="kernel perturbation of permuting each feature")
+    _add_input(v)
+    _add_kernel(v)
+    _add_seed(v)
+    v.add_argument("--n-perm", type=int, default=1, help="draws per feature")
+    v.add_argument("--metric", choices=("subspace", "gram"), default="subspace",
+                   help="kernel perturbation distance")
 
-    p = cmds.add_parser("curve", help="feature-count evaluation curves")
-    p.add_argument("variant", choices=("selection", "silhouette", "variance-split"))
-    _add_common(p)
-    p.add_argument("--labels", default=None, help="true labels, one integer per sample")
-    p.add_argument("--k", type=int, default=None, help="number of clusters")
-    p.add_argument("--d-grid", default="10:300:10",
-                   help="feature counts: start:stop:step or comma list")
-    p.add_argument("--runs", type=int, default=20, help="selection: k-means restarts")
-    p.add_argument("--splits", type=int, default=5, help="variance-split: train/test splits")
-    p.add_argument("--ranking", choices=("kpcaig", "random", "laplacian", "permute"),
-                   default="kpcaig")
+    variants = cmds.add_parser("curve", help="feature-count evaluation curves") \
+        .add_subparsers(dest="variant", required=True)
+    v = _add_curve(variants, "selection", "k-means ACC and NMI against --labels")
+    _add_clusters(v)
+    v.add_argument("--runs", type=int, default=20, help="k-means restarts")
+    _add_clusters(_add_curve(variants, "silhouette", "silhouette on the 2-D embedding"))
+    v = _add_curve(variants, "variance-split", "explained variance, train and test")
+    v.add_argument("--splits", type=int, default=5, help="train/test splits")
     return ap
 
 
@@ -177,19 +211,26 @@ def _fit(args, data: Dataset) -> FittedKpca:
     return fit_kpca(data, _resolved_spec(args, data), args.q)
 
 
+def _fit_resolved(model: FittedKpca) -> dict:
+    return {"sigma_resolved": model.kernel.sigma, "q_resolved": model.q}
+
+
 def _fit_settings(args, model: FittedKpca) -> dict:
-    return _settings(args, sigma_resolved=model.kernel.sigma, q_resolved=model.q)
+    return _settings(args, **_fit_resolved(model))
 
 
-def _ranking_order(args, data: Dataset) -> np.ndarray:
+def _ranking_order(args, data: Dataset) -> tuple[np.ndarray, dict]:
+    """The feature order of ``--ranking`` and the values it resolved from the data."""
     if args.ranking == "random":
-        return random_ranking(data.p, args.seed)
+        return random_ranking(data.p, args.seed), {}
     if args.ranking == "laplacian":
-        return laplacian_score(data).order
+        return laplacian_score(data).order, {}
     if args.ranking == "permute":
-        return permutation_importance(data, _resolved_spec(args, data), args.q,
-                                      seed=args.seed).order
-    return rank_features(_fit(args, data)).order
+        spec = _resolved_spec(args, data)
+        ranking = permutation_importance(data, spec, args.q, seed=args.seed)
+        return ranking.order, {"sigma_resolved": spec.sigma}
+    model = _fit(args, data)
+    return rank_features(model).order, _fit_resolved(model)
 
 
 def _cmd_rank(args) -> int:
@@ -219,12 +260,9 @@ def _feature_index(data: Dataset, name: str) -> int:
     if name in data.feature_names:
         return data.feature_names.index(name)
     try:
-        j = int(name)
+        return int(name)
     except ValueError:
         raise InputError(f"unknown feature {name!r}") from None
-    if not 0 <= j < data.p:
-        raise InputError(f"feature index {j} out of range for p={data.p}")
-    return j
 
 
 def _cmd_arrows(args) -> int:
@@ -261,19 +299,21 @@ def _cmd_curve(args) -> int:
     data = _load(args)
     spec, rule = _spec_and_rule(args)
     d_grid = _parse_d_grid(args.d_grid)
-    truth = load_labels(args.labels) if args.labels else None
-    if truth is not None and truth.size != data.n:
-        raise InputError(f"{truth.size} labels for n={data.n} samples")
-    k = args.k if args.k is not None else \
-        (int(np.unique(truth).size) if truth is not None else None)
     if args.variant == "variance-split":
         points = variance_generalization(data, spec, args.q, d_grid,
                                          n_splits=args.splits, seed=args.seed,
                                          sigma_rule=rule)
+        resolved = {}
     else:
+        truth = load_labels(args.labels) if args.labels else None
+        if truth is not None and truth.size != data.n:
+            raise InputError(f"{truth.size} labels for n={data.n} samples")
+        k = args.k if args.k is not None else \
+            (int(np.unique(truth).size) if truth is not None else None)
         if k is None:
             raise InputError("curve needs --k (or --labels to infer the cluster count)")
-        order = _ranking_order(args, data)
+        order, resolved = _ranking_order(args, data)
+        resolved["k"] = k
         if args.variant == "selection":
             if truth is None:
                 raise InputError("curve selection needs --labels")
@@ -283,7 +323,7 @@ def _cmd_curve(args) -> int:
             points = silhouette_curve(data, order, spec, k, d_grid,
                                       sigma_rule=rule, seed=args.seed)
     columns = _CURVE_COLUMNS[args.variant]
-    _write_table(args.output, _settings(args, d_grid=d_grid, k=k), columns,
+    _write_table(args.output, _settings(args, d_grid=d_grid, **resolved), columns,
                  [[getattr(pt, name) for pt in points] for name in columns])
     return EXIT_OK
 
@@ -307,8 +347,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            # every header records coef0, and json writes a non-finite float as invalid JSON
-            if not np.isfinite(args.coef0):
+            # a header records coef0 wherever it is an option, and json writes a
+            # non-finite float as invalid JSON
+            if not np.isfinite(getattr(args, "coef0", 0.0)):
                 raise InputError(f"coef0 must be finite, got {args.coef0}")
             return _COMMANDS[args.command](args)
         except (InputError, DegenerateDataError) as e:

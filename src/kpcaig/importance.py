@@ -11,7 +11,7 @@ With the kernel slope matrix P and the centred alphas B, column k of the
 field is P (x_j * B_k) for inner-product kernels, and x_j * (P B_k) minus
 that for distance kernels (rbf). Stacking P diag(B_1), ..., P diag(B_q)
 into one qn x n slope S, the fields of a block of variables X_b are the
-single product S @ X_b, read as q x n x c. Blocks fit in FIELD_BLOCK_BYTES,
+single product S @ X_b, read as q x n x c. Blocks fit in kernels.BLOCK_BYTES,
 so the q x n x p tensor is never materialized even for very wide matrices.
 
 Fields are plain n x q arrays; FeatureRanking is the one ranking type, which
@@ -27,10 +27,7 @@ import numpy as np
 
 from .exceptions import InputError
 from .kpca import FittedKpca, check_determined, project_training
-from .kernels import kernel_rule, pairwise_base
-
-# memory for the q x n x c fields of one block of c variables
-FIELD_BLOCK_BYTES = 1 << 21
+from .kernels import column_blocks, kernel_rule, pairwise_base
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,7 @@ def gradient_field(model: FittedKpca, j: int) -> np.ndarray:
 def rank_features(model: FittedKpca) -> FeatureRanking:
     """Score every variable and sort descending (ties: lower index first)."""
     n, p = model.training_data.matrix.shape
-    width = max(1, FIELD_BLOCK_BYTES // (8 * n * model.q))
-    blocks = [slice(s, s + width) for s in range(0, p, width)]
+    blocks = column_blocks(p, 8 * n * model.q)     # q x n x c fields a block
     scores = np.empty(p)
     stds = np.empty(p)
     for cols, W in zip(blocks, _fields(model, blocks)):

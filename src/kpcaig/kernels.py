@@ -76,8 +76,15 @@ def _mirror_upper(M: np.ndarray) -> np.ndarray:
 
 # a pair with d_ij <= (g_i + g_j) / NEAR_PAIR is computed from explicit differences
 NEAR_PAIR = 64
-# memory for one block of centred columns in the distance GEMM
-CENTRED_BLOCK_BYTES = 1 << 21
+# memory for one block of columns: the centred columns of the distance GEMM, a
+# block of importance fields or a Laplacian score temporary
+BLOCK_BYTES = 1 << 21
+
+
+def column_blocks(p: int, column_bytes: int) -> list[slice]:
+    """Slices over p columns, as many per block as fit in BLOCK_BYTES (at least one)."""
+    width = max(1, BLOCK_BYTES // column_bytes)
+    return [slice(s, s + width) for s in range(0, p, width)]
 
 
 def _sq_distances(X: np.ndarray) -> np.ndarray:
@@ -85,9 +92,8 @@ def _sq_distances(X: np.ndarray) -> np.ndarray:
     n, p = X.shape
     mean = X.mean(axis=0)
     G = np.zeros((n, n))
-    width = max(1, CENTRED_BLOCK_BYTES // (8 * n))
-    for s in range(0, p, width):
-        B = X[:, s:s + width] - mean[s:s + width]
+    for cols in column_blocks(p, 8 * n):
+        B = X[:, cols] - mean[cols]
         G += B @ B.T
     g = np.diag(G)                          # so d_ii = 2 G_ii - 2 G_ii = 0 exactly
     scale = g[:, None] + g[None, :]

@@ -69,45 +69,118 @@ def header_of(path):
     return json.loads(line[2:])
 
 
-def option_dests(command):
-    """The top-level ``command`` plus every option dest of that subparser."""
-    cmds = next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-    return {"command"} | {a.dest for a in cmds.choices[command]._actions if a.dest != "help"}
+def parser_path(*names):
+    """The parsers from the top level down to a command or a command's variant."""
+    parsers = [build_parser()]
+    for name in names:
+        sub = next(a for a in parsers[-1]._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsers.append(sub.choices[name])
+    return parsers
+
+
+def option_dests(*names):
+    """``command``, then ``variant`` where there is one, plus every option dest."""
+    return {a.dest for parser in parser_path(*names) for a in parser._actions
+            if a.dest != "help"}
+
+
+def option_strings(*names):
+    """Every option string the command or variant takes."""
+    return {s for a in parser_path(*names)[-1]._actions for s in a.option_strings}
 
 
 FIT_RESOLVED = {"sigma_resolved": 0.25, "q_resolved": 3}
 
 
-@pytest.mark.parametrize("argv, resolved", [
-    (["rank"], FIT_RESOLVED),
-    (["project"], FIT_RESOLVED),
-    (["arrows", "--feature", "f1"], FIT_RESOLVED),
-    (["baseline", "laplacian"], {}),
-    (["baseline", "permute"], {"sigma_resolved": 0.25}),
-    (["curve", "selection", "--d-grid", "2:4:2", "--runs", "2", "--labels", "LABELS"],
-     {"d_grid": [2, 4], "k": 2}),
-    (["curve", "silhouette", "--d-grid", "2:4:2", "--k", "3"], {"d_grid": [2, 4], "k": 3}),
-    (["curve", "variance-split", "--d-grid", "2:4:2", "--splits", "2"],
-     {"d_grid": [2, 4], "k": None}),
+@pytest.mark.parametrize("command, extra, resolved", [
+    (["rank"], [], FIT_RESOLVED),
+    (["project"], [], FIT_RESOLVED),
+    (["arrows"], ["--feature", "f1"], FIT_RESOLVED),
+    (["baseline", "laplacian"], [], {}),
+    (["baseline", "permute"], [], {"sigma_resolved": 0.25}),
+    (["curve", "selection"], ["--d-grid", "2:4:2", "--runs", "2", "--labels", "LABELS"],
+     {**FIT_RESOLVED, "d_grid": [2, 4], "k": 2}),
+    (["curve", "silhouette"], ["--d-grid", "2:4:2", "--k", "3"],
+     {**FIT_RESOLVED, "d_grid": [2, 4], "k": 3}),
+    (["curve", "variance-split"], ["--d-grid", "2:4:2", "--splits", "2"], {"d_grid": [2, 4]}),
 ], ids=["rank", "project", "arrows", "baseline-laplacian", "baseline-permute",
         "curve-selection", "curve-silhouette", "curve-variance-split"])
-def test_header_is_the_parsed_options_plus_resolved_values(tmp_path, argv, resolved):
+def test_header_is_the_parsed_options_plus_resolved_values(tmp_path, command, extra, resolved):
     src = toy_matrix(tmp_path, n=12)
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n1\n" * 6, encoding="utf-8")
     out = tmp_path / "out.tsv"
-    full = [str(labels) if a == "LABELS" else a for a in argv]
-    full += [src, "-o", str(out), "--sigma", "0.25", "--q", "3", "--seed", "5"]
+    explicit = {"--sigma": "0.25", "--q": "3", "--seed": "5"}
+    taken = {flag: value for flag, value in explicit.items()
+             if flag in option_strings(*command)}
+    full = [*command, *(str(labels) if a == "LABELS" else a for a in extra),
+            src, "-o", str(out), *(a for item in taken.items() for a in item)]
     assert main(full) == 0
     header = header_of(out)
     # only this command's options, so a rank header has no knn or runs
-    assert set(header) == option_dests(argv[0]) | set(resolved)
+    assert set(header) == option_dests(*command) | set(resolved)
     assert header == {**vars(build_parser().parse_args(full)), **resolved}
-    assert (header["sigma"], header["q"], header["seed"]) == ("0.25", 3, 5)
-    if argv[0] == "project":
+    for flag, value in taken.items():
+        assert str(header[flag[2:]]) == value
+    if command == ["project"]:
         sidecar = json.loads((tmp_path / "out.variance.json").read_text(encoding="utf-8"))
         assert sidecar["config"] == header
+
+
+# a command line that runs, and an option its command or variant accepted without reading it
+UNREAD_OPTIONS = [
+    (["rank"], ["--seed", "1"]),
+    (["project"], ["--seed", "1"]),
+    (["arrows", "--feature", "f1"], ["--seed", "1"]),
+    (["baseline", "laplacian"], ["--kernel", "poly"]),
+    (["baseline", "laplacian"], ["--sigma", "0.1"]),
+    (["baseline", "laplacian"], ["--degree", "3"]),
+    (["baseline", "laplacian"], ["--coef0", "2"]),
+    (["baseline", "laplacian"], ["--q", "3"]),
+    (["baseline", "laplacian"], ["--seed", "1"]),
+    (["baseline", "laplacian"], ["--n-perm", "2"]),
+    (["baseline", "laplacian"], ["--metric", "gram"]),
+    (["baseline", "permute"], ["--knn", "3"]),
+    (["baseline", "permute"], ["--t", "0.5"]),
+    (["curve", "selection", "--labels", "LABELS", "--d-grid", "2,4"], ["--splits", "2"]),
+    (["curve", "silhouette", "--k", "2", "--d-grid", "2,4"], ["--runs", "2"]),
+    (["curve", "silhouette", "--k", "2", "--d-grid", "2,4"], ["--splits", "2"]),
+    (["curve", "variance-split", "--d-grid", "2,4"], ["--labels", "LABELS"]),
+    (["curve", "variance-split", "--d-grid", "2,4"], ["--k", "2"]),
+    (["curve", "variance-split", "--d-grid", "2,4"], ["--runs", "2"]),
+    (["curve", "variance-split", "--d-grid", "2,4"], ["--ranking", "laplacian"]),
+]
+
+
+@pytest.mark.parametrize("argv, unread", UNREAD_OPTIONS,
+                         ids=[" ".join(argv[:2] + unread[:1]) for argv, unread in UNREAD_OPTIONS])
+def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, unread):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n" * 5, encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    full = [*argv, toy_matrix(tmp_path), "-o", str(out), *unread]
+    assert main([str(labels) if a == "LABELS" else a for a in full]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["selection", "silhouette"])
+@pytest.mark.parametrize("ranking, command, keys", [
+    ("kpcaig", ["rank"], ("sigma_resolved", "q_resolved")),
+    ("permute", ["baseline", "permute"], ("sigma_resolved",)),
+], ids=["kpcaig", "permute"])
+def test_curve_header_names_what_its_ranking_resolved(tmp_path, variant, ranking, command, keys):
+    mpath, lpath = planted_files(tmp_path)
+    grid = ["--sigma", "grid:1e-3,1e-2", "--q", "3"]
+    ranked, curve = tmp_path / "ranked.tsv", tmp_path / "curve.tsv"
+    assert main([*command, mpath, *grid, "-o", str(ranked)]) == 0
+    assert main(["curve", variant, mpath, *grid, "--ranking", ranking, "--labels", lpath,
+                 "--d-grid", "8,16", "-o", str(curve)]) == 0
+    expected = {key: header_of(ranked)[key] for key in keys}
+    assert expected["sigma_resolved"] in (1e-3, 1e-2)
+    assert {key: value for key, value in header_of(curve).items()
+            if key.endswith("_resolved")} == expected
 
 
 @pytest.mark.parametrize("command", [["rank"], ["project"], ["arrows", "--feature", "f1"]],
@@ -201,10 +274,11 @@ def test_writer_matches_per_cell_formatting(tmp_path):
             (sid,) + tuple(row)
             for sid, row in zip(data.sample_ids, project_training(model))]),
     }
-    for command, argv in (("rank", ["rank"]), ("baseline", ["baseline", "laplacian", "--knn", "3"]),
-                          ("project", ["project"])):
+    for command, argv in (("rank", ["rank", "--q", "3"]),
+                          ("baseline", ["baseline", "laplacian", "--knn", "3"]),
+                          ("project", ["project", "--q", "3"])):
         out = tmp_path / f"{command}.tsv"
-        assert main(argv + [str(path), "--q", "3", "-o", str(out)]) == 0
+        assert main(argv + [str(path), "-o", str(out)]) == 0
         assert out.read_text(encoding="utf-8").split("\n")[1:] == expected[command] + [""]
     assert "inf" in expected["baseline"][-1]
 
@@ -333,9 +407,20 @@ def test_identity_gram_ranking_exits_3_naming_the_bandwidth(tmp_path, capsys, co
     (["arrows", "--feature", "f1", "--scale", "nan"], "scale must be finite and >= 0, got nan"),
     (["arrows", "--feature", "f1", "--scale", "inf"], "scale must be finite and >= 0, got inf"),
     (["baseline", "laplacian", "--t", "nan"], "t must be finite and > 0, got nan"),
-    # every header records coef0, whatever the kernel, and NaN is not JSON
+    # a header records coef0 wherever it is an option, whatever the kernel, and NaN is not JSON
     (["rank", "--coef0", "nan"], "coef0 must be finite, got nan"),
     (["rank", "--kernel", "linear", "--coef0", "inf"], "coef0 must be finite, got inf"),
+    (["project", "--coef0", "nan"], "coef0 must be finite, got nan"),
+    (["arrows", "--feature", "f1", "--coef0", "nan"], "coef0 must be finite, got nan"),
+    (["baseline", "permute", "--coef0", "nan"], "coef0 must be finite, got nan"),
+    (["curve", "selection", "--k", "2", "--d-grid", "2", "--coef0", "nan"],
+     "coef0 must be finite, got nan"),
+    (["curve", "silhouette", "--k", "2", "--d-grid", "2", "--coef0", "nan"],
+     "coef0 must be finite, got nan"),
+    (["curve", "variance-split", "--d-grid", "2", "--coef0", "nan"],
+     "coef0 must be finite, got nan"),
+    (["arrows", "--feature", "99"], "feature index 99 out of range for p=5"),
+    (["arrows", "--feature", "-1"], "feature index -1 out of range for p=5"),
 ])
 def test_non_finite_option_exits_3_naming_it(tmp_path, capsys, argv, message):
     out = tmp_path / "out.tsv"

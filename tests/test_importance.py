@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, arrow_field, fit_kpca,
-                    gradient_field, project, project_training, rank_features,
+                    gradient_field, laplacian_score, project, project_training, rank_features,
                     sigma_heuristic, standardize)
-from kpcaig import importance
+from kpcaig import importance, kernels
 from kpcaig.synthetic import planted_clusters
 
-from kernel_oracles import kernel_partial, partial_matrix
+from kernel_oracles import kernel_partial, partial_matrix, sq_distances
 
 
 def feature_score(model, j: int) -> tuple[float, float]:
@@ -122,8 +122,15 @@ def test_blocked_fields_match_per_feature_reference(seed, spec, n, p_free, width
         assert np.array_equal(got[:, p_free], np.zeros((n, model.q)))
 
     norms = np.sqrt((ref**2).sum(axis=2))
-    with mock.patch.object(importance, "FIELD_BLOCK_BYTES", 8 * n * model.q * width):
+    # distances and Laplacian scores at `width` columns a block, fields at width // q (at least 1)
+    with mock.patch.object(kernels, "BLOCK_BYTES", 8 * n * width):
         ranking = rank_features(model)
+        distances = kernels.pairwise_base(Dataset.from_matrix(X), True)
+        laplacian = laplacian_score(Dataset.from_matrix(X), k_nn=1)
+    assert np.allclose(distances, sq_distances(X), rtol=1e-12, atol=0)
+    # scores lie in [0, 2] or are the +inf of a constant column
+    assert np.allclose(laplacian.scores, laplacian_score(Dataset.from_matrix(X), k_nn=1).scores,
+                       rtol=0, atol=1e-12)
     assert np.abs(ranking.scores - norms.mean(axis=0)).max() <= scale
     assert np.abs(ranking.stds - norms.std(axis=0)).max() <= scale
     for j in (0, p_free, p - 1):
