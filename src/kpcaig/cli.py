@@ -1,9 +1,10 @@
 """Command-line workflow: rank / project / arrows / baseline / curve.
 
 Each command, and each variant of ``baseline`` and ``curve``, takes only the
-options it reads; any other option is a usage error. Every output table
-starts with a ``# ``-prefixed JSON comment: the command's options as parsed
-plus the values resolved from the data (``sigma_resolved`` and
+options it reads, spelled in full; any other option, an abbreviation
+included, is a usage error. Every output table starts with a ``# ``-prefixed
+JSON comment: the command's options as parsed plus the values resolved from
+the data (``sigma_resolved`` and
 ``q_resolved`` of a fit, a curve's ranking included; a curve's expanded
 ``d_grid`` and ``k``), the same object as ``project``'s sidecar ``config``.
 Identical command lines give byte-identical output. Warnings print once
@@ -123,7 +124,7 @@ def _add_seed(sub: argparse.ArgumentParser) -> None:
 
 def _add_curve(variants, name: str, summary: str) -> argparse.ArgumentParser:
     """A curve variant with the options every curve reads."""
-    v = variants.add_parser(name, help=summary)
+    v = variants.add_parser(name, help=summary, allow_abbrev=False)
     _add_input(v)
     _add_kernel(v)
     _add_seed(v)
@@ -143,31 +144,35 @@ def _add_clusters(v: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """One parser per command, and per variant of ``baseline`` and ``curve``,
     each taking only the options its command reads."""
-    ap = argparse.ArgumentParser(prog="kpcaig",
+    ap = argparse.ArgumentParser(prog="kpcaig", allow_abbrev=False,
                                  description="Kernel PCA feature importance toolkit")
     cmds = ap.add_subparsers(dest="command", required=True)
 
-    p = cmds.add_parser("rank", help="gradient-based feature ranking")
+    p = cmds.add_parser("rank", help="gradient-based feature ranking", allow_abbrev=False)
     _add_input(p)
     _add_kernel(p)
 
-    p = cmds.add_parser("project", help="training-set embedding + variance sidecar")
+    p = cmds.add_parser("project", help="training-set embedding + variance sidecar",
+                        allow_abbrev=False)
     _add_input(p)
     _add_kernel(p)
 
-    p = cmds.add_parser("arrows", help="per-sample arrows of one variable on the 2-D embedding")
+    p = cmds.add_parser("arrows", help="per-sample arrows of one variable on the 2-D embedding",
+                        allow_abbrev=False)
     _add_input(p)
     _add_kernel(p)
     p.add_argument("--feature", required=True, help="feature name (or 0-based index)")
     p.add_argument("--scale", type=float, default=1.0)
 
-    variants = cmds.add_parser("baseline", help="baseline feature selectors") \
+    variants = cmds.add_parser("baseline", help="baseline feature selectors", allow_abbrev=False) \
         .add_subparsers(dest="variant", required=True)
-    v = variants.add_parser("laplacian", help="Laplacian score on a k-NN graph")
+    v = variants.add_parser("laplacian", help="Laplacian score on a k-NN graph",
+                            allow_abbrev=False)
     _add_input(v)
     v.add_argument("--knn", type=int, default=5, help="neighbourhood size")
     v.add_argument("--t", type=float, default=None, help="heat-kernel width")
-    v = variants.add_parser("permute", help="kernel perturbation of permuting each feature")
+    v = variants.add_parser("permute", help="kernel perturbation of permuting each feature",
+                            allow_abbrev=False)
     _add_input(v)
     _add_kernel(v)
     _add_seed(v)
@@ -175,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--metric", choices=("subspace", "gram"), default="subspace",
                    help="kernel perturbation distance")
 
-    variants = cmds.add_parser("curve", help="feature-count evaluation curves") \
+    variants = cmds.add_parser("curve", help="feature-count evaluation curves", allow_abbrev=False) \
         .add_subparsers(dest="variant", required=True)
     v = _add_curve(variants, "selection", "k-means ACC and NMI against --labels")
     _add_clusters(v)
@@ -215,10 +220,6 @@ def _fit_resolved(model: FittedKpca) -> dict:
     return {"sigma_resolved": model.kernel.sigma, "q_resolved": model.q}
 
 
-def _fit_settings(args, model: FittedKpca) -> dict:
-    return _settings(args, **_fit_resolved(model))
-
-
 def _ranking_order(args, data: Dataset) -> tuple[np.ndarray, dict]:
     """The feature order of ``--ranking`` and the values it resolved from the data."""
     if args.ranking == "random":
@@ -236,7 +237,7 @@ def _ranking_order(args, data: Dataset) -> tuple[np.ndarray, dict]:
 def _cmd_rank(args) -> int:
     data = _load(args)
     model = _fit(args, data)
-    _write_ranking(args.output, _fit_settings(args, model), data.feature_names,
+    _write_ranking(args.output, _settings(args, **_fit_resolved(model)), data.feature_names,
                    rank_features(model))
     return EXIT_OK
 
@@ -244,7 +245,7 @@ def _cmd_rank(args) -> int:
 def _cmd_project(args) -> int:
     data = _load(args)
     model = _fit(args, data)
-    settings = _fit_settings(args, model)
+    settings = _settings(args, **_fit_resolved(model))
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
     _write_table(args.output, settings, cols, (data.sample_ids, *project_training(model).T))
     sidecar = {"config": settings,
@@ -270,7 +271,8 @@ def _cmd_arrows(args) -> int:
     model = _fit(args, data)
     j = _feature_index(data, args.feature)
     points, vectors = zip(*arrow_field(model, j, scale=args.scale))
-    _write_table(args.output, _fit_settings(args, model), ("x", "y", "dx", "dy", "sample_id"),
+    _write_table(args.output, _settings(args, **_fit_resolved(model)),
+                 ("x", "y", "dx", "dy", "sample_id"),
                  (*zip(*points), *zip(*vectors), data.sample_ids))
     return EXIT_OK
 

@@ -148,13 +148,15 @@ UNREAD_OPTIONS = [
     (["curve", "silhouette", "--k", "2", "--d-grid", "2,4"], ["--splits", "2"]),
     (["curve", "variance-split", "--d-grid", "2,4"], ["--labels", "LABELS"]),
     (["curve", "variance-split", "--d-grid", "2,4"], ["--k", "2"]),
+    # a valid value for --kernel, so a prefix match would make this parse
+    (["curve", "variance-split", "--d-grid", "2,4"], ["--k", "rbf"]),
     (["curve", "variance-split", "--d-grid", "2,4"], ["--runs", "2"]),
     (["curve", "variance-split", "--d-grid", "2,4"], ["--ranking", "laplacian"]),
 ]
 
 
 @pytest.mark.parametrize("argv, unread", UNREAD_OPTIONS,
-                         ids=[" ".join(argv[:2] + unread[:1]) for argv, unread in UNREAD_OPTIONS])
+                         ids=[" ".join(argv[:2] + unread) for argv, unread in UNREAD_OPTIONS])
 def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv, unread):
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n1\n" * 5, encoding="utf-8")
@@ -421,6 +423,9 @@ def test_identity_gram_ranking_exits_3_naming_the_bandwidth(tmp_path, capsys, co
      "coef0 must be finite, got nan"),
     (["arrows", "--feature", "99"], "feature index 99 out of range for p=5"),
     (["arrows", "--feature", "-1"], "feature index -1 out of range for p=5"),
+    # arrow_field checks q before it reads the feature index
+    (["arrows", "--feature", "99", "--q", "1"],
+     "arrow field needs q >= 2 retained components, got q=1"),
 ])
 def test_non_finite_option_exits_3_naming_it(tmp_path, capsys, argv, message):
     out = tmp_path / "out.tsv"

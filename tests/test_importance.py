@@ -122,9 +122,10 @@ def test_blocked_fields_match_per_feature_reference(seed, spec, n, p_free, width
         assert np.array_equal(got[:, p_free], np.zeros((n, model.q)))
 
     norms = np.sqrt((ref**2).sum(axis=2))
-    # distances and Laplacian scores at `width` columns a block, fields at width // q (at least 1)
-    with mock.patch.object(kernels, "BLOCK_BYTES", 8 * n * width):
+    # fields, distances and Laplacian scores each at `width` columns a block
+    with mock.patch.object(kernels, "BLOCK_BYTES", 8 * n * model.q * width):
         ranking = rank_features(model)
+    with mock.patch.object(kernels, "BLOCK_BYTES", 8 * n * width):
         distances = kernels.pairwise_base(Dataset.from_matrix(X), True)
         laplacian = laplacian_score(Dataset.from_matrix(X), k_nn=1)
     assert np.allclose(distances, sq_distances(X), rtol=1e-12, atol=0)
