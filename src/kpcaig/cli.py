@@ -2,13 +2,13 @@
 
 Each command, and each variant of ``baseline`` and ``curve``, takes only the
 options it reads, spelled in full; any other option, an abbreviation
-included, is a usage error. Every output table starts with a ``# ``-prefixed
-JSON comment: the command's options as parsed plus the values resolved from
-the data (``sigma_resolved`` and
-``q_resolved`` of a fit, a curve's ranking included; a curve's expanded
-``d_grid`` and ``k``), the same object as ``project``'s sidecar ``config``.
-Identical command lines give byte-identical output. Warnings print once
-each as ``kpcaig: warning: ...``. Exit codes: 0 success, 2 usage error,
+included, is a usage error. Each command writes exactly one table, which
+starts with a ``# ``-prefixed JSON comment: the command's options as parsed
+plus the values resolved from the data (``sigma_resolved`` and
+``q_resolved`` of a fit, a curve's ranking included; ``project``'s
+``eigenvalues`` and ``explained_variance``; a curve's expanded ``d_grid`` and
+``k``). Identical command lines give byte-identical output. Warnings print
+once each as ``kpcaig: warning: ...``. Exit codes: 0 success, 2 usage error,
 3 invalid configuration or input values, 4 unreadable or malformed data files.
 """
 
@@ -63,14 +63,6 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
-def _emit(path, text: str) -> None:
-    """Write text to the file at path, or to stdout when path is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
 def _settings(args, **resolved) -> dict:
     """The header object: the parsed options, overridden by values resolved from the data."""
     return {**vars(args), **resolved}
@@ -78,7 +70,7 @@ def _settings(args, **resolved) -> dict:
 
 def _write_table(output, settings: dict, header, columns) -> None:
     """Write the settings comment, the column names and one line per entry of
-    the columns.
+    the columns to the file at output, or to stdout when output is None.
 
     Cells are Python str, int or float (numpy columns go through tolist()),
     so str() writes every float as its repr, which reads back exactly.
@@ -86,7 +78,11 @@ def _write_table(output, settings: dict, header, columns) -> None:
     cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col) for col in columns]
     lines = ["# " + json.dumps(settings, sort_keys=True), "\t".join(header),
              *map("\t".join, zip(*cells))]
-    _emit(output, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    if output is None:
+        sys.stdout.write(text)
+    else:
+        Path(output).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _write_ranking(output, settings: dict, names, ranking: FeatureRanking) -> None:
@@ -152,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     _add_kernel(p)
 
-    p = cmds.add_parser("project", help="training-set embedding + variance sidecar",
+    p = cmds.add_parser("project", help="training-set embedding and its eigenvalues",
                         allow_abbrev=False)
     _add_input(p)
     _add_kernel(p)
@@ -245,15 +241,10 @@ def _cmd_rank(args) -> int:
 def _cmd_project(args) -> int:
     data = _load(args)
     model = _fit(args, data)
-    settings = _settings(args, **_fit_resolved(model))
+    settings = _settings(args, **_fit_resolved(model), eigenvalues=model.eigvals.tolist(),
+                         explained_variance=explained_variance(model).tolist())
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
     _write_table(args.output, settings, cols, (data.sample_ids, *project_training(model).T))
-    sidecar = {"config": settings,
-               "q": model.q,
-               "eigenvalues": [float(v) for v in model.eigvals],
-               "explained_variance": [float(v) for v in explained_variance(model)]}
-    _emit(None if args.output is None else Path(args.output).with_suffix(".variance.json"),
-          json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -339,11 +330,23 @@ _COMMANDS = {
 }
 
 
+def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
+    """The parser of the command, or of the command's variant, that args name."""
+    while parser._subparsers is not None:
+        (action,) = parser._subparsers._group_actions
+        parser = action.choices[getattr(args, action.dest)]
+    return parser
+
+
 def main(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # argparse reports these at the top level, whose usage line
+            # lists the commands rather than the options this one takes
+            _leaf_parser(parser, args).error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as e:
         return int(e.code or 0)
     with warnings.catch_warnings(record=True) as caught:

@@ -6,13 +6,15 @@ import numpy as np
 
 from .data import Dataset
 
+# scale of the cluster centres' sign patterns on the informative columns
+SEPARATION = 1.0
+
 
 def planted_clusters(n: int, p: int, k: int, n_informative: int, *,
-                     separation: float = 1.0, within_std: float = 0.1,
-                     seed: int = 0) -> Dataset:
+                     within_std: float = 0.1, seed: int = 0) -> Dataset:
     """Gaussian clusters that differ only in the first n_informative columns.
 
-    Cluster centers are distinct +-separation sign patterns on the
+    Cluster centers are distinct +-SEPARATION sign patterns on the
     informative block (pairwise Hamming distance >= 2); every other column
     is standard normal noise. Labels are balanced and shuffled.
     """
@@ -32,7 +34,7 @@ def planted_clusters(n: int, p: int, k: int, n_informative: int, *,
             break
     labels = rng.permutation(np.arange(n) % k)
     X = rng.normal(0.0, 1.0, size=(n, p))
-    X[:, :n_informative] = (separation * patterns[labels]
+    X[:, :n_informative] = (SEPARATION * patterns[labels]
                             + within_std * rng.normal(size=(n, n_informative)))
     return Dataset.from_matrix(X, labels=labels)
 

@@ -1,6 +1,8 @@
 import argparse
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 
 import kpcaig
-from kpcaig import (Dataset, KernelSpec, fit_kpca, laplacian_score, load_matrix,
-                    project_training, rank_features, save_matrix, sigma_heuristic, standardize)
+from kpcaig import (Dataset, KernelSpec, explained_variance, fit_kpca, laplacian_score,
+                    load_matrix, project_training, rank_features, save_matrix, sigma_heuristic,
+                    standardize)
 from kpcaig.cli import build_parser, main
 from kpcaig.synthetic import planted_clusters
 
@@ -90,6 +93,28 @@ def option_strings(*names):
     return {s for a in parser_path(*names)[-1]._actions for s in a.option_strings}
 
 
+def readme_command_lines():
+    """Every ``kpcaig ...`` line of README's fenced bash blocks."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines, in_bash = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_bash = line == "```bash"
+        elif in_bash and line.startswith("kpcaig "):
+            lines.append(line)
+    return lines
+
+
+def test_readme_command_lines_parse(capsys):
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}\n{capsys.readouterr().err}")
+
+
 FIT_RESOLVED = {"sigma_resolved": 0.25, "q_resolved": 3}
 
 
@@ -118,14 +143,15 @@ def test_header_is_the_parsed_options_plus_resolved_values(tmp_path, command, ex
             src, "-o", str(out), *(a for item in taken.items() for a in item)]
     assert main(full) == 0
     header = header_of(out)
+    if command == ["project"]:
+        model = fit_kpca(standardize(load_matrix(src)), KernelSpec("rbf", sigma=0.25), 3)
+        resolved = {**resolved, "eigenvalues": model.eigvals.tolist(),
+                    "explained_variance": explained_variance(model).tolist()}
     # only this command's options, so a rank header has no knn or runs
     assert set(header) == option_dests(*command) | set(resolved)
     assert header == {**vars(build_parser().parse_args(full)), **resolved}
     for flag, value in taken.items():
         assert str(header[flag[2:]]) == value
-    if command == ["project"]:
-        sidecar = json.loads((tmp_path / "out.variance.json").read_text(encoding="utf-8"))
-        assert sidecar["config"] == header
 
 
 # a command line that runs, and an option its command or variant accepted without reading it
@@ -161,9 +187,15 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, 
     labels = tmp_path / "labels.txt"
     labels.write_text("0\n1\n" * 5, encoding="utf-8")
     out = tmp_path / "out.tsv"
-    full = [*argv, toy_matrix(tmp_path), "-o", str(out), *unread]
-    assert main([str(labels) if a == "LABELS" else a for a in full]) == 2
-    assert "error: " in capsys.readouterr().err
+    full = [str(labels) if a == "LABELS" else a
+            for a in [*argv, toy_matrix(tmp_path), "-o", str(out), *unread]]
+    assert main(full) == 2
+    err = capsys.readouterr().err
+    # the usage line of the command or variant, which lists the options it does take
+    command = " ".join(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+    assert err.startswith(f"usage: kpcaig {command} [-h]")
+    unrecognized = " ".join(full[-len(unread):])
+    assert err.endswith(f"kpcaig {command}: error: unrecognized arguments: {unrecognized}\n")
     assert not out.exists()
 
 
@@ -206,17 +238,24 @@ def test_repeated_warnings_print_once_without_a_source_location(tmp_path, capsys
     assert all(line.startswith("kpcaig: warning: requested q=40") for line in lines)
 
 
-def test_project_embedding_and_sidecar(tmp_path):
+def test_project_embedding_and_sidecar(tmp_path, capsys):
     out = tmp_path / "emb.tsv"
     code = main(["project", toy_matrix(tmp_path), "-o", str(out), "--q", "3"])
     assert code == 0
     _, header, rows = read_table(out)
     assert header == ["sample_id", "pc1", "pc2", "pc3"]
     assert len(rows) == 10
-    sidecar = json.loads((tmp_path / "emb.variance.json").read_text(encoding="utf-8"))
-    assert sidecar["q"] == 3
-    assert len(sidecar["explained_variance"]) == 3
-    assert sum(sidecar["explained_variance"]) <= 1.0
+    settings = header_of(out)
+    assert settings["q_resolved"] == 3
+    assert len(settings["eigenvalues"]) == len(settings["explained_variance"]) == 3
+    assert sum(settings["explained_variance"]) <= 1.0
+    # one table and no second file
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["emb.tsv", "toy.tsv"]
+    # without -o, stdout is the same table and nothing else
+    assert main(["project", toy_matrix(tmp_path), "--q", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 10
+    assert lines[1:] == out.read_text(encoding="utf-8").splitlines()[1:]
 
 
 def test_arrows_output(tmp_path):
