@@ -17,14 +17,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kpcaig import save_matrix
-from kpcaig.cli import main as kpcaig
+from kpcaig.cli import _nonneg_int, main as kpcaig
 from kpcaig.synthetic import planted_clusters
 
 
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="planted_demo_out")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_nonneg_int, default=0)
     args = ap.parse_args()
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)

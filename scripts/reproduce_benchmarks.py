@@ -32,7 +32,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from kpcaig import Dataset, save_matrix
-from kpcaig.cli import main as kpcaig
+from kpcaig.cli import _nonneg_int, main as kpcaig
 
 SIGMA_GRID = "grid:" + ",".join(repr(10.0 ** e) for e in range(-7, 1))
 DEFAULT_Q = {"Glioma": 3, "Carcinom": 5, "GPL93": 3}
@@ -57,7 +57,7 @@ def main():
     ap.add_argument("--q-map", type=parse_q_map, default={})
     ap.add_argument("--no-standardize", action="store_true")
     ap.add_argument("--baselines", action="store_true")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_nonneg_int, default=0)
     args = ap.parse_args()
     from scipy.io import loadmat
 

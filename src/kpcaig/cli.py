@@ -341,7 +341,13 @@ def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentPars
 def main(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # the root parser takes no option but -h: it would skip another and
+        # read the option's value, or the command, as the command
+        lead = next((arg for arg in argv if arg not in ("-h", "--help")), "")
+        if lead.startswith("-"):
+            parser.error(f"option {lead} goes after the command")
         args, extras = parser.parse_known_args(argv)
         if extras:
             # argparse reports these at the top level, whose usage line

@@ -1,7 +1,7 @@
 """Clustering metrics: k-means, accuracy by optimal matching, NMI, silhouette.
 
-k-means and silhouette import scipy's cdist and pdist where they run, so a
-process that only ranks features never loads scipy (and its second BLAS).
+k-means and silhouette import scipy's cdist where they run, so a process
+that only ranks features never loads scipy (and its second BLAS).
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ class ClusteringResult:
     n_iter: int              # Lloyd iterations run
 
 
-def _kmeanspp(X: np.ndarray, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """k-means++ centres (runs x k x d), one run per generator, and the squared
-    distances (m x runs x k) from every point to them.
+def _kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ centres (runs x k x d), one run per generator.
 
     Each run makes the generator calls a run on its own makes, on the same
     distances, so it draws the same centres.
@@ -31,7 +30,6 @@ def _kmeanspp(X: np.ndarray, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     from scipy.spatial.distance import cdist
     m = X.shape[0]
     chosen = np.empty((len(rngs), k), dtype=np.int64)
-    D2 = np.empty((m, len(rngs), k))
     for c in range(k):
         for r, rng in enumerate(rngs):
             if c == 0:
@@ -43,9 +41,9 @@ def _kmeanspp(X: np.ndarray, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
                 taken = set(chosen[r, :c].tolist())
                 idx = next(i for i in range(m) if i not in taken)
             chosen[r, c] = idx
-        D2[:, :, c] = cdist(X, X[chosen[:, c]], "sqeuclidean")
-        nearest = D2[:, :, 0].T.copy() if c == 0 else np.minimum(nearest, D2[:, :, c].T)
-    return X[chosen], D2
+        d2 = cdist(X[chosen[:, c]], X, "sqeuclidean")
+        nearest = d2 if c == 0 else np.minimum(nearest, d2)
+    return X[chosen]
 
 
 def _repair_empty(X: np.ndarray, d2: np.ndarray, labels: np.ndarray, k: int) -> None:
@@ -64,9 +62,8 @@ def _repair_empty(X: np.ndarray, d2: np.ndarray, labels: np.ndarray, k: int) -> 
         d2[:, c] = cdist(X, X[far:far + 1], "sqeuclidean")[:, 0]
 
 
-def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int, wanted: np.ndarray) -> np.ndarray:
-    """Centroids of the clusters flagged in ``wanted`` (runs x k), none of them
-    empty, in run-major order.
+def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Centroids (runs x k x d) of every run's clusters, none of them empty.
 
     Each centroid is the mean of one contiguous block of rows, taken in the
     order ``X[labels == c]`` takes them, so it equals that of a run on its
@@ -76,13 +73,12 @@ def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int, wanted: np.ndarray
     runs, m = labels.shape
     groups = (labels + k * np.arange(runs)[:, None]).ravel()
     order = np.argsort(groups, kind="stable")
-    order = order[wanted.ravel()[groups[order]]]
-    counts = np.bincount(groups, minlength=runs * k)[wanted.ravel()]
+    counts = np.bincount(groups, minlength=runs * k)
     rows = X[order % m]                      # cluster by cluster
     ends = np.cumsum(counts).tolist()
     sums = np.stack([np.add.reduce(rows[e - c:e], axis=0)
                      for e, c in zip(ends, counts.tolist())])
-    return sums / counts[:, None]
+    return (sums / counts[:, None]).reshape(runs, k, -1)
 
 
 def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
@@ -90,13 +86,13 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
 
     One seed gives one ClusteringResult; a sequence gives one per seed, in
     order. The runs are seeded together, then iterate in lockstep: each
-    iteration assigns every active run's points from one distance array,
-    and a run drops out when its assignment stops changing, when its cost
-    stops falling (it then keeps its previous assignment) or after max_iter
-    iterations. Distances are recomputed only for centres that moved, so
-    each result equals that of a call with its seed alone. Empty clusters
-    are repaired by claiming the point farthest from its assigned centroid
-    (among clusters that can spare a point).
+    iteration assigns every active run's points from one distance array to
+    their centres, and a run drops out when its assignment stops changing,
+    when its cost stops falling (it then keeps its previous assignment) or
+    after max_iter iterations. A distance depends only on its point and
+    centre, so each result equals that of a call with its seed alone. Empty
+    clusters are repaired by claiming the point farthest from its assigned
+    centroid (among clusters that can spare a point).
     """
     from scipy.spatial.distance import cdist
 
@@ -113,13 +109,9 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
         raise InputError("k-means needs at least one seed")
     runs = len(seeds)
     if init_centers is None:
-        centers, D2 = _kmeanspp(X, k, [np.random.default_rng(s) for s in seeds])
+        centers = _kmeanspp(X, k, [np.random.default_rng(s) for s in seeds])
     else:
         centers = np.repeat(np.array(init_centers, dtype=np.float64)[None], runs, axis=0)
-        D2 = cdist(X, centers.reshape(runs * k, -1), "sqeuclidean").reshape(m, runs, k)
-    # D2[:, r, c] always holds the squared distances to centers[r, c]; the flat
-    # forms are views of the same (contiguous) memory, indexed by r k + c
-    flat_D2, flat_centers = D2.reshape(m, runs * k), centers.reshape(runs * k, -1)
     labels = np.full((runs, m), -1)          # each run's latest assignment
     prev_cost = np.full(runs, np.inf)
     n_iter = np.zeros(runs, dtype=np.int64)
@@ -127,7 +119,7 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
     rows = np.arange(m)
     for _ in range(max_iter):
         a = active.size
-        d2 = D2[:, active]                   # a copy: the repair below edits it
+        d2 = cdist(X, centers[active].reshape(a * k, -1), "sqeuclidean").reshape(m, a, k)
         lab = np.ascontiguousarray(d2.argmin(axis=2).T)
         sizes = np.bincount((lab + k * np.arange(a)[:, None]).ravel(), minlength=a * k)
         for i in np.flatnonzero(sizes.reshape(a, k).min(axis=1) == 0):
@@ -144,26 +136,15 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
         lab[stalled] = labels[active[stalled]]
         prev_cost[active] = cost
         n_iter[active] += 1
-        # a cluster whose members all stay keeps its centre bit for bit
-        moved = lab != labels[active]
-        changed = np.zeros((a, k + 1), dtype=bool)   # column k: the no-label -1
-        changed[np.nonzero(moved)[0], lab[moved]] = True
-        changed[np.nonzero(moved)[0], labels[active][moved]] = True
+        going = (lab != labels[active]).any(axis=1)
         labels[active] = lab
-        going = changed.any(axis=1)
         active = active[going]
         if not active.size:
             break
-        wanted = changed[going, :k]
-        stale = (active[:, None] * k + np.arange(k))[wanted]
-        flat_centers[stale] = _cluster_means(X, lab[going], k, wanted)
-        flat_D2[:, stale] = cdist(X, flat_centers[stale], "sqeuclidean")
-    results = []
-    diff = np.empty_like(X)      # one buffer: a fresh array per run costs page faults
-    for r, s in enumerate(seeds):
-        np.square(np.subtract(X, centers[r, labels[r]], out=diff), out=diff)
-        results.append(ClusteringResult(labels=labels[r], inertia=float(diff.sum()),
-                                        seed=s, n_iter=int(n_iter[r])))
+        centers[active] = _cluster_means(X, lab[going], k)
+    results = [ClusteringResult(labels=labels[r], seed=s, n_iter=int(n_iter[r]),
+                                inertia=float(np.square(X - centers[r, labels[r]]).sum()))
+               for r, s in enumerate(seeds)]
     return results[0] if np.ndim(seed) == 0 else results
 
 
@@ -270,7 +251,7 @@ def silhouette(coords, labels) -> float:
     Points in singleton clusters contribute 0; a single-cluster labeling is
     an error.
     """
-    from scipy.spatial.distance import pdist, squareform
+    from scipy.spatial.distance import cdist
 
     X = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     lab = np.asarray(labels).ravel()
@@ -279,7 +260,7 @@ def silhouette(coords, labels) -> float:
     classes, inv = np.unique(lab, return_inverse=True)
     if classes.size < 2:
         raise InputError("silhouette needs at least 2 clusters")
-    D = squareform(pdist(X))
+    D = cdist(X, X)
     counts = np.bincount(inv)
     # per-point mean distance to every cluster
     sums = np.zeros((X.shape[0], classes.size))

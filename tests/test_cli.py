@@ -2,6 +2,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -93,26 +94,30 @@ def option_strings(*names):
     return {s for a in parser_path(*names)[-1]._actions for s in a.option_strings}
 
 
-def readme_command_lines():
-    """Every ``kpcaig ...`` line of README's fenced bash blocks."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    lines, in_bash = [], False
-    for line in readme.read_text(encoding="utf-8").splitlines():
-        if line.startswith("```"):
-            in_bash = line == "```bash"
-        elif in_bash and line.startswith("kpcaig "):
-            lines.append(line)
-    return lines
+def readme_blocks(language):
+    """The text of each of README's fenced blocks in ``language``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{language}\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
 
 
 def test_readme_command_lines_parse(capsys):
-    lines = readme_command_lines()
+    lines = [line for block in readme_blocks("bash") for line in block.splitlines()
+             if line.startswith("kpcaig ")]
     assert len(lines) >= 10
     for line in lines:
         try:
             build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}\n{capsys.readouterr().err}")
+
+
+def test_readme_library_example_runs(tmp_path):
+    (code,) = readme_blocks("python")
+    np.savetxt(tmp_path / "matrix.txt", np.random.default_rng(0).normal(size=(20, 8)))
+    proc = run_python(code, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    names = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert sorted(names) == [f"f{j}" for j in range(8)]
 
 
 FIT_RESOLVED = {"sigma_resolved": 0.25, "q_resolved": 3}
@@ -196,6 +201,16 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, 
     assert err.startswith(f"usage: kpcaig {command} [-h]")
     unrecognized = " ".join(full[-len(unread):])
     assert err.endswith(f"kpcaig {command}: error: unrecognized arguments: {unrecognized}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("before", [["--seed", "1"], ["--no-standardize"]])
+def test_an_option_before_the_command_is_named_as_such(tmp_path, capsys, before):
+    out = tmp_path / "out.tsv"
+    assert main([*before, "rank", toy_matrix(tmp_path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kpcaig [-h]")
+    assert err.endswith(f"kpcaig: error: option {before[0]} goes after the command\n")
     assert not out.exists()
 
 
@@ -501,13 +516,13 @@ def test_orientation_and_no_standardize(tmp_path):
     assert a_lines == b_lines
 
 
-def run_python(code, *args):
+def run_python(code, *args, cwd=None):
     """``code`` run with ``args`` by a fresh interpreter that imports this checkout's kpcaig."""
     src = str(Path(kpcaig.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, cwd=cwd)
 
 
 def test_cli_import_skips_scipy_optimize():

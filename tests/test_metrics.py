@@ -9,6 +9,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from kpcaig import InputError, clustering_accuracy, kmeans, nmi, silhouette
 from kpcaig.metrics import table_accuracy
+from kpcaig.synthetic import planted_clusters
 
 from generators import two_blobs
 from metric_oracles import kmeans_per_run
@@ -83,6 +84,21 @@ def test_kmeans_separated_blobs_every_seed():
         d = two_blobs(40, 2, separation=10.0, spread=1.0, seed=seed)
         res = kmeans(d.matrix, 2, seed)
         assert clustering_accuracy(res.labels, d.labels) == 1.0
+
+
+@pytest.mark.parametrize("runs", [1, 4, 20])
+def test_kmeans_distance_calls_do_not_grow_with_restarts(monkeypatch, runs):
+    # lockstep: one cdist call per k-means++ centre and one per Lloyd step,
+    # shared by every restart; blobs this far apart leave no cluster empty,
+    # so no repair adds a call
+    import scipy.spatial.distance
+    data = planted_clusters(60, 6, 4, 6, within_std=0.3, seed=0)
+    calls = []
+    cdist = scipy.spatial.distance.cdist
+    monkeypatch.setattr(scipy.spatial.distance, "cdist",
+                        lambda *a, **kw: calls.append(a) or cdist(*a, **kw))
+    results = kmeans(data.matrix, 4, range(runs))
+    assert len(calls) == 4 + max(res.n_iter for res in results)
 
 
 def test_kmeans_k_equals_m():

@@ -61,3 +61,12 @@ def test_reproduce_benchmarks_rejects_a_malformed_q_map(tmp_path, entry):
                       cwd=tmp_path, code=2)
     assert f"argument --q-map: {entry!r}" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("script, args", [("planted_demo.py", ["demo"]),
+                                          ("reproduce_benchmarks.py", ["."])])
+def test_a_negative_seed_is_a_usage_error(tmp_path, script, args):
+    done = run_script(script, *args, "--seed", -1, cwd=tmp_path, code=2)
+    assert "argument --seed: must be >= 0, got -1" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "demo").exists()
