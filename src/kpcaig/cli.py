@@ -1,8 +1,10 @@
 """Command-line workflow: rank / project / arrows / baseline / curve.
 
 Each command, and each variant of ``baseline`` and ``curve``, takes only the
-options it reads, spelled in full; any other option, an abbreviation
-included, is a usage error. Each command writes exactly one table, which
+options it reads, spelled in full, after the command and variant words; any
+other option, an abbreviation included, is a usage error, and so is an
+option placed before the command or variant word, whose message says where
+it goes. Each command writes exactly one table, which
 starts with a ``# ``-prefixed JSON comment: the command's options as parsed
 plus the values resolved from the data (``sigma_resolved`` and
 ``q_resolved`` of a fit, a curve's ranking included; ``project``'s
@@ -57,15 +59,13 @@ def _parse_d_grid(text: str) -> tuple[int, ...]:
 
 
 def _nonneg_int(text: str) -> int:
-    v = int(text)
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if v < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
     return v
-
-
-def _settings(args, **resolved) -> dict:
-    """The header object: the parsed options, overridden by values resolved from the data."""
-    return {**vars(args), **resolved}
 
 
 def _write_table(output, settings: dict, header, columns) -> None:
@@ -85,15 +85,41 @@ def _write_table(output, settings: dict, header, columns) -> None:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _write_ranking(output, settings: dict, names, ranking: FeatureRanking) -> None:
-    """Write the rank, feature, score[, std] table, best feature first."""
+def _ranking_table(names, ranking: FeatureRanking) -> tuple:
+    """The header and columns of the rank, feature, score[, std] table, best feature first."""
     order, stds = ranking.order, ranking.stds
     header = ("rank", "feature", "score") + (() if stds is None else ("std",))
     columns = [range(1, len(order) + 1), [names[j] for j in order.tolist()],
                ranking.scores[order]]
     if stds is not None:
         columns.append(stds[order])
-    _write_table(output, settings, header, columns)
+    return header, columns
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes options only spelled in full, refuses an option placed
+    before its command or variant word, and reports a leftover argument under
+    its own usage line: the usage line of the command or variant that took it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+        self._word = None    # "command" or "variant" once it has subparsers
+
+    def add_subparsers(self, **kwargs):
+        self._word = kwargs["dest"]
+        return super().add_subparsers(**kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        # else argparse would skip an option it does not take and read its
+        # value, or the next word, as the command or variant
+        lead = next((arg for arg in args if arg not in ("-h", "--help")), "")
+        if self._word and lead.startswith("-"):
+            self.error(f"option {lead} goes after the {self._word}")
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _add_input(sub: argparse.ArgumentParser) -> None:
@@ -120,7 +146,7 @@ def _add_seed(sub: argparse.ArgumentParser) -> None:
 
 def _add_curve(variants, name: str, summary: str) -> argparse.ArgumentParser:
     """A curve variant with the options every curve reads."""
-    v = variants.add_parser(name, help=summary, allow_abbrev=False)
+    v = variants.add_parser(name, help=summary)
     _add_input(v)
     _add_kernel(v)
     _add_seed(v)
@@ -140,35 +166,30 @@ def _add_clusters(v: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """One parser per command, and per variant of ``baseline`` and ``curve``,
     each taking only the options its command reads."""
-    ap = argparse.ArgumentParser(prog="kpcaig", allow_abbrev=False,
-                                 description="Kernel PCA feature importance toolkit")
+    ap = _Parser(prog="kpcaig", description="Kernel PCA feature importance toolkit")
     cmds = ap.add_subparsers(dest="command", required=True)
 
-    p = cmds.add_parser("rank", help="gradient-based feature ranking", allow_abbrev=False)
+    p = cmds.add_parser("rank", help="gradient-based feature ranking")
     _add_input(p)
     _add_kernel(p)
 
-    p = cmds.add_parser("project", help="training-set embedding and its eigenvalues",
-                        allow_abbrev=False)
+    p = cmds.add_parser("project", help="training-set embedding and its eigenvalues")
     _add_input(p)
     _add_kernel(p)
 
-    p = cmds.add_parser("arrows", help="per-sample arrows of one variable on the 2-D embedding",
-                        allow_abbrev=False)
+    p = cmds.add_parser("arrows", help="per-sample arrows of one variable on the 2-D embedding")
     _add_input(p)
     _add_kernel(p)
     p.add_argument("--feature", required=True, help="feature name (or 0-based index)")
     p.add_argument("--scale", type=float, default=1.0)
 
-    variants = cmds.add_parser("baseline", help="baseline feature selectors", allow_abbrev=False) \
+    variants = cmds.add_parser("baseline", help="baseline feature selectors") \
         .add_subparsers(dest="variant", required=True)
-    v = variants.add_parser("laplacian", help="Laplacian score on a k-NN graph",
-                            allow_abbrev=False)
+    v = variants.add_parser("laplacian", help="Laplacian score on a k-NN graph")
     _add_input(v)
     v.add_argument("--knn", type=int, default=5, help="neighbourhood size")
     v.add_argument("--t", type=float, default=None, help="heat-kernel width")
-    v = variants.add_parser("permute", help="kernel perturbation of permuting each feature",
-                            allow_abbrev=False)
+    v = variants.add_parser("permute", help="kernel perturbation of permuting each feature")
     _add_input(v)
     _add_kernel(v)
     _add_seed(v)
@@ -176,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--metric", choices=("subspace", "gram"), default="subspace",
                    help="kernel perturbation distance")
 
-    variants = cmds.add_parser("curve", help="feature-count evaluation curves", allow_abbrev=False) \
+    variants = cmds.add_parser("curve", help="feature-count evaluation curves") \
         .add_subparsers(dest="variant", required=True)
     v = _add_curve(variants, "selection", "k-means ACC and NMI against --labels")
     _add_clusters(v)
@@ -230,22 +251,17 @@ def _ranking_order(args, data: Dataset) -> tuple[np.ndarray, dict]:
     return rank_features(model).order, _fit_resolved(model)
 
 
-def _cmd_rank(args) -> int:
-    data = _load(args)
+def _cmd_rank(args, data: Dataset) -> tuple:
     model = _fit(args, data)
-    _write_ranking(args.output, _settings(args, **_fit_resolved(model)), data.feature_names,
-                   rank_features(model))
-    return EXIT_OK
+    return _fit_resolved(model), *_ranking_table(data.feature_names, rank_features(model))
 
 
-def _cmd_project(args) -> int:
-    data = _load(args)
+def _cmd_project(args, data: Dataset) -> tuple:
     model = _fit(args, data)
-    settings = _settings(args, **_fit_resolved(model), eigenvalues=model.eigvals.tolist(),
-                         explained_variance=explained_variance(model).tolist())
+    resolved = {**_fit_resolved(model), "eigenvalues": model.eigvals.tolist(),
+                "explained_variance": explained_variance(model).tolist()}
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
-    _write_table(args.output, settings, cols, (data.sample_ids, *project_training(model).T))
-    return EXIT_OK
+    return resolved, cols, (data.sample_ids, *project_training(model).T)
 
 
 def _feature_index(data: Dataset, name: str) -> int:
@@ -257,29 +273,23 @@ def _feature_index(data: Dataset, name: str) -> int:
         raise InputError(f"unknown feature {name!r}") from None
 
 
-def _cmd_arrows(args) -> int:
-    data = _load(args)
+def _cmd_arrows(args, data: Dataset) -> tuple:
     model = _fit(args, data)
     j = _feature_index(data, args.feature)
     points, vectors = zip(*arrow_field(model, j, scale=args.scale))
-    _write_table(args.output, _settings(args, **_fit_resolved(model)),
-                 ("x", "y", "dx", "dy", "sample_id"),
-                 (*zip(*points), *zip(*vectors), data.sample_ids))
-    return EXIT_OK
+    return (_fit_resolved(model), ("x", "y", "dx", "dy", "sample_id"),
+            (*zip(*points), *zip(*vectors), data.sample_ids))
 
 
-def _cmd_baseline(args) -> int:
-    data = _load(args)
+def _cmd_baseline(args, data: Dataset) -> tuple:
     if args.variant == "laplacian":
-        ranking = laplacian_score(data, k_nn=args.knn, t=args.t)
-        settings = _settings(args)
+        ranking, resolved = laplacian_score(data, k_nn=args.knn, t=args.t), {}
     else:
         spec = _resolved_spec(args, data)
         ranking = permutation_importance(data, spec, args.q, n_perm=args.n_perm,
                                          seed=args.seed, metric=args.metric)
-        settings = _settings(args, sigma_resolved=spec.sigma)
-    _write_ranking(args.output, settings, data.feature_names, ranking)
-    return EXIT_OK
+        resolved = {"sigma_resolved": spec.sigma}
+    return resolved, *_ranking_table(data.feature_names, ranking)
 
 
 # output columns of each curve, each a CurvePoint field
@@ -288,8 +298,7 @@ _CURVE_COLUMNS = {"selection": ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std
                   "variance-split": ("split", "d", "var_train", "var_test")}
 
 
-def _cmd_curve(args) -> int:
-    data = _load(args)
+def _cmd_curve(args, data: Dataset) -> tuple:
     spec, rule = _spec_and_rule(args)
     d_grid = _parse_d_grid(args.d_grid)
     if args.variant == "variance-split":
@@ -316,11 +325,11 @@ def _cmd_curve(args) -> int:
             points = silhouette_curve(data, order, spec, k, d_grid,
                                       sigma_rule=rule, seed=args.seed)
     columns = _CURVE_COLUMNS[args.variant]
-    _write_table(args.output, _settings(args, d_grid=d_grid, **resolved), columns,
-                 [[getattr(pt, name) for pt in points] for name in columns])
-    return EXIT_OK
+    return ({**resolved, "d_grid": d_grid}, columns,
+            [[getattr(pt, name) for pt in points] for name in columns])
 
 
+# each returns the values it resolved from the data, then its table's header and columns
 _COMMANDS = {
     "rank": _cmd_rank,
     "project": _cmd_project,
@@ -330,29 +339,10 @@ _COMMANDS = {
 }
 
 
-def _leaf_parser(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
-    """The parser of the command, or of the command's variant, that args name."""
-    while parser._subparsers is not None:
-        (action,) = parser._subparsers._group_actions
-        parser = action.choices[getattr(args, action.dest)]
-    return parser
-
-
 def main(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # the root parser takes no option but -h: it would skip another and
-        # read the option's value, or the command, as the command
-        lead = next((arg for arg in argv if arg not in ("-h", "--help")), "")
-        if lead.startswith("-"):
-            parser.error(f"option {lead} goes after the command")
-        args, extras = parser.parse_known_args(argv)
-        if extras:
-            # argparse reports these at the top level, whose usage line
-            # lists the commands rather than the options this one takes
-            _leaf_parser(parser, args).error(f"unrecognized arguments: {' '.join(extras)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     with warnings.catch_warnings(record=True) as caught:
@@ -362,7 +352,10 @@ def main(argv=None) -> int:
             # non-finite float as invalid JSON
             if not np.isfinite(getattr(args, "coef0", 0.0)):
                 raise InputError(f"coef0 must be finite, got {args.coef0}")
-            return _COMMANDS[args.command](args)
+            data = _load(args)
+            resolved, header, columns = _COMMANDS[args.command](args, data)
+            _write_table(args.output, {**vars(args), **resolved}, header, columns)
+            return EXIT_OK
         except (InputError, DegenerateDataError) as e:
             error, code = e, EXIT_CONFIG
         except (ParseError, OSError) as e:

@@ -204,14 +204,97 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("before", [["--seed", "1"], ["--no-standardize"]])
+# the command line up to the input file, with an option before the command or variant word
+@pytest.mark.parametrize("before", [
+    ["--seed", "1", "rank"],
+    ["--no-standardize", "rank"],
+    ["curve", "--seed", "1", "selection", "--labels", "LABELS"],
+    ["baseline", "--knn", "3", "laplacian"],
+    # an option the variant takes
+    ["curve", "--no-standardize", "variance-split"],
+])
 def test_an_option_before_the_command_is_named_as_such(tmp_path, capsys, before):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n" * 5, encoding="utf-8")
     out = tmp_path / "out.tsv"
-    assert main([*before, "rank", toy_matrix(tmp_path), "-o", str(out)]) == 2
+    argv = [str(labels) if a == "LABELS" else a for a in before]
+    assert main([*argv, toy_matrix(tmp_path), "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: kpcaig [-h]")
-    assert err.endswith(f"kpcaig: error: option {before[0]} goes after the command\n")
+    # the parser that refused it: the root, or the command whose variant it precedes
+    prog = " ".join(["kpcaig", *itertools.takewhile(lambda a: not a.startswith("-"), before)])
+    word = "command" if prog == "kpcaig" else "variant"
+    option = next(a for a in before if a.startswith("-"))
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"{prog}: error: option {option} goes after the {word}\n")
     assert not out.exists()
+
+
+def test_a_non_integer_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.tsv"
+    assert main(["baseline", "permute", toy_matrix(tmp_path), "--seed", "abc",
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("kpcaig baseline permute: error: argument --seed: "
+                        "must be an integer, got 'abc'\n")
+    assert "_nonneg_int" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# every command and variant, with the options it needs to run on the toy matrix
+LEAVES = [
+    (["rank"], []),
+    (["project"], []),
+    (["arrows"], ["--feature", "f1"]),
+    (["baseline", "laplacian"], []),
+    (["baseline", "permute"], []),
+    (["curve", "selection"], ["--d-grid", "2:4:2", "--runs", "2", "--labels", "LABELS"]),
+    (["curve", "silhouette"], ["--d-grid", "2:4:2", "--k", "3"]),
+    (["curve", "variance-split"], ["--d-grid", "2:4:2", "--splits", "2"]),
+]
+
+
+@pytest.mark.parametrize("command, extra", LEAVES, ids=[" ".join(c) for c, _ in LEAVES])
+def test_stdout_is_the_output_file(tmp_path, capsys, command, extra):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n" * 6, encoding="utf-8")
+    argv = [*command, *(str(labels) if a == "LABELS" else a for a in extra),
+            toy_matrix(tmp_path, n=12)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.tsv"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    # the same bytes, but for the header's record of -o
+    assert '"output": null' in printed
+    assert printed.replace('"output": null', f'"output": {json.dumps(str(out))}') == \
+        out.read_text(encoding="utf-8")
+
+
+def usage_options(capsys, *leaf):
+    """The options and positionals on a command's or variant's usage line, -h aside."""
+    assert main([*leaf, "-h"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    words = usage.replace("[", " ").replace("]", " ").split()[2 + len(leaf):]
+    return {w for w in words if w != "-h" and re.fullmatch(r"-{1,2}[a-z][\w-]*|[a-z][\w-]*", w)}
+
+
+def test_readme_option_table_matches_the_parsers(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    groups = {name: re.findall(r"`([^`]+)`", items) for name, items
+              in re.findall(r"^The (\w+) group is (.*)\.$", readme, re.MULTILINE)}
+    assert set(groups) == {"input", "kernel"}
+    table = readme.split("| command | options besides the input group |\n|---|---|\n")[1]
+    rows = {}
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), table.splitlines()):
+        commands, options = line.strip("|").split("|")
+        expanded = set(groups["input"])
+        for item in options.strip().split(", "):
+            expanded |= set(groups["kernel"]) if item == "kernel group" else {item.strip("`")}
+        for command in re.findall(r"`([^`]+)`", commands):
+            rows[command] = expanded
+    assert set(rows) == {" ".join(command) for command, _ in LEAVES}
+    for command, options in rows.items():
+        assert usage_options(capsys, *command.split()) == options, command
 
 
 @pytest.mark.parametrize("variant", ["selection", "silhouette"])

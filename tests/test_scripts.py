@@ -70,3 +70,13 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, script, args):
     assert "argument --seed: must be >= 0, got -1" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "demo").exists()
+
+
+@pytest.mark.parametrize("script, args", [("planted_demo.py", ["demo"]),
+                                          ("reproduce_benchmarks.py", ["."])])
+def test_a_non_integer_seed_is_a_usage_error(tmp_path, script, args):
+    done = run_script(script, *args, "--seed", "abc", cwd=tmp_path, code=2)
+    assert "argument --seed: must be an integer, got 'abc'" in done.stderr
+    assert "_nonneg_int" not in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "demo").exists()
