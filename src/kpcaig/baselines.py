@@ -127,9 +127,11 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     base = pairwise_base(data, rule.distance)
     K = rule.value(base)
     check_determined(spec, K, q)
+    # both metrics refuse a kernel whose spectrum is rounding noise; only the
+    # subspace metric reads the top-q axes, so only it needs q within the rank
+    mu, U = _leading_subspace(center_gram(K), q)
+    check_top_eigenvalue(data, spec, K, mu[-1])
     if metric == "subspace":
-        mu, U = _leading_subspace(center_gram(K), q)
-        check_top_eigenvalue(data, spec, K, mu[-1])
         rank = int(np.count_nonzero(mu > EIG_DROP_REL * mu[-1]))
         if rank < q:
             raise DegenerateDataError(

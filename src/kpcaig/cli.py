@@ -2,22 +2,24 @@
 
 Each command, and each variant of ``baseline`` and ``curve``, takes only the
 options it reads, spelled in full, after the command and variant words; any
-other option, an abbreviation included, is a usage error, and so is an
-option placed before the command or variant word, whose message says where
-it goes. Each command writes exactly one table, which
+other option, an abbreviation included, is a usage error, and so is an option
+placed before the command or variant word, whose message says where it goes.
+``-o``, and a curve's ``--d-grid``, ``--labels`` and ``--k``, are checked
+before any ranking is computed. Each command writes exactly one table, which
 starts with a ``# ``-prefixed JSON comment: the command's options as parsed
-plus the values resolved from the data (``sigma_resolved`` and
-``q_resolved`` of a fit, a curve's ranking included; ``project``'s
-``eigenvalues`` and ``explained_variance``; a curve's expanded ``d_grid`` and
-``k``). Identical command lines give byte-identical output. Warnings print
-once each as ``kpcaig: warning: ...``. Exit codes: 0 success, 2 usage error,
-3 invalid configuration or input values, 4 unreadable or malformed data files.
+plus the values resolved from the data (``sigma_resolved`` and ``q_resolved``
+of a fit, a curve's ranking included; ``project``'s ``eigenvalues`` and
+``explained_variance``; a curve's expanded ``d_grid`` and ``k``). Identical
+command lines give byte-identical output. Warnings print once each as
+``kpcaig: warning: ...``. Exit codes: 0 success, 2 usage error, 3 invalid
+configuration or input values, 4 unreadable or malformed data files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import laplacian_score, permutation_importance
-from .curves import selection_curve, silhouette_curve, variance_generalization
+from .curves import check_grid, selection_curve, silhouette_curve, variance_generalization
 from .data import Dataset, load_labels, load_matrix, standardize
 from .exceptions import DegenerateDataError, InputError, ParseError
 from .importance import FeatureRanking, arrow_field, rank_features
@@ -35,7 +37,6 @@ from .kpca import (FittedKpca, SigmaRule, explained_variance, fit_kpca, project_
 from .synthetic import random_ranking
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_DATA = 4
 
@@ -45,17 +46,10 @@ def _parse_d_grid(text: str) -> tuple[int, ...]:
     try:
         grid = tuple(int(v) for v in text.split(":" if is_range else ",") if v)
     except ValueError:
-        raise InputError(f"d-grid must be integers, got {text!r}") from None
-    if is_range:
-        if len(grid) != 3:
-            raise InputError(f"d-grid range must be start:stop:step, got {text!r}")
-        start, stop, step = grid
-        if step < 1 or start < 1 or stop < start:
-            raise InputError(f"invalid d-grid range {text!r}")
-        return tuple(range(start, stop + 1, step))
-    if not grid:
-        raise InputError("d-grid is empty")
-    return grid
+        raise InputError("values must be integers") from None
+    if is_range and (len(grid) != 3 or grid[2] < 1):
+        raise InputError("a range must be start:stop:step with step >= 1")
+    return tuple(range(grid[0], grid[1] + 1, grid[2])) if is_range else grid
 
 
 def _nonneg_int(text: str) -> int:
@@ -70,11 +64,9 @@ def _nonneg_int(text: str) -> int:
 
 def _write_table(output, settings: dict, header, columns) -> None:
     """Write the settings comment, the column names and one line per entry of
-    the columns to the file at output, or to stdout when output is None.
-
-    Cells are Python str, int or float (numpy columns go through tolist()),
-    so str() writes every float as its repr, which reads back exactly.
-    """
+    the columns to the file at output, or to stdout when output is None. Cells
+    are Python str, int or float (numpy columns go through tolist()), so str()
+    writes every float as its repr, which reads back exactly."""
     cells = [map(str, col.tolist() if isinstance(col, np.ndarray) else col) for col in columns]
     lines = ["# " + json.dumps(settings, sort_keys=True), "\t".join(header),
              *map("\t".join, zip(*cells))]
@@ -83,6 +75,18 @@ def _write_table(output, settings: dict, header, columns) -> None:
         sys.stdout.write(text)
     else:
         Path(output).write_text(text, encoding="utf-8", newline="\n")
+
+
+def _check_output(output: str) -> None:
+    """Raise OSError naming -o unless output can be written as a file."""
+    path = Path(output)
+    if path.is_dir():
+        raise IsADirectoryError(f"-o {output}: is a directory")
+    # an existing file is overwritten in place; a new one is made in its directory
+    target = path if path.exists() else path.parent
+    if not ((target is path or target.is_dir()) and os.access(target, os.W_OK)):
+        kind = "file" if target is path else "directory"
+        raise OSError(f"-o {output}: {target} is not a writable {kind}")
 
 
 def _ranking_table(names, ranking: FeatureRanking) -> tuple:
@@ -122,97 +126,71 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _add_input(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input", help="delimited matrix file (header row + leading ID column)")
-    sub.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
-    sub.add_argument("--orientation", choices=("rows", "cols"), default="rows",
-                     help="'rows': samples are rows; 'cols': samples are columns")
-    sub.add_argument("--no-standardize", dest="standardize", action="store_false",
-                     help="skip column standardization")
-
-
-def _add_kernel(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--kernel", choices=("rbf", "linear", "poly"), default="rbf")
-    sub.add_argument("--sigma", default="median",
-                     help="rbf bandwidth: a number, 'median', or 'grid:v1,v2,...'")
-    sub.add_argument("--degree", type=int, default=2, help="polynomial degree")
-    sub.add_argument("--coef0", type=float, default=1.0, help="polynomial offset")
-    sub.add_argument("--q", type=int, default=2, help="retained components")
-
-
-def _add_seed(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_nonneg_int, default=0)
-
-
-def _add_curve(variants, name: str, summary: str) -> argparse.ArgumentParser:
-    """A curve variant with the options every curve reads."""
-    v = variants.add_parser(name, help=summary)
-    _add_input(v)
-    _add_kernel(v)
-    _add_seed(v)
-    v.add_argument("--d-grid", default="10:300:10",
-                   help="feature counts: start:stop:step or comma list")
-    return v
-
-
-def _add_clusters(v: argparse.ArgumentParser) -> None:
-    """Options of the curves that cluster the top-d features of a ranking."""
-    v.add_argument("--labels", default=None, help="true labels, one integer per sample")
-    v.add_argument("--k", type=int, default=None, help="number of clusters")
-    v.add_argument("--ranking", choices=("kpcaig", "random", "laplacian", "permute"),
-                   default="kpcaig")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """One parser per command, and per variant of ``baseline`` and ``curve``,
     each taking only the options its command reads."""
+    # the option groups, given to each command that reads them as parents; new
+    # on every call, since argparse shares a parent's actions with its children
+    inp, kernel, seed, grid, clusters = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    inp.add_argument("input", help="delimited matrix file (header row + leading ID column)")
+    inp.add_argument("-o", "--output", default=None, help="output file (default: stdout)")
+    inp.add_argument("--orientation", choices=("rows", "cols"), default="rows",
+                     help="'rows': samples are rows; 'cols': samples are columns")
+    inp.add_argument("--no-standardize", dest="standardize", action="store_false",
+                     help="skip column standardization")
+    kernel.add_argument("--kernel", choices=("rbf", "linear", "poly"), default="rbf")
+    kernel.add_argument("--sigma", default="median",
+                        help="rbf bandwidth: a number, 'median', or 'grid:v1,v2,...'")
+    kernel.add_argument("--degree", type=int, default=2, help="polynomial degree")
+    kernel.add_argument("--coef0", type=float, default=1.0, help="polynomial offset")
+    kernel.add_argument("--q", type=int, default=2, help="retained components")
+    seed.add_argument("--seed", type=_nonneg_int, default=0)
+    grid.add_argument("--d-grid", default="10:300:10",
+                      help="feature counts: start:stop:step or comma list")
+    # the curves that cluster the top-d features of a ranking
+    clusters.add_argument("--labels", default=None, help="true labels, one integer per sample")
+    clusters.add_argument("--k", type=int, default=None, help="number of clusters")
+    clusters.add_argument("--ranking", choices=("kpcaig", "random", "laplacian", "permute"),
+                          default="kpcaig")
+
     ap = _Parser(prog="kpcaig", description="Kernel PCA feature importance toolkit")
     cmds = ap.add_subparsers(dest="command", required=True)
-
-    p = cmds.add_parser("rank", help="gradient-based feature ranking")
-    _add_input(p)
-    _add_kernel(p)
-
-    p = cmds.add_parser("project", help="training-set embedding and its eigenvalues")
-    _add_input(p)
-    _add_kernel(p)
-
-    p = cmds.add_parser("arrows", help="per-sample arrows of one variable on the 2-D embedding")
-    _add_input(p)
-    _add_kernel(p)
+    cmds.add_parser("rank", help="gradient-based feature ranking", parents=[inp, kernel])
+    cmds.add_parser("project", help="training-set embedding and its eigenvalues",
+                    parents=[inp, kernel])
+    p = cmds.add_parser("arrows", help="per-sample arrows of one variable on the 2-D embedding",
+                        parents=[inp, kernel])
     p.add_argument("--feature", required=True, help="feature name (or 0-based index)")
     p.add_argument("--scale", type=float, default=1.0)
 
     variants = cmds.add_parser("baseline", help="baseline feature selectors") \
         .add_subparsers(dest="variant", required=True)
-    v = variants.add_parser("laplacian", help="Laplacian score on a k-NN graph")
-    _add_input(v)
+    v = variants.add_parser("laplacian", help="Laplacian score on a k-NN graph", parents=[inp])
     v.add_argument("--knn", type=int, default=5, help="neighbourhood size")
     v.add_argument("--t", type=float, default=None, help="heat-kernel width")
-    v = variants.add_parser("permute", help="kernel perturbation of permuting each feature")
-    _add_input(v)
-    _add_kernel(v)
-    _add_seed(v)
+    v = variants.add_parser("permute", help="kernel perturbation of permuting each feature",
+                            parents=[inp, kernel, seed])
     v.add_argument("--n-perm", type=int, default=1, help="draws per feature")
     v.add_argument("--metric", choices=("subspace", "gram"), default="subspace",
                    help="kernel perturbation distance")
 
     variants = cmds.add_parser("curve", help="feature-count evaluation curves") \
         .add_subparsers(dest="variant", required=True)
-    v = _add_curve(variants, "selection", "k-means ACC and NMI against --labels")
-    _add_clusters(v)
-    v.add_argument("--runs", type=int, default=20, help="k-means restarts")
-    _add_clusters(_add_curve(variants, "silhouette", "silhouette on the 2-D embedding"))
-    v = _add_curve(variants, "variance-split", "explained variance, train and test")
-    v.add_argument("--splits", type=int, default=5, help="train/test splits")
+    curve = [inp, kernel, seed, grid]
+    variants.add_parser("selection", help="k-means ACC and NMI against --labels",
+                        parents=[*curve, clusters]) \
+        .add_argument("--runs", type=int, default=20, help="k-means restarts")
+    variants.add_parser("silhouette", help="silhouette on the 2-D embedding",
+                        parents=[*curve, clusters])
+    variants.add_parser("variance-split", help="explained variance, train and test",
+                        parents=curve) \
+        .add_argument("--splits", type=int, default=5, help="train/test splits")
     return ap
 
 
 def _load(args) -> Dataset:
     data = load_matrix(args.input, orientation=args.orientation)
-    if args.standardize:
-        data = standardize(data)
-    return data
+    return standardize(data) if args.standardize else data
 
 
 def _spec_and_rule(args) -> tuple[KernelSpec, SigmaRule | None]:
@@ -300,25 +278,26 @@ _CURVE_COLUMNS = {"selection": ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std
 
 def _cmd_curve(args, data: Dataset) -> tuple:
     spec, rule = _spec_and_rule(args)
-    d_grid = _parse_d_grid(args.d_grid)
+    try:
+        d_grid = check_grid(_parse_d_grid(args.d_grid), data.p)
+    except InputError as e:
+        raise InputError(f"--d-grid {args.d_grid}: {e}") from None
     if args.variant == "variance-split":
-        points = variance_generalization(data, spec, args.q, d_grid,
-                                         n_splits=args.splits, seed=args.seed,
-                                         sigma_rule=rule)
+        points = variance_generalization(data, spec, args.q, d_grid, n_splits=args.splits,
+                                         seed=args.seed, sigma_rule=rule)
         resolved = {}
     else:
         truth = load_labels(args.labels) if args.labels else None
+        if truth is None and args.variant == "selection":
+            raise InputError("curve selection needs --labels")
         if truth is not None and truth.size != data.n:
             raise InputError(f"{truth.size} labels for n={data.n} samples")
-        k = args.k if args.k is not None else \
-            (int(np.unique(truth).size) if truth is not None else None)
-        if k is None:
+        if args.k is None and truth is None:
             raise InputError("curve needs --k (or --labels to infer the cluster count)")
+        k = args.k if args.k is not None else int(np.unique(truth).size)
         order, resolved = _ranking_order(args, data)
         resolved["k"] = k
         if args.variant == "selection":
-            if truth is None:
-                raise InputError("curve selection needs --labels")
             points = selection_curve(data, order, truth, k, d_grid,
                                      runs=args.runs, seed=args.seed)
         else:
@@ -352,6 +331,8 @@ def main(argv=None) -> int:
             # non-finite float as invalid JSON
             if not np.isfinite(getattr(args, "coef0", 0.0)):
                 raise InputError(f"coef0 must be finite, got {args.coef0}")
+            if args.output is not None:
+                _check_output(args.output)
             data = _load(args)
             resolved, header, columns = _COMMANDS[args.command](args, data)
             _write_table(args.output, {**vars(args), **resolved}, header, columns)

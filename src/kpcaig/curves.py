@@ -41,7 +41,8 @@ class CurvePoint:
     split: int | None = None
 
 
-def _check_grid(d_grid, p: int) -> tuple[int, ...]:
+def check_grid(d_grid, p: int) -> tuple[int, ...]:
+    """The grid as a tuple of ints; InputError unless it is non-empty and within [1, p]."""
     grid = tuple(int(d) for d in d_grid)
     if not grid:
         raise InputError("feature-count grid is empty")
@@ -58,7 +59,7 @@ def selection_curve(data: Dataset, order, truth, k: int, d_grid,
     raw columns, all in one lockstep call per d; the std is the population
     standard deviation over runs.
     """
-    grid = _check_grid(d_grid, data.p)
+    grid = check_grid(d_grid, data.p)
     if runs < 1:
         raise InputError(f"runs must be >= 1, got {runs}")
     order = np.asarray(order, dtype=np.int64)
@@ -86,7 +87,7 @@ def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
     (the first of equal inertia), which keeps the curve stable against
     unlucky initializations.
     """
-    grid = _check_grid(d_grid, data.p)
+    grid = check_grid(d_grid, data.p)
     order = np.asarray(order, dtype=np.int64)
     points = []
     for d in grid:
@@ -111,7 +112,7 @@ def variance_generalization(data: Dataset, spec: KernelSpec, q: int, d_grid,
     features. Explicit (train, test) index pairs may be supplied instead
     of seeded random splits.
     """
-    grid = _check_grid(d_grid, data.p)
+    grid = check_grid(d_grid, data.p)
     n = data.n
     if split_indices is None:
         if n_splits < 1:

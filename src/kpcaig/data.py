@@ -83,7 +83,9 @@ class Dataset:
     def select_features(self, indices) -> "Dataset":
         """Restrict to the given column indices (order preserved)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.matrix[:, idx],
+        # take returns a C-ordered array of its own; matrix[:, idx] is a view of a
+        # transposed buffer, which Dataset would copy a second time
+        return Dataset(_read_only(self.matrix.take(idx, axis=1)),
                        tuple(self.feature_names[j] for j in idx),
                        self.sample_ids, labels=self.labels)
 

@@ -252,11 +252,12 @@ def test_permutation_input_validation():
         permutation_importance(d, rbf_for(d), 2, metric="spectral")
 
 
-def test_permutation_tiny_sigma_names_the_bandwidth():
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+def test_permutation_tiny_sigma_names_the_bandwidth(metric):
     # every kernel value rounds to 1, so the leading subspace is rounding noise
     d = two_blobs(12, 4, seed=6)
     with pytest.raises(DegenerateDataError, match="rbf bandwidth sigma=1e-20 is too small"):
-        permutation_importance(d, KernelSpec("rbf", sigma=1e-20), 2)
+        permutation_importance(d, KernelSpec("rbf", sigma=1e-20), 2, metric=metric)
 
 
 @pytest.mark.parametrize("metric", ["subspace", "gram"])

@@ -100,15 +100,33 @@ def readme_blocks(language):
     return re.findall(rf"^```{language}\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
 
 
+def readme_command_lines():
+    """README's ``kpcaig ...`` example lines."""
+    return [line for block in readme_blocks("bash") for line in block.splitlines()
+            if line.startswith("kpcaig ")]
+
+
 def test_readme_command_lines_parse(capsys):
-    lines = [line for block in readme_blocks("bash") for line in block.splitlines()
-             if line.startswith("kpcaig ")]
+    lines = readme_command_lines()
     assert len(lines) >= 10
     for line in lines:
         try:
             build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}\n{capsys.readouterr().err}")
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # expr.tsv has enough features for the default --d-grid 10:300:10 and the
+    # feature that the arrows line names
+    data = planted_clusters(60, 320, 3, 10, seed=0)
+    names = ("TTC36",) + data.feature_names[1:]
+    save_matrix(Dataset(data.matrix, names, data.sample_ids), tmp_path / "expr.tsv")
+    (tmp_path / "y.txt").write_text("\n".join(map(str, data.labels.tolist())) + "\n",
+                                    encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for line in readme_command_lines():
+        assert main(shlex.split(line)[1:]) == 0, f"{line}\n{capsys.readouterr().err}"
 
 
 def test_readme_library_example_runs(tmp_path):
@@ -471,6 +489,68 @@ def test_exit_codes(tmp_path):
     assert main(["curve", "selection", src, "--k", "2", "--d-grid", "1:x:1"]) == 3
 
 
+@pytest.mark.parametrize("output", ["missing/out.tsv", "."], ids=["no-directory", "directory"])
+def test_unwritable_output_exits_4_before_the_matrix_is_read(tmp_path, monkeypatch, capsys,
+                                                             output):
+    def load_matrix(*args, **kwargs):
+        raise AssertionError("the matrix was read before -o was checked")
+
+    monkeypatch.setattr("kpcaig.cli.load_matrix", load_matrix)
+    out = str(tmp_path / output)
+    assert main(["rank", "toy.tsv", "-o", out]) == 4
+    assert capsys.readouterr().err.startswith(f"kpcaig: -o {out}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+BAD_D_GRIDS = [
+    ("1:x:1", "values must be integers"),
+    ("2:4", "a range must be start:stop:step with step >= 1"),
+    ("2:4:0", "a range must be start:stop:step with step >= 1"),
+    ("4:2:1", "feature-count grid is empty"),
+    (",", "feature-count grid is empty"),
+    ("0:4:2", "grid values must lie in [1, p=5], got (0, 2, 4)"),
+    ("2,6", "grid values must lie in [1, p=5], got (2, 6)"),
+]
+
+
+@pytest.mark.parametrize("d_grid, message", BAD_D_GRIDS, ids=[g for g, _ in BAD_D_GRIDS])
+def test_bad_d_grid_exits_3_naming_it(tmp_path, capsys, d_grid, message):
+    out = tmp_path / "out.tsv"
+    assert main(["curve", "variance-split", toy_matrix(tmp_path), "--d-grid", d_grid,
+                 "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"kpcaig: --d-grid {d_grid}: {message}\n"
+    assert not out.exists()
+
+
+# a curve command line that ranks by --ranking permute, and the error it must give first
+CURVE_INPUT_ERRORS = [
+    (["selection", "--labels", "LABELS"],
+     "--d-grid 10:300:10: grid values must lie in [1, p=5], got (10, 20,"),
+    (["selection", "--d-grid", "2,4"], "curve selection needs --labels"),
+    (["selection", "--d-grid", "2,4", "--labels", "SHORT"], "4 labels for n=10 samples"),
+    (["silhouette", "--d-grid", "2,4"], "curve needs --k"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CURVE_INPUT_ERRORS,
+                         ids=["default-d-grid", "no-labels", "short-labels", "no-k"])
+def test_curve_checks_its_inputs_before_the_ranking(tmp_path, monkeypatch, capsys,
+                                                    argv, message):
+    def permutation_importance(*args, **kwargs):
+        raise AssertionError("the ranking ran before the curve's inputs were checked")
+
+    monkeypatch.setattr("kpcaig.cli.permutation_importance", permutation_importance)
+    labels, short = tmp_path / "labels.txt", tmp_path / "short.txt"
+    labels.write_text("0\n1\n" * 5, encoding="utf-8")
+    short.write_text("0\n1\n" * 2, encoding="utf-8")
+    files = {"LABELS": str(labels), "SHORT": str(short)}
+    out = tmp_path / "out.tsv"
+    assert main(["curve", *(files.get(a, a) for a in argv), toy_matrix(tmp_path),
+                 "--ranking", "permute", "-o", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"kpcaig: {message}")
+    assert not out.exists()
+
+
 def test_laplacian_underflow_exits_3_naming_t_and_the_sample(tmp_path, capsys):
     a, b = np.random.default_rng(3).normal(size=(5, 4))[:2]
     path = tmp_path / "aaaab.tsv"
@@ -490,8 +570,11 @@ def test_tiny_sigma_exits_3_naming_the_bandwidth(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, sigma", [(["rank"], "1e-18"),
-                                            (["baseline", "permute"], "1e-20")])
+@pytest.mark.parametrize("command, sigma", [
+    (["rank"], "1e-18"),
+    (["baseline", "permute"], "1e-20"),
+    (["baseline", "permute", "--metric", "gram"], "1e-20"),
+])
 def test_noise_level_kernel_exits_3(tmp_path, capsys, command, sigma):
     # the centred Gram's eigenvalues are at its rounding level, so any ranking is noise
     mpath, _ = planted_files(tmp_path)

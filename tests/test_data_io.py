@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,21 @@ def test_select_and_subset():
     rows = d.subset_samples([1])
     assert rows.sample_ids == ("s1",)
     assert rows.labels.tolist() == [1]
+
+
+def test_select_features_copies_the_subset_once():
+    X = np.random.default_rng(0).normal(size=(200, 5000))
+    d = Dataset.from_matrix(X)
+    idx = np.arange(0, 5000, 2)
+    tracemalloc.start()
+    try:
+        sub = d.select_features(idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sub.matrix, X[:, idx])
+    # the subset itself plus small temporaries, not a second full copy
+    assert peak < 1.5 * sub.matrix.nbytes
 
 
 CELL_FORMATS = [repr, "{:.3g}".format, lambda v: str(int(v)), lambda v: f" {v!r}  "]
