@@ -4,9 +4,9 @@ Each command, and each variant of ``baseline`` and ``curve``, takes only the
 options it reads, spelled in full, after the command and variant words; any
 other option, an abbreviation included, is a usage error, and so is an option
 placed before the command or variant word, whose message says where it goes.
-``-o``, and a curve's ``--d-grid``, ``--labels`` and ``--k``, are checked
-before any ranking is computed. Each command writes exactly one table, which
-starts with a ``# ``-prefixed JSON comment: the command's options as parsed
+``-o``, and a curve's ``--d-grid``, ``--labels``, ``--k`` and ``--runs``, are
+checked before any ranking is computed. Each command writes exactly one table,
+which starts with a ``# ``-prefixed JSON comment: the command's options as parsed
 plus the values resolved from the data (``sigma_resolved`` and ``q_resolved``
 of a fit, a curve's ranking included; ``project``'s ``eigenvalues`` and
 ``explained_variance``; a curve's expanded ``d_grid`` and ``k``). Identical
@@ -295,6 +295,11 @@ def _cmd_curve(args, data: Dataset) -> tuple:
         if args.k is None and truth is None:
             raise InputError("curve needs --k (or --labels to infer the cluster count)")
         k = args.k if args.k is not None else int(np.unique(truth).size)
+        low = 2 if args.variant == "silhouette" else 1   # a silhouette needs two clusters
+        if not low <= k <= data.n:
+            raise InputError(f"--k {k}: must lie in [{low}, n={data.n}]")
+        if args.variant == "selection" and args.runs < 1:
+            raise InputError(f"--runs {args.runs}: must be >= 1")
         order, resolved = _ranking_order(args, data)
         resolved["k"] = k
         if args.variant == "selection":

@@ -103,18 +103,14 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _sniff_delimiter(header_line: str) -> str:
-    return "\t" if "\t" in header_line else ","
-
-
 def _parse_rows(path, rows):
     """Header, row ids and matrix from csv rows, checked cell by cell."""
-    header = rows[0]
+    header = next(rows)
     width = len(header)
     if width < 2:
         raise ParseError(f"{path}: need at least one data column besides the ID column")
     ids, values = [], []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in enumerate(rows, start=2):
         if len(row) != width:
             raise ParseError(f"{path}: row {r} has {len(row)} fields, expected {width}")
         ids.append(row[0])
@@ -147,24 +143,20 @@ def _parse_block(fh, delim: str):
     np.loadtxt rejects, a shape other than one row per data line by
     header width - 1 columns, or a non-finite value.
     """
-    text = fh.read()
-    if "\r" in text:  # a scan is ~10x cheaper than a replace that finds nothing
-        text = text.replace("\r\n", "\n")
-    if any(ch in text for ch in '"\r' + _LOADTXT_ONLY_SPACE):
-        return None
-    lines = [line for line in text.split("\n") if line]  # csv drops empty lines too
-    del text  # at 40 MB, each copy of the file counts in peak memory
-    header = lines[0].split(delim)
-    if len(header) < 2 or len(lines) < 2:
-        return None
     ids, cells = [], []
-    for line in lines[1:]:
-        rid, _, rest = line.partition(delim)
-        if not rest:
+    for line in fh:
+        line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+        if any(ch in line for ch in '"\r' + _LOADTXT_ONLY_SPACE):
             return None
-        ids.append(rid)
-        cells.append(rest)
-    del lines
+        if line:  # csv drops empty lines too
+            rid, _, rest = line.partition(delim)
+            if not rest:
+                return None
+            ids.append(rid)
+            cells.append(rest)
+    if len(ids) < 2:
+        return None
+    header = [ids.pop(0), *cells.pop(0).split(delim)]
     try:
         matrix = np.loadtxt(cells, delimiter=delim, comments=None,
                             dtype=np.float64, ndmin=2)
@@ -181,25 +173,29 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
     orientation "rows" means samples are rows; "cols" means samples are
     columns (the table is transposed on load).
 
-    A file without quotes is parsed in one np.loadtxt call. Any file that
-    call cannot take as is (quoted fields, ragged rows, blank or non-finite
-    cells, cells such as ``1_0`` that only float() accepts) is parsed again
-    row by row, which raises the ParseError naming the row, column and cell.
-    Both parsers give the same matrix, bit for bit, on every file the first
-    one accepts.
+    A file without quotes is read in one pass, line by line, and its rows
+    parsed in one np.loadtxt call. Any file that call cannot take as is
+    (quoted fields, ragged rows, blank or non-finite cells, cells such as
+    ``1_0`` that only float() accepts) is parsed again row by row, which
+    raises the ParseError naming the row, column and cell. Both parsers give
+    the same matrix, bit for bit, on every file the first one accepts. A byte
+    that is not UTF-8 raises a ParseError naming the file and the byte.
     """
     if orientation not in ("rows", "cols"):
         raise InputError(f"orientation must be 'rows' or 'cols', got {orientation!r}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ParseError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        fh.seek(0)
-        parsed = _parse_block(fh, delim)
-        if parsed is None:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            first = fh.readline()
+            if not first.strip():
+                raise ParseError(f"{path}: empty file")
+            delim = "\t" if "\t" in first else ","
             fh.seek(0)
-            parsed = _parse_rows(path, [row for row in csv.reader(fh, delimiter=delim) if row])
+            parsed = _parse_block(fh, delim)
+            if parsed is None:
+                fh.seek(0)
+                parsed = _parse_rows(path, (row for row in csv.reader(fh, delimiter=delim) if row))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 (byte {e.object[e.start]:#04x}: {e.reason})") from None
     header, ids, matrix = parsed
     if orientation == "cols":
         matrix = matrix.T.copy()
@@ -224,15 +220,18 @@ def save_matrix(data: Dataset, path) -> None:
 def load_labels(path) -> np.ndarray:
     """One integer label per line, same order as the matrix samples."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                out.append(int(text))
-            except ValueError:
-                raise ParseError(f"{path}: non-integer label {text!r} on line {ln}") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    out.append(int(text))
+                except ValueError:
+                    raise ParseError(f"{path}: non-integer label {text!r} on line {ln}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 (byte {e.object[e.start]:#04x}: {e.reason})") from None
     if not out:
         raise ParseError(f"{path}: no labels found")
     return np.asarray(out, dtype=np.int64)
@@ -244,11 +243,10 @@ def standardize(data: Dataset) -> Dataset:
     Constant columns are set to exactly zero instead of being divided by zero.
     """
     X = data.matrix
-    centered = X - X.mean(axis=0)
-    sd = np.sqrt(np.mean(centered * centered, axis=0))
+    out = X - X.mean(axis=0)
+    sd = np.sqrt(np.mean(out * out, axis=0))
     const = np.flatnonzero((np.ptp(X, axis=0) == 0) | (sd == 0))
-    safe = sd.copy()
-    safe[const] = 1.0
-    out = centered / safe
+    sd[const] = 1.0
+    out /= sd
     out[:, const] = 0.0
     return replace(data, matrix=_read_only(out))

@@ -239,10 +239,7 @@ def table_nmi(C: np.ndarray) -> float:
     mask = Pij > 0
     outer = np.outer(Pi, Pj)
     info = float((Pij[mask] * np.log(Pij[mask] / outer[mask])).sum())
-    den = 0.5 * (hp + ht)
-    if den == 0.0:
-        return 0.0
-    return float(min(1.0, max(0.0, info / den)))
+    return float(min(1.0, max(0.0, info / (0.5 * (hp + ht)))))
 
 
 def silhouette(coords, labels) -> float:

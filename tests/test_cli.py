@@ -13,8 +13,8 @@ import pytest
 
 import kpcaig
 from kpcaig import (Dataset, KernelSpec, explained_variance, fit_kpca, laplacian_score,
-                    load_matrix, project_training, rank_features, save_matrix, sigma_heuristic,
-                    standardize)
+                    load_labels, load_matrix, project_training, rank_features, save_matrix,
+                    selection_curve, sigma_heuristic, standardize)
 from kpcaig.cli import build_parser, main
 from kpcaig.synthetic import planted_clusters
 
@@ -440,6 +440,46 @@ def test_writer_matches_per_cell_formatting(tmp_path):
     assert "inf" in expected["baseline"][-1]
 
 
+def library_table(command, data, spec, labels):
+    """The lines of command's table, as the library computes them at --q 3."""
+    if command == "rank":
+        ranking = rank_features(fit_kpca(data, spec, 3))
+        return per_cell_table(("rank", "feature", "score", "std"), [
+            (r + 1, data.feature_names[j], ranking.scores[j], ranking.stds[j])
+            for r, j in enumerate(ranking.order)])
+    if command == "project":
+        embedding = project_training(fit_kpca(data, spec, 3))
+        return per_cell_table(("sample_id", "pc1", "pc2", "pc3"), [
+            (sid,) + tuple(row) for sid, row in zip(data.sample_ids, embedding)])
+    points = selection_curve(data, laplacian_score(data).order, labels, 4, (2, 4), runs=3)
+    columns = ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std")
+    return per_cell_table(columns, [[getattr(pt, c) for c in columns] for pt in points])
+
+
+# a command line that runs to exit 0, and the kernel of its table
+LIBRARY_TABLES = [
+    (["rank", "--kernel", "linear"], KernelSpec("linear")),
+    (["rank", "--kernel", "poly", "--degree", "3", "--coef0", "0.5"],
+     KernelSpec("polynomial", degree=3, coef0=0.5)),
+    (["project", "--kernel", "poly"], KernelSpec("polynomial", degree=2, coef0=1.0)),
+    (["curve", "selection", "--ranking", "laplacian", "--labels", "LABELS", "--d-grid", "2,4",
+      "--runs", "3"], None),
+]
+
+
+@pytest.mark.parametrize("argv, spec", LIBRARY_TABLES,
+                         ids=["rank-linear", "rank-poly", "project-poly", "selection-laplacian"])
+def test_non_rbf_kernels_and_the_laplacian_curve_give_the_library_tables(tmp_path, argv, spec):
+    mpath, lpath = planted_files(tmp_path)
+    out = tmp_path / "out.tsv"
+    assert main([lpath if a == "LABELS" else a for a in argv]
+                + [mpath, "--q", "3", "-o", str(out)]) == 0
+    want = library_table(argv[0], standardize(load_matrix(mpath)), spec, load_labels(lpath))
+    assert out.read_text(encoding="utf-8").split("\n")[1:] == want + [""]
+    if spec is not None:
+        assert header_of(out)["sigma_resolved"] is None
+
+
 def test_curve_selection_planted_dominates_random(tmp_path):
     mpath, lpath = planted_files(tmp_path)
     got = {}
@@ -529,11 +569,18 @@ CURVE_INPUT_ERRORS = [
     (["selection", "--d-grid", "2,4"], "curve selection needs --labels"),
     (["selection", "--d-grid", "2,4", "--labels", "SHORT"], "4 labels for n=10 samples"),
     (["silhouette", "--d-grid", "2,4"], "curve needs --k"),
+    (["silhouette", "--d-grid", "2,4", "--k", "0"], "--k 0: must lie in [2, n=10]\n"),
+    (["silhouette", "--d-grid", "2,4", "--k", "1"], "--k 1: must lie in [2, n=10]\n"),
+    (["selection", "--d-grid", "2,4", "--labels", "LABELS", "--k", "11"],
+     "--k 11: must lie in [1, n=10]\n"),
+    (["selection", "--d-grid", "2,4", "--labels", "LABELS", "--runs", "0"],
+     "--runs 0: must be >= 1\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", CURVE_INPUT_ERRORS,
-                         ids=["default-d-grid", "no-labels", "short-labels", "no-k"])
+                         ids=["default-d-grid", "no-labels", "short-labels", "no-k", "k-0",
+                              "silhouette-k-1", "k-above-n", "runs-0"])
 def test_curve_checks_its_inputs_before_the_ranking(tmp_path, monkeypatch, capsys,
                                                     argv, message):
     def permutation_importance(*args, **kwargs):
@@ -549,6 +596,20 @@ def test_curve_checks_its_inputs_before_the_ranking(tmp_path, monkeypatch, capsy
                  "--ranking", "permute", "-o", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"kpcaig: {message}")
     assert not out.exists()
+
+
+# a file kind, the bytes of a file of that kind that is not UTF-8, and the bad byte
+@pytest.mark.parametrize("kind, raw, byte", [
+    ("matrix", b"id,caf\xe9\ns1,1\ns2,2\n", "0xe9: invalid continuation byte"),
+    ("labels", b"0\n\xff\n", "0xff: invalid start byte"),
+], ids=["matrix", "labels"])
+def test_a_file_that_is_not_utf8_exits_4_naming_it(tmp_path, capsys, kind, raw, byte):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(raw)
+    argv = (["rank", str(bad)] if kind == "matrix" else
+            ["curve", "selection", toy_matrix(tmp_path), "--labels", str(bad), "--d-grid", "2,4"])
+    assert main(argv) == 4
+    assert capsys.readouterr().err == f"kpcaig: {bad}: not UTF-8 (byte {byte})\n"
 
 
 def test_laplacian_underflow_exits_3_naming_t_and_the_sample(tmp_path, capsys):

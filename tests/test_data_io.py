@@ -144,6 +144,41 @@ def test_load_labels(tmp_path):
         load_labels(bad)
 
 
+# (loader, file bytes, the bad byte and its reason as the ParseError names them)
+NOT_UTF8 = [
+    (load_matrix, b"id,caf\xe9\ns1,1\n", "0xe9: invalid continuation byte"),
+    # past the first chunk the text reader decodes
+    (load_matrix, b"id,f1\n" + b"s,1\n" * 5000 + b"s\xff,1\n", "0xff: invalid start byte"),
+    (load_labels, b"0\n\xff\n", "0xff: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("load, raw, byte", NOT_UTF8, ids=["matrix", "matrix-late", "labels"])
+def test_a_file_that_is_not_utf8_raises_a_parse_error_naming_it(tmp_path, load, raw, byte):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as info:
+        load(path)
+    assert str(info.value) == f"{path}: not UTF-8 (byte {byte})"
+
+
+def test_load_holds_the_file_once(tmp_path):
+    X = np.random.default_rng(0).normal(size=(100, 3000))
+    path = tmp_path / "big.tsv"
+    save_matrix(Dataset.from_matrix(X), path)
+    size = path.stat().st_size
+    assert size > 5e6
+    tracemalloc.start()
+    try:
+        d = load_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.matrix.tobytes() == X.tobytes()
+    # the rows' text and the matrix, not a second copy of the file's text
+    assert peak < 1.75 * size
+
+
 def test_dataset_validation():
     with pytest.raises(InputError):
         Dataset.from_matrix([[np.nan, 1.0]])
