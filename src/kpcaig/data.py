@@ -6,6 +6,10 @@
 from __future__ import annotations
 
 import csv
+import mmap
+import os
+import signal
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -103,6 +107,18 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _csv_rows(path, fh, delim):
+    """The non-empty csv rows of fh; a csv.Error becomes a ParseError naming its row."""
+    r = 1  # the row the reader reads next
+    try:
+        for row in csv.reader(fh, delimiter=delim):
+            if row:
+                r += 1
+                yield row
+    except csv.Error as e:  # a field over csv.field_size_limit(), say
+        raise ParseError(f"{path}: {e} at row {r}") from None
+
+
 def _parse_rows(path, rows):
     """Header, row ids and matrix from csv rows, checked cell by cell."""
     header = next(rows)
@@ -134,9 +150,89 @@ def _parse_rows(path, rows):
 # np.loadtxt strips these around a number, float() rejects them
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
+# fewest cells worth one more parsing process: on 2 CPUs two processes broke
+# even with one at 20-25k cells (about 3 ms) and won from 30k
+_CELLS_PER_PROCESS = 20_000
+
+
+def _process_count(rows: int, width: int) -> int:
+    """Processes to parse rows x width cells: 1 where fork is missing or unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, rows, rows * width // _CELLS_PER_PROCESS))
+
+
+def _loadtxt(rows, delim):
+    return np.loadtxt(rows, delimiter=delim, comments=None, dtype=np.float64, ndmin=2)
+
+
+def _fork_parse(rows, delim, out) -> int:
+    """Fork a child that parses rows into out, exiting 0 only if they fit; return its pid."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        block = _loadtxt(rows, delim)
+        if block.shape == out.shape:
+            out[...] = block
+            code = 0
+    finally:
+        os._exit(code)  # no exception reaches the parent's code, no stdio buffer is flushed
+
+
+def _reap(pids) -> bool:
+    """Wait for every child in pids, emptying it; True if each exited 0."""
+    ok = True
+    while pids:
+        _, status = os.waitpid(pids[-1], 0)
+        pids.pop()
+        ok &= status == 0
+    return ok
+
+
+def _parse_numbers(rows, delim, width):
+    """The rows' cells as a len(rows) x width matrix, or None if a block of them
+    has another width.
+
+    This process parses the first block of rows. Each later block goes to a
+    forked child, which parses it with the same np.loadtxt call into memory
+    shared with this process; this process's block then grows to take them.
+    A ValueError from this process's block propagates, and any child that
+    does not exit 0 gives None.
+    """
+    n = len(rows)
+    k = _process_count(n, width)
+    bounds = [n * j // k for j in range(k + 1)]
+    first = bounds[1]
+    later = None if k == 1 else np.ndarray(  # the children's rows, in memory they share
+        (n - first, width), buffer=mmap.mmap(-1, 8 * (n - first) * width))
+    pids = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pids.append(_fork_parse(rows[lo:hi], delim, later[lo - first:hi - first]))
+        head = _loadtxt(rows[:first], delim)
+        ok = _reap(pids) and head.shape == (first, width)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        _reap(pids)
+    if not ok:
+        return None
+    if k > 1:
+        # realloc grows the block in place or by remapping its pages, with no
+        # second copy of what this process parsed
+        head.resize((n, width), refcheck=False)
+        head[first:] = later
+    return head
+
 
 def _parse_block(fh, delim: str):
-    """Header, row ids and matrix of a well-formed file in one np.loadtxt call.
+    """Header, row ids and matrix of a well-formed file, parsed by np.loadtxt.
 
     Returns None whenever the result might differ from ``_parse_rows``:
     quotes, a lone carriage return, a row without a data cell, a cell
@@ -158,11 +254,10 @@ def _parse_block(fh, delim: str):
         return None
     header = [ids.pop(0), *cells.pop(0).split(delim)]
     try:
-        matrix = np.loadtxt(cells, delimiter=delim, comments=None,
-                            dtype=np.float64, ndmin=2)
-    except ValueError:
+        matrix = _parse_numbers(cells, delim, len(header) - 1)
+    except (ValueError, OSError):  # a row np.loadtxt rejects, or a failed fork or mmap
         return None
-    if matrix.shape != (len(ids), len(header) - 1) or not np.isfinite(matrix).all():
+    if matrix is None or not np.isfinite(matrix).all():
         return None
     return header, ids, matrix
 
@@ -174,17 +269,21 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
     columns (the table is transposed on load).
 
     A file without quotes is read in one pass, line by line, and its rows
-    parsed in one np.loadtxt call. Any file that call cannot take as is
+    parsed by np.loadtxt, split by rows across forked processes: at most one
+    per CPU and one per ``_CELLS_PER_PROCESS`` cells, and only one while
+    another Python thread runs or where os.fork is missing. Any file that
+    np.loadtxt cannot take as is
     (quoted fields, ragged rows, blank or non-finite cells, cells such as
     ``1_0`` that only float() accepts) is parsed again row by row, which
     raises the ParseError naming the row, column and cell. Both parsers give
     the same matrix, bit for bit, on every file the first one accepts. A byte
-    that is not UTF-8 raises a ParseError naming the file and the byte.
+    that is not UTF-8 raises a ParseError naming the file and the byte; a
+    UTF-8 byte-order mark at the start is skipped.
     """
     if orientation not in ("rows", "cols"):
         raise InputError(f"orientation must be 'rows' or 'cols', got {orientation!r}")
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             first = fh.readline()
             if not first.strip():
                 raise ParseError(f"{path}: empty file")
@@ -193,7 +292,7 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
             parsed = _parse_block(fh, delim)
             if parsed is None:
                 fh.seek(0)
-                parsed = _parse_rows(path, (row for row in csv.reader(fh, delimiter=delim) if row))
+                parsed = _parse_rows(path, _csv_rows(path, fh, delim))
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 (byte {e.object[e.start]:#04x}: {e.reason})") from None
     header, ids, matrix = parsed
@@ -221,7 +320,7 @@ def load_labels(path) -> np.ndarray:
     """One integer label per line, same order as the matrix samples."""
     out = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for ln, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text:

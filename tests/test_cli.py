@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import kpcaig
 from kpcaig import (Dataset, KernelSpec, explained_variance, fit_kpca, laplacian_score,
                     load_labels, load_matrix, project_training, rank_features, save_matrix,
                     selection_curve, sigma_heuristic, standardize)
+from kpcaig import data as data_module
 from kpcaig.cli import build_parser, main
 from kpcaig.synthetic import planted_clusters
 
@@ -612,6 +614,19 @@ def test_a_file_that_is_not_utf8_exits_4_naming_it(tmp_path, capsys, kind, raw, 
     assert capsys.readouterr().err == f"kpcaig: {bad}: not UTF-8 (byte {byte})\n"
 
 
+# a quoted file, so that csv reads it, with one field over csv's 131072-character limit
+@pytest.mark.parametrize("text, row", [
+    ('id,f1\ns1,"' + "1" * 140_000 + '"\n', 2),
+    ('id,"' + "f" * 140_000 + '"\ns1,1\n', 1),
+], ids=["cell", "header-name"])
+def test_a_field_over_the_csv_limit_exits_4_naming_the_row(tmp_path, capsys, text, row):
+    bad = tmp_path / "long.csv"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["rank", str(bad)]) == 4
+    assert capsys.readouterr().err == (
+        f"kpcaig: {bad}: field larger than field limit (131072) at row {row}\n")
+
+
 def test_laplacian_underflow_exits_3_naming_t_and_the_sample(tmp_path, capsys):
     a, b = np.random.default_rng(3).normal(size=(5, 4))[:2]
     path = tmp_path / "aaaab.tsv"
@@ -750,6 +765,27 @@ def run_python(code, *args, cwd=None):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=env, cwd=cwd)
+
+
+def test_rank_parses_a_large_file_in_forked_processes_with_warnings_as_errors(tmp_path):
+    # from Python 3.12, os.fork warns when the process runs several OS threads;
+    # OpenBLAS at 2 threads must not make that warning an error here
+    n, p = 30, 2000
+    assert n * p >= 2 * data_module._CELLS_PER_PROCESS   # large enough to split
+    src = toy_matrix(tmp_path, n=n, p=p)
+    forked, single = tmp_path / "forked.tsv", tmp_path / "single.tsv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(kpcaig.__file__).resolve().parent.parent),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "kpcaig", "rank", src,
+                           "-o", str(forked)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    with mock.patch.object(data_module, "_CELLS_PER_PROCESS", sys.maxsize):
+        assert main(["rank", src, "-o", str(single)]) == 0
+    headers = [header_of(path) for path in (forked, single)]
+    assert [h.pop("output") for h in headers] == [str(forked), str(single)]
+    assert headers[0] == headers[1]
+    assert (forked.read_bytes().split(b"\n", 1)[1] == single.read_bytes().split(b"\n", 1)[1])
 
 
 def test_cli_import_skips_scipy_optimize():

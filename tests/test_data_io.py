@@ -1,4 +1,8 @@
+import os
+import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,17 @@ from kpcaig import data as data_module
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@contextmanager
+def split(forked: bool):
+    """Parse across three processes from one cell each, or in one process."""
+    with mock.patch.object(data_module, "_CELLS_PER_PROCESS", 1 if forked else sys.maxsize), \
+            mock.patch("os.sched_getaffinity", return_value={0, 1, 2}, create=True):
+        yield
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
 
 
 def test_load_small_csv(tmp_path):
@@ -162,21 +177,44 @@ def test_a_file_that_is_not_utf8_raises_a_parse_error_naming_it(tmp_path, load, 
     assert str(info.value) == f"{path}: not UTF-8 (byte {byte})"
 
 
+# (loader, the file's text after a UTF-8 byte-order mark, what it loads)
+BYTE_ORDER_MARK = [
+    (load_labels, "1\n0\n", [1, 0]),
+    (load_matrix, "id\tf1\ns1\t1.5\n", [[1.5]]),
+    # csv reads this one after a second fh.seek(0); a kept mark would end the quote early
+    (load_matrix, '"id,name",f1\ns1,1.5\n', [[1.5]]),
+]
+
+
+@pytest.mark.parametrize("load, text, want", BYTE_ORDER_MARK,
+                         ids=["labels", "matrix", "matrix-quoted"])
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, load, text, want):
+    path = tmp_path / "marked.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    got = load(path)
+    if load is load_matrix:
+        assert got.feature_names == ("f1",) and got.sample_ids == ("s1",)
+        got = got.matrix
+    assert got.tolist() == want
+
+
 def test_load_holds_the_file_once(tmp_path):
     X = np.random.default_rng(0).normal(size=(100, 3000))
     path = tmp_path / "big.tsv"
     save_matrix(Dataset.from_matrix(X), path)
     size = path.stat().st_size
     assert size > 5e6
-    tracemalloc.start()
-    try:
-        d = load_matrix(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert d.matrix.tobytes() == X.tobytes()
-    # the rows' text and the matrix, not a second copy of the file's text
-    assert peak < 1.75 * size
+    for forked in (False, True):
+        with split(forked):
+            tracemalloc.start()
+            try:
+                d = load_matrix(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert d.matrix.tobytes() == X.tobytes()
+        # the rows' text and the matrix, not a second copy of the file's text
+        assert peak < 1.75 * size, forked
 
 
 def test_dataset_validation():
@@ -277,12 +315,74 @@ def test_block_parse_matches_row_validator(tmp_path_factory, draw, n, p, delim, 
     path = tmp_path_factory.mktemp("m") / "m.txt"
     path.write_bytes(text.encode("utf-8"))
 
-    with open(path, encoding="utf-8", newline="") as fh:
-        assert data_module._parse_block(fh, delim) is not None   # the one-call path ran
-    got = load_matrix(path, orientation=orientation)
     with mock.patch.object(data_module, "_parse_block", return_value=None):
         want = load_matrix(path, orientation=orientation)
-    assert got.matrix.tobytes() == want.matrix.tobytes()
-    assert got.matrix.shape == want.matrix.shape
-    assert got.feature_names == want.feature_names
-    assert got.sample_ids == want.sample_ids
+    for forked in (False, True):
+        with split(forked), mock.patch("os.fork", wraps=os.fork) as fork:
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert data_module._parse_block(fh, delim) is not None   # np.loadtxt ran
+            got = load_matrix(path, orientation=orientation)
+        assert fork.called == (forked and n > 1)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.matrix.shape == want.matrix.shape
+        assert got.feature_names == want.feature_names
+        assert got.sample_ids == want.sample_ids
+
+
+# 6 data rows split 2 + 2 + 2: the last two (file rows 6 and 7) go to the second child
+CHILD_ROWS_GOOD = "id,f1,f2\n" + "".join(f"s{i},{i}.5,-{i}\n" for i in range(6))
+CHILD_ROWS_BAD = [
+    (CHILD_ROWS_GOOD.replace("s5,5.5,-5", "s5,5.5,x"), "non-numeric value 'x' at row 7, column 3"),
+    (CHILD_ROWS_GOOD.replace("s5,5.5,-5", "s5,5.5,nan"),
+     "non-finite value 'nan' at row 7, column 3"),
+    # np.loadtxt takes these blocks, one row wider and one narrower than the header
+    (CHILD_ROWS_GOOD.replace("-4\n", "-4,1\n").replace("-5\n", "-5,1\n"),
+     "row 6 has 4 fields, expected 3"),
+    (CHILD_ROWS_GOOD.replace(",-4\n", "\n").replace(",-5\n", "\n"),
+     "row 6 has 2 fields, expected 3"),
+]
+
+
+@needs_fork
+@pytest.mark.parametrize("text, message", CHILD_ROWS_BAD,
+                         ids=["non-numeric", "nan", "wider", "narrower"])
+def test_a_bad_row_a_child_parses_gives_the_one_process_error(tmp_path, text, message):
+    p = write(tmp_path / "m.csv", text)
+    for forked in (False, True):
+        with split(forked), mock.patch("os.fork", wraps=os.fork) as fork:
+            with pytest.raises(ParseError) as info:
+                load_matrix(p)
+        assert fork.call_count == (2 if forked else 0)
+        assert str(info.value) == f"{p}: {message}"
+
+
+@needs_fork
+def test_a_load_leaves_no_child_behind(tmp_path):
+    good = write(tmp_path / "good.csv", CHILD_ROWS_GOOD)
+    bad = write(tmp_path / "bad.csv", CHILD_ROWS_BAD[0][0])
+    with split(True):
+        assert load_matrix(good).matrix.tolist() == [[i + 0.5, -i] for i in range(6)]
+        with pytest.raises(ParseError):
+            load_matrix(bad)
+        # Ctrl-C while this process parses its own block: the children are killed and reaped
+        with mock.patch.object(data_module, "_loadtxt", side_effect=KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                load_matrix(good)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_load_never_forks_while_another_thread_runs(tmp_path):
+    p = write(tmp_path / "m.csv", CHILD_ROWS_GOOD)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        with split(True), mock.patch("os.fork", side_effect=AssertionError("forked")):
+            d = load_matrix(p)
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert d.matrix.tolist() == [[i + 0.5, -i] for i in range(6)]
