@@ -10,17 +10,26 @@ metric d = ||U U^T - U' U'^T||_F / sqrt(2), with a plain Frobenius distance
 between raw Gram matrices available as an alternative. The permuted Gram
 comes from the Dataset's pairwise base with one column's term swapped, so
 each (feature, draw) costs O(n^2) elementwise work and one top-q eigensolve.
+The features are scored in blocks, one per CPU, by this process and forked
+children, each running OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, run_in_blocks
 from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
 from .kernels import KernelSpec, center_gram, column_blocks, kernel_rule, pairwise_base
 from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue
+
+# fewest cells of permuted Gram worth one more process, a draw counting as
+# max(n, 64)^2 cells (below 64 samples its call overhead outweighs its n^2 work):
+# on 2 CPUs, timing one call in a process whose BLAS threads were idle, two
+# processes broke even with one at about 30 draws for n = 120-165 and 80-150
+# for n = 12-60 (subspace metric; gram metric draws are cheaper and gain less)
+_DRAW_CELLS_PER_PROCESS = 300_000
 
 
 def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> FeatureRanking:
@@ -88,8 +97,21 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
     return _frobenius(U @ U.T - V @ V.T) / np.sqrt(2.0)
 
 
+def _centred_lower(K: np.ndarray) -> np.ndarray:
+    """center_gram(K)'s lower triangle, bit for bit, for a bitwise symmetric K.
+
+    center_gram mirrors its upper triangle onto the lower one; here each
+    lower entry is computed in place by the same operations in the same
+    order, and the upper triangle is left unmirrored, which saves two
+    triangle copies and a transposed add. Only a solver that reads the
+    lower triangle, as ``_leading_subspace`` does, may take it.
+    """
+    return K - K.mean(axis=1) - K.mean(axis=0)[:, None] + K.mean()
+
+
 def _leading_subspace(K_centered: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-q eigenvalues (ascending) and eigenvectors of a centred Gram."""
+    """Top-q eigenvalues (ascending) and eigenvectors of a centred Gram, read
+    from its lower triangle."""
     import scipy.linalg     # numpy's eigh has no subset; only this baseline loads scipy
 
     n = len(K_centered)
@@ -112,8 +134,19 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     x_ij x_kj for inner products, so the permuted Gram is the kernel value
     of base + (t_j(perm) - t_j): no Gram is rebuilt, and a constant
     column reproduces the base bitwise and scores exactly 0. Every
-    (feature, draw) pair uses its own seeded substream, so parallel and
-    sequential evaluation orders agree exactly.
+    (feature, draw) pair uses its own seeded substream, so the scores do
+    not depend on which process draws them.
+
+    The features are split into contiguous blocks, one per CPU
+    (``data.run_in_blocks``): this process scores the first block and a
+    forked child each later one, and every OpenBLAS runs one thread while
+    they draw. One process scores them all when the draws are too few for
+    ``_DRAW_CELLS_PER_PROCESS``, while another Python thread runs (then
+    at the caller's thread counts), where os.fork is missing, or where no
+    OpenBLAS is found. A block whose child fails is scored again here, so
+    an error is raised as one process would raise it. The subspace metric
+    needs q <= n-2: at q = n-1 the top axes span the whole centred space
+    and every distance is rounding noise.
     """
     if n_perm < 1:
         raise InputError(f"n_perm must be >= 1, got {n_perm}")
@@ -123,6 +156,12 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     n, p = X.shape
     if not 1 <= q <= n - 1:
         raise InputError(f"q must be in [1, n-1], got {q}")
+    if metric == "subspace" and q > n - 2:
+        raise DegenerateDataError(
+            f"q={q} is too large for the subspace metric with n={n} samples: a centred Gram "
+            f"matrix has rank at most n-1={n - 1}, so its top q={q} eigenvectors span the "
+            "whole centred space under every permutation and each distance is rounding "
+            "noise; use q <= n-2")
     rule = kernel_rule(spec)
     base = pairwise_base(data, rule.distance)
     K = rule.value(base)
@@ -138,18 +177,29 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
                 f"q={q} exceeds the numerical rank of the centred Gram matrix: only {rank} "
                 f"of its eigenvalues exceed {EIG_DROP_REL:g} times the largest, so its top "
                 f"q={q} eigenvectors are not determined; use q <= {rank}")
+
+    def score(lo, hi, out):
+        for j in range(lo, hi):
+            col = X[:, j]
+            t = rule.term(col)
+            dists = np.empty(n_perm)
+            for r in range(n_perm):
+                perm = np.random.default_rng([seed, j, r]).permutation(n)
+                Kp = rule.value(base + (rule.term(col[perm]) - t))
+                if metric == "subspace":
+                    dists[r] = subspace_distance(U, _leading_subspace(_centred_lower(Kp), q)[1])
+                else:
+                    dists[r] = _frobenius(K - Kp)
+            out[j - lo] = dists.mean()
+        return True
+
     scores = np.empty(p)
-    for j in range(p):
-        col = X[:, j]
-        t = rule.term(col)
-        dists = np.empty(n_perm)
-        for r in range(n_perm):
-            perm = np.random.default_rng([seed, j, r]).permutation(n)
-            Kp = rule.value(base + (rule.term(col[perm]) - t))
-            if metric == "subspace":
-                dists[r] = subspace_distance(U, _leading_subspace(center_gram(Kp), q)[1])
-            else:
-                dists[r] = _frobenius(K - Kp)
-        scores[j] = dists.mean()
+    cells = p * n_perm * max(n, 64) ** 2
+    _, later, failed = run_in_blocks(p, cells // _DRAW_CELLS_PER_PROCESS, (),
+                                     lambda lo, hi: score(lo, hi, scores[lo:hi]), score,
+                                     blas=True)
+    scores[p - len(later):] = later
+    for lo, hi in failed:   # a block that raised in its child raises here, in feature order
+        score(lo, hi, scores[lo:hi])
     order = np.lexsort((np.arange(p), -scores))
     return FeatureRanking(scores, order)

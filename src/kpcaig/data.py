@@ -1,12 +1,13 @@
 """Dataset container, delimited-matrix I/O and column standardization.
 
 ``standardize`` returns a new Dataset; none records whether it was standardized.
+``run_in_blocks`` splits a job over forked processes; the loader and the
+permutation baseline use it.
 """
 
 from __future__ import annotations
 
 import csv
-import mmap
 import os
 import signal
 import threading
@@ -154,45 +155,127 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # even with one at 20-25k cells (about 3 ms) and won from 30k
 _CELLS_PER_PROCESS = 20_000
 
+# thread-count setters of OpenBLAS builds: numpy's and scipy's wheels, then plain
+# builds; each has a getter of the same name with _get_
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
 
-def _process_count(rows: int, width: int) -> int:
-    """Processes to parse rows x width cells: 1 where fork is missing or unsafe."""
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return 1
+
+def _openblas_pools() -> list:
+    """(get, set) thread-count functions of each OpenBLAS this process has loaded,
+    found by file name in /proc/self/maps; empty without /proc or OpenBLAS."""
+    import ctypes
+
     try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows, rows * width // _CELLS_PER_PROCESS))
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n")
+                            for line in fh if "openblas" in line})
+    except OSError:
+        return []
+    pools = []
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter in _OPENBLAS_SETTERS:
+            getter = setter.replace("_set_", "_get_")
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                get, set_ = getattr(lib, getter), getattr(lib, setter)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((get, set_))
+                break
+    return pools
 
 
 def _loadtxt(rows, delim):
     return np.loadtxt(rows, delimiter=delim, comments=None, dtype=np.float64, ndmin=2)
 
 
-def _fork_parse(rows, delim, out) -> int:
-    """Fork a child that parses rows into out, exiting 0 only if they fit; return its pid."""
+def _fork(job, lo, hi, out) -> int:
+    """Fork a child that runs job(lo, hi, out), exiting 0 only if it returns a
+    true value; return its pid."""
     pid = os.fork()
     if pid:
         return pid
     code = 1
     try:
-        block = _loadtxt(rows, delim)
-        if block.shape == out.shape:
-            out[...] = block
+        if job(lo, hi, out):
             code = 0
     finally:
         os._exit(code)  # no exception reaches the parent's code, no stdio buffer is flushed
 
 
-def _reap(pids) -> bool:
-    """Wait for every child in pids, emptying it; True if each exited 0."""
-    ok = True
-    while pids:
-        _, status = os.waitpid(pids[-1], 0)
-        pids.pop()
-        ok &= status == 0
-    return ok
+def _reap(children, failed) -> None:
+    """Wait for every (pid, lo, hi) in children, emptying it; add the (lo, hi) of
+    each child that did not exit 0 to failed."""
+    while children:
+        pid, lo, hi = children[-1]
+        _, status = os.waitpid(pid, 0)
+        children.pop()
+        if status:
+            failed.append((lo, hi))
+
+
+def run_in_blocks(n: int, limit: int, row_shape: tuple, first, later, blas: bool = False):
+    """Run one job over range(n) in contiguous blocks, one block per process.
+
+    The number of processes is min(CPUs, n, limit), and 1 where os.fork is
+    missing (Windows), while another Python thread runs, or, for a ``blas``
+    job, where no OpenBLAS is found (MKL, Accelerate, no /proc). This
+    process runs ``first(0, hi)`` on the first block and returns its value.
+    Each later block goes to a forked child, which runs ``later(lo, hi,
+    out)`` with ``out`` that block's rows of one float64 array of shape
+    (n - hi, *row_shape) in memory shared with this process, and exits 0
+    only if it returns a true value; a block whose fork fails (no process to
+    spare) counts as a failed child. For a ``blas`` job every OpenBLAS runs one
+    thread while the blocks run, set before the fork (OpenBLAS's fork
+    handler then stops its pool, and no child starts one) and restored
+    after, on every path.
+
+    Returns (first's value, the shared array, the (lo, hi) of each block
+    whose child failed). Every child is killed and reaped before
+    this returns or raises, Ctrl-C included.
+    """
+    import mmap
+
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    pools = _openblas_pools() if blas and forkable else []
+    k = 1
+    if forkable and (pools or not blas):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = os.cpu_count() or 1
+        k = max(1, min(cpus, n, limit))
+    bounds = [n * j // k for j in range(k + 1)]
+    rest = n - bounds[1]
+    shape = (rest, *row_shape)
+    shared = (np.empty(shape) if k == 1 else
+              np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape)))))
+    counts = [get() for get, _ in pools]
+    children, failed = [], []
+    try:
+        for _, set_threads in pools:
+            set_threads(1)
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            try:
+                children.append((_fork(later, lo, hi, shared[lo - bounds[1]:hi - bounds[1]]),
+                                 lo, hi))
+            except OSError:
+                failed.append((lo, hi))
+        value = first(0, bounds[1])
+        _reap(children, failed)
+    finally:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        _reap(children, [])
+        for (_, set_threads), count in zip(pools, counts):
+            set_threads(count)
+    return value, shared, sorted(failed)
 
 
 def _parse_numbers(rows, delim, width):
@@ -200,30 +283,26 @@ def _parse_numbers(rows, delim, width):
     has another width.
 
     This process parses the first block of rows. Each later block goes to a
-    forked child, which parses it with the same np.loadtxt call into memory
-    shared with this process; this process's block then grows to take them.
-    A ValueError from this process's block propagates, and any child that
-    does not exit 0 gives None.
+    forked child (``run_in_blocks``), which parses it with the same
+    np.loadtxt call into memory shared with this process; this process's
+    block then grows to take them. A ValueError from this process's block
+    propagates, and any child that does not exit 0 gives None.
     """
+    def parse_into(lo, hi, out):
+        block = _loadtxt(rows[lo:hi], delim)
+        if block.shape != out.shape:
+            return False
+        out[...] = block
+        return True
+
     n = len(rows)
-    k = _process_count(n, width)
-    bounds = [n * j // k for j in range(k + 1)]
-    first = bounds[1]
-    later = None if k == 1 else np.ndarray(  # the children's rows, in memory they share
-        (n - first, width), buffer=mmap.mmap(-1, 8 * (n - first) * width))
-    pids = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pids.append(_fork_parse(rows[lo:hi], delim, later[lo - first:hi - first]))
-        head = _loadtxt(rows[:first], delim)
-        ok = _reap(pids) and head.shape == (first, width)
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        _reap(pids)
-    if not ok:
+    head, later, failed = run_in_blocks(n, n * width // _CELLS_PER_PROCESS, (width,),
+                                        lambda lo, hi: _loadtxt(rows[lo:hi], delim),
+                                        parse_into)
+    first = n - len(later)
+    if failed or head.shape != (first, width):
         return None
-    if k > 1:
+    if len(later):
         # realloc grows the block in place or by remapping its pages, with no
         # second copy of what this process parsed
         head.resize((n, width), refcheck=False)
@@ -255,7 +334,7 @@ def _parse_block(fh, delim: str):
     header = [ids.pop(0), *cells.pop(0).split(delim)]
     try:
         matrix = _parse_numbers(cells, delim, len(header) - 1)
-    except (ValueError, OSError):  # a row np.loadtxt rejects, or a failed fork or mmap
+    except (ValueError, OSError):  # a row np.loadtxt rejects, or a failed mmap
         return None
     if matrix is None or not np.isfinite(matrix).all():
         return None

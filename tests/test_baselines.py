@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -10,7 +14,8 @@ from hypothesis import strategies as st
 from kpcaig import (Dataset, DegenerateDataError, FeatureRanking, InputError, KernelSpec,
                     laplacian_score, permutation_importance, sigma_heuristic,
                     subspace_distance)
-from kpcaig import kernels
+from kpcaig import baselines, kernels
+from kpcaig import data as data_module
 from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
 from kpcaig.synthetic import planted_clusters
 
@@ -281,6 +286,17 @@ def test_permutation_short_eigensolve_raises(monkeypatch):
         permutation_importance(d, KernelSpec("linear"), 2)
 
 
+@pytest.mark.parametrize("n, q", [(12, 11), (3, 2)])
+def test_permutation_subspace_q_of_n_minus_1_raises(n, q):
+    # the top n-1 axes of any centred Gram span the whole centred space, so
+    # every subspace distance would be rounding noise (about 1e-14)
+    d = two_blobs(n, 6, seed=8)
+    with pytest.raises(DegenerateDataError,
+                       match=rf"q={q} is too large for the subspace metric with n={n} samples"):
+        permutation_importance(d, rbf_for(d), q)
+    assert np.all(np.isfinite(permutation_importance(d, rbf_for(d), q, metric="gram").scores))
+
+
 def test_permutation_q_above_numerical_rank_raises():
     # a third eigenvector would span rounding noise and every score would be ~1
     d = repeated_rows()
@@ -362,3 +378,144 @@ def test_permutation_matches_rebuild_reference(n, p, data):
     assert np.abs(got.scores - ref).max() <= tol
     # the order follows the reference except among scores tied at that level
     assert np.all(np.diff(ref[got.order]) <= tol)
+
+
+# --- forked blocks -------------------------------------------------------------
+
+def blas_threads():
+    return [get() for get, _ in data_module._openblas_pools()]
+
+
+needs_openblas_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or not data_module._openblas_pools(),
+    reason="the baseline forks only where os.fork and OpenBLAS are found")
+
+
+@contextmanager
+def split(forked: bool):
+    """Score the features across three processes from one draw each, or in one
+    process; every call must leave no child and the BLAS thread counts as found."""
+    threads = blas_threads()
+    with mock.patch.object(baselines, "_DRAW_CELLS_PER_PROCESS", 1 if forked else sys.maxsize), \
+            mock.patch("os.sched_getaffinity", return_value={0, 1, 2}, create=True), \
+            mock.patch("os.fork", wraps=os.fork) as fork:
+        yield fork
+    assert fork.call_count == (2 if forked else 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert blas_threads() == threads
+
+
+@needs_openblas_fork
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+@pytest.mark.parametrize("n_perm", [1, 3])
+def test_forked_scores_match_one_process(metric, n_perm):
+    d = two_blobs(20, 9, separation=3.0, seed=9)
+    spec = rbf_for(d)
+    runs = []
+    for forked in (False, True):
+        with split(forked):
+            runs.append(permutation_importance(d, spec, 3, n_perm=n_perm, seed=5,
+                                               metric=metric))
+    one, split_run = runs
+    assert np.abs(split_run.scores - one.scores).max() <= 1e-12 * np.abs(one.scores).max()
+    assert np.array_equal(split_run.order, one.order)
+
+
+@needs_openblas_fork
+def test_a_block_whose_fork_fails_is_scored_here():
+    d = two_blobs(20, 9, separation=3.0, seed=9)
+    spec = rbf_for(d)
+    with split(False):
+        one = permutation_importance(d, spec, 2, seed=4)
+    with split(True) as fork:
+        fork.side_effect = BlockingIOError(11, "Resource temporarily unavailable")
+        got = permutation_importance(d, spec, 2, seed=4)
+    # the later blocks are scored after the thread counts are restored
+    assert np.abs(got.scores - one.scores).max() <= 1e-12 * np.abs(one.scores).max()
+    assert np.array_equal(got.order, one.order)
+
+
+@needs_openblas_fork
+def test_an_error_in_a_childs_block_is_raised_with_its_message(monkeypatch):
+    d = two_blobs(20, 9, separation=3.0, seed=9)
+    spec = rbf_for(d)
+    # feature 8 sits in the last of three blocks; its one permuted Gram is
+    # recognised by content, which a forked child inherits with the patch
+    perm = np.random.default_rng([0, 8, 0]).permutation(d.n)
+    X = d.matrix.copy()
+    X[:, 8] = X[perm, 8]
+    target = center_gram(gram_matrix(spec, Dataset.from_matrix(X)))
+    message = "planted failure on feature 8"
+    seen = []
+
+    def leading_subspace(K_centered, q):
+        seen.append(blas_threads())
+        if np.allclose(K_centered, target, rtol=0, atol=1e-10):
+            raise DegenerateDataError(message)
+        return real(K_centered, q)
+
+    real = baselines._leading_subspace
+    monkeypatch.setattr(baselines, "_leading_subspace", leading_subspace)
+    before = blas_threads()
+    try:
+        for _, set_threads in data_module._openblas_pools():
+            set_threads(3)   # a count the cap must restore, whatever the machine has
+        for forked in (False, True):
+            seen.clear()
+            with split(forked), pytest.raises(DegenerateDataError) as info:
+                permutation_importance(d, spec, 2, seed=0)
+            assert str(info.value) == message
+            # the check before the draws ran at the caller's count, this process's
+            # block of three features at one thread
+            assert seen[0] == [3] * len(before)
+            assert seen[1:4] == [[1] * len(before)] * 3
+    finally:
+        for (_, set_threads), count in zip(data_module._openblas_pools(), before):
+            set_threads(count)
+
+
+@needs_openblas_fork
+def test_the_baseline_never_forks_or_caps_blas_while_another_thread_runs(monkeypatch):
+    d = two_blobs(20, 9, seed=9)
+    threads = blas_threads()
+    seen = []
+
+    def leading_subspace(K_centered, q):
+        seen.append(blas_threads())
+        return real(K_centered, q)
+
+    real = baselines._leading_subspace
+    monkeypatch.setattr(baselines, "_leading_subspace", leading_subspace)
+    monkeypatch.setattr(baselines, "_DRAW_CELLS_PER_PROCESS", 1)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        with mock.patch("os.fork", side_effect=AssertionError("forked")):
+            permutation_importance(d, rbf_for(d), 2)
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert seen and all(c == threads for c in seen)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
+def test_the_baseline_stays_in_one_process_without_openblas(monkeypatch):
+    # MKL or Accelerate would run each process at its full thread count
+    monkeypatch.setattr(data_module, "_openblas_pools", lambda: [])
+    monkeypatch.setattr(baselines, "_DRAW_CELLS_PER_PROCESS", 1)
+    d = two_blobs(20, 9, seed=9)
+    with mock.patch("os.fork", side_effect=AssertionError("forked")):
+        scores = permutation_importance(d, rbf_for(d), 2).scores
+    assert np.all(np.isfinite(scores))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(-3, 3))
+def test_centred_lower_is_center_grams_lower_triangle(n, seed, log_scale):
+    # the permutation loop's eigensolver reads only this triangle
+    K = kernels._mirror_upper(np.random.default_rng(seed).normal(size=(n, n)) * 10.0 ** log_scale)
+    lower = np.tril_indices(n)
+    assert np.array_equal(baselines._centred_lower(K)[lower], center_gram(K)[lower])

@@ -16,6 +16,7 @@ import kpcaig
 from kpcaig import (Dataset, KernelSpec, explained_variance, fit_kpca, laplacian_score,
                     load_labels, load_matrix, project_training, rank_features, save_matrix,
                     selection_curve, sigma_heuristic, standardize)
+from kpcaig import baselines as baselines_module
 from kpcaig import data as data_module
 from kpcaig.cli import build_parser, main
 from kpcaig.synthetic import planted_clusters
@@ -673,6 +674,22 @@ def test_permute_q_above_numerical_rank_exits_3(tmp_path, capsys):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize("n, q", [(12, 11), (3, 2)])
+@pytest.mark.parametrize("command", [["baseline", "permute"], ["curve", "selection"]])
+def test_permute_q_of_n_minus_1_exits_3(tmp_path, capsys, command, n, q):
+    # at q = n-1 every subspace distance is rounding noise (about 1e-14)
+    src = toy_matrix(tmp_path, n=n, p=6)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{i % 2}\n" for i in range(n)), encoding="utf-8")
+    extra = (["--labels", str(labels), "--ranking", "permute", "--d-grid", "2,4"]
+             if command[0] == "curve" else [])
+    out = tmp_path / "out.tsv"
+    assert main([*command, src, "--q", str(q), *extra, "-o", str(out)]) == 3
+    assert (f"q={q} is too large for the subspace metric with n={n} samples"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("metric", ["subspace", "gram"])
 def test_identity_gram_permute_exits_3_naming_the_bandwidth(tmp_path, capsys, metric):
     # at sigma = 1e3 every off-diagonal kernel value underflows to 0: K = I exactly
@@ -782,6 +799,27 @@ def test_rank_parses_a_large_file_in_forked_processes_with_warnings_as_errors(tm
     assert proc.returncode == 0, proc.stderr
     with mock.patch.object(data_module, "_CELLS_PER_PROCESS", sys.maxsize):
         assert main(["rank", src, "-o", str(single)]) == 0
+    headers = [header_of(path) for path in (forked, single)]
+    assert [h.pop("output") for h in headers] == [str(forked), str(single)]
+    assert headers[0] == headers[1]
+    assert (forked.read_bytes().split(b"\n", 1)[1] == single.read_bytes().split(b"\n", 1)[1])
+
+
+def test_permute_scores_in_forked_processes_with_warnings_as_errors(tmp_path):
+    # large enough that a fresh process splits the features; every process
+    # draws at one BLAS thread, so the table is the one-process table
+    n, p = 30, 200
+    assert p * 64 ** 2 >= 2 * baselines_module._DRAW_CELLS_PER_PROCESS
+    src = toy_matrix(tmp_path, n=n, p=p)
+    forked, single = tmp_path / "forked.tsv", tmp_path / "single.tsv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(kpcaig.__file__).resolve().parent.parent),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "kpcaig", "baseline", "permute",
+                           src, "-o", str(forked)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    with mock.patch.object(baselines_module, "_DRAW_CELLS_PER_PROCESS", sys.maxsize):
+        assert main(["baseline", "permute", src, "-o", str(single)]) == 0
     headers = [header_of(path) for path in (forked, single)]
     assert [h.pop("output") for h in headers] == [str(forked), str(single)]
     assert headers[0] == headers[1]

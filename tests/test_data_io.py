@@ -373,6 +373,13 @@ def test_a_load_leaves_no_child_behind(tmp_path):
 
 
 @needs_fork
+def test_a_failed_fork_gives_the_one_process_matrix(tmp_path):
+    p = write(tmp_path / "m.csv", CHILD_ROWS_GOOD)
+    with split(True), mock.patch("os.fork", side_effect=BlockingIOError(11, "no process")):
+        assert load_matrix(p).matrix.tolist() == [[i + 0.5, -i] for i in range(6)]
+
+
+@needs_fork
 def test_a_load_never_forks_while_another_thread_runs(tmp_path):
     p = write(tmp_path / "m.csv", CHILD_ROWS_GOOD)
     release = threading.Event()
