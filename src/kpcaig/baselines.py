@@ -11,7 +11,8 @@ between raw Gram matrices available as an alternative. The permuted Gram
 comes from the Dataset's pairwise base with one column's term swapped, so
 each (feature, draw) costs O(n^2) elementwise work and one top-q eigensolve.
 The features are scored in blocks, one per CPU, by this process and forked
-children, each running OpenBLAS on one thread.
+children, each running OpenBLAS on one thread; ``data.run_in_blocks``
+returns all their scores as one array.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .data import Dataset, run_in_blocks
 from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
-from .kernels import KernelSpec, center_gram, column_blocks, kernel_rule, pairwise_base
+from .kernels import KernelSpec, center_gram, column_blocks, gram_matrix, kernel_rule, pairwise_base
 from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue
 
 # fewest cells of permuted Gram worth one more process, a draw counting as
@@ -37,8 +38,9 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Fea
 
     Weights are exp(-||x_i - x_j||^2 / t); t defaults to the mean squared
     pairwise distance. Constant features receive a +inf sentinel and always
-    rank last. A sample whose graph degree is below n eps times the largest
-    (t far below its neighbour distances) raises DegenerateDataError.
+    rank last. A sample whose graph degree is 0 or below n eps times the
+    largest (t far below its neighbour distances) raises DegenerateDataError
+    naming t and the sample.
     """
     X = data.matrix
     n, p = X.shape
@@ -59,17 +61,19 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Fea
     W[rows, neigh] = np.exp(-d2[rows, neigh] / t)
     W = np.maximum(W, W.T)
     deg = W.sum(axis=1)
-    if np.any(deg == 0):
-        raise DegenerateDataError("neighbourhood graph has an isolated sample")
     # below n eps max(degree) a sample's weights sink under the rounding of the
-    # D-weighted mean removal, and the scores are set by that rounding
+    # D-weighted mean removal, and the scores are set by that rounding; a degree
+    # of 0 (every weight underflowed) fails too, even where all degrees and so
+    # the floor are 0
     floor = n * np.finfo(np.float64).eps * deg.max()
-    if deg.min() < floor:
-        i = int(deg.argmin())
+    i = int(deg.argmin())
+    if deg[i] < floor or deg[i] == 0:
+        why = ("all its graph weights underflow to 0" if deg[i] == 0 else
+               f"its graph degree {deg[i]:.3g} is below the rounding level {floor:.3g} "
+               "(n eps max degree)")
         raise DegenerateDataError(
             f"heat-kernel width t={t!r} is too small for sample {data.sample_ids[i]!r}: "
-            f"its graph degree {deg[i]:.3g} is below the rounding level {floor:.3g} "
-            "(n eps max degree); use a larger t")
+            f"{why}; use a larger t")
     mean = (deg @ X) / deg.sum()
     scores = np.full(p, np.inf)
     varying = np.ptp(X, axis=0) > 0
@@ -143,10 +147,10 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     they draw. One process scores them all when the draws are too few for
     ``_DRAW_CELLS_PER_PROCESS``, while another Python thread runs (then
     at the caller's thread counts), where os.fork is missing, or where no
-    OpenBLAS is found. A block whose child fails is scored again here, so
-    an error is raised as one process would raise it. The subspace metric
-    needs q <= n-2: at q = n-1 the top axes span the whole centred space
-    and every distance is rounding noise.
+    OpenBLAS is found. A block that no child scored is scored again here,
+    at the caller's thread counts, so an error is raised as one process
+    would raise it. The subspace metric needs q <= n-2: at q = n-1 the top
+    axes span the whole centred space and every distance is rounding noise.
     """
     if n_perm < 1:
         raise InputError(f"n_perm must be >= 1, got {n_perm}")
@@ -164,7 +168,7 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
             "noise; use q <= n-2")
     rule = kernel_rule(spec)
     base = pairwise_base(data, rule.distance)
-    K = rule.value(base)
+    K = gram_matrix(spec, data)
     check_determined(spec, K, q)
     # both metrics refuse a kernel whose spectrum is rounding noise; only the
     # subspace metric reads the top-q axes, so only it needs q within the rank
@@ -178,7 +182,8 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
                 f"of its eigenvalues exceed {EIG_DROP_REL:g} times the largest, so its top "
                 f"q={q} eigenvectors are not determined; use q <= {rank}")
 
-    def score(lo, hi, out):
+    def score(lo, hi):
+        out = np.empty(hi - lo)
         for j in range(lo, hi):
             col = X[:, j]
             t = rule.term(col)
@@ -191,15 +196,9 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
                 else:
                     dists[r] = _frobenius(K - Kp)
             out[j - lo] = dists.mean()
-        return True
+        return out
 
-    scores = np.empty(p)
     cells = p * n_perm * max(n, 64) ** 2
-    _, later, failed = run_in_blocks(p, cells // _DRAW_CELLS_PER_PROCESS, (),
-                                     lambda lo, hi: score(lo, hi, scores[lo:hi]), score,
-                                     blas=True)
-    scores[p - len(later):] = later
-    for lo, hi in failed:   # a block that raised in its child raises here, in feature order
-        score(lo, hi, scores[lo:hi])
+    scores = run_in_blocks(p, cells // _DRAW_CELLS_PER_PROCESS, (), score, blas=True)
     order = np.lexsort((np.arange(p), -scores))
     return FeatureRanking(scores, order)

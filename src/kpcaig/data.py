@@ -1,7 +1,8 @@
 """Dataset container, delimited-matrix I/O and column standardization.
 
 ``standardize`` returns a new Dataset; none records whether it was standardized.
-``run_in_blocks`` splits a job over forked processes; the loader and the
+``run_in_blocks`` computes one array in blocks of rows, the first in this
+process and each later one in a forked child; the loader and the
 permutation baseline use it.
 """
 
@@ -195,16 +196,25 @@ def _loadtxt(rows, delim):
     return np.loadtxt(rows, delimiter=delim, comments=None, dtype=np.float64, ndmin=2)
 
 
+def _block(job, lo, hi, row_shape) -> np.ndarray:
+    """job(lo, hi), which must have shape (hi - lo, *row_shape)."""
+    out = job(lo, hi)
+    if out.shape != (hi - lo, *row_shape):
+        raise ValueError(f"block [{lo}, {hi}) has shape {out.shape}, "
+                         f"expected {(hi - lo, *row_shape)}")
+    return out
+
+
 def _fork(job, lo, hi, out) -> int:
-    """Fork a child that runs job(lo, hi, out), exiting 0 only if it returns a
-    true value; return its pid."""
+    """Fork a child that copies job's block [lo, hi) into out, exiting 0 only
+    if it does; return its pid."""
     pid = os.fork()
     if pid:
         return pid
     code = 1
     try:
-        if job(lo, hi, out):
-            code = 0
+        out[...] = _block(job, lo, hi, out.shape[1:])
+        code = 0
     finally:
         os._exit(code)  # no exception reaches the parent's code, no stdio buffer is flushed
 
@@ -220,25 +230,26 @@ def _reap(children, failed) -> None:
             failed.append((lo, hi))
 
 
-def run_in_blocks(n: int, limit: int, row_shape: tuple, first, later, blas: bool = False):
-    """Run one job over range(n) in contiguous blocks, one block per process.
+def run_in_blocks(n: int, limit: int, row_shape: tuple, job, blas: bool = False) -> np.ndarray:
+    """The (n, *row_shape) array whose rows [lo, hi) are job(lo, hi), computed
+    in contiguous blocks, one block per process.
 
-    The number of processes is min(CPUs, n, limit), and 1 where os.fork is
-    missing (Windows), while another Python thread runs, or, for a ``blas``
-    job, where no OpenBLAS is found (MKL, Accelerate, no /proc). This
-    process runs ``first(0, hi)`` on the first block and returns its value.
-    Each later block goes to a forked child, which runs ``later(lo, hi,
-    out)`` with ``out`` that block's rows of one float64 array of shape
-    (n - hi, *row_shape) in memory shared with this process, and exits 0
-    only if it returns a true value; a block whose fork fails (no process to
-    spare) counts as a failed child. For a ``blas`` job every OpenBLAS runs one
-    thread while the blocks run, set before the fork (OpenBLAS's fork
-    handler then stops its pool, and no child starts one) and restored
-    after, on every path.
+    ``job(lo, hi)`` returns a new array of shape (hi - lo, *row_shape) or
+    raises; any other shape raises ValueError. The number of processes is
+    min(CPUs, n, limit), and 1 where os.fork is missing (Windows), while
+    another Python thread runs, or, for a ``blas`` job, where no OpenBLAS
+    is found (MKL, Accelerate, no /proc). This process runs the first
+    block, and a forked child each later one, copying its rows into one
+    float64 array in memory shared with this process; the first block's
+    array then grows in place to take them. For a ``blas`` job every
+    OpenBLAS runs one thread while the blocks run, set before the fork
+    (OpenBLAS's fork handler then stops its pool, and no child starts one)
+    and restored after, on every path.
 
-    Returns (first's value, the shared array, the (lo, hi) of each block
-    whose child failed). Every child is killed and reaped before
-    this returns or raises, Ctrl-C included.
+    Every child is killed and reaped before this returns or raises, Ctrl-C
+    included. Then each block that no child finished (its fork failed or it
+    did not exit 0) runs again here, in order and at the restored thread
+    counts, so its error is raised as one process would raise it.
     """
     import mmap
 
@@ -252,10 +263,10 @@ def run_in_blocks(n: int, limit: int, row_shape: tuple, first, later, blas: bool
             cpus = os.cpu_count() or 1
         k = max(1, min(cpus, n, limit))
     bounds = [n * j // k for j in range(k + 1)]
-    rest = n - bounds[1]
-    shape = (rest, *row_shape)
-    shared = (np.empty(shape) if k == 1 else
-              np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape)))))
+    first = bounds[1]
+    shape = (n - first, *row_shape)
+    rest = (np.empty(shape) if k == 1 else
+            np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape)))))
     counts = [get() for get, _ in pools]
     children, failed = [], []
     try:
@@ -263,11 +274,10 @@ def run_in_blocks(n: int, limit: int, row_shape: tuple, first, later, blas: bool
             set_threads(1)
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             try:
-                children.append((_fork(later, lo, hi, shared[lo - bounds[1]:hi - bounds[1]]),
-                                 lo, hi))
+                children.append((_fork(job, lo, hi, rest[lo - first:hi - first]), lo, hi))
             except OSError:
                 failed.append((lo, hi))
-        value = first(0, bounds[1])
+        out = _block(job, 0, first, row_shape)
         _reap(children, failed)
     finally:
         for pid, _, _ in children:
@@ -275,39 +285,13 @@ def run_in_blocks(n: int, limit: int, row_shape: tuple, first, later, blas: bool
         _reap(children, [])
         for (_, set_threads), count in zip(pools, counts):
             set_threads(count)
-    return value, shared, sorted(failed)
-
-
-def _parse_numbers(rows, delim, width):
-    """The rows' cells as a len(rows) x width matrix, or None if a block of them
-    has another width.
-
-    This process parses the first block of rows. Each later block goes to a
-    forked child (``run_in_blocks``), which parses it with the same
-    np.loadtxt call into memory shared with this process; this process's
-    block then grows to take them. A ValueError from this process's block
-    propagates, and any child that does not exit 0 gives None.
-    """
-    def parse_into(lo, hi, out):
-        block = _loadtxt(rows[lo:hi], delim)
-        if block.shape != out.shape:
-            return False
-        out[...] = block
-        return True
-
-    n = len(rows)
-    head, later, failed = run_in_blocks(n, n * width // _CELLS_PER_PROCESS, (width,),
-                                        lambda lo, hi: _loadtxt(rows[lo:hi], delim),
-                                        parse_into)
-    first = n - len(later)
-    if failed or head.shape != (first, width):
-        return None
-    if len(later):
-        # realloc grows the block in place or by remapping its pages, with no
-        # second copy of what this process parsed
-        head.resize((n, width), refcheck=False)
-        head[first:] = later
-    return head
+    # realloc grows the block in place or by remapping its pages, with no
+    # second copy of what this process computed
+    out.resize((n, *row_shape), refcheck=False)
+    out[first:] = rest
+    for lo, hi in sorted(failed):
+        out[lo:hi] = _block(job, lo, hi, row_shape)
+    return out
 
 
 def _parse_block(fh, delim: str):
@@ -332,11 +316,13 @@ def _parse_block(fh, delim: str):
     if len(ids) < 2:
         return None
     header = [ids.pop(0), *cells.pop(0).split(delim)]
+    n, width = len(cells), len(header) - 1
     try:
-        matrix = _parse_numbers(cells, delim, len(header) - 1)
-    except (ValueError, OSError):  # a row np.loadtxt rejects, or a failed mmap
+        matrix = run_in_blocks(n, n * width // _CELLS_PER_PROCESS, (width,),
+                               lambda lo, hi: _loadtxt(cells[lo:hi], delim))
+    except (ValueError, OSError):  # a block np.loadtxt rejects or of another width, a failed mmap
         return None
-    if matrix is None or not np.isfinite(matrix).all():
+    if not np.isfinite(matrix).all():
         return None
     return header, ids, matrix
 
@@ -348,10 +334,11 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
     columns (the table is transposed on load).
 
     A file without quotes is read in one pass, line by line, and its rows
-    parsed by np.loadtxt, split by rows across forked processes: at most one
-    per CPU and one per ``_CELLS_PER_PROCESS`` cells, and only one while
-    another Python thread runs or where os.fork is missing. Any file that
-    np.loadtxt cannot take as is
+    parsed by np.loadtxt, split by rows across forked processes
+    (``run_in_blocks``): at most one per CPU and one per
+    ``_CELLS_PER_PROCESS`` cells, and only one while another Python thread
+    runs or where os.fork is missing. A block that no child parsed is parsed
+    again in this process. Any file that np.loadtxt cannot take as is
     (quoted fields, ragged rows, blank or non-finite cells, cells such as
     ``1_0`` that only float() accepts) is parsed again row by row, which
     raises the ParseError naming the row, column and cell. Both parsers give

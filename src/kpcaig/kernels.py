@@ -169,11 +169,21 @@ def kernel_row(spec: KernelSpec, X, x) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
-    """Uncentered n x n Gram matrix of all pairwise similarities."""
+    """Uncentered n x n Gram matrix of all pairwise similarities.
+
+    A kernel value that overflows float64 (a polynomial of high degree, say)
+    raises DegenerateDataError: no centring or eigensolve can use it.
+    """
     if data.n < 2:
         raise InputError(f"need at least 2 samples, got n={data.n}")
     rule = kernel_rule(spec)
-    return rule.value(pairwise_base(data, rule.distance))
+    with np.errstate(over="ignore"):   # the error below says it
+        K = rule.value(pairwise_base(data, rule.distance))
+    if not np.isfinite(K).all():
+        at = (f" at degree={spec.degree}, coef0={spec.coef0!r}; use a lower degree"
+              if spec.family == "polynomial" else " on these samples")
+        raise DegenerateDataError(f"{spec.family} kernel values overflow float64{at}")
+    return K
 
 
 def center_gram(K) -> np.ndarray:

@@ -148,6 +148,15 @@ def test_laplacian_underflow_names_t_and_the_sample():
         laplacian_score(d, k_nn=1, t=0.25)
     assert str(info.value).startswith("heat-kernel width t=0.25 is too small for sample 's4': "
                                       "its graph degree 1.46e-31 is below the rounding level")
+    # at t = 1e-3 b's weight underflows to 0: the same cause, so the same message
+    with pytest.raises(DegenerateDataError) as info:
+        laplacian_score(d, k_nn=1, t=1e-3)
+    assert str(info.value) == ("heat-kernel width t=0.001 is too small for sample 's4': "
+                               "all its graph weights underflow to 0; use a larger t")
+    # every weight 0, so the rounding level n eps max degree is 0 as well
+    far = Dataset.from_matrix(np.arange(4.0)[:, None] * 10)
+    with pytest.raises(DegenerateDataError, match="t=0.001 is too small for sample 's0': all"):
+        laplacian_score(far, k_nn=1, t=1e-3)
     # at a t on the scale of the distances the same rows score normally
     assert np.all(np.isfinite(laplacian_score(d, k_nn=1).scores))
 

@@ -661,6 +661,18 @@ def test_noise_level_kernel_exits_3(tmp_path, capsys, command, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["rank"], ["project"], ["baseline", "permute"]])
+def test_polynomial_overflow_exits_3_naming_degree_and_coef0(tmp_path, capsys, command):
+    # (<x, y> + 10)^400 overflows float64 on the diagonal and most pairs; no
+    # numpy warning and no eigensolver traceback may come before the error
+    out = tmp_path / "out.tsv"
+    assert main([*command, toy_matrix(tmp_path, n=30, p=20), "--kernel", "poly",
+                 "--degree", "400", "--coef0", "10", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == ("kpcaig: polynomial kernel values overflow float64 "
+                                       "at degree=400, coef0=10.0; use a lower degree\n")
+    assert not out.exists()
+
+
 def test_permute_q_above_numerical_rank_exits_3(tmp_path, capsys):
     # the centred Gram has rank 2, so a third eigenvector would be rounding noise
     path = tmp_path / "repeated.tsv"
