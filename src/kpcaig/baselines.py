@@ -22,7 +22,8 @@ import numpy as np
 from .data import Dataset, run_in_blocks
 from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
-from .kernels import KernelSpec, center_gram, column_blocks, gram_matrix, kernel_rule, pairwise_base
+from .kernels import (KernelSpec, center_gram, column_blocks, gram_matrix, kernel_rule,
+                      overflow_error, pairwise_base)
 from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue
 
 # fewest cells of permuted Gram worth one more process, a draw counting as
@@ -151,6 +152,8 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     at the caller's thread counts, so an error is raised as one process
     would raise it. The subspace metric needs q <= n-2: at q = n-1 the top
     axes span the whole centred space and every distance is rounding noise.
+    A permuted Gram that overflows float64 raises the DegenerateDataError
+    that ``gram_matrix`` raises for the unpermuted one.
     """
     if n_perm < 1:
         raise InputError(f"n_perm must be >= 1, got {n_perm}")
@@ -192,13 +195,25 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
                 perm = np.random.default_rng([seed, j, r]).permutation(n)
                 Kp = rule.value(base + (rule.term(col[perm]) - t))
                 if metric == "subspace":
-                    dists[r] = subspace_distance(U, _leading_subspace(_centred_lower(Kp), q)[1])
+                    Kc = _centred_lower(Kp)
+                    try:
+                        V = _leading_subspace(Kc, q)[1]
+                    except ValueError:     # scipy's eigh refuses infs and NaNs
+                        if np.isfinite(Kc).all():
+                            raise
+                        raise overflow_error(spec) from None
+                    dists[r] = subspace_distance(U, V)
                 else:
                     dists[r] = _frobenius(K - Kp)
             out[j - lo] = dists.mean()
         return out
 
     cells = p * n_perm * max(n, 64) ** 2
-    scores = run_in_blocks(p, cells // _DRAW_CELLS_PER_PROCESS, (), score, blas=True)
+    with np.errstate(over="ignore", invalid="ignore"):   # the checks say it
+        scores = run_in_blocks(p, cells // _DRAW_CELLS_PER_PROCESS, (), score, blas=True)
+    # a draw's distance is infinite or NaN only where its permuted Gram (or, for
+    # the gram metric, its difference from K) overflowed, and then so is the mean
+    if not np.isfinite(scores).all():
+        raise overflow_error(spec)
     order = np.lexsort((np.arange(p), -scores))
     return FeatureRanking(scores, order)

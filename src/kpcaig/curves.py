@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, run_in_blocks
 from .exceptions import InputError
 from .importance import rank_features
 from .kernels import KernelSpec
@@ -26,6 +26,14 @@ from .metrics import contingency_tables, kmeans, silhouette, table_accuracy, tab
 
 # seeded k-means runs per silhouette point, of which the lowest inertia is scored
 SILHOUETTE_RESTARTS = 5
+
+# fewest k-means sample-runs (samples x runs x grid points) worth one more
+# selection-curve process: a point's cost grows with n and runs, and barely with
+# d up to 300. On 2 CPUs, in a process holding 120 MB, two processes lost 1-2 ms
+# to one at 3.5-5k sample-runs (n = 174, 10 runs, 2-3 points, 5-9 ms in one
+# process), broke even near 7k, and won by 2-4 ms at 7-10k and by 7-11 ms at
+# 14-21k (n = 60-174, 20 runs)
+_SAMPLE_RUNS_PER_PROCESS = 5_000
 
 
 @dataclass(frozen=True)
@@ -51,29 +59,53 @@ def check_grid(d_grid, p: int) -> tuple[int, ...]:
     return grid
 
 
+def _check_order(order, grid) -> np.ndarray:
+    """The ranking as int64 indices; InputError unless it covers the grid's largest d."""
+    order = np.asarray(order, dtype=np.int64)
+    if order.size < max(grid):
+        raise InputError(f"ranking lists {order.size} features, fewer than the grid's "
+                         f"largest d={max(grid)}")
+    return order
+
+
 def selection_curve(data: Dataset, order, truth, k: int, d_grid,
                     runs: int = 20, seed: int = 0) -> list[CurvePoint]:
     """Mean/std k-means ACC and NMI for each top-d feature subset.
 
     k-means runs use consecutive seeds seed..seed+runs-1 on the selected
     raw columns, all in one lockstep call per d; the std is the population
-    standard deviation over runs.
+    standard deviation over runs. The order must list at least max(d_grid)
+    features.
+
+    The grid points are split into contiguous blocks
+    (``data.run_in_blocks``): this process computes the first and a forked
+    child each later one, at most one per CPU and one per
+    ``_SAMPLE_RUNS_PER_PROCESS`` samples x runs x points. One process
+    computes them all while another Python thread runs or where os.fork is
+    missing. A point makes the same calls on the same seeds in any
+    process, so the curve is the same bit for bit however it is split, and
+    a block that no child finished is computed again here.
     """
     grid = check_grid(d_grid, data.p)
     if runs < 1:
         raise InputError(f"runs must be >= 1, got {runs}")
-    order = np.asarray(order, dtype=np.int64)
+    order = _check_order(order, grid)
     truth = np.asarray(truth).ravel()
-    points = []
-    for d in grid:
-        results = kmeans(data.matrix[:, order[:d]], k, range(seed, seed + runs))
-        tables = contingency_tables([res.labels for res in results], truth)
-        accs = np.array([table_accuracy(C) for C in tables])
-        nmis = np.array([table_nmi(C) for C in tables])
-        points.append(CurvePoint(d=d,
-                                 acc_mean=float(accs.mean()), acc_std=float(accs.std()),
-                                 nmi_mean=float(nmis.mean()), nmi_std=float(nmis.std())))
-    return points
+
+    def stats(lo, hi):
+        out = np.empty((hi - lo, 4))
+        for i, d in enumerate(grid[lo:hi]):
+            results = kmeans(data.matrix[:, order[:d]], k, range(seed, seed + runs))
+            tables = contingency_tables([res.labels for res in results], truth)
+            accs = np.array([table_accuracy(C) for C in tables])
+            nmis = np.array([table_nmi(C) for C in tables])
+            out[i] = accs.mean(), accs.std(), nmis.mean(), nmis.std()
+        return out
+
+    limit = data.n * runs * len(grid) // _SAMPLE_RUNS_PER_PROCESS
+    table = run_in_blocks(len(grid), limit, (4,), stats)
+    return [CurvePoint(d=d, acc_mean=acc, acc_std=acc_sd, nmi_mean=nmi, nmi_std=nmi_sd)
+            for d, (acc, acc_sd, nmi, nmi_sd) in zip(grid, table.tolist())]
 
 
 def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
@@ -85,10 +117,11 @@ def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
     feature subset, so the kernel adapts to the number of columns kept.
     The clustering takes the best of SILHOUETTE_RESTARTS seeded k-means runs
     (the first of equal inertia), which keeps the curve stable against
-    unlucky initializations.
+    unlucky initializations. The order must list at least max(d_grid)
+    features.
     """
     grid = check_grid(d_grid, data.p)
-    order = np.asarray(order, dtype=np.int64)
+    order = _check_order(order, grid)
     points = []
     for d in grid:
         sub = data.select_features(order[:d])
@@ -130,16 +163,16 @@ def variance_generalization(data: Dataset, spec: KernelSpec, q: int, d_grid,
         if min(tr.size, te.size) < 3:
             raise InputError(f"split {s} leaves fewer than 3 samples on one side")
         train = data.subset_samples(tr)
-        test = data.subset_samples(te)
         spec_rank = resolve_spec(spec, sigma_rule, train, q)
         ranking = rank_features(fit_kpca(train, spec_rank, q))
         for d in grid:
             cols = ranking.order[:d]
             sub_tr = train.select_features(cols)
-            sub_te = test.select_features(cols)
+            sub_te = data.select_features(cols).subset_samples(te)
             m_tr = fit_kpca(sub_tr, resolve_spec(spec, sigma_rule, sub_tr, q), q)
             m_te = fit_kpca(sub_te, resolve_spec(spec, sigma_rule, sub_te, q), q)
             points.append(CurvePoint(d=d, split=s,
                                      var_train=float(explained_variance(m_tr).sum()),
                                      var_test=float(explained_variance(m_te).sum())))
+        del train   # so that the next split's copy is not built beside this one
     return points

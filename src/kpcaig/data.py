@@ -2,8 +2,8 @@
 
 ``standardize`` returns a new Dataset; none records whether it was standardized.
 ``run_in_blocks`` computes one array in blocks of rows, the first in this
-process and each later one in a forked child; the loader and the
-permutation baseline use it.
+process and each later one in a forked child; the loader, the
+permutation baseline and the selection curve use it.
 """
 
 from __future__ import annotations

@@ -180,10 +180,15 @@ def gram_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     with np.errstate(over="ignore"):   # the error below says it
         K = rule.value(pairwise_base(data, rule.distance))
     if not np.isfinite(K).all():
-        at = (f" at degree={spec.degree}, coef0={spec.coef0!r}; use a lower degree"
-              if spec.family == "polynomial" else " on these samples")
-        raise DegenerateDataError(f"{spec.family} kernel values overflow float64{at}")
+        raise overflow_error(spec)
     return K
+
+
+def overflow_error(spec: KernelSpec) -> DegenerateDataError:
+    """The error for kernel values of spec that overflow float64."""
+    at = (f" at degree={spec.degree}, coef0={spec.coef0!r}; use a lower degree"
+          if spec.family == "polynomial" else " on these samples")
+    return DegenerateDataError(f"{spec.family} kernel values overflow float64{at}")
 
 
 def center_gram(K) -> np.ndarray:

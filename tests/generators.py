@@ -1,5 +1,5 @@
-"""Seeded toy data for tests: two separated blobs, a noisy closed curve and
-repeated rows."""
+"""Seeded toy data for tests: two separated blobs, a noisy closed curve,
+repeated rows and a matrix whose permuted polynomial Grams overflow."""
 
 import numpy as np
 
@@ -29,3 +29,9 @@ def smooth_manifold(n: int, p: int, *, noise: float = 0.02, seed: int = 0) -> Da
 def repeated_rows() -> Dataset:
     """12 x 6: 3 distinct rows repeated 4 times, so the centred Gram has rank 2."""
     return Dataset.from_matrix(np.tile(np.random.default_rng(0).normal(size=(3, 6)), (4, 1)))
+
+
+# 5 x 3: at polynomial degree 150 and coef0 0 its Gram is finite (largest value
+# 3.6e302, 10^300 times 1.01^150), but permuting any column makes some values overflow
+OVERFLOWS_WHEN_PERMUTED = np.array([[10, 0, 1], [0, 10, 2], [3, 1, 0], [1, 3, 5], [2, 2, 2]],
+                                   dtype=np.float64)

@@ -19,7 +19,7 @@ from kpcaig import data as data_module
 from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
 from kpcaig.synthetic import planted_clusters
 
-from generators import repeated_rows, two_blobs
+from generators import OVERFLOWS_WHEN_PERMUTED, repeated_rows, two_blobs
 from kernel_oracles import permutation_scores_rebuild
 
 
@@ -519,6 +519,19 @@ def test_the_baseline_stays_in_one_process_without_openblas(monkeypatch):
     with mock.patch("os.fork", side_effect=AssertionError("forked")):
         scores = permutation_importance(d, rbf_for(d), 2).scores
     assert np.all(np.isfinite(scores))
+
+
+@needs_openblas_fork
+@pytest.mark.parametrize("forked", [False, True])
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+def test_a_permuted_gram_that_overflows_raises(metric, forked):
+    d = Dataset.from_matrix(OVERFLOWS_WHEN_PERMUTED)
+    spec = KernelSpec("polynomial", degree=150, coef0=0.0)
+    assert np.isfinite(gram_matrix(spec, d)).all()
+    with split(forked), pytest.raises(DegenerateDataError) as info:
+        permutation_importance(d, spec, 1, metric=metric)
+    assert str(info.value) == ("polynomial kernel values overflow float64 at degree=150, "
+                               "coef0=0.0; use a lower degree")
 
 
 @settings(max_examples=100)

@@ -17,11 +17,12 @@ from kpcaig import (Dataset, KernelSpec, explained_variance, fit_kpca, laplacian
                     load_labels, load_matrix, project_training, rank_features, save_matrix,
                     selection_curve, sigma_heuristic, standardize)
 from kpcaig import baselines as baselines_module
+from kpcaig import curves as curves_module
 from kpcaig import data as data_module
 from kpcaig.cli import build_parser, main
 from kpcaig.synthetic import planted_clusters
 
-from generators import repeated_rows
+from generators import OVERFLOWS_WHEN_PERMUTED, repeated_rows
 
 
 def toy_matrix(tmp_path, n=10, p=5, seed=0):
@@ -673,6 +674,21 @@ def test_polynomial_overflow_exits_3_naming_degree_and_coef0(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+def test_permuted_gram_overflow_exits_3_naming_degree_and_coef0(tmp_path, capsys, metric):
+    # the unpermuted Gram is finite (largest value 3.6e302), but permuting a
+    # column makes some of its degree-150 powers overflow
+    path = tmp_path / "big.tsv"
+    save_matrix(Dataset.from_matrix(OVERFLOWS_WHEN_PERMUTED), path)
+    out = tmp_path / "perm.tsv"
+    assert main(["baseline", "permute", str(path), "--no-standardize", "--kernel", "poly",
+                 "--degree", "150", "--coef0", "0", "--q", "1", "--metric", metric,
+                 "-o", str(out)]) == 3
+    assert capsys.readouterr().err == ("kpcaig: polynomial kernel values overflow float64 "
+                                       "at degree=150, coef0=0.0; use a lower degree\n")
+    assert not out.exists()
+
+
 def test_permute_q_above_numerical_rank_exits_3(tmp_path, capsys):
     # the centred Gram has rank 2, so a third eigenvector would be rounding noise
     path = tmp_path / "repeated.tsv"
@@ -815,6 +831,25 @@ def test_rank_parses_a_large_file_in_forked_processes_with_warnings_as_errors(tm
     assert [h.pop("output") for h in headers] == [str(forked), str(single)]
     assert headers[0] == headers[1]
     assert (forked.read_bytes().split(b"\n", 1)[1] == single.read_bytes().split(b"\n", 1)[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
+def test_curve_selection_table_does_not_depend_on_the_split(tmp_path):
+    mpath, lpath = planted_files(tmp_path)
+    tables = [tmp_path / "single.tsv", tmp_path / "forked.tsv"]
+    for forked, out in zip((False, True), tables):
+        # 5 grid points over 3 processes, or all in this one
+        with mock.patch.object(curves_module, "_SAMPLE_RUNS_PER_PROCESS",
+                               1 if forked else sys.maxsize), \
+                mock.patch("os.sched_getaffinity", return_value={0, 1, 2}, create=True), \
+                mock.patch("os.fork", wraps=os.fork) as fork:
+            assert main(["curve", "selection", mpath, "--labels", lpath, "--d-grid", "5:45:10",
+                         "--runs", "3", "-o", str(out)]) == 0
+        assert fork.call_count == (2 if forked else 0)
+    headers = [header_of(path) for path in tables]
+    assert [h.pop("output") for h in headers] == [str(path) for path in tables]
+    assert headers[0] == headers[1]
+    assert tables[0].read_bytes().split(b"\n", 1)[1] == tables[1].read_bytes().split(b"\n", 1)[1]
 
 
 def test_permute_scores_in_forked_processes_with_warnings_as_errors(tmp_path):

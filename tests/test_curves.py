@@ -1,3 +1,8 @@
+import os
+import sys
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from kpcaig import (Dataset, InputError, KernelSpec, SigmaRule, clustering_accur
                     standardize, variance_generalization)
 from kpcaig.synthetic import planted_clusters, random_ranking
 
+from kpcaig import curves, kernels
 from kpcaig.kpca import project_training, resolve_spec
 
 from generators import smooth_manifold
@@ -71,6 +77,39 @@ def test_selection_curve_validation():
         selection_curve(data, np.arange(20), data.labels, 4, [30], runs=2)
     with pytest.raises(InputError):
         selection_curve(data, np.arange(20), data.labels, 4, [5], runs=0)
+
+
+def test_curves_refuse_an_order_shorter_than_the_grid():
+    # d=30 must not be clustered on the 20 columns the order lists
+    data = planted(1, n=30, p=40)
+    with pytest.raises(InputError, match="ranking lists 20 features, fewer than the grid's "
+                                         "largest d=30"):
+        selection_curve(data, np.arange(20), data.labels, 3, [10, 30], runs=2)
+    with pytest.raises(InputError, match="ranking lists 20 features"):
+        silhouette_curve(data, np.arange(20), KernelSpec("rbf", sigma=1.0), 3, [30])
+    assert len(selection_curve(data, np.arange(20), data.labels, 3, [10, 20], runs=2)) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
+def test_forked_selection_curve_is_the_one_process_curve():
+    data = planted(3, n=50, p=30)
+    order = kpcaig_order(data)
+    grid = [1, 2, 5, 9, 12, 30, 20]     # 7 points over 3 processes: 2, 2 and 3
+    runs = []
+    for forked in (False, True):
+        with mock.patch.object(curves, "_SAMPLE_RUNS_PER_PROCESS",
+                               1 if forked else sys.maxsize), \
+                mock.patch("os.sched_getaffinity", return_value={0, 1, 2}, create=True), \
+                mock.patch("os.fork", wraps=os.fork) as fork:
+            runs.append(selection_curve(data, order, data.labels, 4, grid, runs=6, seed=3))
+        assert fork.call_count == (2 if forked else 0)
+        with pytest.raises(ChildProcessError):    # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+    one, split = runs
+    assert split == one
+    stats = [np.array([[pt.acc_mean, pt.acc_std, pt.nmi_mean, pt.nmi_std] for pt in points])
+             for points in runs]
+    assert stats[1].tobytes() == stats[0].tobytes()
 
 
 def test_selection_curve_planted_signal_beats_random():
@@ -152,6 +191,26 @@ def test_variance_generalization_split_too_small():
     with pytest.raises(InputError):
         variance_generalization(data, KernelSpec("rbf", sigma=0.1), 2, [5],
                                 split_indices=[(np.arange(6), np.arange(6, 8))])
+
+
+def test_variance_generalization_holds_one_training_copy():
+    X = np.random.default_rng(6).normal(size=(100, 8000))
+    data = Dataset.from_matrix(X)
+    spec = KernelSpec("polynomial", degree=2)
+    # small ranking blocks, so the peak is the copies of the matrix
+    with mock.patch.object(kernels, "BLOCK_BYTES", 1 << 14):
+        variance_generalization(data, spec, 2, [5], n_splits=1)    # warm-up
+        tracemalloc.start()
+        try:
+            pts = variance_generalization(data, spec, 2, [5, 15], n_splits=3, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(pts) == 6
+    # one 75% training copy, the small top-d subsets and per-feature names
+    # (0.91 times the matrix); a second training copy beside it or a copy of
+    # the test half reads 1.67 or 1.17
+    assert peak < 1.05 * X.nbytes
 
 
 def test_variance_generalization_smooth_manifold_gap():
