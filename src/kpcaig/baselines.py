@@ -11,7 +11,7 @@ between raw Gram matrices available as an alternative. The permuted Gram
 comes from the Dataset's pairwise base with one column's term swapped, so
 each (feature, draw) costs O(n^2) elementwise work and one top-q eigensolve.
 The features are scored in blocks, one per CPU, by this process and forked
-children, each running OpenBLAS on one thread; ``data.run_in_blocks``
+children, each running OpenBLAS on one thread; ``parallel.run_in_blocks``
 returns all their scores as one array.
 """
 
@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, run_in_blocks
+from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
 from .kernels import (KernelSpec, center_gram, column_blocks, gram_matrix, kernel_rule,
                       overflow_error, pairwise_base)
 from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue
+from .parallel import run_in_blocks
 
 # fewest cells of permuted Gram worth one more process, a draw counting as
 # max(n, 64)^2 cells (below 64 samples its call overhead outweighs its n^2 work):
@@ -143,7 +144,7 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     not depend on which process draws them.
 
     The features are split into contiguous blocks, one per CPU
-    (``data.run_in_blocks``): this process scores the first block and a
+    (``parallel.run_in_blocks``): this process scores the first block and a
     forked child each later one, and every OpenBLAS runs one thread while
     they draw. One process scores them all when the draws are too few for
     ``_DRAW_CELLS_PER_PROCESS``, while another Python thread runs (then

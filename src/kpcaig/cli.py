@@ -332,10 +332,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            # a header records coef0 wherever it is an option, and json writes a
-            # non-finite float as invalid JSON
-            if not np.isfinite(getattr(args, "coef0", 0.0)):
-                raise InputError(f"coef0 must be finite, got {args.coef0}")
+            # a header records every kernel option, whatever the family, so each
+            # is checked (json writes a non-finite coef0 as invalid JSON)
+            if hasattr(args, "kernel"):
+                SigmaRule.parse(args.sigma)
+                KernelSpec("polynomial", degree=args.degree, coef0=args.coef0)
             if args.output is not None:
                 _check_output(args.output)
             data = _load(args)

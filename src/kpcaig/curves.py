@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, run_in_blocks
+from .data import Dataset
 from .exceptions import InputError
 from .importance import rank_features
 from .kernels import KernelSpec
 from .kpca import SigmaRule, explained_variance, fit_kpca, project_training, resolve_spec
 from .metrics import contingency_tables, kmeans, silhouette, table_accuracy, table_nmi
+from .parallel import run_in_blocks
 
 # seeded k-means runs per silhouette point, of which the lowest inertia is scored
 SILHOUETTE_RESTARTS = 5
@@ -78,7 +79,7 @@ def selection_curve(data: Dataset, order, truth, k: int, d_grid,
     features.
 
     The grid points are split into contiguous blocks
-    (``data.run_in_blocks``): this process computes the first and a forked
+    (``parallel.run_in_blocks``): this process computes the first and a forked
     child each later one, at most one per CPU and one per
     ``_SAMPLE_RUNS_PER_PROCESS`` samples x runs x points. One process
     computes them all while another Python thread runs or where os.fork is

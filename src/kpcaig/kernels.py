@@ -17,8 +17,7 @@ would only cancel between the field products when K is near the identity.
 the median heuristic, every Gram matrix (one per grid sigma), the slope and
 the permutation baseline reuse it. The base is a sum over columns, and
 ``KernelRule.term`` gives one column's summand, (x_ij - x_kj)^2 or x_ij x_kj.
-Gram matrices are plain arrays; ``kpca.project`` centres a new point's
-kernel row.
+Gram matrices are plain arrays.
 
 Squared distances come from the inner products of the column-centred rows,
 G = Xc Xc^T: d_ij = g_i + g_j - 2 G_ij with g_i = G_ii. G is one GEMM per
@@ -131,13 +130,6 @@ class KernelRule:
     value: Callable[[np.ndarray], np.ndarray]               # k from b
     slope: Callable[[np.ndarray, np.ndarray], np.ndarray]   # P from the training b and K
 
-    def base(self, X: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Base b between x and each row of X."""
-        if self.distance:
-            diff = X - x
-            return np.einsum("ij,ij->i", diff, diff)
-        return X @ x
-
     def term(self, c: np.ndarray) -> np.ndarray:
         """One column c's summand of the base over all pairs of rows."""
         return np.subtract.outer(c, c) ** 2 if self.distance else np.multiply.outer(c, c)
@@ -156,16 +148,6 @@ def kernel_rule(spec: KernelSpec) -> KernelRule:
     c, d = spec.coef0, spec.degree
     return KernelRule(False, lambda g: (g + c) ** d,
                       lambda b, K: float(d) * (b + c) ** (d - 1))
-
-
-def kernel_row(spec: KernelSpec, X, x) -> np.ndarray:
-    """Vector (k(x, x_i))_i over the rows of X."""
-    X = np.asarray(X, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != X.shape[1]:
-        raise InputError(f"point has {x.size} coords, training data has p={X.shape[1]}")
-    rule = kernel_rule(spec)
-    return rule.value(rule.base(X, x))
 
 
 def gram_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:

@@ -3,7 +3,7 @@
 The centered Gram matrix K~ is diagonalized directly; its eigenvalues mu_k
 are kept in descending order and the eigenvectors are rescaled by
 1/sqrt(mu_k) so that each principal axis has unit norm in feature space
-(alpha_k^T K~ alpha_k = 1). Projections of training or new points then only
+(alpha_k^T K~ alpha_k = 1). Projections of training points then only
 require kernel evaluations against the training set and come back as plain
 arrays. A fit takes any Dataset; standardizing it first is the caller's choice.
 """
@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .kernels import (KernelSpec, center_gram, gram_matrix, kernel_row, median_sq_distance,
-                      pairwise_base, sigma_heuristic)
+from .kernels import (KernelSpec, center_gram, gram_matrix, median_sq_distance, pairwise_base,
+                      sigma_heuristic)
 
 # relative cutoff below which an eigenvalue is treated as numerically zero
 EIG_DROP_REL = 1e-10
@@ -110,13 +110,6 @@ def check_determined(spec: KernelSpec, K: np.ndarray, q: int) -> None:
             f"q={q} eigenvectors are not determined; use a smaller sigma")
 
 
-def project(model: FittedKpca, x) -> np.ndarray:
-    """Coordinates of an arbitrary point: its kernel row, centred like a row of K~, times alpha."""
-    Z = kernel_row(model.kernel, model.training_data.matrix, x)
-    v = Z - model.K.mean(axis=0)
-    return (v - v.mean()) @ model.alphas
-
-
 def project_training(model: FittedKpca) -> np.ndarray:
     """n x q training-set coordinates K~ @ alpha."""
     return model.K_centered @ model.alphas
@@ -147,6 +140,8 @@ class SigmaRule:
             raise InputError(f"fixed sigma must be finite and > 0, got {self.value}")
         if self.mode == "grid" and not self.grid:
             raise InputError("grid sigma mode needs a non-empty grid")
+        if not all(0 < v < np.inf for v in self.grid):
+            raise InputError(f"grid sigma values must be finite and > 0, got {self.grid}")
 
     @classmethod
     def parse(cls, text: str) -> "SigmaRule":

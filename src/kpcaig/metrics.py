@@ -81,18 +81,18 @@ def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return (sums / counts[:, None]).reshape(runs, k, -1)
 
 
-def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
-    """Lloyd's algorithm with k-means++ seeding, for one seed or a sequence of them.
+def kmeans(coords, k: int, seeds, *, max_iter: int = 300, init_centers=None):
+    """Lloyd's algorithm with k-means++ seeding, one run per seed of a sequence.
 
-    One seed gives one ClusteringResult; a sequence gives one per seed, in
-    order. The runs are seeded together, then iterate in lockstep: each
-    iteration assigns every active run's points from one distance array to
-    their centres, and a run drops out when its assignment stops changing,
-    when its cost stops falling (it then keeps its previous assignment) or
-    after max_iter iterations. A distance depends only on its point and
-    centre, so each result equals that of a call with its seed alone. Empty
-    clusters are repaired by claiming the point farthest from its assigned
-    centroid (among clusters that can spare a point).
+    Returns one ClusteringResult per seed, in order. The runs are seeded
+    together, then iterate in lockstep: each iteration assigns every active
+    run's points from one distance array to their centres, and a run drops
+    out when its assignment stops changing, when its cost stops falling (it
+    then keeps its previous assignment) or after max_iter iterations. A
+    distance depends only on its point and centre, so each result equals
+    that of a call with its seed alone. Empty clusters are repaired by
+    claiming the point farthest from its assigned centroid (among clusters
+    that can spare a point).
     """
     from scipy.spatial.distance import cdist
 
@@ -104,7 +104,7 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
         raise InputError(f"k must be in [1, m], got k={k} for m={m}")
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
-    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    seeds = list(seeds)
     if not seeds:
         raise InputError("k-means needs at least one seed")
     runs = len(seeds)
@@ -142,10 +142,9 @@ def kmeans(coords, k: int, seed, *, max_iter: int = 300, init_centers=None):
         if not active.size:
             break
         centers[active] = _cluster_means(X, lab[going], k)
-    results = [ClusteringResult(labels=labels[r], seed=s, n_iter=int(n_iter[r]),
-                                inertia=float(np.square(X - centers[r, labels[r]]).sum()))
-               for r, s in enumerate(seeds)]
-    return results[0] if np.ndim(seed) == 0 else results
+    return [ClusteringResult(labels=labels[r], seed=s, n_iter=int(n_iter[r]),
+                             inertia=float(np.square(X - centers[r, labels[r]]).sum()))
+            for r, s in enumerate(seeds)]
 
 
 def contingency_tables(preds, truth) -> np.ndarray:

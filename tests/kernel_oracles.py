@@ -1,13 +1,13 @@
 """Scalar and per-feature kernel references the vectorized code is tested against.
 
 Each family is written out on its own here, independent of the family rules
-in ``kpcaig.kernels``: a scalar kernel value, its closed-form partial
-derivative, the dense n x n derivative matrix of one feature, and the Gram
-matrix formulas the package must reproduce: bit for bit for the inner-product
-families, and to 1e-12 relative for rbf, whose squared distances come here from
-explicit row differences. The permutation
-baseline's reference rebuilds and eigendecomposes the whole Gram of every
-permuted matrix.
+in ``kpcaig.kernels``: a scalar kernel value, the coordinates of a new point
+that it gives, its closed-form partial derivative, the dense n x n
+derivative matrix of one feature, and the Gram matrix formulas the package
+must reproduce: bit for bit for the inner-product families, and to 1e-12
+relative for rbf, whose squared distances come here from explicit row
+differences. The permutation baseline's reference rebuilds and
+eigendecomposes the whole Gram of every permuted matrix.
 """
 
 import numpy as np
@@ -52,6 +52,20 @@ def kernel_partial(spec: KernelSpec, x, x_i, j: int) -> float:
     if spec.family == "linear":
         return float(x_i[j])
     return float(spec.degree * (np.dot(x, x_i) + spec.coef0) ** (spec.degree - 1) * x_i[j])
+
+
+def project_point(model, x) -> np.ndarray:
+    """Coordinates of a point x on a fitted model's axes.
+
+    Its kernel row against the training points, from ``eval_kernel``, is
+    centred as the rows of the centred training Gram are (minus the column
+    means of the model's uncentred Gram, then minus its own mean) and
+    multiplied by the model's alphas. On a training point it gives that
+    point's row of ``project_training``.
+    """
+    row = np.array([eval_kernel(model.kernel, x, x_i) for x_i in model.training_data.matrix])
+    v = row - model.K.mean(axis=0)
+    return (v - v.mean()) @ model.alphas
 
 
 def partial_matrix(spec: KernelSpec, X, j: int) -> np.ndarray:

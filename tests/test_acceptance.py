@@ -17,14 +17,14 @@ import pytest
 
 from kpcaig import (Dataset, KernelSpec, center_gram, clustering_accuracy,
                     explained_variance, fit_kpca, gradient_field, gram_matrix,
-                    nmi, project, project_training, rank_features, save_matrix,
+                    nmi, project_training, rank_features, save_matrix,
                     selection_curve, sigma_heuristic, silhouette, silhouette_curve,
                     standardize, variance_generalization)
 from kpcaig.kpca import SigmaRule
 from kpcaig.synthetic import planted_clusters, random_ranking
 
 from generators import smooth_manifold
-from kernel_oracles import eval_kernel, kernel_partial
+from kernel_oracles import eval_kernel, kernel_partial, project_point
 from test_metrics import brute_force_acc, brute_force_silhouette
 
 FAMILIES = [
@@ -61,7 +61,7 @@ def test_criterion_1_gradient_oracle():
             if abs(got) > 1e-3:
                 assert abs(got - fd) / abs(got) < 1e-6
             W = gradient_field(model, j)
-            fd_row = (project(model, X[m] + e) - project(model, X[m] - e)) / (2 * h)
+            fd_row = (project_point(model, X[m] + e) - project_point(model, X[m] - e)) / (2 * h)
             denom = max(np.linalg.norm(W[m]), 1e-8)
             assert np.linalg.norm(fd_row - W[m]) / denom < 1e-4
             cases += 1
@@ -90,7 +90,7 @@ def test_criterion_2_pca_equivalence():
             assert np.abs(emb[:, k] - s * scores[:, k]).max() < 1e-8
             for x in xs:
                 want = s * ((x - data.matrix.mean(axis=0)) @ Vt[k])
-                assert abs(project(model, x)[k] - want) < 1e-8
+                assert abs(project_point(model, x)[k] - want) < 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"PCA equivalence took {elapsed:.1f}s"
     report(2, "linear-kernel KPCA equals classical PCA, 20 instances")
@@ -166,7 +166,7 @@ def test_criterion_6_planted_signal_recovery():
     t0 = time.perf_counter()
     acc_wins = 0
     for seed in range(20):
-        data = standardize(planted_clusters(120, 500, 4, 10, within_std=0.1, seed=seed))
+        data = standardize(planted_clusters(120, 500, 4, 10, within_std=0.1, seed=seed)[0])
         spec = KernelSpec("rbf", sigma=sigma_heuristic(data))
         order = rank_features(fit_kpca(data, spec, 3)).order
         informed = selection_curve(data, order, data.labels, 4, [10], runs=20, seed=900)
@@ -180,7 +180,7 @@ def test_criterion_6_planted_signal_recovery():
     grid = [10, 50, 100, 150, 200, 250]
     dominating = 0
     for seed in range(10):
-        data = standardize(planted_clusters(120, 500, 4, 10, within_std=0.1, seed=seed))
+        data = standardize(planted_clusters(120, 500, 4, 10, within_std=0.1, seed=seed)[0])
         spec = KernelSpec("rbf", sigma=sigma_heuristic(data))
         order = rank_features(fit_kpca(data, spec, 3)).order
         informed = silhouette_curve(data, order, KernelSpec("rbf", sigma=1.0), 4, grid,

@@ -12,10 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpcaig import (Dataset, DegenerateDataError, FeatureRanking, InputError, KernelSpec,
-                    laplacian_score, permutation_importance, sigma_heuristic,
-                    subspace_distance)
-from kpcaig import baselines, kernels
-from kpcaig import data as data_module
+                    laplacian_score, permutation_importance, sigma_heuristic)
+from kpcaig import baselines, kernels, parallel
+from kpcaig.baselines import subspace_distance
 from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
 from kpcaig.synthetic import planted_clusters
 
@@ -392,11 +391,11 @@ def test_permutation_matches_rebuild_reference(n, p, data):
 # --- forked blocks -------------------------------------------------------------
 
 def blas_threads():
-    return [get() for get, _ in data_module._openblas_pools()]
+    return [get() for get, _ in parallel._openblas_pools()]
 
 
 needs_openblas_fork = pytest.mark.skipif(
-    not hasattr(os, "fork") or not data_module._openblas_pools(),
+    not hasattr(os, "fork") or not parallel._openblas_pools(),
     reason="the baseline forks only where os.fork and OpenBLAS are found")
 
 
@@ -468,7 +467,7 @@ def test_an_error_in_a_childs_block_is_raised_with_its_message(monkeypatch):
     monkeypatch.setattr(baselines, "_leading_subspace", leading_subspace)
     before = blas_threads()
     try:
-        for _, set_threads in data_module._openblas_pools():
+        for _, set_threads in parallel._openblas_pools():
             set_threads(3)   # a count the cap must restore, whatever the machine has
         for forked in (False, True):
             seen.clear()
@@ -480,7 +479,7 @@ def test_an_error_in_a_childs_block_is_raised_with_its_message(monkeypatch):
             assert seen[0] == [3] * len(before)
             assert seen[1:4] == [[1] * len(before)] * 3
     finally:
-        for (_, set_threads), count in zip(data_module._openblas_pools(), before):
+        for (_, set_threads), count in zip(parallel._openblas_pools(), before):
             set_threads(count)
 
 
@@ -513,7 +512,7 @@ def test_the_baseline_never_forks_or_caps_blas_while_another_thread_runs(monkeyp
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
 def test_the_baseline_stays_in_one_process_without_openblas(monkeypatch):
     # MKL or Accelerate would run each process at its full thread count
-    monkeypatch.setattr(data_module, "_openblas_pools", lambda: [])
+    monkeypatch.setattr(parallel, "_openblas_pools", lambda: [])
     monkeypatch.setattr(baselines, "_DRAW_CELLS_PER_PROCESS", 1)
     d = two_blobs(20, 9, seed=9)
     with mock.patch("os.fork", side_effect=AssertionError("forked")):

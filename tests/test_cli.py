@@ -33,7 +33,7 @@ def toy_matrix(tmp_path, n=10, p=5, seed=0):
 
 
 def planted_files(tmp_path, seed=0):
-    data = planted_clusters(100, 60, 4, 8, within_std=0.1, seed=seed)
+    data, _ = planted_clusters(100, 60, 4, 8, within_std=0.1, seed=seed)
     mpath = tmp_path / "planted.tsv"
     save_matrix(data, mpath)
     lpath = tmp_path / "labels.txt"
@@ -123,7 +123,7 @@ def test_readme_command_lines_parse(capsys):
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     # expr.tsv has enough features for the default --d-grid 10:300:10 and the
     # feature that the arrows line names
-    data = planted_clusters(60, 320, 3, 10, seed=0)
+    data, _ = planted_clusters(60, 320, 3, 10, seed=0)
     names = ("TTC36",) + data.feature_names[1:]
     save_matrix(Dataset(data.matrix, names, data.sample_ids), tmp_path / "expr.tsv")
     (tmp_path / "y.txt").write_text("\n".join(map(str, data.labels.tolist())) + "\n",
@@ -767,6 +767,16 @@ def test_identity_gram_ranking_exits_3_naming_the_bandwidth(tmp_path, capsys, co
     # arrow_field checks q before it reads the feature index
     (["arrows", "--feature", "99", "--q", "1"],
      "arrow field needs q >= 2 retained components, got q=1"),
+    # a header records sigma and degree too, whatever the kernel
+    (["rank", "--kernel", "linear", "--sigma", "abc"],
+     "sigma 'abc' is not a number, 'median' or 'grid:v1,...'"),
+    (["rank", "--degree", "-3"], "polynomial degree must be an integer >= 1, got -3"),
+    (["baseline", "permute", "--kernel", "linear", "--degree", "0"],
+     "polynomial degree must be an integer >= 1, got 0"),
+    (["curve", "silhouette", "--k", "2", "--d-grid", "2", "--kernel", "poly", "--sigma", "x"],
+     "sigma 'x' is not a number, 'median' or 'grid:v1,...'"),
+    (["project", "--sigma", "grid:1,nan"],
+     "grid sigma values must be finite and > 0, got (1.0, nan)"),
 ])
 def test_non_finite_option_exits_3_naming_it(tmp_path, capsys, argv, message):
     out = tmp_path / "out.tsv"

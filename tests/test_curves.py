@@ -22,7 +22,7 @@ MEDIAN = SigmaRule("median")
 
 
 def planted(seed, n=120, p=500):
-    return standardize(planted_clusters(n, p, 4, 10, within_std=0.1, seed=seed))
+    return standardize(planted_clusters(n, p, 4, 10, within_std=0.1, seed=seed)[0])
 
 
 def noise(n, p, seed):
@@ -39,7 +39,7 @@ def test_selection_curve_full_set_matches_direct_clustering():
     pts = selection_curve(data, np.arange(40), data.labels, 4, [40], runs=5, seed=9)
     accs, nmis = [], []
     for r in range(5):
-        res = kmeans(data.matrix, 4, 9 + r)
+        (res,) = kmeans(data.matrix, 4, [9 + r])
         accs.append(clustering_accuracy(res.labels, data.labels))
         nmis.append(nmi(res.labels, data.labels))
     assert pts[0].acc_mean == pytest.approx(np.mean(accs), abs=1e-15)

@@ -7,13 +7,14 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kpcaig import (Dataset, DegenerateDataError, FittedKpca, InputError, KernelSpec, SigmaRule,
+from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, SigmaRule,
                     center_gram, explained_variance, fit_kpca, gram_matrix, grid_search_sigma,
-                    kernel_row, project, project_training, rank_features, save_matrix,
-                    selection_curve, sigma_heuristic, silhouette_curve, standardize,
-                    variance_generalization)
+                    project_training, rank_features, save_matrix, selection_curve,
+                    sigma_heuristic, silhouette_curve, standardize, variance_generalization)
 from kpcaig.cli import main
 from kpcaig.synthetic import planted_clusters
+
+from kernel_oracles import project_point
 
 RBF = KernelSpec("rbf", sigma=0.8)
 
@@ -66,7 +67,7 @@ def test_tiny_sigma_names_the_bandwidth():
 def test_noise_level_eigenvalues_name_the_bandwidth():
     # sigma * median d^2 ~ 1e-16: the centred eigenvalues (~7e-15) are rounding
     # noise below 4 n eps max|K|, although not all of them are 0
-    data = standardize(planted_clusters(100, 60, 4, 8, within_std=0.1, seed=0))
+    data = standardize(planted_clusters(100, 60, 4, 8, within_std=0.1, seed=0)[0])
     mu = np.linalg.eigvalsh(center_gram(gram_matrix(KernelSpec("rbf", sigma=1e-18), data)))
     assert mu[-1] > 0
     with pytest.raises(DegenerateDataError, match="rbf bandwidth sigma=1e-18 is too small"):
@@ -107,61 +108,14 @@ def test_training_column_norms_match_eigvals():
 
 
 def test_project_consistent_with_training():
+    # the new-point oracle of the gradient and PCA tests gives each training
+    # point its row of project_training
     data = random_standardized(10, 4, 3)
-    model = fit_kpca(data, RBF, 3)
-    coords = project_training(model)
-    for m in (0, 4, 9):
-        assert np.abs(project(model, data.matrix[m]) - coords[m]).max() < 1e-10
-
-
-def test_project_dimension_mismatch():
-    model = fit_kpca(random_standardized(6, 3, 4), RBF, 2)
-    with pytest.raises(InputError):
-        project(model, np.zeros(4))
-
-
-def centred_row_model(X, spec):
-    """A model with alphas = I, so ``project`` returns the centred kernel row itself."""
-    data = Dataset.from_matrix(X)
-    K = gram_matrix(spec, data)
-    n = data.n
-    return FittedKpca(training_data=data, kernel=spec, K=K, K_centered=center_gram(K),
-                      eigvals=np.ones(n), alphas=np.eye(n), q=n, eigval_total=float(n))
-
-
-def test_project_training_row_is_centred_gram_row():
-    X = np.random.default_rng(4).normal(size=(6, 3))
-    model = centred_row_model(X, KernelSpec("rbf", sigma=1.0))
-    assert np.abs(project(model, X[1]) - model.K_centered[1]).max() < 1e-10
-
-
-def test_project_identical_points_zero():
-    X = np.ones((4, 2))
-    model = centred_row_model(X, KernelSpec("rbf", sigma=1.0))
-    assert np.array_equal(project(model, X[0]), np.zeros(4))
-
-
-def test_project_matches_dense_oracle():
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(5, 3))
-    spec = KernelSpec("rbf", sigma=0.4)
-    model = centred_row_model(X, spec)
-    x = rng.normal(size=3)
-    n = 5
-    H = np.eye(n) - np.ones((n, n)) / n
-    oracle = (kernel_row(spec, X, x) - np.ones(n) @ model.K / n) @ H
-    assert np.abs(project(model, x) - oracle).max() < 1e-12
-
-
-def test_project_far_point_limit():
-    # rbf values underflow to exactly 0 far away; limit from centering algebra
-    data = random_standardized(9, 3, 5)
-    model = fit_kpca(data, RBF, 2)
-    n = data.n
-    H = np.eye(n) - np.ones((n, n)) / n
-    limit = (-np.ones(n) / n) @ model.K @ H @ model.alphas
-    far = project(model, np.full(3, 1e6))
-    assert np.abs(far - limit).max() < 1e-12
+    for spec in (RBF, KernelSpec("linear"), KernelSpec("polynomial", degree=3)):
+        model = fit_kpca(data, spec, 3)
+        coords = project_training(model)
+        for m in range(data.n):
+            assert np.abs(project_point(model, data.matrix[m]) - coords[m]).max() < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -177,7 +131,7 @@ def test_linear_kernel_equals_classical_pca(seed):
         s = np.sign(np.dot(emb[:, k], scores[:, k]))
         assert np.abs(emb[:, k] - s * scores[:, k]).max() < 1e-8
         x = rng.normal(size=p)
-        rho = project(model, x)
+        rho = project_point(model, x)
         assert abs(rho[k] - s * ((x - mean) @ Vt[k])) < 1e-8
     assert np.abs(explained_variance(model) - ratios[: model.q]).max() < 1e-8
 
@@ -254,7 +208,7 @@ def test_sigma_rule_parse_and_resolve():
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(InputError):
             SigmaRule("fixed", value=bad)
-    for text in ("abc", "grid:1e-3,x", "inf"):
+    for text in ("abc", "grid:1e-3,x", "inf", "grid:1e-3,inf", "grid:0,1", "grid:1,nan"):
         with pytest.raises(InputError):
             SigmaRule.parse(text)
     with pytest.raises(InputError):
@@ -270,7 +224,7 @@ def test_fit_path_never_calls_scipy_eigh(monkeypatch, tmp_path):
         raise AssertionError("scipy.linalg.eigh called on the fit path")
 
     monkeypatch.setattr(scipy.linalg, "eigh", scipy_eigh)
-    data = planted_clusters(40, 30, 4, 6, within_std=0.1, seed=2)
+    data, _ = planted_clusters(40, 30, 4, 6, within_std=0.1, seed=2)
     path = tmp_path / "planted.tsv"
     save_matrix(data, path)
     assert main(["rank", str(path), "--q", "2", "-o", str(tmp_path / "rank.tsv")]) == 0

@@ -82,7 +82,7 @@ def silhouette_loop(coords, labels) -> float:
 def test_kmeans_separated_blobs_every_seed():
     for seed in range(20):
         d = two_blobs(40, 2, separation=10.0, spread=1.0, seed=seed)
-        res = kmeans(d.matrix, 2, seed)
+        (res,) = kmeans(d.matrix, 2, [seed])
         assert clustering_accuracy(res.labels, d.labels) == 1.0
 
 
@@ -92,7 +92,7 @@ def test_kmeans_distance_calls_do_not_grow_with_restarts(monkeypatch, runs):
     # shared by every restart; blobs this far apart leave no cluster empty,
     # so no repair adds a call
     import scipy.spatial.distance
-    data = planted_clusters(60, 6, 4, 6, within_std=0.3, seed=0)
+    data, _ = planted_clusters(60, 6, 4, 6, within_std=0.3, seed=0)
     calls = []
     cdist = scipy.spatial.distance.cdist
     monkeypatch.setattr(scipy.spatial.distance, "cdist",
@@ -104,7 +104,7 @@ def test_kmeans_distance_calls_do_not_grow_with_restarts(monkeypatch, runs):
 def test_kmeans_k_equals_m():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(6, 2))
-    res = kmeans(X, 6, seed=3)
+    (res,) = kmeans(X, 6, [3])
     assert res.inertia == 0.0
     assert len(set(res.labels.tolist())) == 6
 
@@ -112,21 +112,21 @@ def test_kmeans_k_equals_m():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(30, 3))
-    a = kmeans(X, 4, seed=7)
-    b = kmeans(X, 4, seed=7)
+    (a,) = kmeans(X, 4, [7])
+    (b,) = kmeans(X, 4, [7])
     assert np.array_equal(a.labels, b.labels)
     assert a.inertia == b.inertia
 
 
 def test_kmeans_k_too_large():
     with pytest.raises(InputError):
-        kmeans(np.zeros((3, 2)), 4, seed=0)
+        kmeans(np.zeros((3, 2)), 4, [0])
 
 
 def test_kmeans_empty_cluster_repair():
     X = np.array([[0.0], [0.1], [0.2], [50.0]])
     # second initial center is far from every point, so its cluster starts empty
-    res = kmeans(X, 2, seed=0, init_centers=np.array([[0.1], [500.0]]))
+    (res,) = kmeans(X, 2, [0], init_centers=np.array([[0.1], [500.0]]))
     counts = np.bincount(res.labels, minlength=2)
     assert counts.min() >= 1
     assert res.labels[3] != res.labels[0]
@@ -137,16 +137,16 @@ def test_kmeans_nonincreasing_objective_smoke():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(60, 4))
     for seed in range(10):
-        kmeans(X, 5, seed=seed)
+        kmeans(X, 5, [seed])
 
 
 def test_kmeans_stops_when_the_cost_stops_falling():
     # 3 distinct rows, k = 4: the empty-cluster repair used to move a duplicate
     # back and forth at the same cost until max_iter
     X = np.repeat(np.random.default_rng(0).normal(size=(3, 2)), 3, axis=0)
-    res = kmeans(X, 4, 0)
+    (res,) = kmeans(X, 4, [0])
     assert res.n_iter < 300
-    assert np.array_equal(res.labels, kmeans(X, 4, 0, max_iter=301).labels)
+    assert np.array_equal(res.labels, kmeans(X, 4, [0], max_iter=301)[0].labels)
     ref = kmeans_per_run(X, 4, 0)
     assert np.array_equal(res.labels, ref.labels) and res.n_iter == ref.n_iter
 
@@ -154,7 +154,7 @@ def test_kmeans_stops_when_the_cost_stops_falling():
 def test_kmeans_single_seed_is_the_one_run_case():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(25, 3))
-    one = kmeans(X, 3, 4)
+    one = kmeans_per_run(X, 3, 4)
     (batch,) = kmeans(X, 3, [4])
     assert np.array_equal(one.labels, batch.labels)
     assert (one.inertia, one.seed, one.n_iter) == (batch.inertia, batch.seed, batch.n_iter)

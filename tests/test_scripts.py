@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs end to end on small inputs."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,9 @@ def table(path):
 def test_planted_demo_writes_every_table(tmp_path):
     out = tmp_path / "demo"
     stdout = run_script("planted_demo.py", out, "--seed", 1, cwd=tmp_path).stdout
-    assert "informative features recovered in top 10" in stdout
+    # the planted columns sit at seeded positions, so index order finds none of them
+    hits = re.search(r"informative features recovered in top 10: (\d+)/10", stdout)
+    assert hits and int(hits.group(1)) >= 8, stdout
     header, rows = table(out / "ranking.tsv")
     assert header == ["rank", "feature", "score", "std"] and len(rows) == 500
     top = rows[0][1]
@@ -42,7 +45,7 @@ def test_planted_demo_writes_every_table(tmp_path):
 
 
 def test_reproduce_benchmarks_with_baselines(tmp_path):
-    data = planted_clusters(30, 320, 3, 20, within_std=0.1, seed=0)
+    data, _ = planted_clusters(30, 320, 3, 20, within_std=0.1, seed=0)
     scipy.io.savemat(tmp_path / "Glioma.mat",
                      {"X": data.matrix, "Y": (data.labels + 1).reshape(-1, 1)})
     out = tmp_path / "bench_out"
