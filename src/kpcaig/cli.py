@@ -193,51 +193,46 @@ def _load(args) -> Dataset:
     return standardize(data) if args.standardize else data
 
 
-def _spec_and_rule(args) -> tuple[KernelSpec, SigmaRule | None]:
-    family = {"poly": "polynomial"}.get(args.kernel, args.kernel)
-    if family != "rbf":
-        return KernelSpec(family, degree=args.degree, coef0=args.coef0), None
+def _kernel(args) -> tuple[KernelSpec, SigmaRule | None]:
+    """The kernel of the command line and, for rbf, its sigma rule. A header
+    records every kernel option, whatever the family, so each is checked here
+    (json writes a non-finite coef0 as invalid JSON)."""
     rule = SigmaRule.parse(args.sigma)
-    # placeholder sigma; resolved against the data before any fit
-    return KernelSpec("rbf", sigma=1.0), rule
+    poly = KernelSpec("polynomial", degree=args.degree, coef0=args.coef0)
+    if args.kernel == "rbf":
+        # placeholder sigma; resolved against the data before any fit
+        return KernelSpec("rbf", sigma=1.0), rule
+    return (poly if args.kernel == "poly" else KernelSpec("linear")), None
 
 
-def _resolved_spec(args, data: Dataset) -> KernelSpec:
-    spec, rule = _spec_and_rule(args)
-    return resolve_spec(spec, rule, data, args.q)
+def _fit(args, data: Dataset, kernel) -> tuple[FittedKpca, dict]:
+    """The fitted model and the values its fit resolved from the data."""
+    model = fit_kpca(data, resolve_spec(*kernel, data, args.q), args.q)
+    return model, {"sigma_resolved": model.kernel.sigma, "q_resolved": model.q}
 
 
-def _fit(args, data: Dataset) -> FittedKpca:
-    return fit_kpca(data, _resolved_spec(args, data), args.q)
+def _ranking(args, data: Dataset, kernel, method: str, **options) -> tuple[FeatureRanking, dict]:
+    """The ranking by method (kpcaig, laplacian or permute), given its options,
+    and the values it resolved from the data."""
+    if method == "laplacian":
+        return laplacian_score(data, **options), {}
+    if method == "permute":
+        spec = resolve_spec(*kernel, data, args.q)
+        ranking = permutation_importance(data, spec, args.q, seed=args.seed, **options)
+        return ranking, {"sigma_resolved": spec.sigma}
+    model, resolved = _fit(args, data, kernel)
+    return rank_features(model), resolved
 
 
-def _fit_resolved(model: FittedKpca) -> dict:
-    return {"sigma_resolved": model.kernel.sigma, "q_resolved": model.q}
+def _cmd_rank(args, data: Dataset, kernel) -> tuple:
+    ranking, resolved = _ranking(args, data, kernel, "kpcaig")
+    return resolved, *_ranking_table(data.feature_names, ranking)
 
 
-def _ranking_order(args, data: Dataset) -> tuple[np.ndarray, dict]:
-    """The feature order of ``--ranking`` and the values it resolved from the data."""
-    if args.ranking == "random":
-        return random_ranking(data.p, args.seed), {}
-    if args.ranking == "laplacian":
-        return laplacian_score(data).order, {}
-    if args.ranking == "permute":
-        spec = _resolved_spec(args, data)
-        ranking = permutation_importance(data, spec, args.q, seed=args.seed)
-        return ranking.order, {"sigma_resolved": spec.sigma}
-    model = _fit(args, data)
-    return rank_features(model).order, _fit_resolved(model)
-
-
-def _cmd_rank(args, data: Dataset) -> tuple:
-    model = _fit(args, data)
-    return _fit_resolved(model), *_ranking_table(data.feature_names, rank_features(model))
-
-
-def _cmd_project(args, data: Dataset) -> tuple:
-    model = _fit(args, data)
-    resolved = {**_fit_resolved(model), "eigenvalues": model.eigvals.tolist(),
-                "explained_variance": explained_variance(model).tolist()}
+def _cmd_project(args, data: Dataset, kernel) -> tuple:
+    model, resolved = _fit(args, data, kernel)
+    resolved |= {"eigenvalues": model.eigvals.tolist(),
+                 "explained_variance": explained_variance(model).tolist()}
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
     return resolved, cols, (data.sample_ids, *project_training(model).T)
 
@@ -251,22 +246,18 @@ def _feature_index(data: Dataset, name: str) -> int:
         raise InputError(f"unknown feature {name!r}") from None
 
 
-def _cmd_arrows(args, data: Dataset) -> tuple:
-    model = _fit(args, data)
+def _cmd_arrows(args, data: Dataset, kernel) -> tuple:
+    model, resolved = _fit(args, data, kernel)
     j = _feature_index(data, args.feature)
     points, vectors = zip(*arrow_field(model, j, scale=args.scale))
-    return (_fit_resolved(model), ("x", "y", "dx", "dy", "sample_id"),
+    return (resolved, ("x", "y", "dx", "dy", "sample_id"),
             (*zip(*points), *zip(*vectors), data.sample_ids))
 
 
-def _cmd_baseline(args, data: Dataset) -> tuple:
-    if args.variant == "laplacian":
-        ranking, resolved = laplacian_score(data, k_nn=args.knn, t=args.t), {}
-    else:
-        spec = _resolved_spec(args, data)
-        ranking = permutation_importance(data, spec, args.q, n_perm=args.n_perm,
-                                         seed=args.seed, metric=args.metric)
-        resolved = {"sigma_resolved": spec.sigma}
+def _cmd_baseline(args, data: Dataset, kernel) -> tuple:
+    options = ({"k_nn": args.knn, "t": args.t} if args.variant == "laplacian"
+               else {"n_perm": args.n_perm, "metric": args.metric})
+    ranking, resolved = _ranking(args, data, kernel, args.variant, **options)
     return resolved, *_ranking_table(data.feature_names, ranking)
 
 
@@ -276,8 +267,8 @@ _CURVE_COLUMNS = {"selection": ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std
                   "variance-split": ("split", "d", "var_train", "var_test")}
 
 
-def _cmd_curve(args, data: Dataset) -> tuple:
-    spec, rule = _spec_and_rule(args)
+def _cmd_curve(args, data: Dataset, kernel) -> tuple:
+    spec, rule = kernel
     try:
         d_grid = check_grid(_parse_d_grid(args.d_grid), data.p)
     except InputError as e:
@@ -300,7 +291,11 @@ def _cmd_curve(args, data: Dataset) -> tuple:
             raise InputError(f"--k {k}: must lie in [{low}, n={data.n}]")
         if args.variant == "selection" and args.runs < 1:
             raise InputError(f"--runs {args.runs}: must be >= 1")
-        order, resolved = _ranking_order(args, data)
+        if args.ranking == "random":
+            order, resolved = random_ranking(data.p, args.seed), {}
+        else:
+            ranking, resolved = _ranking(args, data, kernel, args.ranking)
+            order = ranking.order
         resolved["k"] = k
         if args.variant == "selection":
             points = selection_curve(data, order, truth, k, d_grid,
@@ -332,15 +327,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            # a header records every kernel option, whatever the family, so each
-            # is checked (json writes a non-finite coef0 as invalid JSON)
-            if hasattr(args, "kernel"):
-                SigmaRule.parse(args.sigma)
-                KernelSpec("polynomial", degree=args.degree, coef0=args.coef0)
+            kernel = _kernel(args) if hasattr(args, "kernel") else None
             if args.output is not None:
                 _check_output(args.output)
             data = _load(args)
-            resolved, header, columns = _COMMANDS[args.command](args, data)
+            resolved, header, columns = _COMMANDS[args.command](args, data, kernel)
             _write_table(args.output, {**vars(args), **resolved}, header, columns)
             return EXIT_OK
         except (InputError, DegenerateDataError) as e:
@@ -357,7 +348,3 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

@@ -6,6 +6,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -130,7 +131,7 @@ def _parse_rows(path, rows):
             except ValueError:
                 raise ParseError(
                     f"{path}: non-numeric value {cell!r} at row {r}, column {c}") from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ParseError(
                     f"{path}: non-finite value {cell!r} at row {r}, column {c}")
             parsed.append(v)

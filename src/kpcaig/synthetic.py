@@ -1,4 +1,4 @@
-"""Seeded synthetic data generators used by the evaluation harness and tests."""
+"""Seeded synthetic data generators, used by the planted-signal demo script and the tests."""
 
 from __future__ import annotations
 
@@ -21,9 +21,10 @@ def planted_clusters(n: int, p: int, k: int, n_informative: int, *,
     column differs across clusters, and each pair of clusters in at least
     h = min(n_informative, max(2, 0.4 n_informative)) of them. Every other
     column is standard normal noise. Labels are balanced and shuffled.
-    Raises InputError for k < 2, n_informative > p, or when no k patterns
-    exist (more than the Singleton bound 2^(n_informative - h + 1)) or turn
-    up in 50 000 draws (at k = 2 a draw succeeds with chance 2^-n_informative).
+    At k = 2 the second pattern is minus the first, the only pair that passes,
+    so the first draw does. Raises InputError for k < 2, n_informative > p, or
+    when no k patterns exist (more than the Singleton bound
+    2^(n_informative - h + 1)) or turn up in 50 000 draws.
     """
     if k < 2:
         raise InputError(f"planted clusters need k >= 2, got k={k}")
@@ -35,6 +36,8 @@ def planted_clusters(n: int, p: int, k: int, n_informative: int, *,
     pairs = np.triu_indices(k, 1)
     for _ in range(50_000 if feasible else 0):
         patterns = rng.choice([-1.0, 1.0], size=(k, n_informative))
+        if k == 2:
+            patterns[1] = -patterns[0]
         # every informative column must differ across clusters, and every
         # cluster pair must be separated in enough coordinates
         if np.any(patterns.min(axis=0) == patterns.max(axis=0)):

@@ -541,6 +541,10 @@ def test_unwritable_output_exits_4_before_the_matrix_is_read(tmp_path, monkeypat
 
     monkeypatch.setattr("kpcaig.cli.load_matrix", load_matrix)
     out = str(tmp_path / output)
+    # a bad kernel option is named first
+    assert main(["rank", "toy.tsv", "--degree", "0", "-o", out]) == 3
+    assert capsys.readouterr().err == \
+        "kpcaig: polynomial degree must be an integer >= 1, got 0\n"
     assert main(["rank", "toy.tsv", "-o", out]) == 4
     assert capsys.readouterr().err.startswith(f"kpcaig: -o {out}: ")
     assert list(tmp_path.iterdir()) == []

@@ -38,7 +38,11 @@ def test_arguments_that_admit_no_clusters_raise_at_once(args, message):
     assert str(info.value) == message
 
 
-def test_centres_too_rare_to_draw_raise_after_bounded_draws():
-    # two clusters must take opposite signs on all 30 columns: 2^-30 per draw
-    with pytest.raises(InputError, match="found no k=2 cluster centres"):
-        planted_clusters(10, 40, 2, 30)
+def test_two_clusters_take_opposite_centres_on_every_column():
+    # the only two sign patterns that differ on all 30 columns are s and -s
+    t0 = time.perf_counter()
+    data, informative = planted_clusters(10, 40, 2, 30)
+    assert time.perf_counter() - t0 < 1.0
+    X, labels = data.matrix[:, informative], data.labels
+    means = np.stack([X[labels == c].mean(axis=0) for c in range(2)])
+    assert np.all(np.sign(means[0]) == -np.sign(means[1]))
