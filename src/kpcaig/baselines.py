@@ -10,6 +10,8 @@ metric d = ||U U^T - U' U'^T||_F / sqrt(2), with a plain Frobenius distance
 between raw Gram matrices available as an alternative. The permuted Gram
 comes from the Dataset's pairwise base with one column's term swapped, so
 each (feature, draw) costs O(n^2) elementwise work and one top-q eigensolve.
+Each Gram, the reference and every permuted one, goes to the eigensolver
+as ``kernels._double_centred`` transposed (see ``kernels``), unmirrored.
 The features are scored in blocks, one per CPU, by this process and forked
 children, each running OpenBLAS on one thread; ``parallel.run_in_blocks``
 returns all their scores as one array.
@@ -22,7 +24,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
-from .kernels import (KernelSpec, center_gram, column_blocks, gram_matrix, kernel_rule,
+from .kernels import (KernelSpec, _double_centred, column_blocks, gram_matrix, kernel_rule,
                       overflow_error, pairwise_base)
 from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue
 from .parallel import run_in_blocks
@@ -103,25 +105,13 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
     return _frobenius(U @ U.T - V @ V.T) / np.sqrt(2.0)
 
 
-def _centred_lower(K: np.ndarray) -> np.ndarray:
-    """center_gram(K)'s lower triangle, bit for bit, for a bitwise symmetric K.
-
-    center_gram mirrors its upper triangle onto the lower one; here each
-    lower entry is computed in place by the same operations in the same
-    order, and the upper triangle is left unmirrored, which saves two
-    triangle copies and a transposed add. Only a solver that reads the
-    lower triangle, as ``_leading_subspace`` does, may take it.
-    """
-    return K - K.mean(axis=1) - K.mean(axis=0)[:, None] + K.mean()
-
-
-def _leading_subspace(K_centered: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _leading_subspace(Kc: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-q eigenvalues (ascending) and eigenvectors of a centred Gram, read
     from its lower triangle."""
     import scipy.linalg     # numpy's eigh has no subset; only this baseline loads scipy
 
-    n = len(K_centered)
-    mu, U = scipy.linalg.eigh(K_centered, subset_by_index=[n - q, n - 1])
+    n = len(Kc)
+    mu, U = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
     if len(mu) < q:     # LAPACK can return fewer pairs on a tied spectrum
         raise DegenerateDataError(f"the top q={q} eigenvalues of the centred Gram matrix are "
                                   f"tied, so its top q={q} eigenvectors are not determined")
@@ -176,7 +166,7 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     check_determined(spec, K, q)
     # both metrics refuse a kernel whose spectrum is rounding noise; only the
     # subspace metric reads the top-q axes, so only it needs q within the rank
-    mu, U = _leading_subspace(center_gram(K), q)
+    mu, U = _leading_subspace(_double_centred(K).T, q)
     check_top_eigenvalue(data, spec, K, mu[-1])
     if metric == "subspace":
         rank = int(np.count_nonzero(mu > EIG_DROP_REL * mu[-1]))
@@ -196,7 +186,7 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
                 perm = np.random.default_rng([seed, j, r]).permutation(n)
                 Kp = rule.value(base + (rule.term(col[perm]) - t))
                 if metric == "subspace":
-                    Kc = _centred_lower(Kp)
+                    Kc = _double_centred(Kp).T
                     try:
                         V = _leading_subspace(Kc, q)[1]
                     except ValueError:     # scipy's eigh refuses infs and NaNs

@@ -199,14 +199,18 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
     cells, cells such as ``1_0`` that only float() accepts) is parsed again
     row by row, which raises the ParseError naming the row, column and
     cell. Both parsers give the same matrix, bit for bit, on every file the
-    first one accepts. A byte that is not UTF-8 raises a ParseError naming
-    the file and the byte; a UTF-8 byte-order mark at the start is skipped.
+    first one accepts. Empty lines are skipped; the delimiter is a tab if
+    the first non-empty line holds one, else a comma. A byte that is not
+    UTF-8 raises a ParseError naming the file and the byte; a UTF-8
+    byte-order mark at the start is skipped.
     """
     if orientation not in ("rows", "cols"):
         raise InputError(f"orientation must be 'rows' or 'cols', got {orientation!r}")
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             first = fh.readline()
+            while first in ("\n", "\r\n"):   # both parsers skip empty lines
+                first = fh.readline()
             if not first.strip():
                 raise ParseError(f"{path}: empty file")
             delim = "\t" if "\t" in first else ","

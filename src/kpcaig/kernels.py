@@ -19,6 +19,10 @@ the permutation baseline reuse it. The base is a sum over columns, and
 ``KernelRule.term`` gives one column's summand, (x_ij - x_kj)^2 or x_ij x_kj.
 Gram matrices are plain arrays.
 
+Double centring, K - 1K - K1 + 1K1, is written once, in ``_double_centred``.
+``center_gram`` mirrors its upper triangle. The eigensolvers read only a lower
+triangle and take its transpose, whose lower triangle is center_gram's bits.
+
 Squared distances come from the inner products of the column-centred rows,
 G = Xc Xc^T: d_ij = g_i + g_j - 2 G_ij with g_i = G_ii. G is one GEMM per
 2 MB block of centred columns, so no centred copy of the whole matrix is
@@ -113,8 +117,11 @@ def pairwise_base(data: Dataset, distance: bool) -> np.ndarray:
     """Squared distances (distance=True) or inner products over all pairs of rows.
 
     Each base is computed once per Dataset and kept, read-only, for every
-    later bandwidth, Gram matrix and slope.
+    later bandwidth, Gram matrix and slope. Every kernel path starts here,
+    so this is where fewer than 2 samples raise InputError.
     """
+    if data.n < 2:
+        raise InputError(f"need at least 2 samples, got n={data.n}")
     if distance not in data._bases:
         b = _pairs(data.matrix, distance)
         b.flags.writeable = False
@@ -156,8 +163,6 @@ def gram_matrix(spec: KernelSpec, data: Dataset) -> np.ndarray:
     A kernel value that overflows float64 (a polynomial of high degree, say)
     raises DegenerateDataError: no centring or eigensolve can use it.
     """
-    if data.n < 2:
-        raise InputError(f"need at least 2 samples, got n={data.n}")
     rule = kernel_rule(spec)
     with np.errstate(over="ignore"):   # the error below says it
         K = rule.value(pairwise_base(data, rule.distance))
@@ -173,20 +178,22 @@ def overflow_error(spec: KernelSpec) -> DegenerateDataError:
     return DegenerateDataError(f"{spec.family} kernel values overflow float64{at}")
 
 
+def _double_centred(V: np.ndarray) -> np.ndarray:
+    """The square float64 array V double-centred, before any mirroring."""
+    return V - V.mean(axis=1)[:, None] - V.mean(axis=0)[None, :] + V.mean()
+
+
 def center_gram(K) -> np.ndarray:
     """Double-center a Gram matrix so feature-space coordinates have zero mean.
 
-    Idempotent: centering an already centered matrix is a no-op up to
-    rounding.
+    ``_double_centred(K)`` with its upper triangle mirrored, so bitwise
+    symmetric. Idempotent: centering an already centered matrix is a no-op
+    up to rounding.
     """
     V = np.asarray(K, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise InputError(f"Gram matrix must be square, got shape {V.shape}")
-    row = V.mean(axis=1)
-    col = V.mean(axis=0)
-    grand = V.mean()
-    out = V - row[:, None] - col[None, :] + grand
-    return _mirror_upper(out)
+    return _mirror_upper(_double_centred(V))
 
 
 def median_sq_distance(data: Dataset) -> float:
@@ -197,8 +204,6 @@ def median_sq_distance(data: Dataset) -> float:
 
 def sigma_heuristic(data: Dataset) -> float:
     """Default rbf bandwidth: inverse median squared pairwise distance."""
-    if data.n < 2:
-        raise InputError(f"need at least 2 samples, got n={data.n}")
     med = median_sq_distance(data)
     if med <= 0:
         raise DegenerateDataError("all pairwise distances vanish; cannot pick a bandwidth")

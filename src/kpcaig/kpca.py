@@ -3,9 +3,11 @@
 The centered Gram matrix K~ is diagonalized directly; its eigenvalues mu_k
 are kept in descending order and the eigenvectors are rescaled by
 1/sqrt(mu_k) so that each principal axis has unit norm in feature space
-(alpha_k^T K~ alpha_k = 1). Projections of training points then only
-require kernel evaluations against the training set and come back as plain
-arrays. A fit takes any Dataset; standardizing it first is the caller's choice.
+(alpha_k^T K~ alpha_k = 1). eigh reads K~ from the lower triangle of
+``kernels._double_centred(K)`` transposed, and a fit keeps K, not K~.
+Projections of training points then only require kernel evaluations against
+the training set and come back as plain arrays. A fit takes any Dataset;
+standardizing it first is the caller's choice.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .kernels import (KernelSpec, center_gram, gram_matrix, median_sq_distance, pairwise_base,
-                      sigma_heuristic)
+from .kernels import (KernelSpec, _double_centred, center_gram, gram_matrix, median_sq_distance,
+                      pairwise_base, sigma_heuristic)
 
 # relative cutoff below which an eigenvalue is treated as numerically zero
 EIG_DROP_REL = 1e-10
@@ -33,8 +35,7 @@ class FittedKpca:
 
     training_data: Dataset
     kernel: KernelSpec
-    K: np.ndarray            # uncentered n x n training Gram matrix
-    K_centered: np.ndarray   # double-centered K
+    K: np.ndarray            # uncentered n x n training Gram, the only n x n array kept
     eigvals: np.ndarray      # q retained eigenvalues of K~, descending
     alphas: np.ndarray       # n x q, scaled so alpha^T K~ alpha = 1 per column
     q: int
@@ -62,10 +63,9 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
         raise InputError(f"q must be >= 1, got {q}")
     n = data.n
     K = gram_matrix(spec, data)
-    Kc = center_gram(K)
     # numpy's LAPACK, not scipy's: scipy ships a second OpenBLAS, and right after
     # a call into it the two thread pools contend and numpy's products slow down
-    evals, evecs = np.linalg.eigh(Kc)
+    evals, evecs = np.linalg.eigh(_double_centred(K).T)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     check_top_eigenvalue(data, spec, K, evals[0])
@@ -81,7 +81,7 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     lead = np.argmax(mag >= (1 - SIGN_TIE_REL) * mag.max(axis=0), axis=0)
     A *= np.sign(A[lead, np.arange(q_eff)])
     alphas = A / np.sqrt(mu)
-    return FittedKpca(training_data=data, kernel=spec, K=K, K_centered=Kc,
+    return FittedKpca(training_data=data, kernel=spec, K=K,
                       eigvals=mu, alphas=alphas, q=q_eff, eigval_total=eigval_total)
 
 
@@ -112,7 +112,7 @@ def check_determined(spec: KernelSpec, K: np.ndarray, q: int) -> None:
 
 def project_training(model: FittedKpca) -> np.ndarray:
     """n x q training-set coordinates K~ @ alpha."""
-    return model.K_centered @ model.alphas
+    return center_gram(model.K) @ model.alphas
 
 
 def explained_variance(model: FittedKpca) -> np.ndarray:

@@ -100,7 +100,7 @@ MALFORMED = [
     ("id,f1,f2,\ns1,1.0,2.0,\n", "non-numeric value '' at row 2, column 4"),
     ("id\tf1\ns1\t1.0\n  \ns2\t2.0\n", "row 3 has 1 fields, expected 2"),
     ("id,f1\ns1,1.0\n\ns2,\n", "non-numeric value '' at row 3, column 2"),
-    ("\nid,f1\ns1,1.0\n", "empty file"),
+    ("\n\r\n\n", "empty file"),
     ("id,f1,f2\n", "no data rows"),
     ("id,f1,f2\r\n\r\n", "no data rows"),
     ("id\ns1\n", "need at least one data column besides the ID column"),
@@ -143,6 +143,20 @@ def test_accepted_irregular_files(tmp_path, text, matrix, names, ids):
     d = load_matrix(write(tmp_path / "m.txt", text))
     assert d.matrix.tolist() == matrix
     assert d.feature_names == names and d.sample_ids == ids
+
+
+# a TSV, a CSV and a quoted CSV, which only the row-by-row parser takes
+PLAIN = ["id\tf1\tf2\ns1\t1.5\t2\ns2\t3\t-4\n", "id,f1,f2\r\ns1,1.5,2\r\ns2,3,-4\r\n",
+         'id,"f1",f2\n"s1",1.5,2\ns2,3,-4\n']
+
+
+@pytest.mark.parametrize("lead", ["\n", "\r\n", "\n\n", "\r\n\n"])
+@pytest.mark.parametrize("text", PLAIN, ids=["tsv", "csv", "quoted"])
+def test_leading_empty_lines_are_skipped(tmp_path, text, lead):
+    want = load_matrix(write(tmp_path / "plain.txt", text))
+    got = load_matrix(write(tmp_path / "lead.txt", lead + text))
+    assert np.array_equal(got.matrix, want.matrix) and want.matrix.shape == (2, 2)
+    assert (got.feature_names, got.sample_ids) == (want.feature_names, want.sample_ids)
 
 
 def test_bad_orientation(tmp_path):

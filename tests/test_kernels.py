@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, center_gram,
-                    gram_matrix, sigma_heuristic)
+                    fit_kpca, gram_matrix, sigma_heuristic)
 from kpcaig import kernels
 
 from kernel_oracles import eval_kernel, gram_formula, kernel_partial, sq_distances
@@ -213,12 +213,32 @@ def test_pairwise_distances_match_explicit_differences(X):
 
 
 def test_gram_needs_two_samples():
-    with pytest.raises(InputError):
-        gram_matrix(RBF1, Dataset.from_matrix([[1.0, 2.0]]))
+    one = Dataset.from_matrix([[1.0, 2.0]])
+    message = r"^need at least 2 samples, got n=1$"
+    with pytest.raises(InputError, match=message):
+        sigma_heuristic(one)
+    for spec in ALL_SPECS:
+        with pytest.raises(InputError, match=message):
+            gram_matrix(spec, one)
+        with pytest.raises(InputError, match=message):
+            fit_kpca(one, spec, 1)
 
 
 def test_center_identical_points_to_zero():
     assert np.array_equal(center_gram(np.ones((2, 2))), np.zeros((2, 2)))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.floats(-3, 3), st.booleans())
+def test_double_centred_transposed_has_center_grams_lower_triangle(n, seed, log_scale, symmetric):
+    # the eigensolvers of fit_kpca and the permutation baseline read only this triangle
+    K = np.random.default_rng(seed).normal(size=(n, n)) * 10.0 ** log_scale
+    if symmetric:
+        K = kernels._mirror_upper(K)
+    C = kernels._double_centred(K)
+    lower = np.tril_indices(n)
+    assert np.array_equal(C.T[lower], center_gram(K)[lower])
+    assert np.array_equal(kernels._mirror_upper(C), center_gram(K))
 
 
 def test_center_rejects_non_square():

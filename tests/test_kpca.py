@@ -85,7 +85,7 @@ def test_duplicated_rows_reduce_rank():
 def test_alpha_normalization_and_orthogonality():
     data = random_standardized(15, 4, 1)
     model = fit_kpca(data, RBF, 4)
-    Kc = model.K_centered
+    Kc = center_gram(model.K)
     for k in range(model.q):
         a = model.alphas[:, k]
         assert a @ Kc @ a == pytest.approx(1.0, abs=1e-8)
@@ -237,10 +237,10 @@ def test_fit_path_never_calls_scipy_eigh(monkeypatch, tmp_path):
     variance_generalization(data, KernelSpec("polynomial", degree=2), 2, [5, 30], n_splits=2)
 
 
-def scipy_fit(model):
-    """``model`` with its eigenpairs taken from scipy.linalg.eigh instead,
+def refit(model, eigh):
+    """``model`` with its eigenpairs taken from eigh(center_gram(model.K)),
     sign-fixed and scaled as fit_kpca does; also returns the full spectrum."""
-    evals, evecs = scipy.linalg.eigh(model.K_centered)
+    evals, evecs = eigh(center_gram(model.K))
     mu, A = evals[::-1], evecs[:, ::-1][:, :model.q].copy()
     for k in range(model.q):
         col = np.abs(A[:, k])
@@ -286,7 +286,7 @@ def test_fit_matches_scipy_eigh_reference(n, p, q, family, data):
             model = fit_kpca(d, spec, min(q, n - 1))
         except DegenerateDataError:     # no eigenvalue above the rounding level
             assume(False)
-    ref, mu = scipy_fit(model)
+    ref, mu = refit(model, scipy.linalg.eigh)
     assert np.abs(model.eigvals - ref.eigvals).max() <= 1e-12 * mu[0]
     gaps = -np.diff(mu[:model.q + 1])
     assume(gaps.min() >= 1e-6 * mu[0])
@@ -302,3 +302,23 @@ def test_fit_matches_scipy_eigh_reference(n, p, q, family, data):
     assert np.abs(got.scores - want.scores).max() <= top
     # the order is the reference order, except among scores tied at that level
     assert np.all(np.diff(want.scores[got.order]) <= top)
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 40), st.integers(1, 8), st.integers(1, 4),
+       st.sampled_from(["rbf", "linear", "polynomial"]), st.integers(0, 2**32 - 1))
+def test_fit_eigenpairs_are_numpys_eigh_of_center_gram(n, p, q, family, seed):
+    # fit_kpca hands eigh the unmirrored centring transposed; eigh reads only its
+    # lower triangle, which is center_gram's, so every bit of the fit is the same
+    d = random_standardized(n, p, seed)
+    spec = {"rbf": KernelSpec("rbf", sigma=sigma_heuristic(d)), "linear": KernelSpec("linear"),
+            "polynomial": KernelSpec("polynomial", degree=1 + seed % 3, coef0=1.0)}[family]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            model = fit_kpca(d, spec, min(q, n - 1))
+        except DegenerateDataError:     # no spread left after standardizing
+            assume(False)
+    ref, _ = refit(model, np.linalg.eigh)
+    assert np.array_equal(model.eigvals, ref.eigvals)
+    assert np.array_equal(model.alphas, ref.alphas)
