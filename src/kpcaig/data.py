@@ -1,6 +1,9 @@
 """Dataset container, delimited-matrix I/O and column standardization.
 
-``standardize`` returns a new Dataset; none records whether it was standardized.
+``load_matrix`` scans a file once for the byte span of each row's numeric
+text, then each parsing process reads only its own rows' bytes; a file the
+fast path declines is checked row by row. ``standardize`` returns a new
+Dataset; none records whether it was standardized.
 """
 
 from __future__ import annotations
@@ -141,49 +144,113 @@ def _parse_rows(path, rows):
     return header, ids, np.asarray(values, dtype=np.float64)
 
 
-# np.loadtxt strips these around a number, float() rejects them
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# a quote or a lone carriage return changes how csv splits a line; np.loadtxt
+# strips \x1c-\x1f around a number, float() rejects them
+_DECLINED = '"\r\x1c\x1d\x1e\x1f'
 
 # fewest cells worth one more parsing process: on 2 CPUs two processes broke
 # even with one at 20-25k cells (about 3 ms) and won from 30k
 _CELLS_PER_PROCESS = 20_000
+
+# read buffer of the serial scan: one read per MB, not per 8 KB, of a wide
+# file's long lines (3 ms against 15 ms for the 165x12626 table's 41 MB)
+_SCAN_BUFFER = 1 << 20
 
 
 def _loadtxt(rows, delim):
     return np.loadtxt(rows, delimiter=delim, comments=None, dtype=np.float64, ndmin=2)
 
 
-def _parse_block(fh, delim: str):
+def _text(raw: bytes) -> str:
+    """raw decoded as UTF-8; ValueError if not UTF-8 or holding a ``_DECLINED`` character."""
+    text = raw.decode("utf-8")
+    if any(ch in text for ch in _DECLINED):
+        raise ValueError("a character np.loadtxt and csv read differently")
+    return text
+
+
+def _scan(fh, delim: bytes):
+    """Header, row ids and the (start, end) file offsets of each data row's
+    numeric text, from one pass over the binary file fh.
+
+    Each line is split at \\n, and one \\r before it is dropped; empty lines
+    are skipped, as csv skips them. Only the header and the row ids are
+    decoded. Raises ValueError at a line without a data cell or at a header
+    or id ``_text`` declines.
+    """
+    pos = 3 if fh.read(3) == b"\xef\xbb\xbf" else 0   # a UTF-8 byte-order mark
+    fh.seek(pos)
+    header, ids, spans = None, [], []
+    for line in fh:
+        start, pos = pos, pos + len(line)
+        end = len(line) - (2 if line.endswith(b"\r\n") else line.endswith(b"\n"))
+        if not end:
+            continue
+        cut = line.find(delim, 0, end)
+        if cut < 0 or cut + 1 == end:
+            raise ValueError("a row without a data cell")
+        if header is None:
+            header = _text(line[:end]).split(delim.decode())
+        else:
+            ids.append(_text(line[:cut]))
+            spans.append((start + cut + 1, start + end))
+    return header, ids, spans
+
+
+def _parse_block(path, delim: str):
     """Header, row ids and matrix of a well-formed file, parsed by np.loadtxt.
 
-    Returns None whenever the result might differ from ``_parse_rows``:
-    quotes, a lone carriage return, a row without a data cell, a cell
-    np.loadtxt rejects, a shape other than one row per data line by
-    header width - 1 columns, or a non-finite value.
+    This process scans the file once for the header, the row ids and the
+    byte span of each row's numeric text (``_scan``). Each ``run_in_blocks``
+    job then opens the file itself and parses its own rows in one np.loadtxt
+    call, which reads and decodes them from their spans one at a time, so no
+    process holds more than one line's text.
+
+    Returns None whenever the result might differ from ``_parse_rows``: a
+    byte that is not UTF-8, a ``_DECLINED`` character, a row without a data
+    cell, a cell np.loadtxt rejects, a block of another width than the
+    header's, or a non-finite value.
     """
-    ids, cells = [], []
-    for line in fh:
-        line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
-        if any(ch in line for ch in '"\r' + _LOADTXT_ONLY_SPACE):
-            return None
-        if line:  # csv drops empty lines too
-            rid, _, rest = line.partition(delim)
-            if not rest:
-                return None
-            ids.append(rid)
-            cells.append(rest)
-    if len(ids) < 2:
-        return None
-    header = [ids.pop(0), *cells.pop(0).split(delim)]
-    n, width = len(cells), len(header) - 1
+    def rows(fh, lo, hi):
+        for start, end in spans[lo:hi]:
+            fh.seek(start)
+            raw = fh.read(end - start)
+            if len(raw) != end - start:
+                raise ValueError("the file is shorter than when scanned")
+            yield _text(raw)
+
+    def job(lo, hi):
+        # a handle of its own: a forked child shares the offset of this process's handles
+        with open(path, "rb") as fh:
+            block = _loadtxt(rows(fh, lo, hi), delim)
+        if not np.isfinite(block).all():
+            raise ValueError("a non-finite value")
+        return block
+
     try:
-        matrix = run_in_blocks(n, n * width // _CELLS_PER_PROCESS, (width,),
-                               lambda lo, hi: _loadtxt(cells[lo:hi], delim))
-    except (ValueError, OSError):  # a block np.loadtxt rejects or of another width, no memory
-        return None
-    if not np.isfinite(matrix).all():
+        with open(path, "rb", buffering=_SCAN_BUFFER) as fh:
+            header, ids, spans = _scan(fh, delim.encode())
+        if not spans:
+            return None
+        n, width = len(spans), len(header) - 1
+        matrix = run_in_blocks(n, n * width // _CELLS_PER_PROCESS, (width,), job)
+    except (ValueError, OSError):  # declined, a block of another width, no memory
         return None
     return header, ids, matrix
+
+
+def _decode_to_first_declined_line(fh, delim: str) -> None:
+    """Decode fh's lines up to the first one holding a ``_DECLINED``
+    character or no data cell.
+
+    A byte that is not UTF-8 before that line raises here, so it is the
+    error named even where the row-by-row check would stop earlier, at a
+    malformed cell.
+    """
+    for line in fh:
+        line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+        if any(ch in line for ch in _DECLINED) or (line and not line.partition(delim)[2]):
+            return
 
 
 def load_matrix(path, orientation: str = "rows") -> Dataset:
@@ -192,31 +259,34 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
     orientation "rows" means samples are rows; "cols" means samples are
     columns (the table is transposed on load).
 
-    A file without quotes is read in one pass, line by line, and its rows
-    parsed by np.loadtxt in blocks across processes (``run_in_blocks``), at
-    most one per ``_CELLS_PER_PROCESS`` cells. Any file that np.loadtxt
-    cannot take as is (quoted fields, ragged rows, blank or non-finite
-    cells, cells such as ``1_0`` that only float() accepts) is parsed again
-    row by row, which raises the ParseError naming the row, column and
-    cell. Both parsers give the same matrix, bit for bit, on every file the
-    first one accepts. Empty lines are skipped; the delimiter is a tab if
-    the first non-empty line holds one, else a comma. A byte that is not
-    UTF-8 raises a ParseError naming the file and the byte; a UTF-8
-    byte-order mark at the start is skipped.
+    A file without quotes is scanned once for the byte span of each row's
+    numeric text, and the rows are then read and parsed by np.loadtxt in
+    blocks across processes (``run_in_blocks``), at most one per
+    ``_CELLS_PER_PROCESS`` cells, each block reading only its own rows.
+    Any file that np.loadtxt cannot take as is (quoted fields, ragged rows,
+    blank or non-finite cells, cells such as ``1_0`` that only float()
+    accepts, bytes that are not UTF-8) is parsed again row by row, which
+    raises the ParseError naming the row, column and cell. Both parsers give
+    the same matrix, bit for bit, on every file the first one accepts. Empty
+    lines are skipped; the delimiter is a tab if the first non-empty line
+    holds one, else a comma, and a file without a non-empty line is empty.
+    A byte that is not UTF-8 raises a ParseError naming the file and the
+    byte; a UTF-8 byte-order mark at the start is skipped.
     """
     if orientation not in ("rows", "cols"):
         raise InputError(f"orientation must be 'rows' or 'cols', got {orientation!r}")
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             first = fh.readline()
-            while first in ("\n", "\r\n"):   # both parsers skip empty lines
+            while first in ("\n", "\r\n", "\r"):   # both parsers skip empty lines
                 first = fh.readline()
-            if not first.strip():
+            if not first:
                 raise ParseError(f"{path}: empty file")
             delim = "\t" if "\t" in first else ","
-            fh.seek(0)
-            parsed = _parse_block(fh, delim)
+            parsed = _parse_block(path, delim)
             if parsed is None:
+                fh.seek(0)
+                _decode_to_first_declined_line(fh, delim)
                 fh.seek(0)
                 parsed = _parse_rows(path, _csv_rows(path, fh, delim))
     except UnicodeDecodeError as e:

@@ -2,7 +2,7 @@ import os
 import sys
 import threading
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from unittest import mock
 
 import numpy as np
@@ -29,6 +29,11 @@ def split(forked: bool):
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is missing")
+
+# 6 data rows split 2 + 2 + 2: the last two (file rows 6 and 7) go to the second child
+CHILD_ROWS_GOOD = "id,f1,f2\n" + "".join(f"s{i},{i}.5,-{i}\n" for i in range(6))
+# a byte that is not UTF-8 in the second child's rows only
+CHILD_ROWS_LATIN1 = CHILD_ROWS_GOOD.encode().replace(b"s5,5.5,-5", b"s5,5.5,-5\xff")
 
 
 def test_load_small_csv(tmp_path):
@@ -101,6 +106,9 @@ MALFORMED = [
     ("id\tf1\ns1\t1.0\n  \ns2\t2.0\n", "row 3 has 1 fields, expected 2"),
     ("id,f1\ns1,1.0\n\ns2,\n", "non-numeric value '' at row 3, column 2"),
     ("\n\r\n\n", "empty file"),
+    ("\r\n\r", "empty file"),
+    # both parsers keep a line of spaces as a row, so this file is not empty
+    (" \nid,f1\ns1,1\ns2,2\n", "need at least one data column besides the ID column"),
     ("id,f1,f2\n", "no data rows"),
     ("id,f1,f2\r\n\r\n", "no data rows"),
     ("id\ns1\n", "need at least one data column besides the ID column"),
@@ -135,6 +143,8 @@ ACCEPTED = [
     ("id,f1,f2\ns1,1_0,2\n", [[10.0, 2.0]], ("f1", "f2"), ("s1",)),
     ("id\tf1\ns1\t \u06f1\u06f2 \n", [[12.0]], ("f1",), ("s1",)),
     ("id,f1\r\ns1, 3 \r\n", [[3.0]], ("f1",), ("s1",)),
+    # csv reads a lone carriage return as an empty line
+    ("\rid,f1\rs1,1\r", [[1.0]], ("f1",), ("s1",)),
 ]
 
 
@@ -150,7 +160,7 @@ PLAIN = ["id\tf1\tf2\ns1\t1.5\t2\ns2\t3\t-4\n", "id,f1,f2\r\ns1,1.5,2\r\ns2,3,-4
          'id,"f1",f2\n"s1",1.5,2\ns2,3,-4\n']
 
 
-@pytest.mark.parametrize("lead", ["\n", "\r\n", "\n\n", "\r\n\n"])
+@pytest.mark.parametrize("lead", ["\n", "\r\n", "\n\n", "\r\n\n", "\r"])
 @pytest.mark.parametrize("text", PLAIN, ids=["tsv", "csv", "quoted"])
 def test_leading_empty_lines_are_skipped(tmp_path, text, lead):
     want = load_matrix(write(tmp_path / "plain.txt", text))
@@ -178,17 +188,26 @@ NOT_UTF8 = [
     (load_matrix, b"id,caf\xe9\ns1,1\n", "0xe9: invalid continuation byte"),
     # past the first chunk the text reader decodes
     (load_matrix, b"id,f1\n" + b"s,1\n" * 5000 + b"s\xff,1\n", "0xff: invalid start byte"),
+    # the row-by-row check would stop at 'NA' before decoding as far as the bad byte
+    (load_matrix, b"id,f1\ns1,NA\n" + b"s,1\n" * 5000 + b"s\xff,1\n", "0xff: invalid start byte"),
+    (load_matrix, CHILD_ROWS_LATIN1, "0xff: invalid start byte"),
+    # one in the first block's numeric text, one in a later row id: the first is named
+    (load_matrix, CHILD_ROWS_GOOD.encode().replace(b"s0,0.5", b"s0,0.5\xe9")
+     .replace(b"s4,", b"s4\xff,"), "0xe9: invalid continuation byte"),
     (load_labels, b"0\n\xff\n", "0xff: invalid start byte"),
 ]
 
 
-@pytest.mark.parametrize("load, raw, byte", NOT_UTF8, ids=["matrix", "matrix-late", "labels"])
+@pytest.mark.parametrize("load, raw, byte", NOT_UTF8,
+                         ids=["matrix", "matrix-late", "matrix-late-after-na", "matrix-child-block",
+                              "matrix-cell-and-id", "labels"])
 def test_a_file_that_is_not_utf8_raises_a_parse_error_naming_it(tmp_path, load, raw, byte):
     path = tmp_path / "latin1.txt"
     path.write_bytes(raw)
-    with pytest.raises(ParseError) as info:
-        load(path)
-    assert str(info.value) == f"{path}: not UTF-8 (byte {byte})"
+    for forked in (False, True):
+        with split(forked), pytest.raises(ParseError) as info:
+            load(path)
+        assert str(info.value) == f"{path}: not UTF-8 (byte {byte})"
 
 
 # (loader, the file's text after a UTF-8 byte-order mark, what it loads)
@@ -227,8 +246,9 @@ def test_load_holds_the_file_once(tmp_path):
             finally:
                 tracemalloc.stop()
         assert d.matrix.tobytes() == X.tobytes()
-        # the rows' text and the matrix, not a second copy of the file's text
-        assert peak < 1.75 * size, forked
+        # the matrix and a few rows' text at a time, not the text of a block
+        # (a third of the file when forked) or of the whole file
+        assert peak < d.matrix.nbytes + size / 4, forked
 
 
 def test_dataset_validation():
@@ -313,11 +333,16 @@ def test_select_features_copies_the_subset_once():
 CELL_FORMATS = [repr, "{:.3g}".format, lambda v: str(int(v)), lambda v: f" {v!r}  "]
 
 
+# what may follow a line's end of line: nothing, or blank LF and CRLF lines
+BLANKS = ["", "\n", "\r\n", "\r\n\n"]
+
+
 @settings(max_examples=80)
 @given(st.data(), st.integers(1, 6), st.integers(1, 6), st.sampled_from([",", "\t"]),
-       st.sampled_from(["\n", "\r\n"]), st.sampled_from(["rows", "cols"]))
+       st.sampled_from(["\n", "\r\n"]), st.sampled_from(["rows", "cols"]), st.booleans(),
+       st.booleans())
 def test_block_parse_matches_row_validator(tmp_path_factory, draw, n, p, delim, eol,
-                                           orientation):
+                                           orientation, marked, last_eol):
     values = draw.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * p,
                                 max_size=n * p))
     formats = draw.draw(st.lists(st.sampled_from(CELL_FORMATS), min_size=n * p,
@@ -325,16 +350,23 @@ def test_block_parse_matches_row_validator(tmp_path_factory, draw, n, p, delim, 
     cells = [fmt(v) for fmt, v in zip(formats, values)]
     lines = ["id" + delim + delim.join(f"c {j}" for j in range(p))]
     lines += [f"r-{i}" + delim + delim.join(cells[i * p:(i + 1) * p]) for i in range(n)]
-    text = eol.join(lines) + eol
+    # blank lines before the header and after any line, so some sit at a boundary
+    # of the three blocks split(True) parses; the last row may end the file
+    # without an end of line
+    lead, *blanks = draw.draw(st.lists(st.sampled_from(BLANKS), min_size=n + 2,
+                                       max_size=n + 2))
+    ends = [eol + blank for blank in blanks]
+    if not last_eol:
+        ends[-1] = ""
+    text = lead + "".join(line + end for line, end in zip(lines, ends))
     path = tmp_path_factory.mktemp("m") / "m.txt"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(b"\xef\xbb\xbf" * marked + text.encode("utf-8"))
 
     with mock.patch.object(data_module, "_parse_block", return_value=None):
         want = load_matrix(path, orientation=orientation)
     for forked in (False, True):
         with split(forked), mock.patch("os.fork", wraps=os.fork) as fork:
-            with open(path, encoding="utf-8", newline="") as fh:
-                assert data_module._parse_block(fh, delim) is not None   # np.loadtxt ran
+            assert data_module._parse_block(path, delim) is not None   # np.loadtxt ran
             got = load_matrix(path, orientation=orientation)
         assert fork.called == (forked and n > 1)
         assert got.matrix.tobytes() == want.matrix.tobytes()
@@ -343,8 +375,6 @@ def test_block_parse_matches_row_validator(tmp_path_factory, draw, n, p, delim, 
         assert got.sample_ids == want.sample_ids
 
 
-# 6 data rows split 2 + 2 + 2: the last two (file rows 6 and 7) go to the second child
-CHILD_ROWS_GOOD = "id,f1,f2\n" + "".join(f"s{i},{i}.5,-{i}\n" for i in range(6))
 CHILD_ROWS_BAD = [
     (CHILD_ROWS_GOOD.replace("s5,5.5,-5", "s5,5.5,x"), "non-numeric value 'x' at row 7, column 3"),
     (CHILD_ROWS_GOOD.replace("s5,5.5,-5", "s5,5.5,nan"),
@@ -407,3 +437,25 @@ def test_a_load_never_forks_while_another_thread_runs(tmp_path):
         other.join(timeout=30)
     assert not other.is_alive()
     assert d.matrix.tolist() == [[i + 0.5, -i] for i in range(6)]
+
+
+def _open_files() -> list:
+    """This process's file descriptors, or [] where /proc/self/fd is missing."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["one-process", "forked"])
+def test_a_load_leaves_no_file_or_mapping_open(tmp_path, forked):
+    files = [write(tmp_path / "good.csv", CHILD_ROWS_GOOD),
+             write(tmp_path / "bad.csv", CHILD_ROWS_BAD[0][0]),
+             write(tmp_path / "quoted.csv", '"id",f1\ns1,1\ns2,2\n')]
+    (tmp_path / "latin1.csv").write_bytes(CHILD_ROWS_LATIN1)
+    files.append(str(tmp_path / "latin1.csv"))
+    before = _open_files()
+    for path in files:
+        with split(forked), suppress(ParseError):
+            load_matrix(path)
+    assert _open_files() == before
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as fh:
+            assert str(tmp_path) not in fh.read()
