@@ -7,12 +7,13 @@ placed before the command or variant word, whose message says where it goes.
 ``-o``, and a curve's ``--d-grid``, ``--labels``, ``--k`` and ``--runs``, are
 checked before any ranking is computed. Each command writes exactly one table,
 which starts with a ``# ``-prefixed JSON comment: the command's options as parsed
-plus the values resolved from the data (``sigma_resolved`` and ``q_resolved``
-of a fit, a curve's ranking included; ``project``'s ``eigenvalues`` and
-``explained_variance``; a curve's expanded ``d_grid`` and ``k``). Identical
-command lines give byte-identical output. Warnings print once each as
-``kpcaig: warning: ...``. Exit codes: 0 success, 2 usage error, 3 invalid
-configuration or input values, 4 unreadable or malformed data files.
+plus the values resolved from the data (``sigma_resolved``, ``q_resolved``,
+``eigengap`` and ``eigengap_bound`` of a fit, a curve's ranking included;
+``project``'s ``eigenvalues`` and ``explained_variance``; a curve's expanded
+``d_grid`` and ``k``). Identical command lines give byte-identical output.
+Warnings print once each as ``kpcaig: warning: ...``. Exit codes: 0 success,
+2 usage error, 3 invalid configuration or input values, 4 unreadable or
+malformed data files.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .data import Dataset, load_labels, load_matrix, standardize
 from .exceptions import DegenerateDataError, InputError, ParseError
 from .importance import FeatureRanking, arrow_field, rank_features
 from .kernels import KernelSpec
-from .kpca import (FittedKpca, SigmaRule, explained_variance, fit_kpca, project_training,
-                   resolve_spec)
+from .kpca import (FittedKpca, SigmaRule, eigengap, explained_variance, fit_kpca,
+                   project_training, resolve_spec)
 from .synthetic import random_ranking
 
 EXIT_OK = 0
@@ -208,7 +209,9 @@ def _kernel(args) -> tuple[KernelSpec, SigmaRule | None]:
 def _fit(args, data: Dataset, kernel) -> tuple[FittedKpca, dict]:
     """The fitted model and the values its fit resolved from the data."""
     model = fit_kpca(data, resolve_spec(*kernel, data, args.q), args.q)
-    return model, {"sigma_resolved": model.kernel.sigma, "q_resolved": model.q}
+    gap, bound = eigengap(model)
+    return model, {"sigma_resolved": model.kernel.sigma, "q_resolved": model.q,
+                   "eigengap": gap, "eigengap_bound": bound}
 
 
 def _ranking(args, data: Dataset, kernel, method: str, **options) -> tuple[FeatureRanking, dict]:

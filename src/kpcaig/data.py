@@ -104,11 +104,23 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _csv_rows(path, fh, delim):
-    """The non-empty csv rows of fh; a csv.Error becomes a ParseError naming its row."""
+def _lines(fh):
+    """The lines of the binary file fh after a UTF-8 byte-order mark, each
+    decoded on its own. bytes.splitlines ends a line at \\n, \\r\\n or a
+    lone \\r, as newline='' does, and UTF-8 never puts 0x0A or 0x0D inside a
+    character, so a byte that is not UTF-8 raises only when its line is read:
+    the first error in file order is the one named."""
+    if fh.read(3) != b"\xef\xbb\xbf":
+        fh.seek(0)
+    for raw in fh:
+        yield from (line.decode("utf-8") for line in raw.splitlines(keepends=True))
+
+
+def _csv_rows(path, lines, delim):
+    """The non-empty csv rows of lines; a csv.Error becomes a ParseError naming its row."""
     r = 1  # the row the reader reads next
     try:
-        for row in csv.reader(fh, delimiter=delim):
+        for row in csv.reader(lines, delimiter=delim):
             if row:
                 r += 1
                 yield row
@@ -239,20 +251,6 @@ def _parse_block(path, delim: str):
     return header, ids, matrix
 
 
-def _decode_to_first_declined_line(fh, delim: str) -> None:
-    """Decode fh's lines up to the first one holding a ``_DECLINED``
-    character or no data cell.
-
-    A byte that is not UTF-8 before that line raises here, so it is the
-    error named even where the row-by-row check would stop earlier, at a
-    malformed cell.
-    """
-    for line in fh:
-        line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
-        if any(ch in line for ch in _DECLINED) or (line and not line.partition(delim)[2]):
-            return
-
-
 def load_matrix(path, orientation: str = "rows") -> Dataset:
     """Load a delimited text matrix (one header row, one leading ID column).
 
@@ -271,24 +269,22 @@ def load_matrix(path, orientation: str = "rows") -> Dataset:
     lines are skipped; the delimiter is a tab if the first non-empty line
     holds one, else a comma, and a file without a non-empty line is empty.
     A byte that is not UTF-8 raises a ParseError naming the file and the
-    byte; a UTF-8 byte-order mark at the start is skipped.
+    byte, unless an earlier row holds another error: the first error in file
+    order is named. A UTF-8 byte-order mark at the start is skipped.
     """
     if orientation not in ("rows", "cols"):
         raise InputError(f"orientation must be 'rows' or 'cols', got {orientation!r}")
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            first = fh.readline()
-            while first in ("\n", "\r\n", "\r"):   # both parsers skip empty lines
-                first = fh.readline()
+        with open(path, "rb") as fh:
+            # both parsers skip empty lines
+            first = next((ln for ln in _lines(fh) if ln not in ("\n", "\r\n", "\r")), "")
             if not first:
                 raise ParseError(f"{path}: empty file")
             delim = "\t" if "\t" in first else ","
             parsed = _parse_block(path, delim)
             if parsed is None:
                 fh.seek(0)
-                _decode_to_first_declined_line(fh, delim)
-                fh.seek(0)
-                parsed = _parse_rows(path, _csv_rows(path, fh, delim))
+                parsed = _parse_rows(path, _csv_rows(path, _lines(fh), delim))
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 (byte {e.object[e.start]:#04x}: {e.reason})") from None
     header, ids, matrix = parsed

@@ -9,14 +9,16 @@ descending yields the ranking.
 
 With the kernel slope matrix P and the centred alphas B, column k of the
 field is P (x_j * B_k) for inner-product kernels, and x_j * (P B_k) minus
-that for distance kernels (rbf). Stacking P diag(B_1), ..., P diag(B_q)
-into one qn x n slope S, the fields of a block of variables X_b are the
-single product S @ X_b, read as q x n x c. Blocks fit in kernels.BLOCK_BYTES,
-so the q x n x p tensor is never materialized even for very wide matrices.
+that for distance kernels (rbf). Block k of the qn x n slope S is
+P diag(B_k), or diag(P B_k) - P diag(B_k) for rbf, so for every family the
+fields of a block of variables X_b are the single product S @ X_b, read as
+q x n x c. Blocks fit in kernels.BLOCK_BYTES, so the q x n x p tensor is
+never materialized even for very wide matrices.
 
 Fields are plain n x q arrays; FeatureRanking is the one ranking type, which
-the baselines return too. An rbf Gram that is exactly I raises instead
-(``kpca.check_determined``): its top-q axes are arbitrary.
+the baselines return too. A ranking raises instead when its top-q axes are
+arbitrary: for an rbf Gram that is exactly I (``kpca.check_determined``), and
+when the gap at the cut q is below its rounding bound (``kpca.check_gap``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InputError
-from .kpca import FittedKpca, check_determined, project_training
+from .kpca import FittedKpca, check_determined, check_gap, project_training
 from .kernels import column_blocks, kernel_rule, pairwise_base
 
 
@@ -39,37 +41,45 @@ class FeatureRanking:
 
 def _fields(model: FittedKpca, blocks):
     """Yield the q x n x c fields of each column slice in ``blocks``."""
-    check_determined(model.kernel, model.K, model.q)
     rule = kernel_rule(model.kernel)
     data = model.training_data
     X = data.matrix
     n, q = model.n, model.q
     P = rule.slope(pairwise_base(data, rule.distance), model.K)
     B = model.alphas - model.alphas.mean(axis=0)  # (I - (1/n) 11^T) alpha
-    # row k n + m of S is row m of P diag(B_k): S @ x_j stacks P (x_j * B_k)
-    S = (B.T[:, None, :] * P[None, :, :]).reshape(q * n, n)
+    # block k of S is P diag(B_k): S @ x_j stacks P (x_j * B_k)
+    S = B.T[:, None, :] * P[None, :, :]
     if rule.distance:
-        PB = (P @ B).T[:, :, None]
+        # x_j * (P B_k) - P (x_j * B_k): the rbf slope's diagonal is zero
+        S = -S
+        diag = np.arange(n)
+        S[:, diag, diag] += (P @ B).T
+    S = S.reshape(q * n, n)
     for cols in blocks:
         Xb = X[:, cols]
         if rule.distance:
             # x_m[j] - x_i[j] ignores a shift: constant columns give exact zeros
             Xb = Xb - Xb[0]
-        W = (S @ Xb).reshape(q, n, -1)
-        if rule.distance:
-            W = Xb * PB - W
-        yield W
+        yield (S @ Xb).reshape(q, n, -1)
 
 
 def gradient_field(model: FittedKpca, j: int) -> np.ndarray:
     """n x q matrix of projected gradient directions for variable j."""
     if not 0 <= j < model.p:
         raise InputError(f"feature index {j} out of range for p={model.p}")
+    check_determined(model.kernel, model.K, model.q)
     return next(_fields(model, [slice(j, j + 1)]))[:, :, 0].T
 
 
 def rank_features(model: FittedKpca) -> FeatureRanking:
-    """Score every variable and sort descending (ties: lower index first)."""
+    """Score every variable and sort descending (ties: lower index first).
+
+    Raises DegenerateDataError when the top-q axes are not determined: an rbf
+    Gram that is exactly I (``kpca.check_determined``), or a gap at the cut q
+    below its rounding bound (``kpca.check_gap``).
+    """
+    check_determined(model.kernel, model.K, model.q)
+    check_gap(model)
     n, p = model.training_data.matrix.shape
     blocks = column_blocks(p, 8 * n * model.q)     # q x n x c fields a block
     scores = np.empty(p)

@@ -4,7 +4,8 @@ The centered Gram matrix K~ is diagonalized directly; its eigenvalues mu_k
 are kept in descending order and the eigenvectors are rescaled by
 1/sqrt(mu_k) so that each principal axis has unit norm in feature space
 (alpha_k^T K~ alpha_k = 1). eigh reads K~ from the lower triangle of
-``kernels._double_centred(K)`` transposed, and a fit keeps K, not K~.
+``kernels._double_centred(K)`` transposed, and a fit keeps K, not K~, with
+all n eigenvalues of K~.
 Projections of training points then only require kernel evaluations against
 the training set and come back as plain arrays. A fit takes any Dataset;
 standardizing it first is the caller's choice.
@@ -39,7 +40,7 @@ class FittedKpca:
     eigvals: np.ndarray      # q retained eigenvalues of K~, descending
     alphas: np.ndarray       # n x q, scaled so alpha^T K~ alpha = 1 per column
     q: int
-    eigval_total: float      # sum of ALL positive eigenvalues of K~
+    spectrum: np.ndarray     # all n eigenvalues of K~, descending
 
     @property
     def n(self) -> int:
@@ -48,6 +49,11 @@ class FittedKpca:
     @property
     def p(self) -> int:
         return self.training_data.p
+
+    @property
+    def eigval_total(self) -> float:
+        """Sum of ALL positive eigenvalues of K~."""
+        return float(self.spectrum[self.spectrum > 0].sum())
 
 
 def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
@@ -69,7 +75,6 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     evals = evals[::-1]
     evecs = evecs[:, ::-1]
     check_top_eigenvalue(data, spec, K, evals[0])
-    eigval_total = float(evals[evals > 0].sum())
     rank = int(np.count_nonzero(evals > EIG_DROP_REL * evals[0]))
     q_eff = min(q, rank, n - 1)
     if q_eff < q:
@@ -82,7 +87,7 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     A *= np.sign(A[lead, np.arange(q_eff)])
     alphas = A / np.sqrt(mu)
     return FittedKpca(training_data=data, kernel=spec, K=K,
-                      eigvals=mu, alphas=alphas, q=q_eff, eigval_total=eigval_total)
+                      eigvals=mu, alphas=alphas, q=q_eff, spectrum=evals)
 
 
 def check_top_eigenvalue(data, spec: KernelSpec, K: np.ndarray, top: float) -> None:
@@ -108,6 +113,41 @@ def check_determined(spec: KernelSpec, K: np.ndarray, q: int) -> None:
             f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: every "
             "off-diagonal kernel value underflows to 0 (K = I), so the top "
             f"q={q} eigenvectors are not determined; use a smaller sigma")
+
+
+def eigengap(model: FittedKpca) -> tuple[float, float]:
+    """The gap mu_q - mu_{q+1} of K~'s spectrum at the cut q, and its rounding
+    bound 2 n eps (n max|K|).
+
+    By Davis-Kahan, rounding error E moves the top-q subspace by sin(theta)
+    <= 2 ||E|| / gap, and ||E|| is about n eps ||K||, with ||K||_2 <= n max|K|.
+    A gap below the bound leaves that subspace, and so every score, undetermined.
+    """
+    n, q = model.n, model.q
+    bound = 2 * n * np.finfo(np.float64).eps * n * np.abs(model.K).max()
+    return float(model.spectrum[q - 1] - model.spectrum[q]), float(bound)
+
+
+def check_gap(model: FittedKpca) -> None:
+    """Raise DegenerateDataError when the gap at the cut q is below its
+    rounding bound (``eigengap``), naming the tied eigenvalues and the nearest
+    q whose gap clears it. A tie inside the top q is harmless: another
+    eigenbasis rotates the alphas and leaves every field row's norm as is."""
+    gap, bound = eigengap(model)
+    if gap >= bound:
+        return
+    mu, q = model.spectrum, model.q
+    clear = np.flatnonzero(mu[:-1] - mu[1:] >= bound) + 1    # each q whose gap clears
+    lo, hi = clear[clear < q].max(initial=0), clear[clear > q].min(initial=len(mu))
+    nearest = min((c for c in (lo, hi) if 0 < c < len(mu)), key=lambda c: abs(c - q),
+                  default=None)
+    advice = ("no q clears it" if nearest is None
+              else f"the nearest q whose gap clears it is q={nearest}")
+    raise DegenerateDataError(
+        f"eigenvalues mu_{lo + 1}..mu_{hi} of the centred Gram are tied "
+        f"({', '.join(f'{v:.15g}' for v in mu[lo:hi])}): the gap at q={q}, {gap:.3g}, "
+        f"is below its rounding bound {bound:.3g}, so the top q={q} axes are not "
+        f"determined; {advice}")
 
 
 def project_training(model: FittedKpca) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Seeded toy data for tests: two separated blobs, a noisy closed curve,
-repeated rows and a matrix whose permuted polynomial Grams overflow."""
+repeated rows, a matrix whose permuted polynomial Grams overflow, and two
+symmetric point sets whose centred rbf Grams have tied eigenvalues."""
 
 import numpy as np
 
@@ -35,3 +36,10 @@ def repeated_rows() -> Dataset:
 # 3.6e302, 10^300 times 1.01^150), but permuting any column makes some values overflow
 OVERFLOWS_WHEN_PERMUTED = np.array([[10, 0, 1], [0, 10, 2], [3, 1, 0], [1, 3, 5], [2, 2, 2]],
                                    dtype=np.float64)
+
+
+# the vertices of a square and of an octahedron, +-e_i: at the median sigma the
+# centred rbf Gram's top 2 (square) or top 3 (octahedron) eigenvalues tie, and
+# so do the octahedron's 4th and 5th
+SQUARE = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.float64)
+OCTAHEDRON = np.vstack([np.eye(3), -np.eye(3)])

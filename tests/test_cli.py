@@ -13,16 +13,17 @@ import numpy as np
 import pytest
 
 import kpcaig
-from kpcaig import (Dataset, KernelSpec, explained_variance, fit_kpca, laplacian_score,
-                    load_labels, load_matrix, project_training, rank_features, save_matrix,
-                    selection_curve, sigma_heuristic, standardize)
+from kpcaig import (Dataset, KernelSpec, center_gram, explained_variance, fit_kpca, gram_matrix,
+                    laplacian_score, load_labels, load_matrix, project_training, rank_features,
+                    save_matrix, selection_curve, sigma_heuristic, standardize)
 from kpcaig import baselines as baselines_module
 from kpcaig import curves as curves_module
 from kpcaig import data as data_module
 from kpcaig.cli import build_parser, main
+from kpcaig.kpca import eigengap
 from kpcaig.synthetic import planted_clusters
 
-from generators import OVERFLOWS_WHEN_PERMUTED, repeated_rows
+from generators import OVERFLOWS_WHEN_PERMUTED, SQUARE, repeated_rows
 
 
 def toy_matrix(tmp_path, n=10, p=5, seed=0):
@@ -170,8 +171,11 @@ def test_header_is_the_parsed_options_plus_resolved_values(tmp_path, command, ex
             src, "-o", str(out), *(a for item in taken.items() for a in item)]
     assert main(full) == 0
     header = header_of(out)
+    model = fit_kpca(standardize(load_matrix(src)), KernelSpec("rbf", sigma=0.25), 3)
+    if "q_resolved" in resolved:
+        gap, bound = eigengap(model)
+        resolved = {**resolved, "eigengap": gap, "eigengap_bound": bound}
     if command == ["project"]:
-        model = fit_kpca(standardize(load_matrix(src)), KernelSpec("rbf", sigma=0.25), 3)
         resolved = {**resolved, "eigenvalues": model.eigvals.tolist(),
                     "explained_variance": explained_variance(model).tolist()}
     # only this command's options, so a rank header has no knn or runs
@@ -335,6 +339,42 @@ def test_curve_header_names_what_its_ranking_resolved(tmp_path, variant, ranking
     assert expected["sigma_resolved"] in (1e-3, 1e-2)
     assert {key: value for key, value in header_of(curve).items()
             if key.endswith("_resolved")} == expected
+
+
+def test_a_tie_at_the_cut_exits_3_and_a_tie_inside_the_top_q_ranks(tmp_path, capsys):
+    src = str(tmp_path / "square.tsv")
+    save_matrix(Dataset.from_matrix(SQUARE), src)
+    assert main(["rank", src, "--q", "1"]) == 3
+    err = capsys.readouterr().err
+    # the gap itself is a rounding residue, so only its place in the message is fixed
+    assert err.startswith("kpcaig: eigenvalues mu_1..mu_2 of the centred Gram are tied "
+                          "(0.864664716763387, 0.864664716763387): the gap at q=1, ")
+    assert err.endswith(", so the top q=1 axes are not determined; "
+                        "the nearest q whose gap clears it is q=2\n")
+    out = tmp_path / "rank.tsv"
+    assert main(["rank", src, "--q", "2", "-o", str(out)]) == 0
+    # any eigenbasis of the tied pair gives both features this score
+    assert {row[1]: float(row[2]) for row in read_table(out)[2]} == \
+        pytest.approx({"f0": 0.270582357221954, "f1": 0.270582357221954}, rel=1e-12)
+    # project still embeds at q=1, and its header holds the gap
+    assert main(["project", src, "--q", "1", "-o", str(out)]) == 0
+    header = header_of(out)
+    assert header["eigengap"] < header["eigengap_bound"]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_the_eigengap_keys_match_eigvalsh_of_the_centred_gram(tmp_path, q):
+    src = toy_matrix(tmp_path, n=12, p=6)
+    out = tmp_path / "project.tsv"
+    assert main(["project", src, "--q", str(q), "-o", str(out)]) == 0
+    header = header_of(out)
+    K = gram_matrix(KernelSpec("rbf", sigma=header["sigma_resolved"]),
+                    standardize(load_matrix(src)))
+    mu = np.linalg.eigvalsh(center_gram(K))[::-1]
+    assert abs(header["eigengap"] - (mu[q - 1] - mu[q])) <= 1e-12 * mu[0]
+    assert header["eigengap_bound"] == pytest.approx(
+        2 * 12 * np.finfo(np.float64).eps * 12 * np.abs(K).max(), rel=1e-12)
+    assert header["eigengap"] > header["eigengap_bound"]
 
 
 @pytest.mark.parametrize("command", [["rank"], ["project"], ["arrows", "--feature", "f1"]],

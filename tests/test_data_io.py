@@ -186,10 +186,10 @@ def test_load_labels(tmp_path):
 # (loader, file bytes, the bad byte and its reason as the ParseError names them)
 NOT_UTF8 = [
     (load_matrix, b"id,caf\xe9\ns1,1\n", "0xe9: invalid continuation byte"),
-    # past the first chunk the text reader decodes
+    # past the first chunk a text reader decodes
     (load_matrix, b"id,f1\n" + b"s,1\n" * 5000 + b"s\xff,1\n", "0xff: invalid start byte"),
-    # the row-by-row check would stop at 'NA' before decoding as far as the bad byte
-    (load_matrix, b"id,f1\ns1,NA\n" + b"s,1\n" * 5000 + b"s\xff,1\n", "0xff: invalid start byte"),
+    # a row is decoded before it is split into cells
+    (load_matrix, b'id,f1\n"s1",1\ns\xff2,NA\n', "0xff: invalid start byte"),
     (load_matrix, CHILD_ROWS_LATIN1, "0xff: invalid start byte"),
     # one in the first block's numeric text, one in a later row id: the first is named
     (load_matrix, CHILD_ROWS_GOOD.encode().replace(b"s0,0.5", b"s0,0.5\xe9")
@@ -199,8 +199,8 @@ NOT_UTF8 = [
 
 
 @pytest.mark.parametrize("load, raw, byte", NOT_UTF8,
-                         ids=["matrix", "matrix-late", "matrix-late-after-na", "matrix-child-block",
-                              "matrix-cell-and-id", "labels"])
+                         ids=["matrix", "matrix-late", "matrix-byte-before-na",
+                              "matrix-child-block", "matrix-cell-and-id", "labels"])
 def test_a_file_that_is_not_utf8_raises_a_parse_error_naming_it(tmp_path, load, raw, byte):
     path = tmp_path / "latin1.txt"
     path.write_bytes(raw)
@@ -208,6 +208,28 @@ def test_a_file_that_is_not_utf8_raises_a_parse_error_naming_it(tmp_path, load, 
         with split(forked), pytest.raises(ParseError) as info:
             load(path)
         assert str(info.value) == f"{path}: not UTF-8 (byte {byte})"
+
+
+# (file bytes, the error named): a malformed cell in an earlier row than a bad byte
+FIRST_ERROR = [
+    (b"id,f1\ns1,NA\n" + b"s,1\n" * 5000 + b"s\xff,1\n",
+     "non-numeric value 'NA' at row 2, column 2"),
+    # a quoted id sends the file to the row-by-row check, near the bad byte and far from it
+    (b'id,f1\n"s1",1\ns2,NA\n' + b"s,1\n" * 10 + b"s\xff,1\n",
+     "non-numeric value 'NA' at row 3, column 2"),
+    (b'id,f1\n"s1",1\ns2,NA\n' + b"s,1\n" * 5000 + b"s\xff,1\n",
+     "non-numeric value 'NA' at row 3, column 2"),
+]
+
+
+@pytest.mark.parametrize("raw, message", FIRST_ERROR, ids=["after-na", "quoted-near", "quoted-far"])
+def test_the_first_error_in_file_order_is_named(tmp_path, raw, message):
+    path = tmp_path / "m.csv"
+    path.write_bytes(raw)
+    for forked in (False, True):
+        with split(forked), pytest.raises(ParseError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}: {message}"
 
 
 # (loader, the file's text after a UTF-8 byte-order mark, what it loads)

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,10 @@ from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, arrow_
                     gradient_field, laplacian_score, project_training, rank_features,
                     sigma_heuristic, standardize)
 from kpcaig import importance, kernels
+from kpcaig.kpca import eigengap
 from kpcaig.synthetic import planted_clusters
+
+from generators import OCTAHEDRON, SQUARE
 
 from kernel_oracles import kernel_partial, partial_matrix, project_point, sq_distances
 
@@ -285,3 +289,38 @@ def test_arrows_point_towards_high_value_cluster():
     centroid_diff = emb[lab == hi].mean(axis=0) - emb[lab == 1 - hi].mean(axis=0)
     vecs = np.array([v for _, v in arrow_field(model, j, scale=1.0)])
     assert np.mean(vecs @ centroid_diff > 0) >= 0.9
+
+
+def median_fit(X, q):
+    data = standardize(Dataset.from_matrix(X))
+    return fit_kpca(data, KernelSpec("rbf", sigma=sigma_heuristic(data)), q)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([SQUARE, OCTAHEDRON]), st.integers(0, 2**32 - 1))
+def test_rotating_the_alphas_within_a_tied_block_keeps_every_score(X, seed):
+    q = X.shape[1]
+    model = median_fit(X, q)
+    _, bound = eigengap(model)
+    assert model.eigvals[0] - model.eigvals[-1] < bound    # the top q are one tied block
+    R = np.linalg.qr(np.random.default_rng(seed).normal(size=(q, q)))[0]
+    want = rank_features(model).scores
+    got = rank_features(dataclasses.replace(model, alphas=model.alphas @ R)).scores
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("X, q, tied, nearest", [
+    (SQUARE, 1, "mu_1..mu_2", 2),
+    # q=3 and q=5 are as near: the smaller is named
+    (OCTAHEDRON, 4, "mu_4..mu_5", 3),
+], ids=["square", "octahedron"])
+def test_a_tie_across_the_cut_refuses_the_ranking(X, q, tied, nearest):
+    model = median_fit(X, q)
+    with pytest.raises(DegenerateDataError) as info:
+        rank_features(model)
+    message = str(info.value)
+    assert message.startswith(f"eigenvalues {tied} of the centred Gram are tied (")
+    assert f"so the top q={q} axes are not determined" in message
+    assert message.endswith(f"the nearest q whose gap clears it is q={nearest}")
+    # the field of one feature, as arrows draws it, is still computed
+    assert gradient_field(model, 0).shape == (len(X), q)
