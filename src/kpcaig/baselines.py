@@ -8,8 +8,11 @@ across samples perturbs the leading q kernel PCA eigenvectors (higher is better)
 the subspace perturbation is measured with the projection-matrix Frobenius
 metric d = ||U U^T - U' U'^T||_F / sqrt(2), with a plain Frobenius distance
 between raw Gram matrices available as an alternative. The permuted Gram
-comes from the Dataset's pairwise base with one column's term swapped, so
-each (feature, draw) costs O(n^2) elementwise work and one top-q eigensolve.
+comes from the Dataset's pairwise base with one column's term swapped, built
+in place in one scratch array, so each (feature, draw) costs O(n^2)
+elementwise work and one direct LAPACK ``dsyevr`` call for the top q
+eigenpairs: one finiteness check, no workspace query and no input copy.
+The reference projector U U^T is formed once per process, not per draw.
 Each Gram, the reference and every permuted one, goes to the eigensolver
 as ``kernels._double_centred`` transposed (see ``kernels``), unmirrored.
 The features are scored in blocks, one per CPU, by this process and forked
@@ -26,7 +29,7 @@ from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
 from .kernels import (KernelSpec, _double_centred, column_blocks, gram_matrix, kernel_rule,
                       overflow_error, pairwise_base)
-from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue
+from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue, eigengap_bound, tie_error
 from .parallel import run_in_blocks
 
 # fewest cells of permuted Gram worth one more process, a draw counting as
@@ -92,8 +95,9 @@ def laplacian_score(data: Dataset, k_nn: int = 5, t: float | None = None) -> Fea
 
 def _frobenius(D: np.ndarray) -> float:
     # not np.linalg.norm: its BLAS ddot over n^2 entries took ~9 ms right after a LAPACK
-    # call with 2 OpenBLAS threads (2-vCPU VM, n = 120); this sum uses no BLAS
-    return float(np.sqrt((D * D).sum()))
+    # call with 2 OpenBLAS threads (2-vCPU VM, n = 120); einsum uses no BLAS and
+    # sums the squares with no temporary
+    return float(np.sqrt(np.einsum("ij,ij->", D, D)))
 
 
 def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
@@ -102,20 +106,40 @@ def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
     For orthonormal q-column bases the value lies in [0, sqrt(q)] and is 0
     exactly when the subspaces coincide.
     """
-    return _frobenius(U @ U.T - V @ V.T) / np.sqrt(2.0)
+    return _projection_distance(U @ U.T, V)
 
 
-def _leading_subspace(Kc: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-q eigenvalues (ascending) and eigenvectors of a centred Gram, read
-    from its lower triangle."""
-    import scipy.linalg     # numpy's eigh has no subset; only this baseline loads scipy
+def _projection_distance(P: np.ndarray, V: np.ndarray) -> float:
+    # subspace_distance with the first span's projector P = U U^T formed by the caller
+    D = V @ V.T
+    D -= P
+    return _frobenius(D) / np.sqrt(2.0)
 
-    n = len(Kc)
-    mu, U = scipy.linalg.eigh(Kc, subset_by_index=[n - q, n - 1])
-    if len(mu) < q:     # LAPACK can return fewer pairs on a tied spectrum
+
+def _leading_subspace(Kc: np.ndarray, q: int,
+                      gap: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Top-q eigenvalues (ascending) and eigenvectors of a finite centred Gram,
+    read from its lower triangle, which the call may overwrite; with gap, the
+    (q+1)-th pair comes first as well, for the gap mu_q - mu_{q+1} at the cut.
+
+    One direct ``dsyevr`` call for the index range [n-q+1, n] (from n-q with
+    gap), at f2py's default workspace of 26 n: no query for the optimal one,
+    which was no faster at n = 120 and differs only in rounding. A
+    Fortran-ordered Kc, as ``_double_centred(K).T`` is, is used in place, not
+    copied. A result with fewer pairs than asked raises: the top q axes, or
+    the gap at the cut, are not determined.
+    """
+    # numpy has no subset eigensolver; only this baseline loads scipy
+    from scipy.linalg.lapack import dsyevr
+
+    n, k = len(Kc), q + 1 if gap else q
+    mu, U, m, _, info = dsyevr(Kc, range="I", il=n - k + 1, iu=n, lower=1, overwrite_a=1)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info={info})")
+    if m < k:     # LAPACK can return fewer pairs on a tied spectrum
         raise DegenerateDataError(f"the top q={q} eigenvalues of the centred Gram matrix are "
                                   f"tied, so its top q={q} eigenvectors are not determined")
-    return mu, U
+    return mu[:k], U
 
 
 def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
@@ -143,8 +167,11 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     at the caller's thread counts, so an error is raised as one process
     would raise it. The subspace metric needs q <= n-2: at q = n-1 the top
     axes span the whole centred space and every distance is rounding noise.
-    A permuted Gram that overflows float64 raises the DegenerateDataError
-    that ``gram_matrix`` raises for the unpermuted one.
+    It also refuses a gap mu_q - mu_{q+1} of the centred Gram below its
+    rounding bound (``kpca.eigengap_bound``) with ``kpca.tie_error``; the
+    ranking carries that gap and bound, for both metrics. A permuted Gram
+    that overflows float64 raises the DegenerateDataError that
+    ``gram_matrix`` raises for the unpermuted one.
     """
     if n_perm < 1:
         raise InputError(f"n_perm must be >= 1, got {n_perm}")
@@ -164,36 +191,50 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     base = pairwise_base(data, rule.distance)
     K = gram_matrix(spec, data)
     check_determined(spec, K, q)
-    # both metrics refuse a kernel whose spectrum is rounding noise; only the
-    # subspace metric reads the top-q axes, so only it needs q within the rank
-    mu, U = _leading_subspace(_double_centred(K).T, q)
+
+    def centred(Kp):
+        # the eigensolver's input, which LAPACK needs finite
+        Kc = _double_centred(Kp).T
+        if not np.isfinite(Kc).all():
+            raise overflow_error(spec)
+        return Kc
+
+    # both metrics refuse a kernel whose spectrum is rounding noise and report
+    # the gap at the cut; only the subspace metric reads the top-q axes, so only
+    # it needs q within the rank and the gap above its rounding bound
+    mu = _leading_subspace(centred(K), q, gap=True)[0]
     check_top_eigenvalue(data, spec, K, mu[-1])
+    gap, bound = float(mu[1] - mu[0]), eigengap_bound(K)
     if metric == "subspace":
-        rank = int(np.count_nonzero(mu > EIG_DROP_REL * mu[-1]))
+        rank = int(np.count_nonzero(mu[1:] > EIG_DROP_REL * mu[-1]))
         if rank < q:
             raise DegenerateDataError(
                 f"q={q} exceeds the numerical rank of the centred Gram matrix: only {rank} "
                 f"of its eigenvalues exceed {EIG_DROP_REL:g} times the largest, so its top "
                 f"q={q} eigenvectors are not determined; use q <= {rank}")
+        if gap < bound:
+            raise tie_error(_leading_subspace(centred(K), n)[0][::-1], q, gap, bound)
 
     def score(lo, hi):
+        if metric == "subspace":
+            # the reference projector from the draws' own call at their BLAS thread
+            # count, so an unchanged Gram (a constant column) scores 0 exactly
+            U = _leading_subspace(centred(K), q)[1]
+            P = U @ U.T
         out = np.empty(hi - lo)
+        base_p = np.empty((n, n))     # the permuted base, rebuilt in place each draw
         for j in range(lo, hi):
             col = X[:, j]
             t = rule.term(col)
             dists = np.empty(n_perm)
             for r in range(n_perm):
                 perm = np.random.default_rng([seed, j, r]).permutation(n)
-                Kp = rule.value(base + (rule.term(col[perm]) - t))
+                rule.term(col[perm], out=base_p)
+                base_p -= t
+                base_p += base
+                Kp = rule.value(base_p)
                 if metric == "subspace":
-                    Kc = _double_centred(Kp).T
-                    try:
-                        V = _leading_subspace(Kc, q)[1]
-                    except ValueError:     # scipy's eigh refuses infs and NaNs
-                        if np.isfinite(Kc).all():
-                            raise
-                        raise overflow_error(spec) from None
-                    dists[r] = subspace_distance(U, V)
+                    dists[r] = _projection_distance(P, _leading_subspace(centred(Kp), q)[1])
                 else:
                     dists[r] = _frobenius(K - Kp)
             out[j - lo] = dists.mean()
@@ -202,9 +243,9 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     cells = p * n_perm * max(n, 64) ** 2
     with np.errstate(over="ignore", invalid="ignore"):   # the checks say it
         scores = run_in_blocks(p, cells // _DRAW_CELLS_PER_PROCESS, (), score, blas=True)
-    # a draw's distance is infinite or NaN only where its permuted Gram (or, for
-    # the gram metric, its difference from K) overflowed, and then so is the mean
+    # a gram metric distance is infinite or NaN only where a permuted Gram, or
+    # its difference from K, overflowed, and then so is the mean
     if not np.isfinite(scores).all():
         raise overflow_error(spec)
     order = np.lexsort((np.arange(p), -scores))
-    return FeatureRanking(scores, order)
+    return FeatureRanking(scores, order, eigengap=(gap, bound))

@@ -8,7 +8,8 @@ placed before the command or variant word, whose message says where it goes.
 checked before any ranking is computed. Each command writes exactly one table,
 which starts with a ``# ``-prefixed JSON comment: the command's options as parsed
 plus the values resolved from the data (``sigma_resolved``, ``q_resolved``,
-``eigengap`` and ``eigengap_bound`` of a fit, a curve's ranking included;
+``eigengap`` and ``eigengap_bound`` of a fit or of the permutation baseline,
+a curve's ranking included;
 ``project``'s ``eigenvalues`` and ``explained_variance``; a curve's expanded
 ``d_grid`` and ``k``). Identical command lines give byte-identical output.
 Warnings print once each as ``kpcaig: warning: ...``. Exit codes: 0 success,
@@ -19,6 +20,7 @@ malformed data files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -222,7 +224,8 @@ def _ranking(args, data: Dataset, kernel, method: str, **options) -> tuple[Featu
     if method == "permute":
         spec = resolve_spec(*kernel, data, args.q)
         ranking = permutation_importance(data, spec, args.q, seed=args.seed, **options)
-        return ranking, {"sigma_resolved": spec.sigma}
+        gap, bound = ranking.eigengap
+        return ranking, {"sigma_resolved": spec.sigma, "eigengap": gap, "eigengap_bound": bound}
     model, resolved = _fit(args, data, kernel)
     return rank_features(model), resolved
 
@@ -350,4 +353,7 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    # else the interpreter's last collection walks every object the imports made
+    gc.freeze()
+    sys.exit(code)

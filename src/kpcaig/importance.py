@@ -37,6 +37,7 @@ class FeatureRanking:
     scores: np.ndarray              # p scores
     order: np.ndarray               # feature indices, best first (Laplacian: lowest score)
     stds: np.ndarray | None = None  # kpcaig: population std of the n per-sample norms
+    eigengap: tuple[float, float] | None = None  # permute: mu_q - mu_{q+1} and its bound
 
 
 def _fields(model: FittedKpca, blocks):

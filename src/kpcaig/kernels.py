@@ -137,9 +137,13 @@ class KernelRule:
     value: Callable[[np.ndarray], np.ndarray]               # k from b
     slope: Callable[[np.ndarray, np.ndarray], np.ndarray]   # P from the training b and K
 
-    def term(self, c: np.ndarray) -> np.ndarray:
-        """One column c's summand of the base over all pairs of rows."""
-        return np.subtract.outer(c, c) ** 2 if self.distance else np.multiply.outer(c, c)
+    def term(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One column c's summand of the base over all pairs of rows, written
+        to out when it is given."""
+        if not self.distance:
+            return np.multiply.outer(c, c, out=out)
+        d = np.subtract.outer(c, c, out=out)
+        return np.square(d, out=d)
 
 
 def kernel_rule(spec: KernelSpec) -> KernelRule:
@@ -197,9 +201,16 @@ def center_gram(K) -> np.ndarray:
 
 
 def median_sq_distance(data: Dataset) -> float:
-    """Median squared distance over all pairs of distinct rows."""
+    """Median squared distance over all pairs of distinct rows.
+
+    np.median's value from one partition: np.median itself imports numpy.ma
+    on its first call, which would cost every process that ranks 6-9 ms.
+    """
     D2 = pairwise_base(data, True)
-    return float(np.median(D2[np.triu_indices(len(D2), 1)]))
+    d = D2[np.triu_indices(len(D2), 1)]
+    m = d.size // 2
+    part = np.partition(d, (m - 1, m))
+    return float(part[m] if d.size % 2 else (part[m - 1] + part[m]) / 2)
 
 
 def sigma_heuristic(data: Dataset) -> float:

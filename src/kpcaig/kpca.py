@@ -115,35 +115,44 @@ def check_determined(spec: KernelSpec, K: np.ndarray, q: int) -> None:
             f"q={q} eigenvectors are not determined; use a smaller sigma")
 
 
-def eigengap(model: FittedKpca) -> tuple[float, float]:
-    """The gap mu_q - mu_{q+1} of K~'s spectrum at the cut q, and its rounding
-    bound 2 n eps (n max|K|).
+def eigengap_bound(K: np.ndarray) -> float:
+    """The rounding bound 2 n eps (n max|K|) on the gap at the cut of K centred.
 
     By Davis-Kahan, rounding error E moves the top-q subspace by sin(theta)
     <= 2 ||E|| / gap, and ||E|| is about n eps ||K||, with ||K||_2 <= n max|K|.
     A gap below the bound leaves that subspace, and so every score, undetermined.
     """
-    n, q = model.n, model.q
-    bound = 2 * n * np.finfo(np.float64).eps * n * np.abs(model.K).max()
-    return float(model.spectrum[q - 1] - model.spectrum[q]), float(bound)
+    n = len(K)
+    return float(2 * n * np.finfo(np.float64).eps * n * np.abs(K).max())
+
+
+def eigengap(model: FittedKpca) -> tuple[float, float]:
+    """The gap mu_q - mu_{q+1} of K~'s spectrum at the cut q, and its rounding
+    bound (``eigengap_bound``)."""
+    q = model.q
+    return float(model.spectrum[q - 1] - model.spectrum[q]), eigengap_bound(model.K)
 
 
 def check_gap(model: FittedKpca) -> None:
-    """Raise DegenerateDataError when the gap at the cut q is below its
-    rounding bound (``eigengap``), naming the tied eigenvalues and the nearest
-    q whose gap clears it. A tie inside the top q is harmless: another
+    """Raise ``tie_error`` when the gap at the cut q is below its rounding
+    bound (``eigengap``). A tie inside the top q is harmless: another
     eigenbasis rotates the alphas and leaves every field row's norm as is."""
     gap, bound = eigengap(model)
-    if gap >= bound:
-        return
-    mu, q = model.spectrum, model.q
+    if gap < bound:
+        raise tie_error(model.spectrum, model.q, gap, bound)
+
+
+def tie_error(mu: np.ndarray, q: int, gap: float, bound: float) -> DegenerateDataError:
+    """The error for a gap at the cut q below its rounding bound, naming the
+    tied eigenvalues among mu (all of K~'s, descending) and the nearest q
+    whose gap clears the bound."""
     clear = np.flatnonzero(mu[:-1] - mu[1:] >= bound) + 1    # each q whose gap clears
     lo, hi = clear[clear < q].max(initial=0), clear[clear > q].min(initial=len(mu))
     nearest = min((c for c in (lo, hi) if 0 < c < len(mu)), key=lambda c: abs(c - q),
                   default=None)
     advice = ("no q clears it" if nearest is None
               else f"the nearest q whose gap clears it is q={nearest}")
-    raise DegenerateDataError(
+    return DegenerateDataError(
         f"eigenvalues mu_{lo + 1}..mu_{hi} of the centred Gram are tied "
         f"({', '.join(f'{v:.15g}' for v in mu[lo:hi])}): the gap at q={q}, {gap:.3g}, "
         f"is below its rounding bound {bound:.3g}, so the top q={q} axes are not "

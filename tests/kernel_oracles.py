@@ -6,8 +6,9 @@ that it gives, its closed-form partial derivative, the dense n x n
 derivative matrix of one feature, and the Gram matrix formulas the package
 must reproduce: bit for bit for the inner-product families, and to 1e-12
 relative for rbf, whose squared distances come here from explicit row
-differences. The permutation baseline's reference rebuilds and
-eigendecomposes the whole Gram of every permuted matrix.
+differences. The permutation baseline has two references: one rebuilds and
+eigendecomposes the whole Gram of every permuted matrix, and one keeps the
+baseline's earlier form, scipy's top-q ``eigh`` of each permuted Gram.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import scipy.linalg
 from scipy.spatial.distance import pdist, squareform
 
 from kpcaig import Dataset, InputError, KernelSpec
-from kpcaig.kernels import center_gram, gram_matrix
+from kpcaig.kernels import center_gram, gram_matrix, kernel_rule, pairwise_base
 
 
 def _check_pair(x, y):
@@ -140,3 +141,36 @@ def permutation_scores_rebuild(X, spec: KernelSpec, q: int, n_perm: int = 1, see
         Xp[:, j] = col
         scores[j] = dists.mean()
     return scores, min_gap
+
+
+def permutation_scores_subset(data: Dataset, spec: KernelSpec, q: int, n_perm: int = 1,
+                              seed: int = 0, metric: str = "subspace") -> np.ndarray:
+    """Permutation scores in the baseline's earlier form: each permuted Gram is
+    the kernel value of the pairwise base with one column's term swapped, its
+    top q eigenvectors come from ``scipy.linalg.eigh(..., subset_by_index=...)``
+    of the centred Gram, and both projectors are built on every draw."""
+    X = data.matrix
+    n, p = X.shape
+    rule = kernel_rule(spec)
+    base = pairwise_base(data, rule.distance)
+    K = gram_matrix(spec, data)
+
+    def leading(Kp):
+        return scipy.linalg.eigh(center_gram(Kp), subset_by_index=[n - q, n - 1])[1]
+
+    U = leading(K)
+    scores = np.empty(p)
+    for j in range(p):
+        col = X[:, j]
+        t = rule.term(col)
+        dists = np.empty(n_perm)
+        for r in range(n_perm):
+            perm = np.random.default_rng([seed, j, r]).permutation(n)
+            Kp = rule.value(base + (rule.term(col[perm]) - t))
+            if metric == "subspace":
+                V = leading(Kp)
+                dists[r] = np.linalg.norm(U @ U.T - V @ V.T, "fro") / np.sqrt(2.0)
+            else:
+                dists[r] = np.linalg.norm(K - Kp, "fro")
+        scores[j] = dists.mean()
+    return scores

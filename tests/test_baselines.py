@@ -19,7 +19,7 @@ from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
 from kpcaig.synthetic import planted_clusters
 
 from generators import OVERFLOWS_WHEN_PERMUTED, repeated_rows, two_blobs
-from kernel_oracles import permutation_scores_rebuild
+from kernel_oracles import permutation_scores_rebuild, permutation_scores_subset
 
 
 def rbf_for(data):
@@ -283,10 +283,11 @@ def test_permutation_identity_gram_names_the_bandwidth(metric):
 
 def test_permutation_short_eigensolve_raises(monkeypatch):
     # on a tied spectrum LAPACK's subset solver can return fewer than q pairs
-    def short_eigh(K, subset_by_index):
-        return np.empty(0), np.empty((len(K), 0))
+    def short_dsyevr(a, *, range, il, iu, **kwargs):
+        n = len(a)
+        return np.zeros(n), np.zeros((n, iu - il + 1)), 0, np.zeros(0, np.int32), 0
 
-    monkeypatch.setattr(scipy.linalg, "eigh", short_eigh)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", short_dsyevr)
     d = two_blobs(12, 4, seed=6)
     with pytest.raises(DegenerateDataError, match="top q=2 eigenvectors are not determined"):
         permutation_importance(d, rbf_for(d), 2)
@@ -458,11 +459,11 @@ def test_an_error_in_a_childs_block_is_raised_with_its_message(monkeypatch):
     message = "planted failure on feature 8"
     seen = []
 
-    def leading_subspace(K_centered, q):
+    def leading_subspace(K_centered, q, **kwargs):
         seen.append(blas_threads())
         if np.allclose(K_centered, target, rtol=0, atol=1e-10):
             raise DegenerateDataError(message)
-        return real(K_centered, q)
+        return real(K_centered, q, **kwargs)
 
     real = baselines._leading_subspace
     monkeypatch.setattr(baselines, "_leading_subspace", leading_subspace)
@@ -475,10 +476,10 @@ def test_an_error_in_a_childs_block_is_raised_with_its_message(monkeypatch):
             with split(forked), pytest.raises(DegenerateDataError) as info:
                 permutation_importance(d, spec, 2, seed=0)
             assert str(info.value) == message
-            # the check before the draws ran at the caller's count, this process's
-            # block of three features at one thread
+            # the check before the draws ran at the caller's count; this process's
+            # reference projector and its block of three features at one thread
             assert seen[0] == [3] * len(before)
-            assert seen[1:4] == [[1] * len(before)] * 3
+            assert seen[1:5] == [[1] * len(before)] * 4
     finally:
         for (_, set_threads), count in zip(parallel._openblas_pools(), before):
             set_threads(count)
@@ -490,9 +491,9 @@ def test_the_baseline_never_forks_or_caps_blas_while_another_thread_runs(monkeyp
     threads = blas_threads()
     seen = []
 
-    def leading_subspace(K_centered, q):
+    def leading_subspace(K_centered, q, **kwargs):
         seen.append(blas_threads())
-        return real(K_centered, q)
+        return real(K_centered, q, **kwargs)
 
     real = baselines._leading_subspace
     monkeypatch.setattr(baselines, "_leading_subspace", leading_subspace)
@@ -533,3 +534,53 @@ def test_a_permuted_gram_that_overflows_raises(metric, forked):
     assert str(info.value) == ("polynomial kernel values overflow float64 at degree=150, "
                                "coef0=0.0; use a lower degree")
 
+
+# --- the direct LAPACK draw -----------------------------------------------------
+
+@needs_openblas_fork
+@pytest.mark.parametrize("forked", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(5, 12), st.integers(3, 6), st.data())
+def test_permutation_matches_the_scipy_subset_form(forked, n, p, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-1, 1, size=p)
+    for j in data.draw(st.sets(st.integers(0, p - 1), max_size=p - 2)):
+        X[:, j] = X[0, j]
+    d = Dataset.from_matrix(X)
+    spec = _draw_kernel(data.draw, d)
+    metric = data.draw(st.sampled_from(["subspace", "gram"]))
+    q = data.draw(st.integers(1, min(3, n - 2)))
+    n_perm = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 1000))
+    try:
+        with split(forked):
+            got = permutation_importance(d, spec, q, n_perm=n_perm, seed=seed, metric=metric)
+    except DegenerateDataError:
+        # a rank, a gap or a spectrum the baseline refuses (tested above): no scores
+        assume(False)
+    ref = permutation_scores_subset(d, spec, q, n_perm=n_perm, seed=seed, metric=metric)
+    assert np.abs(got.scores - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.all(got.scores[np.ptp(X, axis=0) == 0] == 0.0)
+
+
+@needs_openblas_fork
+@pytest.mark.parametrize("forked", [False, True])
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+def test_a_constant_column_scores_exactly_zero(forked, metric):
+    # large enough that the caller's two OpenBLAS threads round the eigensolve
+    # differently from the one thread of every draw
+    d = two_blobs(160, 50, separation=3.0, seed=11)
+    X = d.matrix.copy()
+    X[:, 2] = 0.5
+    d = Dataset.from_matrix(X)
+    before = blas_threads()
+    try:
+        for _, set_threads in parallel._openblas_pools():
+            set_threads(2)
+        with split(forked):
+            scores = permutation_importance(d, rbf_for(d), 3, metric=metric).scores
+    finally:
+        for (_, set_threads), count in zip(parallel._openblas_pools(), before):
+            set_threads(count)
+    assert scores[2] == 0.0
+    assert np.all(np.delete(scores, 2) > 0)

@@ -172,9 +172,13 @@ def test_header_is_the_parsed_options_plus_resolved_values(tmp_path, command, ex
     assert main(full) == 0
     header = header_of(out)
     model = fit_kpca(standardize(load_matrix(src)), KernelSpec("rbf", sigma=0.25), 3)
-    if "q_resolved" in resolved:
+    if "q_resolved" in resolved or command == ["baseline", "permute"]:
         gap, bound = eigengap(model)
         resolved = {**resolved, "eigengap": gap, "eigengap_bound": bound}
+    if command == ["baseline", "permute"]:
+        # the baseline's gap comes from its own subset eigensolve, equal to rounding
+        assert header["eigengap"] == pytest.approx(gap, rel=0, abs=1e-12 * model.eigvals[0])
+        header["eigengap"] = gap
     if command == ["project"]:
         resolved = {**resolved, "eigenvalues": model.eigvals.tolist(),
                     "explained_variance": explained_variance(model).tolist()}
@@ -964,3 +968,56 @@ def test_commands_run_without_scipy(tmp_path):
     ]
     proc = run_python(NO_SCIPY, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_rank_process_loads_only_what_it_runs(tmp_path):
+    # np.median imports numpy.ma on its first call (6-9 ms), and scipy would
+    # add a second BLAS: a fresh process that ranks must load neither
+    src = toy_matrix(tmp_path, n=12, p=6)
+    proc = run_python("import json, sys; from kpcaig.cli import main; "
+                      "code = main(sys.argv[1:]); "
+                      "print(json.dumps([code, sorted(m for m in sys.modules "
+                      "if m == 'numpy.ma' or m.split('.')[0] == 'scipy')]))",
+                      "rank", src, "-o", str(tmp_path / "rank.tsv"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
+def test_entrypoint_freezes_the_heap_before_exit():
+    # the interpreter's last collection would otherwise walk every imported object
+    calls = []
+    with mock.patch("kpcaig.cli.main", side_effect=lambda: calls.append("main") or 3), \
+            mock.patch("gc.freeze", side_effect=lambda: calls.append("freeze")), \
+            pytest.raises(SystemExit) as info:
+        kpcaig.cli.entrypoint()
+    assert info.value.code == 3
+    assert calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+def test_permute_refuses_a_tie_at_the_cut_for_the_subspace_metric(tmp_path, capsys, metric):
+    src = str(tmp_path / "square.tsv")
+    save_matrix(Dataset.from_matrix(SQUARE), src)
+    out = tmp_path / "permute.tsv"
+    argv = ["baseline", "permute", src, "--metric", metric, "-o", str(out)]
+    if metric == "subspace":
+        assert main([*argv, "--q", "1"]) == 3
+        err = capsys.readouterr().err
+        # the message of `rank` on the same file (kpca.tie_error)
+        assert err.startswith("kpcaig: eigenvalues mu_1..mu_2 of the centred Gram are tied "
+                              "(0.864664716763387, 0.864664716763387): the gap at q=1, ")
+        assert err.endswith(", so the top q=1 axes are not determined; "
+                            "the nearest q whose gap clears it is q=2\n")
+        assert not out.exists()
+    else:
+        # the gram metric reads no axes, so a tie costs it nothing; its header says it
+        assert main([*argv, "--q", "1"]) == 0
+        header = header_of(out)
+        assert header["eigengap"] < header["eigengap_bound"]
+    # at q=2 both metrics rank, with the gap and bound of `project` in the header
+    assert main([*argv, "--q", "2"]) == 0
+    gap = header_of(out)
+    assert main(["project", src, "--q", "2", "-o", str(out)]) == 0
+    fit = header_of(out)
+    assert gap["eigengap"] == pytest.approx(fit["eigengap"], rel=0, abs=1e-12)
+    assert gap["eigengap_bound"] == fit["eigengap_bound"]

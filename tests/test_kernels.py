@@ -309,3 +309,14 @@ def test_sigma_heuristic_random_finite():
 def test_sigma_heuristic_degenerate():
     with pytest.raises(DegenerateDataError):
         sigma_heuristic(Dataset.from_matrix(np.ones((5, 2))))
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 40), st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
+def test_median_sq_distance_is_np_median_to_the_bit(n, p, seed, ties):
+    # odd and even pair counts, and (rounded data) repeated distances
+    X = np.random.default_rng(seed).normal(size=(n, p))
+    d = Dataset.from_matrix(np.round(X) if ties else X)
+    D2 = kernels.pairwise_base(d, True)
+    expected = float(np.median(D2[np.triu_indices(n, 1)]))
+    assert kernels.median_sq_distance(d) == expected
