@@ -12,6 +12,10 @@ comes from the Dataset's pairwise base with one column's term swapped, built
 in place in one scratch array, so each (feature, draw) costs O(n^2)
 elementwise work and one direct LAPACK ``dsyevr`` call for the top q
 eigenpairs: one finiteness check, no workspace query and no input copy.
+That ``dsyevr`` is the one in the OpenBLAS numpy itself loaded, called
+through ctypes, so the baseline never imports scipy or its second OpenBLAS;
+scipy's wrapper of the routine runs only where numpy's LAPACK exports no
+ILP64 ``dsyevr`` (MKL, Accelerate, a distro OpenBLAS, no /proc).
 The reference projector U U^T is formed once per process, not per draw.
 Each Gram, the reference and every permuted one, goes to the eigensolver
 as ``kernels._double_centred`` transposed (see ``kernels``), unmirrored.
@@ -22,6 +26,8 @@ returns all their scores as one array.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .data import Dataset
@@ -30,7 +36,7 @@ from .importance import FeatureRanking
 from .kernels import (KernelSpec, _double_centred, column_blocks, gram_matrix, kernel_rule,
                       overflow_error, pairwise_base)
 from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue, eigengap_bound, tie_error
-from .parallel import run_in_blocks
+from .parallel import _openblas_libraries, run_in_blocks
 
 # fewest cells of permuted Gram worth one more process, a draw counting as
 # max(n, 64)^2 cells (below 64 samples its call overhead outweighs its n^2 work):
@@ -116,6 +122,63 @@ def _projection_distance(P: np.ndarray, V: np.ndarray) -> float:
     return _frobenius(D) / np.sqrt(2.0)
 
 
+# numpy's own OpenBLAS (the scipy-openblas64 build its wheels bundle) exports
+# LAPACKE's C entry points with 64-bit integers under this name; through the C
+# ABI a call passes no hidden Fortran string lengths
+_LAPACKE_DSYEVR = "scipy_LAPACKE_dsyevr_work64_"
+_COL_MAJOR = 102   # LAPACK_COL_MAJOR: the routine reads the matrix as Fortran does
+
+
+@functools.cache
+def _numpy_dsyevr():
+    """numpy's own LAPACKE ``dsyevr_work`` with 64-bit integers, as a ctypes
+    function, or None where no loaded OpenBLAS exports it (MKL, Accelerate, a
+    distro OpenBLAS, no /proc). Looked up once per process."""
+    import ctypes
+
+    for lib in _openblas_libraries():
+        if hasattr(lib, _LAPACKE_DSYEVR):
+            fn = getattr(lib, _LAPACKE_DSYEVR)
+            i, x, c, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_char, ctypes.c_void_p
+            # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z,
+            # ldz, isuppz, work, lwork, iwork, liwork
+            fn.argtypes = [ctypes.c_int, c, c, c, i, ptr, i, x, x, i, i, x, ptr, ptr, ptr,
+                           i, ptr, ptr, i, ptr, i]
+            fn.restype = i
+            return fn
+    return None
+
+
+def _dsyevr(a: np.ndarray, il: int, iu: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """LAPACK ``dsyevr``'s eigenpairs il..iu (1-based, ascending) of the symmetric
+    a, read from its lower triangle with abstol 0, as ``(w, z, m, info)``: the m
+    eigenvalues found lead w, z holds their vectors in its first m columns.
+
+    The routine is numpy's own (``_numpy_dsyevr``), at f2py's default workspaces
+    of 26 n doubles and 10 n integers, so its results equal
+    ``scipy.linalg.lapack.dsyevr``'s of the same OpenBLAS release bit for bit and
+    no scipy, with its second OpenBLAS, is loaded. Only where numpy's LAPACK
+    exports no such routine does the call go through scipy's wrapper. Either way
+    a Fortran-ordered float64 a is overwritten in place and any other is copied.
+    """
+    n = len(a)
+    dsyevr = _numpy_dsyevr()
+    if dsyevr is None:
+        from scipy.linalg.lapack import dsyevr as scipy_dsyevr
+
+        w, z, m, _, info = scipy_dsyevr(a, range="I", il=il, iu=iu, lower=1, overwrite_a=1)
+        return w, z, m, info
+    a = np.require(a, np.float64, "FAW")
+    if a.shape != (n, n):      # LAPACK would read past the buffer
+        raise ValueError(f"dsyevr needs a square matrix, got shape {a.shape}")
+    w, z, work = np.empty(n), np.empty((iu - il + 1, n)).T, np.empty(26 * n)
+    m, isuppz, iwork = (np.empty(size, np.int64) for size in (1, 2 * n, 10 * n))
+    info = dsyevr(_COL_MAJOR, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 1.0, il, iu, 0.0,
+                  m.ctypes.data, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data,
+                  work.ctypes.data, 26 * n, iwork.ctypes.data, 10 * n)
+    return w, z, int(m[0]), info
+
+
 def _leading_subspace(Kc: np.ndarray, q: int,
                       gap: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Top-q eigenvalues (ascending) and eigenvectors of a finite centred Gram,
@@ -123,17 +186,16 @@ def _leading_subspace(Kc: np.ndarray, q: int,
     (q+1)-th pair comes first as well, for the gap mu_q - mu_{q+1} at the cut.
 
     One direct ``dsyevr`` call for the index range [n-q+1, n] (from n-q with
-    gap), at f2py's default workspace of 26 n: no query for the optimal one,
-    which was no faster at n = 120 and differs only in rounding. A
-    Fortran-ordered Kc, as ``_double_centred(K).T`` is, is used in place, not
-    copied. A result with fewer pairs than asked raises: the top q axes, or
-    the gap at the cut, are not determined.
+    gap): no query for the optimal workspace, which was no faster at n = 120
+    and differs only in rounding. The routine comes from the LAPACK numpy
+    loaded, through ctypes, and from scipy's wrapper only where numpy's LAPACK
+    exports no ILP64 ``dsyevr`` (see ``_dsyevr``). A Fortran-ordered Kc, as
+    ``_double_centred(K).T`` is, is used in place, not copied. A result with
+    fewer pairs than asked raises: the top q axes, or the gap at the cut, are
+    not determined.
     """
-    # numpy has no subset eigensolver; only this baseline loads scipy
-    from scipy.linalg.lapack import dsyevr
-
     n, k = len(Kc), q + 1 if gap else q
-    mu, U, m, _, info = dsyevr(Kc, range="I", il=n - k + 1, iu=n, lower=1, overwrite_a=1)
+    mu, U, m, info = _dsyevr(Kc, n - k + 1, n)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info={info})")
     if m < k:     # LAPACK can return fewer pairs on a tied spectrum

@@ -36,7 +36,7 @@ from .exceptions import DegenerateDataError, InputError, ParseError
 from .importance import FeatureRanking, arrow_field, rank_features
 from .kernels import KernelSpec
 from .kpca import (FittedKpca, SigmaRule, eigengap, explained_variance, fit_kpca,
-                   project_training, resolve_spec)
+                   project_training, resolve_spec, warn_ties)
 from .synthetic import random_ranking
 
 EXIT_OK = 0
@@ -237,6 +237,7 @@ def _cmd_rank(args, data: Dataset, kernel) -> tuple:
 
 def _cmd_project(args, data: Dataset, kernel) -> tuple:
     model, resolved = _fit(args, data, kernel)
+    warn_ties(model)
     resolved |= {"eigenvalues": model.eigvals.tolist(),
                  "explained_variance": explained_variance(model).tolist()}
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
@@ -254,6 +255,7 @@ def _feature_index(data: Dataset, name: str) -> int:
 
 def _cmd_arrows(args, data: Dataset, kernel) -> tuple:
     model, resolved = _fit(args, data, kernel)
+    warn_ties(model)
     j = _feature_index(data, args.feature)
     points, vectors = zip(*arrow_field(model, j, scale=args.scale))
     return (resolved, ("x", "y", "dx", "dy", "sample_id"),

@@ -1,6 +1,7 @@
 """One array computed in blocks of rows, the first in this process and each
 later one in a forked child; the loader, the permutation baseline and the
-selection curve use it.
+selection curve use it. The OpenBLAS libraries this process has loaded are
+found here too, for their thread counts and the baseline's ``dsyevr``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_nu
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _openblas_pools() -> list:
-    """(get, set) thread-count functions of each OpenBLAS this process has loaded,
-    found by file name in /proc/self/maps; empty without /proc or OpenBLAS."""
+def _openblas_libraries() -> list:
+    """Each OpenBLAS this process has loaded, as a ctypes library, found by file
+    name in /proc/self/maps; empty without /proc or OpenBLAS. Not cached: a
+    second OpenBLAS (scipy's) can load later in the process."""
     import ctypes
 
     try:
@@ -28,14 +30,24 @@ def _openblas_pools() -> list:
                             for line in fh if "openblas" in line})
     except OSError:
         return []
-    pools = []
+    libs = []
     for path in paths:
         if "openblas" not in os.path.basename(path):
             continue
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.CDLL(path))
         except OSError:
-            continue
+            pass
+    return libs
+
+
+def _openblas_pools() -> list:
+    """(get, set) thread-count functions of each OpenBLAS this process has
+    loaded (``_openblas_libraries``); empty without /proc or OpenBLAS."""
+    import ctypes
+
+    pools = []
+    for lib in _openblas_libraries():
         for setter in _OPENBLAS_SETTERS:
             getter = setter.replace("_set_", "_get_")
             if hasattr(lib, setter) and hasattr(lib, getter):

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import sys
@@ -281,18 +282,57 @@ def test_permutation_identity_gram_names_the_bandwidth(metric):
         permutation_importance(d, KernelSpec("rbf", sigma=1e3), 2, metric=metric)
 
 
-def test_permutation_short_eigensolve_raises(monkeypatch):
+needs_numpy_dsyevr = pytest.mark.skipif(
+    baselines._numpy_dsyevr() is None,
+    reason="numpy's LAPACK exports no ILP64 dsyevr, so only scipy's wrapper runs")
+
+
+def test_permutation_short_eigensolve_raises():
     # on a tied spectrum LAPACK's subset solver can return fewer than q pairs
-    def short_dsyevr(a, *, range, il, iu, **kwargs):
+    real = baselines._numpy_dsyevr()
+
+    def short_numpy_dsyevr(*args):
+        info = real(*args)
+        ctypes.c_int64.from_address(args[12]).value = 0    # m, the pairs found
+        return info
+
+    def short_scipy_dsyevr(a, *, range, il, iu, **kwargs):
         n = len(a)
         return np.zeros(n), np.zeros((n, iu - il + 1)), 0, np.zeros(0, np.int32), 0
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsyevr", short_dsyevr)
     d = two_blobs(12, 4, seed=6)
-    with pytest.raises(DegenerateDataError, match="top q=2 eigenvectors are not determined"):
-        permutation_importance(d, rbf_for(d), 2)
-    with pytest.raises(DegenerateDataError, match="top q=2 eigenvalues .* are tied"):
-        permutation_importance(d, KernelSpec("linear"), 2)
+    # numpy's dsyevr where its LAPACK exports one, and scipy's wrapper
+    for lapack in (lambda: short_numpy_dsyevr, lambda: None)[real is None:]:
+        with mock.patch.object(baselines, "_numpy_dsyevr", lapack), \
+                mock.patch.object(scipy.linalg.lapack, "dsyevr", short_scipy_dsyevr):
+            with pytest.raises(DegenerateDataError, match="top q=2 eigenvectors are not determined"):
+                permutation_importance(d, rbf_for(d), 2)
+            with pytest.raises(DegenerateDataError, match="top q=2 eigenvalues .* are tied"):
+                permutation_importance(d, KernelSpec("linear"), 2)
+
+
+@needs_numpy_dsyevr
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 40), st.integers(1, 6), st.booleans(), st.data())
+def test_numpy_dsyevr_equals_scipys_wrapper_bit_for_bit(n, q, gap, data):
+    q = min(q, n - 1 - gap)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d = Dataset.from_matrix(rng.normal(size=(n, data.draw(st.integers(1, 8)))))
+    assume(pairwise_base(d, True).any())
+    Kc = kernels._double_centred(gram_matrix(_draw_kernel(data.draw, d), d)).T
+    k = q + gap
+    runs = []
+    for lapack in (baselines._numpy_dsyevr, lambda: None):    # numpy's LAPACK, then scipy's
+        a = Kc.copy(order="F")
+        with mock.patch.object(baselines, "_numpy_dsyevr", lapack):
+            w, z, m, info = baselines._dsyevr(a, n - k + 1, n)
+        runs.append((w[:m], z[:, :m], m, info, a))
+    (w1, z1, m1, info1, a1), (w2, z2, m2, info2, a2) = runs
+    assert (m1, info1) == (m2, info2)
+    assert w1.tobytes() == w2.tobytes() and z1.tobytes() == z2.tobytes()
+    assert z1.flags.f_contiguous and z2.flags.f_contiguous
+    # both overwrite the input in place, alike
+    assert a1.tobytes() == a2.tobytes()
 
 
 @pytest.mark.parametrize("n, q", [(12, 11), (3, 2)])
@@ -577,10 +617,55 @@ def test_a_constant_column_scores_exactly_zero(forked, metric):
     try:
         for _, set_threads in parallel._openblas_pools():
             set_threads(2)
-        with split(forked):
-            scores = permutation_importance(d, rbf_for(d), 3, metric=metric).scores
+        for lapack in (baselines._numpy_dsyevr, lambda: None):    # numpy's LAPACK, then scipy's
+            with mock.patch.object(baselines, "_numpy_dsyevr", lapack), split(forked):
+                scores = permutation_importance(d, rbf_for(d), 3, metric=metric).scores
+            assert scores[2] == 0.0
+            assert np.all(np.delete(scores, 2) > 0)
     finally:
         for (_, set_threads), count in zip(parallel._openblas_pools(), before):
             set_threads(count)
-    assert scores[2] == 0.0
-    assert np.all(np.delete(scores, 2) > 0)
+
+
+@needs_numpy_dsyevr
+@needs_openblas_fork
+@pytest.mark.parametrize("forked", [False, True])
+@pytest.mark.parametrize("metric", ["subspace", "gram"])
+def test_scipys_dsyevr_scores_equal_numpys_bit_for_bit(forked, metric):
+    # scipy's wrapper runs only where numpy's LAPACK exports no ILP64 dsyevr
+    d = two_blobs(30, 12, separation=3.0, seed=12)
+    runs = []
+    for lapack in (baselines._numpy_dsyevr, lambda: None):
+        with mock.patch.object(baselines, "_numpy_dsyevr", lapack), split(forked):
+            runs.append(permutation_importance(d, rbf_for(d), 3, n_perm=2, seed=3, metric=metric))
+    numpy_run, scipy_run = runs
+    assert numpy_run.scores.tobytes() == scipy_run.scores.tobytes()
+    assert numpy_run.eigengap == scipy_run.eigengap
+
+
+@needs_numpy_dsyevr
+def test_without_proc_maps_the_baseline_runs_on_scipys_dsyevr_in_one_process(monkeypatch):
+    d = two_blobs(30, 12, separation=3.0, seed=12)
+    with split(False):
+        want = permutation_importance(d, rbf_for(d), 3, n_perm=2, seed=3)
+    real_open = open
+
+    def no_maps(path, *args, **kwargs):
+        if path == "/proc/self/maps":
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "_DRAW_CELLS_PER_PROCESS", 1)
+    baselines._numpy_dsyevr.cache_clear()
+    try:
+        with mock.patch("builtins.open", no_maps):
+            assert baselines._numpy_dsyevr() is None and parallel._openblas_pools() == []
+            with mock.patch("os.fork", side_effect=AssertionError("forked")), \
+                    mock.patch.object(scipy.linalg.lapack, "dsyevr",
+                                      wraps=scipy.linalg.lapack.dsyevr) as scipy_dsyevr:
+                got = permutation_importance(d, rbf_for(d), 3, n_perm=2, seed=3)
+    finally:
+        baselines._numpy_dsyevr.cache_clear()
+    assert scipy_dsyevr.call_count == 2 + 12 * 2     # the checks, the projector, every draw
+    assert got.scores.tobytes() == want.scores.tobytes()
+    assert baselines._numpy_dsyevr() is not None

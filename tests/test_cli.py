@@ -23,7 +23,7 @@ from kpcaig.cli import build_parser, main
 from kpcaig.kpca import eigengap
 from kpcaig.synthetic import planted_clusters
 
-from generators import OVERFLOWS_WHEN_PERMUTED, SQUARE, repeated_rows
+from generators import OCTAHEDRON, OVERFLOWS_WHEN_PERMUTED, SQUARE, repeated_rows
 
 
 def toy_matrix(tmp_path, n=10, p=5, seed=0):
@@ -364,6 +364,39 @@ def test_a_tie_at_the_cut_exits_3_and_a_tie_inside_the_top_q_ranks(tmp_path, cap
     assert main(["project", src, "--q", "1", "-o", str(out)]) == 0
     header = header_of(out)
     assert header["eigengap"] < header["eigengap_bound"]
+
+
+def test_project_and_arrows_warn_of_tied_axes_and_still_write_their_tables(tmp_path, capsys):
+    src = str(tmp_path / "square.tsv")
+    save_matrix(Dataset.from_matrix(SQUARE), src)
+    assert main(["rank", src, "--q", "1"]) == 3
+    refusal = capsys.readouterr().err.removeprefix("kpcaig: ")
+    inside = ("kpcaig: warning: eigenvalues mu_1..mu_2 of the centred Gram are tied "
+              "(0.864664716763387, 0.864664716763387), so axes 1..2 of the top q=2 are "
+              "fixed only up to a rotation among themselves\n")
+    out = tmp_path / "out.tsv"
+    for command, options, err in [("project", ["--q", "1"], "kpcaig: warning: " + refusal),
+                                  ("project", ["--q", "2"], inside),
+                                  ("arrows", ["--q", "2", "--feature", "f0"], inside)]:
+        assert main([command, src, *options, "-o", str(out)]) == 0
+        assert capsys.readouterr().err == err
+        assert len(read_table(out)[2]) == 4
+    # a ranking reads no single axis, so a tie inside the top q passes unremarked
+    assert main(["rank", src, "--q", "2", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    # the octahedron at q=4: a tied block at the cut and another inside the top q
+    src = str(tmp_path / "octahedron.tsv")
+    save_matrix(Dataset.from_matrix(OCTAHEDRON), src)
+    assert main(["project", src, "--q", "4", "-o", str(out)]) == 0
+    cut, block = capsys.readouterr().err.splitlines()
+    assert cut.startswith("kpcaig: warning: eigenvalues mu_4..mu_5 of the centred Gram are tied")
+    assert cut.endswith("the nearest q whose gap clears it is q=3")
+    assert block.startswith("kpcaig: warning: eigenvalues mu_1..mu_3 of the centred Gram are tied")
+    assert block.endswith("so axes 1..3 of the top q=4 are fixed only up to a rotation among "
+                          "themselves")
+    # distinct eigenvalues: no warning
+    assert main(["project", toy_matrix(tmp_path), "--q", "3", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -966,8 +999,15 @@ def test_commands_run_without_scipy(tmp_path):
         ["baseline", "laplacian", mpath, "-o", out],
         ["curve", "variance-split", mpath, "--d-grid", "8,30", "--splits", "2", "-o", out],
     ]
+    # the permutation baseline's dsyevr is numpy's own where numpy's LAPACK exports it
+    lapack = baselines_module._numpy_dsyevr() is not None
+    if lapack:
+        commands += [["baseline", "permute", mpath, "-o", out, "--metric", metric]
+                     for metric in ("subspace", "gram")]
     proc = run_python(NO_SCIPY, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
+    if not lapack:
+        pytest.skip("numpy's LAPACK exports no ILP64 dsyevr, so baseline permute loads scipy")
 
 
 def test_a_rank_process_loads_only_what_it_runs(tmp_path):
