@@ -237,7 +237,7 @@ def _cmd_rank(args, data: Dataset, kernel) -> tuple:
 
 def _cmd_project(args, data: Dataset, kernel) -> tuple:
     model, resolved = _fit(args, data, kernel)
-    warn_ties(model)
+    warn_ties(model, model.q)
     resolved |= {"eigenvalues": model.eigvals.tolist(),
                  "explained_variance": explained_variance(model).tolist()}
     cols = ("sample_id",) + tuple(f"pc{k + 1}" for k in range(model.q))
@@ -255,7 +255,7 @@ def _feature_index(data: Dataset, name: str) -> int:
 
 def _cmd_arrows(args, data: Dataset, kernel) -> tuple:
     model, resolved = _fit(args, data, kernel)
-    warn_ties(model)
+    warn_ties(model, 2)    # x, y, dx and dy come from axes 1 and 2
     j = _feature_index(data, args.feature)
     points, vectors = zip(*arrow_field(model, j, scale=args.scale))
     return (resolved, ("x", "y", "dx", "dy", "sample_id"),

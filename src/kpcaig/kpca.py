@@ -159,21 +159,23 @@ def tie_error(mu: np.ndarray, q: int, gap: float, bound: float) -> DegenerateDat
         f"determined; {advice}")
 
 
-def warn_ties(model: FittedKpca) -> None:
-    """Warn of each tie that leaves an axis of the fit undetermined, for the
-    commands that print axes (``project``, ``arrows``): a gap at the cut q below
-    its rounding bound, with ``tie_error``'s text, and each block of tied
-    eigenvalues inside the top q, whose axes are fixed only up to a rotation
-    among themselves. A ranking needs only the first (``check_gap``)."""
+def warn_ties(model: FittedKpca, axes: int) -> None:
+    """Warn of each tie that leaves one of the first ``axes`` axes of the fit
+    undetermined, for the commands that print axes (``project`` prints all q,
+    ``arrows`` the first 2): a gap at the cut q below its rounding bound, with
+    ``tie_error``'s text, and each block of tied eigenvalues inside the top q,
+    whose axes are fixed only up to a rotation among themselves. A tied block
+    that starts past the printed axes leaves them as they are. A ranking needs
+    only the first (``check_gap``)."""
     mu, q = model.spectrum, model.q
     gap, bound = eigengap(model)
-    if gap < bound:
-        warnings.warn(str(tie_error(mu, q, gap, bound)), UserWarning, stacklevel=2)
     # 0 and each c <= q whose gap mu_c - mu_{c+1} clears the bound: two neighbours more
-    # than one apart enclose a tied block (one reaching past q is the cut's, above)
+    # than one apart enclose a tied block (one reaching past q is the cut's)
     cuts = [0, *(np.flatnonzero(mu[:q] - mu[1:q + 1] >= bound) + 1)]
+    if gap < bound and cuts[-1] < axes:
+        warnings.warn(str(tie_error(mu, q, gap, bound)), UserWarning, stacklevel=2)
     for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo > 1:
+        if hi - lo > 1 and lo < axes:
             warnings.warn(f"eigenvalues mu_{lo + 1}..mu_{hi} of the centred Gram are tied "
                           f"({', '.join(f'{v:.15g}' for v in mu[lo:hi])}), so axes "
                           f"{lo + 1}..{hi} of the top q={q} are fixed only up to a rotation "

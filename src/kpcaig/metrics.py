@@ -1,16 +1,85 @@
 """Clustering metrics: k-means, accuracy by optimal matching, NMI, silhouette.
 
-k-means and silhouette import scipy's cdist where they run, so a process
-that only ranks features never loads scipy (and its second BLAS).
+k-means and silhouette take their distances from scipy's compiled kernels
+``cdist_sqeuclidean`` and ``cdist_euclidean``, the functions that
+``scipy.spatial.distance.cdist`` itself dispatches to. They are read from
+the extension module ``scipy/spatial/_distance_pybind``, loaded on its own
+(``_cdist``). It links only the C++ runtime, so k-means and silhouette skip
+scipy.spatial's package import, which pulls in scipy.linalg and
+scipy.sparse and maps scipy's second OpenBLAS. Only where that file is
+missing, fails to load or lacks the kernel does ``cdist`` itself run.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InputError
+
+
+_DISTANCE_MODULE = "scipy.spatial._distance_pybind"
+
+
+@functools.cache
+def _distance_kernels():
+    """scipy's compiled distance module, loaded once per process without
+    running scipy's or scipy.spatial's package import, or None where its
+    file is missing or fails to load (another scipy layout).
+
+    The module is registered under its own name, so a later ``import
+    scipy.spatial`` reuses it, and one that scipy.spatial already loaded is
+    reused here.
+    """
+    if (module := sys.modules.get(_DISTANCE_MODULE)) is not None:
+        return module
+    try:
+        scipy = importlib.util.find_spec("scipy")
+    except ImportError:
+        return None
+    for root in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "spatial", "_distance_pybind" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_DISTANCE_MODULE, path)
+                try:
+                    module = importlib.util.module_from_spec(spec)
+                    spec.loader.exec_module(module)
+                except ImportError:
+                    return None
+                return sys.modules.setdefault(_DISTANCE_MODULE, module)
+    return None
+
+
+def _cdist(XA, XB, metric: str) -> np.ndarray:
+    """``scipy.spatial.distance.cdist(XA, XB, metric)`` for metric
+    "sqeuclidean" or "euclidean", bit for bit.
+
+    ``cdist`` takes both arrays through ``np.asarray``, checks that they are
+    2-D with as many columns, and calls ``cdist_<metric>`` of scipy's
+    compiled distance module; this does the same, with the module loaded on
+    its own (``_distance_kernels``). Where it is missing, fails to load or
+    lacks the kernel, ``cdist`` itself runs, importing scipy.spatial.
+    """
+    kernel = getattr(_distance_kernels(), f"cdist_{metric}", None)
+    if kernel is None:
+        from scipy.spatial.distance import cdist
+        return cdist(XA, XB, metric)
+    XA, XB = np.asarray(XA), np.asarray(XB)
+    if XA.ndim != 2:
+        raise ValueError("XA must be a 2-dimensional array.")
+    if XB.ndim != 2:
+        raise ValueError("XB must be a 2-dimensional array.")
+    if XA.shape[1] != XB.shape[1]:
+        raise ValueError("XA and XB must have the same number of columns "
+                         "(i.e. feature dimension.)")
+    return kernel(XA, XB)
 
 
 @dataclass(frozen=True)
@@ -27,7 +96,6 @@ def _kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
     Each run makes the generator calls a run on its own makes, on the same
     distances, so it draws the same centres.
     """
-    from scipy.spatial.distance import cdist
     m = X.shape[0]
     chosen = np.empty((len(rngs), k), dtype=np.int64)
     for c in range(k):
@@ -41,7 +109,7 @@ def _kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
                 taken = set(chosen[r, :c].tolist())
                 idx = next(i for i in range(m) if i not in taken)
             chosen[r, c] = idx
-        d2 = cdist(X[chosen[:, c]], X, "sqeuclidean")
+        d2 = _cdist(X[chosen[:, c]], X, "sqeuclidean")
         nearest = d2 if c == 0 else np.minimum(nearest, d2)
     return X[chosen]
 
@@ -49,7 +117,6 @@ def _kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
 def _repair_empty(X: np.ndarray, d2: np.ndarray, labels: np.ndarray, k: int) -> None:
     """Give each empty cluster of one run the point farthest from its centroid,
     among clusters that can spare a point; d2 (m x k) and labels change in place."""
-    from scipy.spatial.distance import cdist
     m = len(labels)
     for c in range(k):
         if np.any(labels == c):
@@ -59,7 +126,7 @@ def _repair_empty(X: np.ndarray, d2: np.ndarray, labels: np.ndarray, k: int) -> 
         movable = counts[labels] > 1
         far = int(np.flatnonzero(movable)[own[movable].argmax()])
         labels[far] = c
-        d2[:, c] = cdist(X, X[far:far + 1], "sqeuclidean")[:, 0]
+        d2[:, c] = _cdist(X, X[far:far + 1], "sqeuclidean")[:, 0]
 
 
 def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -94,8 +161,6 @@ def kmeans(coords, k: int, seeds, *, max_iter: int = 300, init_centers=None):
     claiming the point farthest from its assigned centroid (among clusters
     that can spare a point).
     """
-    from scipy.spatial.distance import cdist
-
     # row-major, like the arrays X[labels == c] and X - centers[labels] that a
     # run on its own sums, so every sum below adds in the same order
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(coords, dtype=np.float64)))
@@ -119,7 +184,7 @@ def kmeans(coords, k: int, seeds, *, max_iter: int = 300, init_centers=None):
     rows = np.arange(m)
     for _ in range(max_iter):
         a = active.size
-        d2 = cdist(X, centers[active].reshape(a * k, -1), "sqeuclidean").reshape(m, a, k)
+        d2 = _cdist(X, centers[active].reshape(a * k, -1), "sqeuclidean").reshape(m, a, k)
         lab = np.ascontiguousarray(d2.argmin(axis=2).T)
         sizes = np.bincount((lab + k * np.arange(a)[:, None]).ravel(), minlength=a * k)
         for i in np.flatnonzero(sizes.reshape(a, k).min(axis=1) == 0):
@@ -247,8 +312,6 @@ def silhouette(coords, labels) -> float:
     Points in singleton clusters contribute 0; a single-cluster labeling is
     an error.
     """
-    from scipy.spatial.distance import cdist
-
     X = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     lab = np.asarray(labels).ravel()
     if lab.size != X.shape[0]:
@@ -256,7 +319,7 @@ def silhouette(coords, labels) -> float:
     classes, inv = np.unique(lab, return_inverse=True)
     if classes.size < 2:
         raise InputError("silhouette needs at least 2 clusters")
-    D = cdist(X, X)
+    D = _cdist(X, X, "euclidean")
     counts = np.bincount(inv)
     # per-point mean distance to every cluster
     sums = np.zeros((X.shape[0], classes.size))

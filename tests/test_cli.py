@@ -19,6 +19,7 @@ from kpcaig import (Dataset, KernelSpec, center_gram, explained_variance, fit_kp
 from kpcaig import baselines as baselines_module
 from kpcaig import curves as curves_module
 from kpcaig import data as data_module
+from kpcaig import metrics as metrics_module
 from kpcaig.cli import build_parser, main
 from kpcaig.kpca import eigengap
 from kpcaig.synthetic import planted_clusters
@@ -394,6 +395,9 @@ def test_project_and_arrows_warn_of_tied_axes_and_still_write_their_tables(tmp_p
     assert block.startswith("kpcaig: warning: eigenvalues mu_1..mu_3 of the centred Gram are tied")
     assert block.endswith("so axes 1..3 of the top q=4 are fixed only up to a rotation among "
                           "themselves")
+    # arrows prints axes 1-2 only, which the tie at the cut leaves as they are
+    assert main(["arrows", src, "--q", "4", "--feature", "f0", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == block + "\n"
     # distinct eigenvalues: no warning
     assert main(["project", toy_matrix(tmp_path), "--q", "3", "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
@@ -1021,6 +1025,65 @@ def test_a_rank_process_loads_only_what_it_runs(tmp_path):
                       "rank", src, "-o", str(tmp_path / "rank.tsv"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, []]
+
+
+needs_distance_module = pytest.mark.skipif(
+    metrics_module._distance_kernels() is None,
+    reason="scipy's compiled distance module does not load on its own, so k-means and "
+           "silhouette import scipy.spatial for cdist")
+
+
+@needs_distance_module
+def test_a_curve_process_loads_neither_scipy_spatial_nor_a_second_openblas(tmp_path):
+    # scipy.spatial's package import pulls in scipy.linalg and scipy.sparse and
+    # maps scipy's own OpenBLAS: about 38 MB and 0.13 s that k-means does not need
+    mpath, lpath = planted_files(tmp_path)
+    out = str(tmp_path / "out.tsv")
+    commands = [["curve", "selection", mpath, "--labels", lpath, "--d-grid", "4,8",
+                 "--runs", "3", "-o", out],
+                ["curve", "silhouette", mpath, "--d-grid", "4,8", "--k", "4", "-o", out]]
+    proc = run_python("import json, sys\n"
+                      "from kpcaig.cli import main\n"
+                      "def openblas():\n"
+                      "    with open('/proc/self/maps') as fh:\n"
+                      "        return sorted({ln.split()[-1] for ln in fh if 'openblas' in ln})\n"
+                      "before = openblas()\n"
+                      "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                      "print(json.dumps([codes, before, openblas(), sorted(\n"
+                      "    m for m in sys.modules if m.startswith(('scipy.spatial', "
+                      "'scipy.linalg')))]))", json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert after == before         # numpy's OpenBLAS only
+    assert loaded == ["scipy.spatial._distance_pybind"]
+
+
+DISTANCES = """
+import sys
+import numpy as np
+X = np.random.default_rng(0).normal(size=(9, 4))
+def distances(cdist):
+    return [cdist(X, X[:3], metric).tobytes() for metric in ("sqeuclidean", "euclidean")]
+if sys.argv[1] == "kpcaig":
+    from kpcaig import metrics
+    seam = distances(metrics._cdist)
+    assert [m for m in sys.modules if m.startswith("scipy.spatial")] == [metrics._DISTANCE_MODULE]
+    import scipy.spatial.distance as distance
+else:
+    import scipy.spatial.distance as distance
+    from kpcaig import metrics
+    seam = distances(metrics._cdist)
+assert metrics._distance_kernels() is distance._distance_pybind
+assert seam == distances(distance.cdist)
+"""
+
+
+@needs_distance_module
+@pytest.mark.parametrize("first", ["kpcaig", "scipy"])
+def test_scipy_spatial_and_the_seam_share_one_distance_module(first):
+    proc = run_python(DISTANCES, first)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_entrypoint_freezes_the_heap_before_exit():

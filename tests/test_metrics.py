@@ -1,13 +1,20 @@
+import importlib.machinery
 import itertools
+import os
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from kpcaig import InputError, clustering_accuracy, kmeans, nmi, silhouette
+from kpcaig import (InputError, clustering_accuracy, kmeans, nmi, selection_curve, silhouette,
+                    standardize)
+from kpcaig import curves, metrics
 from kpcaig.metrics import table_accuracy
 from kpcaig.synthetic import planted_clusters
 
@@ -88,17 +95,117 @@ def test_kmeans_separated_blobs_every_seed():
 
 @pytest.mark.parametrize("runs", [1, 4, 20])
 def test_kmeans_distance_calls_do_not_grow_with_restarts(monkeypatch, runs):
-    # lockstep: one cdist call per k-means++ centre and one per Lloyd step,
+    # lockstep: one distance call per k-means++ centre and one per Lloyd step,
     # shared by every restart; blobs this far apart leave no cluster empty,
     # so no repair adds a call
-    import scipy.spatial.distance
     data, _ = planted_clusters(60, 6, 4, 6, within_std=0.3, seed=0)
     calls = []
-    cdist = scipy.spatial.distance.cdist
-    monkeypatch.setattr(scipy.spatial.distance, "cdist",
-                        lambda *a, **kw: calls.append(a) or cdist(*a, **kw))
+    seam = metrics._cdist
+    monkeypatch.setattr(metrics, "_cdist", lambda *a, **kw: calls.append(a) or seam(*a, **kw))
     results = kmeans(data.matrix, 4, range(runs))
     assert len(calls) == 4 + max(res.n_iter for res in results)
+
+
+# --- the distance seam ---------------------------------------------------
+
+needs_distance_module = pytest.mark.skipif(
+    metrics._distance_kernels() is None,
+    reason="scipy's compiled distance module does not load on its own, so only cdist runs")
+
+METRICS = ["sqeuclidean", "euclidean"]
+
+
+def points(rng, m, d, form):
+    """An m x d array of the given form: float64 rows, a strided view, or integers."""
+    if form == "int":
+        return rng.integers(-4, 5, size=(m, d))
+    big = rng.normal(size=(2 * m, 2 * d)) * 10.0 ** rng.integers(-3, 4)
+    return big[::2, ::-2] if form == "view" else np.ascontiguousarray(big[:m, :d])
+
+
+@needs_distance_module
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 40),
+       st.sampled_from(["rows", "view", "int"]), st.sampled_from(["rows", "view", "int"]),
+       st.booleans(), st.sampled_from(METRICS), st.data())
+def test_cdist_seam_equals_scipys_cdist_bit_for_bit(ma, mb, d, form_a, form_b, repeat, metric,
+                                                    data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    XA = points(rng, ma, d, form_a)
+    # repeated rows: XB drawn with replacement from XA's rows
+    XB = XA[rng.integers(ma, size=mb)] if repeat else points(rng, mb, d, form_b)
+    want = cdist(XA, XB, metric)
+    got = metrics._cdist(XA, XB, metric)
+    assert got.dtype == want.dtype and got.shape == want.shape == (len(XA), len(XB))
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_distance_module
+@pytest.mark.parametrize("metric", METRICS)
+def test_cdist_seam_refuses_what_cdist_refuses(metric):
+    one = np.array([[2.5]])
+    assert metrics._cdist(one, one, metric).tobytes() == cdist(one, one, metric).tobytes()
+    for XA, XB in [(np.zeros((3, 2)), np.zeros((2, 3))), (np.zeros(3), np.zeros((2, 3))),
+                   (np.zeros((2, 3)), np.zeros((1, 2, 3)))]:
+        with pytest.raises(ValueError) as want:
+            cdist(XA, XB, metric)
+        with pytest.raises(ValueError) as got:
+            metrics._cdist(XA, XB, metric)
+        assert str(got.value) == str(want.value)
+
+
+def clusterings(data, order, forked: bool):
+    """k-means results, a silhouette and a selection curve, its points split over
+    three processes or computed in one."""
+    X = data.matrix[:, order[:6]]
+    results = kmeans(X, 4, range(6))
+    with mock.patch.object(curves, "_SAMPLE_RUNS_PER_PROCESS", 1 if forked else sys.maxsize), \
+            mock.patch("os.sched_getaffinity", return_value={0, 1, 2}, create=True), \
+            mock.patch("os.fork", wraps=os.fork) as fork:
+        curve = selection_curve(data, order, data.labels, 4, [1, 2, 5, 9, 12], runs=4, seed=3)
+    assert fork.call_count == (2 if forked else 0)
+    return ([(res.labels.tobytes(), res.n_iter, res.inertia) for res in results],
+            silhouette(X[:, :2], results[0].labels), curve)
+
+
+@needs_distance_module
+@pytest.mark.parametrize("forked", [False, pytest.param(True, marks=pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="os.fork is missing"))])
+def test_without_the_distance_module_cdist_gives_the_same_clusterings(forked):
+    data = standardize(planted_clusters(50, 30, 4, 8, within_std=0.5, seed=4)[0])
+    order = np.random.default_rng(1).permutation(data.p)
+    with mock.patch.object(scipy.spatial.distance, "cdist",
+                           wraps=scipy.spatial.distance.cdist) as fallback:
+        runs = [clusterings(data, order, forked)]
+        assert fallback.call_count == 0
+        with mock.patch.object(metrics, "_distance_kernels", lambda: None):
+            runs.append(clusterings(data, order, forked))
+        assert fallback.call_count > 0
+    (fits, sil, curve), (fits_cdist, sil_cdist, curve_cdist) = runs
+    assert fits == fits_cdist
+    assert sil == sil_cdist
+    assert curve == curve_cdist
+
+
+@needs_distance_module
+def test_a_missing_distance_module_file_falls_back_to_cdist(monkeypatch):
+    data = standardize(planted_clusters(50, 30, 4, 8, within_std=0.5, seed=4)[0])
+    order = np.arange(data.p)
+    want = clusterings(data, order, False)
+    metrics._distance_kernels.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.delitem(sys.modules, metrics._DISTANCE_MODULE)
+            patch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+            assert metrics._distance_kernels() is None
+            with mock.patch.object(scipy.spatial.distance, "cdist",
+                                   wraps=scipy.spatial.distance.cdist) as fallback:
+                got = clusterings(data, order, False)
+            assert fallback.call_count > 0
+    finally:
+        metrics._distance_kernels.cache_clear()
+    assert got == want
+    assert metrics._distance_kernels() is sys.modules[metrics._DISTANCE_MODULE]
 
 
 def test_kmeans_k_equals_m():
