@@ -16,7 +16,8 @@ That ``dsyevr`` is the one in the OpenBLAS numpy itself loaded, called
 through ctypes, so the baseline never imports scipy or its second OpenBLAS;
 scipy's wrapper of the routine runs only where numpy's LAPACK exports no
 ILP64 ``dsyevr`` (MKL, Accelerate, a distro OpenBLAS, no /proc).
-The reference projector U U^T is formed once per process, not per draw.
+The unpermuted Gram and its checks are a fit's (``kpca.centred_spectrum``);
+the reference projector U U^T is formed once per process, not per draw.
 Each Gram, the reference and every permuted one, goes to the eigensolver
 as ``kernels._double_centred`` transposed (see ``kernels``), unmirrored.
 The features are scored in blocks, one per CPU, by this process and forked
@@ -33,9 +34,9 @@ import numpy as np
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
-from .kernels import (KernelSpec, _double_centred, column_blocks, gram_matrix, kernel_rule,
-                      overflow_error, pairwise_base)
-from .kpca import EIG_DROP_REL, check_determined, check_top_eigenvalue, eigengap_bound, tie_error
+from .kernels import (KernelSpec, _double_centred, column_blocks, kernel_rule, overflow_error,
+                      pairwise_base)
+from .kpca import EIG_DROP_REL, centred_spectrum, check_determined, eigengap_bound, tie_error
 from .parallel import _openblas_libraries, run_in_blocks
 
 # fewest cells of permuted Gram worth one more process, a draw counting as
@@ -106,17 +107,8 @@ def _frobenius(D: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->", D, D)))
 
 
-def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
-    """Projection-metric distance between the column spans of U and V.
-
-    For orthonormal q-column bases the value lies in [0, sqrt(q)] and is 0
-    exactly when the subspaces coincide.
-    """
-    return _projection_distance(U @ U.T, V)
-
-
 def _projection_distance(P: np.ndarray, V: np.ndarray) -> float:
-    # subspace_distance with the first span's projector P = U U^T formed by the caller
+    # the projection metric, 0 to sqrt(q), between span(U), given as P = U U^T, and span(V)
     D = V @ V.T
     D -= P
     return _frobenius(D) / np.sqrt(2.0)
@@ -179,29 +171,27 @@ def _dsyevr(a: np.ndarray, il: int, iu: int) -> tuple[np.ndarray, np.ndarray, in
     return w, z, int(m[0]), info
 
 
-def _leading_subspace(Kc: np.ndarray, q: int,
-                      gap: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _leading_subspace(Kc: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-q eigenvalues (ascending) and eigenvectors of a finite centred Gram,
-    read from its lower triangle, which the call may overwrite; with gap, the
-    (q+1)-th pair comes first as well, for the gap mu_q - mu_{q+1} at the cut.
+    read from its lower triangle, which the call may overwrite: the reference
+    projector of each block of features and every permuted Gram's axes.
 
-    One direct ``dsyevr`` call for the index range [n-q+1, n] (from n-q with
-    gap): no query for the optimal workspace, which was no faster at n = 120
-    and differs only in rounding. The routine comes from the LAPACK numpy
-    loaded, through ctypes, and from scipy's wrapper only where numpy's LAPACK
-    exports no ILP64 ``dsyevr`` (see ``_dsyevr``). A Fortran-ordered Kc, as
+    One direct ``dsyevr`` call for the index range [n-q+1, n]: no query for
+    the optimal workspace, which was no faster at n = 120 and differs only in
+    rounding. The routine comes from the LAPACK numpy loaded, through ctypes,
+    and from scipy's wrapper only where numpy's LAPACK exports no ILP64
+    ``dsyevr`` (see ``_dsyevr``). A Fortran-ordered Kc, as
     ``_double_centred(K).T`` is, is used in place, not copied. A result with
-    fewer pairs than asked raises: the top q axes, or the gap at the cut, are
-    not determined.
+    fewer pairs than asked raises: the top q axes are not determined.
     """
-    n, k = len(Kc), q + 1 if gap else q
-    mu, U, m, info = _dsyevr(Kc, n - k + 1, n)
+    n = len(Kc)
+    mu, U, m, info = _dsyevr(Kc, n - q + 1, n)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info={info})")
-    if m < k:     # LAPACK can return fewer pairs on a tied spectrum
+    if m < q:     # LAPACK can return fewer pairs on a tied spectrum
         raise DegenerateDataError(f"the top q={q} eigenvalues of the centred Gram matrix are "
                                   f"tied, so its top q={q} eigenvectors are not determined")
-    return mu[:k], U
+    return mu[:q], U
 
 
 def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
@@ -227,12 +217,12 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     at the caller's thread counts), where os.fork is missing, or where no
     OpenBLAS is found. A block that no child scored is scored again here,
     at the caller's thread counts, so an error is raised as one process
-    would raise it. The subspace metric needs q <= n-2: at q = n-1 the top
-    axes span the whole centred space and every distance is rounding noise.
-    It also refuses a gap mu_q - mu_{q+1} of the centred Gram below its
-    rounding bound (``kpca.eigengap_bound``) with ``kpca.tie_error``; the
-    ranking carries that gap and bound, for both metrics. A permuted Gram
-    that overflows float64 raises the DegenerateDataError that
+    would raise it. K and its spectrum come from ``kpca.centred_spectrum``, so
+    both metrics refuse what a fit refuses. The subspace metric reads the
+    top-q axes, so it also needs q <= n-2 (at q = n-1 they span the whole
+    centred space and every distance is rounding noise), q within the rank a
+    fit keeps and a gap at the cut that ``kpca.check_gap`` would pass. A
+    permuted Gram that overflows float64 raises the DegenerateDataError that
     ``gram_matrix`` raises for the unpermuted one.
     """
     if n_perm < 1:
@@ -251,8 +241,18 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
             "noise; use q <= n-2")
     rule = kernel_rule(spec)
     base = pairwise_base(data, rule.distance)
-    K = gram_matrix(spec, data)
+    K, mu, _ = centred_spectrum(data, spec)
     check_determined(spec, K, q)
+    if metric == "subspace":
+        rank = int(np.count_nonzero(mu > EIG_DROP_REL * mu[0]))
+        if rank < q:
+            raise DegenerateDataError(
+                f"q={q} exceeds the numerical rank of the centred Gram matrix: only {rank} "
+                f"of its eigenvalues exceed {EIG_DROP_REL:g} times the largest, so its top "
+                f"q={q} eigenvectors are not determined; use q <= {rank}")
+        gap, bound = float(mu[q - 1] - mu[q]), eigengap_bound(K)
+        if gap < bound:
+            raise tie_error(mu, q, gap, bound)
 
     def centred(Kp):
         # the eigensolver's input, which LAPACK needs finite
@@ -260,22 +260,6 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
         if not np.isfinite(Kc).all():
             raise overflow_error(spec)
         return Kc
-
-    # both metrics refuse a kernel whose spectrum is rounding noise and report
-    # the gap at the cut; only the subspace metric reads the top-q axes, so only
-    # it needs q within the rank and the gap above its rounding bound
-    mu = _leading_subspace(centred(K), q, gap=True)[0]
-    check_top_eigenvalue(data, spec, K, mu[-1])
-    gap, bound = float(mu[1] - mu[0]), eigengap_bound(K)
-    if metric == "subspace":
-        rank = int(np.count_nonzero(mu[1:] > EIG_DROP_REL * mu[-1]))
-        if rank < q:
-            raise DegenerateDataError(
-                f"q={q} exceeds the numerical rank of the centred Gram matrix: only {rank} "
-                f"of its eigenvalues exceed {EIG_DROP_REL:g} times the largest, so its top "
-                f"q={q} eigenvectors are not determined; use q <= {rank}")
-        if gap < bound:
-            raise tie_error(_leading_subspace(centred(K), n)[0][::-1], q, gap, bound)
 
     def score(lo, hi):
         if metric == "subspace":
@@ -310,4 +294,4 @@ def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
     if not np.isfinite(scores).all():
         raise overflow_error(spec)
     order = np.lexsort((np.arange(p), -scores))
-    return FeatureRanking(scores, order, eigengap=(gap, bound))
+    return FeatureRanking(scores, order)

@@ -8,8 +8,8 @@ placed before the command or variant word, whose message says where it goes.
 checked before any ranking is computed. Each command writes exactly one table,
 which starts with a ``# ``-prefixed JSON comment: the command's options as parsed
 plus the values resolved from the data (``sigma_resolved``, ``q_resolved``,
-``eigengap`` and ``eigengap_bound`` of a fit or of the permutation baseline,
-a curve's ranking included;
+``eigengap`` and ``eigengap_bound`` of the fit behind ``rank``, ``project``,
+``arrows``, ``baseline permute`` and a curve's kpcaig or permute ranking;
 ``project``'s ``eigenvalues`` and ``explained_variance``; a curve's expanded
 ``d_grid`` and ``k``). Identical command lines give byte-identical output.
 Warnings print once each as ``kpcaig: warning: ...``. Exit codes: 0 success,
@@ -217,16 +217,14 @@ def _fit(args, data: Dataset, kernel) -> tuple[FittedKpca, dict]:
 
 
 def _ranking(args, data: Dataset, kernel, method: str, **options) -> tuple[FeatureRanking, dict]:
-    """The ranking by method (kpcaig, laplacian or permute), given its options,
-    and the values it resolved from the data."""
+    """The ranking by method (kpcaig, laplacian or permute), given its options, and
+    the values resolved from the data: those of the fit that kpcaig and permute read."""
     if method == "laplacian":
         return laplacian_score(data, **options), {}
-    if method == "permute":
-        spec = resolve_spec(*kernel, data, args.q)
-        ranking = permutation_importance(data, spec, args.q, seed=args.seed, **options)
-        gap, bound = ranking.eigengap
-        return ranking, {"sigma_resolved": spec.sigma, "eigengap": gap, "eigengap_bound": bound}
     model, resolved = _fit(args, data, kernel)
+    if method == "permute":
+        return permutation_importance(data, model.kernel, args.q, seed=args.seed,
+                                      **options), resolved
     return rank_features(model), resolved
 
 

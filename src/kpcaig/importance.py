@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import InputError
 from .kpca import FittedKpca, check_determined, check_gap, project_training
-from .kernels import column_blocks, kernel_rule, pairwise_base
+from .kernels import column_blocks, kernel_rule, overflow_error, pairwise_base
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,6 @@ class FeatureRanking:
     scores: np.ndarray              # p scores
     order: np.ndarray               # feature indices, best first (Laplacian: lowest score)
     stds: np.ndarray | None = None  # kpcaig: population std of the n per-sample norms
-    eigengap: tuple[float, float] | None = None  # permute: mu_q - mu_{q+1} and its bound
 
 
 def _fields(model: FittedKpca, blocks):
@@ -77,7 +76,8 @@ def rank_features(model: FittedKpca) -> FeatureRanking:
 
     Raises DegenerateDataError when the top-q axes are not determined: an rbf
     Gram that is exactly I (``kpca.check_determined``), or a gap at the cut q
-    below its rounding bound (``kpca.check_gap``).
+    below its rounding bound (``kpca.check_gap``); and when a field overflows
+    float64, as one of a high polynomial degree can where K is finite.
     """
     check_determined(model.kernel, model.K, model.q)
     check_gap(model)
@@ -85,10 +85,13 @@ def rank_features(model: FittedKpca) -> FeatureRanking:
     blocks = column_blocks(p, 8 * n * model.q)     # q x n x c fields a block
     scores = np.empty(p)
     stds = np.empty(p)
-    for cols, W in zip(blocks, _fields(model, blocks)):
-        norms = np.sqrt(np.einsum("kic,kic->ic", W, W))
-        scores[cols] = norms.mean(axis=0)
-        stds[cols] = norms.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):   # the error below says it
+        for cols, W in zip(blocks, _fields(model, blocks)):
+            norms = np.sqrt(np.einsum("kic,kic->ic", W, W))
+            scores[cols] = norms.mean(axis=0)
+            stds[cols] = norms.std(axis=0)
+    if not (np.isfinite(scores).all() and np.isfinite(stds).all()):
+        raise overflow_error(model.kernel)
     order = np.lexsort((np.arange(p), -scores))
     return FeatureRanking(scores, order, stds)
 

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
 from .kernels import (KernelSpec, _double_centred, center_gram, gram_matrix, median_sq_distance,
-                      pairwise_base, sigma_heuristic)
+                      overflow_error, pairwise_base, sigma_heuristic)
 
 # relative cutoff below which an eigenvalue is treated as numerically zero
 EIG_DROP_REL = 1e-10
@@ -56,6 +56,24 @@ class FittedKpca:
         return float(self.spectrum[self.spectrum > 0].sum())
 
 
+def centred_spectrum(data: Dataset, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gram K of spec on data, with all eigenvalues (descending) and
+    eigenvectors of K centred from one ``np.linalg.eigh``: the spectrum that a
+    fit and the permutation baseline read. Raises DegenerateDataError when K
+    or its centring overflows float64, or ``check_top_eigenvalue`` fails."""
+    K = gram_matrix(spec, data)
+    with np.errstate(over="ignore", invalid="ignore"):   # the error below says it
+        Kc = _double_centred(K).T
+    if not np.isfinite(Kc).all():
+        raise overflow_error(spec)
+    # numpy's LAPACK, not scipy's: scipy ships a second OpenBLAS, and right after
+    # a call into it the two thread pools contend and numpy's products slow down
+    evals, evecs = np.linalg.eigh(Kc)
+    evals = evals[::-1]
+    check_top_eigenvalue(data, spec, K, evals[0])
+    return K, evals, evecs[:, ::-1]
+
+
 def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     """Fit kernel PCA with q retained components.
 
@@ -67,16 +85,9 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     """
     if q < 1:
         raise InputError(f"q must be >= 1, got {q}")
-    n = data.n
-    K = gram_matrix(spec, data)
-    # numpy's LAPACK, not scipy's: scipy ships a second OpenBLAS, and right after
-    # a call into it the two thread pools contend and numpy's products slow down
-    evals, evecs = np.linalg.eigh(_double_centred(K).T)
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
-    check_top_eigenvalue(data, spec, K, evals[0])
+    K, evals, evecs = centred_spectrum(data, spec)
     rank = int(np.count_nonzero(evals > EIG_DROP_REL * evals[0]))
-    q_eff = min(q, rank, n - 1)
+    q_eff = min(q, rank, data.n - 1)
     if q_eff < q:
         warnings.warn(f"requested q={q} exceeds the numerically valid rank; "
                       f"reduced to q={q_eff}", UserWarning, stacklevel=2)

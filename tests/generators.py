@@ -1,6 +1,7 @@
 """Seeded toy data for tests: two separated blobs, a noisy closed curve,
-repeated rows, a matrix whose permuted polynomial Grams overflow, and two
-symmetric point sets whose centred rbf Grams have tied eigenvalues."""
+repeated rows, two matrices whose finite polynomial Grams overflow once
+permuted or centred, and two symmetric point sets whose centred rbf Grams
+have tied eigenvalues."""
 
 import numpy as np
 
@@ -36,6 +37,11 @@ def repeated_rows() -> Dataset:
 # 3.6e302, 10^300 times 1.01^150), but permuting any column makes some values overflow
 OVERFLOWS_WHEN_PERMUTED = np.array([[10, 0, 1], [0, 10, 2], [3, 1, 0], [1, 3, 5], [2, 2, 2]],
                                    dtype=np.float64)
+
+# 6 x 3: at polynomial degree 152 and coef0 0 its Gram is finite (largest value
+# 2.07e307), but its row sums, and so its double centring, overflow
+OVERFLOWS_WHEN_CENTRED = np.array([[10.25, 0, 0], [10.25, .3, 0], [10.25, 0, .3],
+                                   [10.25, -.3, 0], [10.25, 0, -.3], [10.25, .2, .2]])
 
 
 # the vertices of a square and of an octahedron, +-e_i: at the median sigma the

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -13,13 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpcaig import (Dataset, DegenerateDataError, FeatureRanking, InputError, KernelSpec,
-                    laplacian_score, permutation_importance, sigma_heuristic)
-from kpcaig import baselines, kernels, parallel
-from kpcaig.baselines import subspace_distance
+                    fit_kpca, laplacian_score, permutation_importance, sigma_heuristic)
+from kpcaig import baselines, kernels, kpca, parallel
+from kpcaig.baselines import _projection_distance
 from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
+from kpcaig.kpca import check_gap
 from kpcaig.synthetic import planted_clusters
 
-from generators import OVERFLOWS_WHEN_PERMUTED, repeated_rows, two_blobs
+from generators import OCTAHEDRON, OVERFLOWS_WHEN_PERMUTED, SQUARE, repeated_rows, two_blobs
 from kernel_oracles import permutation_scores_rebuild, permutation_scores_subset
 
 
@@ -178,6 +180,11 @@ def orthonormal(n, q, seed):
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.normal(size=(n, q)))
     return Q
+
+
+def subspace_distance(U, V):
+    # the baseline's distance, with the first span's projector formed as it forms it
+    return _projection_distance(U @ U.T, V)
 
 
 def test_subspace_distance_identity_and_symmetry():
@@ -358,9 +365,10 @@ def test_permutation_q_above_numerical_rank_raises():
 
 def test_permutation_one_pairwise_pass():
     d = two_blobs(12, 5, seed=7)
-    # patched where baselines looks it up: one Gram per call, none per draw
+    # patched where the fit's spectrum, which the baseline reads, looks it up:
+    # one Gram per call, none per draw
     with mock.patch.object(kernels, "_pairs", wraps=kernels._pairs) as pairs, \
-            mock.patch.object(baselines, "gram_matrix", wraps=kernels.gram_matrix) as grams:
+            mock.patch.object(kpca, "gram_matrix", wraps=kernels.gram_matrix) as grams:
         spec = KernelSpec("rbf", sigma=sigma_heuristic(d))
         for metric in ("subspace", "gram"):
             permutation_importance(d, spec, 2, n_perm=2, metric=metric)
@@ -428,6 +436,44 @@ def test_permutation_matches_rebuild_reference(n, p, data):
     assert np.abs(got.scores - ref).max() <= tol
     # the order follows the reference except among scores tied at that level
     assert np.all(np.diff(ref[got.order]) <= tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["repeated", "square", "octahedron"]), st.data())
+def test_the_subspace_metric_refuses_a_rank_or_a_tie_exactly_where_a_fit_does(shape, data):
+    # distinct rows repeated, for a rank below n-1, with jitter that puts eigenvalues
+    # on either side of the rank cutoff, or a symmetric set, for ties
+    if shape == "repeated":
+        n, p, k, jitter = (data.draw(st.integers(lo, hi))
+                           for lo, hi in ((4, 9), (1, 5), (2, 9), (3, 16)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.normal(size=(k, p))[np.arange(n) % k] + 10.0 ** -jitter * rng.normal(size=(n, p))
+    else:
+        X = (SQUARE if shape == "square" else OCTAHEDRON) * data.draw(st.floats(0.1, 10.0))
+    d = Dataset.from_matrix(X)
+    spec = _draw_kernel(data.draw, d)
+    q = data.draw(st.integers(1, len(X) - 2))
+    with warnings.catch_warnings(record=True) as lowered:
+        warnings.simplefilter("always")
+        model = fit_kpca(d, spec, q)
+    if model.q < q:
+        assert "reduced to q=" in str(lowered[0].message)
+        want = (f"q={q} exceeds the numerical rank of the centred Gram matrix: "
+                f"only {model.q} of its eigenvalues")
+    else:
+        try:
+            check_gap(model)
+            want = None
+        except DegenerateDataError as e:
+            want = str(e)
+    try:
+        permutation_importance(d, spec, q, metric="subspace")
+        got = None
+    except DegenerateDataError as e:
+        got = str(e)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.startswith(want)
 
 
 # --- forked blocks -------------------------------------------------------------
@@ -516,10 +562,9 @@ def test_an_error_in_a_childs_block_is_raised_with_its_message(monkeypatch):
             with split(forked), pytest.raises(DegenerateDataError) as info:
                 permutation_importance(d, spec, 2, seed=0)
             assert str(info.value) == message
-            # the check before the draws ran at the caller's count; this process's
-            # reference projector and its block of three features at one thread
-            assert seen[0] == [3] * len(before)
-            assert seen[1:5] == [[1] * len(before)] * 4
+            # this process's reference projector and its block of three features
+            # at one thread (the checks read the fit's eigh, not this solver)
+            assert seen[:4] == [[1] * len(before)] * 4
     finally:
         for (_, set_threads), count in zip(parallel._openblas_pools(), before):
             set_threads(count)
@@ -640,7 +685,6 @@ def test_scipys_dsyevr_scores_equal_numpys_bit_for_bit(forked, metric):
             runs.append(permutation_importance(d, rbf_for(d), 3, n_perm=2, seed=3, metric=metric))
     numpy_run, scipy_run = runs
     assert numpy_run.scores.tobytes() == scipy_run.scores.tobytes()
-    assert numpy_run.eigengap == scipy_run.eigengap
 
 
 @needs_numpy_dsyevr
@@ -666,6 +710,6 @@ def test_without_proc_maps_the_baseline_runs_on_scipys_dsyevr_in_one_process(mon
                 got = permutation_importance(d, rbf_for(d), 3, n_perm=2, seed=3)
     finally:
         baselines._numpy_dsyevr.cache_clear()
-    assert scipy_dsyevr.call_count == 2 + 12 * 2     # the checks, the projector, every draw
+    assert scipy_dsyevr.call_count == 1 + 12 * 2     # the projector, every draw
     assert got.scores.tobytes() == want.scores.tobytes()
     assert baselines._numpy_dsyevr() is not None

@@ -24,7 +24,8 @@ from kpcaig.cli import build_parser, main
 from kpcaig.kpca import eigengap
 from kpcaig.synthetic import planted_clusters
 
-from generators import OCTAHEDRON, OVERFLOWS_WHEN_PERMUTED, SQUARE, repeated_rows
+from generators import (OCTAHEDRON, OVERFLOWS_WHEN_CENTRED, OVERFLOWS_WHEN_PERMUTED, SQUARE,
+                        repeated_rows)
 
 
 def toy_matrix(tmp_path, n=10, p=5, seed=0):
@@ -152,7 +153,7 @@ FIT_RESOLVED = {"sigma_resolved": 0.25, "q_resolved": 3}
     (["project"], [], FIT_RESOLVED),
     (["arrows"], ["--feature", "f1"], FIT_RESOLVED),
     (["baseline", "laplacian"], [], {}),
-    (["baseline", "permute"], [], {"sigma_resolved": 0.25}),
+    (["baseline", "permute"], [], FIT_RESOLVED),
     (["curve", "selection"], ["--d-grid", "2:4:2", "--runs", "2", "--labels", "LABELS"],
      {**FIT_RESOLVED, "d_grid": [2, 4], "k": 2}),
     (["curve", "silhouette"], ["--d-grid", "2:4:2", "--k", "3"],
@@ -173,13 +174,9 @@ def test_header_is_the_parsed_options_plus_resolved_values(tmp_path, command, ex
     assert main(full) == 0
     header = header_of(out)
     model = fit_kpca(standardize(load_matrix(src)), KernelSpec("rbf", sigma=0.25), 3)
-    if "q_resolved" in resolved or command == ["baseline", "permute"]:
+    if "q_resolved" in resolved:
         gap, bound = eigengap(model)
         resolved = {**resolved, "eigengap": gap, "eigengap_bound": bound}
-    if command == ["baseline", "permute"]:
-        # the baseline's gap comes from its own subset eigensolve, equal to rounding
-        assert header["eigengap"] == pytest.approx(gap, rel=0, abs=1e-12 * model.eigvals[0])
-        header["eigengap"] = gap
     if command == ["project"]:
         resolved = {**resolved, "eigenvalues": model.eigvals.tolist(),
                     "explained_variance": explained_variance(model).tolist()}
@@ -329,18 +326,19 @@ def test_readme_option_table_matches_the_parsers(capsys):
 
 
 @pytest.mark.parametrize("variant", ["selection", "silhouette"])
-@pytest.mark.parametrize("ranking, command, keys", [
-    ("kpcaig", ["rank"], ("sigma_resolved", "q_resolved")),
-    ("permute", ["baseline", "permute"], ("sigma_resolved",)),
+@pytest.mark.parametrize("ranking, command", [
+    ("kpcaig", ["rank"]),
+    ("permute", ["baseline", "permute"]),
 ], ids=["kpcaig", "permute"])
-def test_curve_header_names_what_its_ranking_resolved(tmp_path, variant, ranking, command, keys):
+def test_curve_header_names_what_its_ranking_resolved(tmp_path, variant, ranking, command):
     mpath, lpath = planted_files(tmp_path)
     grid = ["--sigma", "grid:1e-3,1e-2", "--q", "3"]
     ranked, curve = tmp_path / "ranked.tsv", tmp_path / "curve.tsv"
     assert main([*command, mpath, *grid, "-o", str(ranked)]) == 0
     assert main(["curve", variant, mpath, *grid, "--ranking", ranking, "--labels", lpath,
                  "--d-grid", "8,16", "-o", str(curve)]) == 0
-    expected = {key: header_of(ranked)[key] for key in keys}
+    # both rankings read a fit, whose sigma and q they resolve
+    expected = {key: header_of(ranked)[key] for key in ("sigma_resolved", "q_resolved")}
     assert expected["sigma_resolved"] in (1e-3, 1e-2)
     assert {key: value for key, value in header_of(curve).items()
             if key.endswith("_resolved")} == expected
@@ -747,15 +745,33 @@ def test_noise_level_kernel_exits_3(tmp_path, capsys, command, sigma):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["rank"], ["project"], ["baseline", "permute"]])
+# (<x, y> + 10)^400 overflows float64 on the diagonal and most pairs
+TOY_OVERFLOWS = ["TOY", "--degree", "400", "--coef0", "10"]
+# the Gram is finite, but centring it overflows (generators.OVERFLOWS_WHEN_CENTRED)
+CENTRED_OVERFLOWS = ["CENTRED", "--no-standardize", "--degree", "152", "--coef0", "0"]
+# the Gram and its fit are finite, but the gradient fields overflow
+FIELDS_OVERFLOW = ["PERMUTED", "--no-standardize", "--degree", "152", "--coef0", "0"]
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", *TOY_OVERFLOWS], ["project", *TOY_OVERFLOWS], ["baseline", "permute", *TOY_OVERFLOWS],
+    *([*command, *CENTRED_OVERFLOWS] for command in (
+        ["rank"], ["project"], ["arrows", "--feature", "f0"], ["baseline", "permute"])),
+    ["rank", *FIELDS_OVERFLOW, "--q", "1"], ["rank", *FIELDS_OVERFLOW, "--q", "2"],
+])
 def test_polynomial_overflow_exits_3_naming_degree_and_coef0(tmp_path, capsys, command):
-    # (<x, y> + 10)^400 overflows float64 on the diagonal and most pairs; no
-    # numpy warning and no eigensolver traceback may come before the error
+    # no numpy warning and no eigensolver traceback may come before the error
+    inputs = {"TOY": toy_matrix(tmp_path, n=30, p=20)}
+    for name, X in [("CENTRED", OVERFLOWS_WHEN_CENTRED), ("PERMUTED", OVERFLOWS_WHEN_PERMUTED)]:
+        inputs[name] = str(tmp_path / f"{name}.tsv")
+        save_matrix(Dataset.from_matrix(X), inputs[name])
     out = tmp_path / "out.tsv"
-    assert main([*command, toy_matrix(tmp_path, n=30, p=20), "--kernel", "poly",
-                 "--degree", "400", "--coef0", "10", "-o", str(out)]) == 3
-    assert capsys.readouterr().err == ("kpcaig: polynomial kernel values overflow float64 "
-                                       "at degree=400, coef0=10.0; use a lower degree\n")
+    argv = [*(inputs.get(a, a) for a in command), "--kernel", "poly", "-o", str(out)]
+    args = build_parser().parse_args(argv)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"kpcaig: polynomial kernel values overflow float64 at degree={args.degree}, "
+        f"coef0={args.coef0!r}; use a lower degree\n")
     assert not out.exists()
 
 
@@ -1106,7 +1122,9 @@ def test_permute_refuses_a_tie_at_the_cut_for_the_subspace_metric(tmp_path, caps
     if metric == "subspace":
         assert main([*argv, "--q", "1"]) == 3
         err = capsys.readouterr().err
-        # the message of `rank` on the same file (kpca.tie_error)
+        # the message of `rank` on the same file, from the same spectrum (kpca.tie_error)
+        assert main(["rank", src, "--q", "1"]) == 3
+        assert capsys.readouterr().err == err
         assert err.startswith("kpcaig: eigenvalues mu_1..mu_2 of the centred Gram are tied "
                               "(0.864664716763387, 0.864664716763387): the gap at q=1, ")
         assert err.endswith(", so the top q=1 axes are not determined; "
@@ -1122,5 +1140,5 @@ def test_permute_refuses_a_tie_at_the_cut_for_the_subspace_metric(tmp_path, caps
     gap = header_of(out)
     assert main(["project", src, "--q", "2", "-o", str(out)]) == 0
     fit = header_of(out)
-    assert gap["eigengap"] == pytest.approx(fit["eigengap"], rel=0, abs=1e-12)
+    assert gap["eigengap"] == fit["eigengap"]
     assert gap["eigengap_bound"] == fit["eigengap_bound"]

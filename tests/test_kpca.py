@@ -14,6 +14,7 @@ from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, SigmaR
 from kpcaig.cli import main
 from kpcaig.synthetic import planted_clusters
 
+from generators import OVERFLOWS_WHEN_CENTRED
 from kernel_oracles import project_point
 
 RBF = KernelSpec("rbf", sigma=0.8)
@@ -50,6 +51,20 @@ def test_degenerate_data():
     data = Dataset.from_matrix(np.ones((6, 3)))
     with pytest.raises(DegenerateDataError, match="all samples identical"):
         fit_kpca(data, RBF, 1)
+
+
+def test_a_centring_that_overflows_names_the_degree():
+    # K is finite (largest value 2.07e307), but its row sums are not; the error
+    # comes before any numpy warning or eigensolver failure
+    data = Dataset.from_matrix(OVERFLOWS_WHEN_CENTRED)
+    spec = KernelSpec("polynomial", degree=152, coef0=0.0)
+    assert np.isfinite(gram_matrix(spec, data)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDataError) as info:
+            fit_kpca(data, spec, 1)
+    assert str(info.value) == ("polynomial kernel values overflow float64 at degree=152, "
+                               "coef0=0.0; use a lower degree")
 
 
 def test_tiny_sigma_names_the_bandwidth():
