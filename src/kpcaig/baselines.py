@@ -1,28 +1,23 @@
 """Comparison selectors: Laplacian score and permutation-based kernel importance.
 
-The Laplacian score favours features that respect local neighbourhood
-structure (lower is better); one pair of dense products with the k-NN
-graph gives f^T L f / f^T D f for every feature of a block at once. The
-permutation selector scores a feature by how strongly shuffling its values
-across samples perturbs the leading q kernel PCA eigenvectors (higher is better);
-the subspace perturbation is measured with the projection-matrix Frobenius
-metric d = ||U U^T - U' U'^T||_F / sqrt(2), with a plain Frobenius distance
-between raw Gram matrices available as an alternative. The permuted Gram
-comes from the Dataset's pairwise base with one column's term swapped, built
-in place in one scratch array, so each (feature, draw) costs O(n^2)
-elementwise work and one direct LAPACK ``dsyevr`` call for the top q
-eigenpairs: one finiteness check, no workspace query and no input copy.
-That ``dsyevr`` is the one in the OpenBLAS numpy itself loaded, called
-through ctypes, so the baseline never imports scipy or its second OpenBLAS;
-scipy's wrapper of the routine runs only where numpy's LAPACK exports no
-ILP64 ``dsyevr`` (MKL, Accelerate, a distro OpenBLAS, no /proc).
-The unpermuted Gram and its checks are a fit's (``kpca.centred_spectrum``);
-the reference projector U U^T is formed once per process, not per draw.
-Each Gram, the reference and every permuted one, goes to the eigensolver
-as ``kernels._double_centred`` transposed (see ``kernels``), unmirrored.
-The features are scored in blocks, one per CPU, by this process and forked
-children, each running OpenBLAS on one thread; ``parallel.run_in_blocks``
-returns all their scores as one array.
+The Laplacian score favours features that respect local neighbourhood structure
+(lower is better); one pair of dense products with the k-NN graph gives
+f^T L f / f^T D f for every feature of a block at once. The permutation
+selector scores a feature by how strongly shuffling its values across samples
+perturbs the leading q kernel PCA eigenvectors (higher is better); the subspace
+perturbation is measured with the projection-matrix Frobenius metric
+d = ||U U^T - U' U'^T||_F / sqrt(2), with a plain Frobenius distance between
+raw Gram matrices available as an alternative. The permuted Gram comes from
+the Dataset's pairwise base with one column's term swapped, built in place in
+one scratch array, so each (feature, draw) costs O(n^2) elementwise work and
+one direct LAPACK ``dsyevr`` call for the top q eigenpairs: one finiteness
+check, no workspace query and no input copy, from numpy's own OpenBLAS
+wherever it exports the routine, so the baseline then imports no scipy
+(``_dsyevr``). The unpermuted Gram, its spectrum, q and their checks are a
+fitted model's (``kpca.fit_kpca``); the reference projector U U^T is formed
+once per process, not per draw. Each Gram, the reference and every permuted
+one, goes to the eigensolver as ``kernels._double_centred`` transposed (see
+``kernels``), unmirrored.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from .exceptions import DegenerateDataError, InputError
 from .importance import FeatureRanking
 from .kernels import (KernelSpec, _double_centred, column_blocks, kernel_rule, overflow_error,
                       pairwise_base)
-from .kpca import EIG_DROP_REL, centred_spectrum, check_determined, eigengap_bound, tie_error
+from .kpca import FittedKpca, check_determined, check_gap, fit_kpca
 from .parallel import _openblas_libraries, run_in_blocks
 
 # fewest cells of permuted Gram worth one more process, a draw counting as
@@ -197,62 +192,53 @@ def _leading_subspace(Kc: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
 def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
                            n_perm: int = 1, seed: int = 0,
                            metric: str = "subspace") -> FeatureRanking:
-    """Score features by the kernel perturbation their permutation causes.
+    """``permutation_ranking`` of the kernel PCA fit of spec with q components."""
+    return permutation_ranking(fit_kpca(data, spec, q), n_perm, seed, metric)
+
+
+def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
+                        metric: str = "subspace") -> FeatureRanking:
+    """Score the features of a fit by the kernel perturbation their permutation causes.
 
     For each feature and each draw the column is shuffled across samples
-    and the distance to the original kernel structure is recorded; the
-    score is the mean over draws. Shuffling column j changes one term of
-    the pairwise base, t_j = (x_ij - x_kj)^2 for squared distances or
-    x_ij x_kj for inner products, so the permuted Gram is the kernel value
-    of base + (t_j(perm) - t_j): no Gram is rebuilt, and a constant
-    column reproduces the base bitwise and scores exactly 0. Every
-    (feature, draw) pair uses its own seeded substream, so the scores do
-    not depend on which process draws them.
+    and the distance to the fit's kernel structure is recorded; the score
+    is the mean over draws. Shuffling column j changes one term of the
+    pairwise base, t_j = (x_ij - x_kj)^2 for squared distances or x_ij x_kj
+    for inner products, so the permuted Gram is the kernel value of base +
+    (t_j(perm) - t_j): no Gram is rebuilt, and a constant column reproduces
+    the base bitwise and scores exactly 0. Every (feature, draw) pair uses
+    its own seeded substream, so the scores do not depend on which process
+    draws them.
 
-    The features are split into contiguous blocks, one per CPU
-    (``parallel.run_in_blocks``): this process scores the first block and a
-    forked child each later one, and every OpenBLAS runs one thread while
-    they draw. One process scores them all when the draws are too few for
-    ``_DRAW_CELLS_PER_PROCESS``, while another Python thread runs (then
-    at the caller's thread counts), where os.fork is missing, or where no
-    OpenBLAS is found. A block that no child scored is scored again here,
-    at the caller's thread counts, so an error is raised as one process
-    would raise it. K and its spectrum come from ``kpca.centred_spectrum``, so
-    both metrics refuse what a fit refuses. The subspace metric reads the
-    top-q axes, so it also needs q <= n-2 (at q = n-1 they span the whole
-    centred space and every distance is rounding noise), q within the rank a
-    fit keeps and a gap at the cut that ``kpca.check_gap`` would pass. A
-    permuted Gram that overflows float64 raises the DegenerateDataError that
-    ``gram_matrix`` raises for the unpermuted one.
+    The features are scored in contiguous blocks, one process per CPU with
+    every OpenBLAS on one thread (``parallel.run_in_blocks``), and in one
+    process when the draws are too few for ``_DRAW_CELLS_PER_PROCESS``.
+    K, its spectrum and q are the fit's, q as the fit lowered it; both
+    metrics refuse an rbf K = I (``kpca.check_determined``). The subspace
+    metric reads the top-q axes, so it also needs q <= n-2 (at q = n-1 they
+    span the whole centred space and every distance is rounding noise) and
+    a gap at the cut that ``kpca.check_gap`` passes. A permuted Gram that
+    overflows float64 raises the DegenerateDataError that ``gram_matrix``
+    raises for the unpermuted one.
     """
     if n_perm < 1:
         raise InputError(f"n_perm must be >= 1, got {n_perm}")
     if metric not in ("subspace", "gram"):
         raise InputError(f"metric must be 'subspace' or 'gram', got {metric!r}")
+    data, spec, K, q = model.training_data, model.kernel, model.K, model.q
     X = data.matrix
     n, p = X.shape
-    if not 1 <= q <= n - 1:
-        raise InputError(f"q must be in [1, n-1], got {q}")
     if metric == "subspace" and q > n - 2:
         raise DegenerateDataError(
             f"q={q} is too large for the subspace metric with n={n} samples: a centred Gram "
             f"matrix has rank at most n-1={n - 1}, so its top q={q} eigenvectors span the "
             "whole centred space under every permutation and each distance is rounding "
             "noise; use q <= n-2")
+    check_determined(model)
+    if metric == "subspace":
+        check_gap(model)
     rule = kernel_rule(spec)
     base = pairwise_base(data, rule.distance)
-    K, mu, _ = centred_spectrum(data, spec)
-    check_determined(spec, K, q)
-    if metric == "subspace":
-        rank = int(np.count_nonzero(mu > EIG_DROP_REL * mu[0]))
-        if rank < q:
-            raise DegenerateDataError(
-                f"q={q} exceeds the numerical rank of the centred Gram matrix: only {rank} "
-                f"of its eigenvalues exceed {EIG_DROP_REL:g} times the largest, so its top "
-                f"q={q} eigenvectors are not determined; use q <= {rank}")
-        gap, bound = float(mu[q - 1] - mu[q]), eigengap_bound(K)
-        if gap < bound:
-            raise tie_error(mu, q, gap, bound)
 
     def centred(Kp):
         # the eigensolver's input, which LAPACK needs finite

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import laplacian_score, permutation_importance
+from .baselines import laplacian_score, permutation_ranking
 from .curves import check_grid, selection_curve, silhouette_curve, variance_generalization
 from .data import Dataset, load_labels, load_matrix, standardize
 from .exceptions import DegenerateDataError, InputError, ParseError
@@ -223,8 +223,7 @@ def _ranking(args, data: Dataset, kernel, method: str, **options) -> tuple[Featu
         return laplacian_score(data, **options), {}
     model, resolved = _fit(args, data, kernel)
     if method == "permute":
-        return permutation_importance(data, model.kernel, args.q, seed=args.seed,
-                                      **options), resolved
+        return permutation_ranking(model, seed=args.seed, **options), resolved
     return rank_features(model), resolved
 
 

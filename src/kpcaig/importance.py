@@ -67,7 +67,7 @@ def gradient_field(model: FittedKpca, j: int) -> np.ndarray:
     """n x q matrix of projected gradient directions for variable j."""
     if not 0 <= j < model.p:
         raise InputError(f"feature index {j} out of range for p={model.p}")
-    check_determined(model.kernel, model.K, model.q)
+    check_determined(model)
     return next(_fields(model, [slice(j, j + 1)]))[:, :, 0].T
 
 
@@ -79,7 +79,7 @@ def rank_features(model: FittedKpca) -> FeatureRanking:
     below its rounding bound (``kpca.check_gap``); and when a field overflows
     float64, as one of a high polynomial degree can where K is finite.
     """
-    check_determined(model.kernel, model.K, model.q)
+    check_determined(model)
     check_gap(model)
     n, p = model.training_data.matrix.shape
     blocks = column_blocks(p, 8 * n * model.q)     # q x n x c fields a block

@@ -6,8 +6,8 @@ are kept in descending order and the eigenvectors are rescaled by
 (alpha_k^T K~ alpha_k = 1). eigh reads K~ from the lower triangle of
 ``kernels._double_centred(K)`` transposed, and a fit keeps K, not K~, with
 all n eigenvalues of K~.
-Projections of training points then only require kernel evaluations against
-the training set and come back as plain arrays. A fit takes any Dataset;
+Since K~ alpha_k = mu_k alpha_k, the training points' coordinates are mu_k
+alpha_k, plain arrays with no product over K~. A fit takes any Dataset;
 standardizing it first is the caller's choice.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .kernels import (KernelSpec, _double_centred, center_gram, gram_matrix, median_sq_distance,
+from .kernels import (KernelSpec, _double_centred, gram_matrix, median_sq_distance,
                       overflow_error, pairwise_base, sigma_heuristic)
 
 # relative cutoff below which an eigenvalue is treated as numerically zero
@@ -56,11 +56,18 @@ class FittedKpca:
         return float(self.spectrum[self.spectrum > 0].sum())
 
 
-def centred_spectrum(data: Dataset, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gram K of spec on data, with all eigenvalues (descending) and
-    eigenvectors of K centred from one ``np.linalg.eigh``: the spectrum that a
-    fit and the permutation baseline read. Raises DegenerateDataError when K
-    or its centring overflows float64, or ``check_top_eigenvalue`` fails."""
+def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
+    """Fit kernel PCA with q retained components.
+
+    Components whose eigenvalue falls below EIG_DROP_REL * mu_1 are dropped
+    (with a warning); the sign of each eigenvector is fixed so its largest
+    absolute entry is positive, making refits bit-reproducible. Entries
+    within SIGN_TIE_REL of the largest count as tied with it, and the first
+    of them sets the sign. Raises DegenerateDataError when K or its centring
+    overflows float64, or ``check_top_eigenvalue`` fails.
+    """
+    if q < 1:
+        raise InputError(f"q must be >= 1, got {q}")
     K = gram_matrix(spec, data)
     with np.errstate(over="ignore", invalid="ignore"):   # the error below says it
         Kc = _double_centred(K).T
@@ -69,23 +76,8 @@ def centred_spectrum(data: Dataset, spec: KernelSpec) -> tuple[np.ndarray, np.nd
     # numpy's LAPACK, not scipy's: scipy ships a second OpenBLAS, and right after
     # a call into it the two thread pools contend and numpy's products slow down
     evals, evecs = np.linalg.eigh(Kc)
-    evals = evals[::-1]
+    evals, evecs = evals[::-1], evecs[:, ::-1]
     check_top_eigenvalue(data, spec, K, evals[0])
-    return K, evals, evecs[:, ::-1]
-
-
-def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
-    """Fit kernel PCA with q retained components.
-
-    Components whose eigenvalue falls below EIG_DROP_REL * mu_1 are dropped
-    (with a warning); the sign of each eigenvector is fixed so its largest
-    absolute entry is positive, making refits bit-reproducible. Entries
-    within SIGN_TIE_REL of the largest count as tied with it, and the first
-    of them sets the sign.
-    """
-    if q < 1:
-        raise InputError(f"q must be >= 1, got {q}")
-    K, evals, evecs = centred_spectrum(data, spec)
     rank = int(np.count_nonzero(evals > EIG_DROP_REL * evals[0]))
     q_eff = min(q, rank, data.n - 1)
     if q_eff < q:
@@ -115,33 +107,29 @@ def check_top_eigenvalue(data, spec: KernelSpec, K: np.ndarray, top: float) -> N
                               "rounding level (all samples identical?)")
 
 
-def check_determined(spec: KernelSpec, K: np.ndarray, q: int) -> None:
-    """Raise DegenerateDataError when K is an rbf Gram that is exactly I, whose
-    top-q eigenvectors are arbitrary. Rankings call this, fits do not: grid
-    search scores a K = I fit like any other."""
+def check_determined(model: FittedKpca) -> None:
+    """Raise DegenerateDataError when the fit's K is an rbf Gram that is exactly
+    I, whose top-q eigenvectors are arbitrary. Rankings call this, fits do not:
+    grid search scores a K = I fit like any other."""
+    spec, K = model.kernel, model.K
     if spec.family == "rbf" and np.array_equal(K, np.eye(len(K))):
         raise DegenerateDataError(
             f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: every "
             "off-diagonal kernel value underflows to 0 (K = I), so the top "
-            f"q={q} eigenvectors are not determined; use a smaller sigma")
+            f"q={model.q} eigenvectors are not determined; use a smaller sigma")
 
 
-def eigengap_bound(K: np.ndarray) -> float:
-    """The rounding bound 2 n eps (n max|K|) on the gap at the cut of K centred.
+def eigengap(model: FittedKpca) -> tuple[float, float]:
+    """The gap mu_q - mu_{q+1} of K~'s spectrum at the cut q, and its rounding
+    bound 2 n eps (n max|K|).
 
     By Davis-Kahan, rounding error E moves the top-q subspace by sin(theta)
     <= 2 ||E|| / gap, and ||E|| is about n eps ||K||, with ||K||_2 <= n max|K|.
     A gap below the bound leaves that subspace, and so every score, undetermined.
     """
-    n = len(K)
-    return float(2 * n * np.finfo(np.float64).eps * n * np.abs(K).max())
-
-
-def eigengap(model: FittedKpca) -> tuple[float, float]:
-    """The gap mu_q - mu_{q+1} of K~'s spectrum at the cut q, and its rounding
-    bound (``eigengap_bound``)."""
-    q = model.q
-    return float(model.spectrum[q - 1] - model.spectrum[q]), eigengap_bound(model.K)
+    q, n = model.q, model.n
+    bound = float(2 * n * np.finfo(np.float64).eps * n * np.abs(model.K).max())
+    return float(model.spectrum[q - 1] - model.spectrum[q]), bound
 
 
 def check_gap(model: FittedKpca) -> None:
@@ -151,6 +139,15 @@ def check_gap(model: FittedKpca) -> None:
     gap, bound = eigengap(model)
     if gap < bound:
         raise tie_error(model.spectrum, model.q, gap, bound)
+
+
+def _tied(mu: np.ndarray, lo: int, hi: int) -> str:
+    """The words naming the tied block mu[lo:hi] of K~'s eigenvalues in a message,
+    with each value up to four, else the first, the last and their count."""
+    block = mu[lo:hi]
+    values = (", ".join(f"{v:.15g}" for v in block) if len(block) <= 4
+              else f"{block[0]:.15g}, ..., {block[-1]:.15g}: {len(block)} values")
+    return f"eigenvalues mu_{lo + 1}..mu_{hi} of the centred Gram are tied ({values})"
 
 
 def tie_error(mu: np.ndarray, q: int, gap: float, bound: float) -> DegenerateDataError:
@@ -164,10 +161,8 @@ def tie_error(mu: np.ndarray, q: int, gap: float, bound: float) -> DegenerateDat
     advice = ("no q clears it" if nearest is None
               else f"the nearest q whose gap clears it is q={nearest}")
     return DegenerateDataError(
-        f"eigenvalues mu_{lo + 1}..mu_{hi} of the centred Gram are tied "
-        f"({', '.join(f'{v:.15g}' for v in mu[lo:hi])}): the gap at q={q}, {gap:.3g}, "
-        f"is below its rounding bound {bound:.3g}, so the top q={q} axes are not "
-        f"determined; {advice}")
+        f"{_tied(mu, lo, hi)}: the gap at q={q}, {gap:.3g}, is below its rounding "
+        f"bound {bound:.3g}, so the top q={q} axes are not determined; {advice}")
 
 
 def warn_ties(model: FittedKpca, axes: int) -> None:
@@ -187,15 +182,15 @@ def warn_ties(model: FittedKpca, axes: int) -> None:
         warnings.warn(str(tie_error(mu, q, gap, bound)), UserWarning, stacklevel=2)
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo > 1 and lo < axes:
-            warnings.warn(f"eigenvalues mu_{lo + 1}..mu_{hi} of the centred Gram are tied "
-                          f"({', '.join(f'{v:.15g}' for v in mu[lo:hi])}), so axes "
-                          f"{lo + 1}..{hi} of the top q={q} are fixed only up to a rotation "
-                          "among themselves", UserWarning, stacklevel=2)
+            warnings.warn(f"{_tied(mu, lo, hi)}, so axes {lo + 1}..{hi} of the top q={q} "
+                          "are fixed only up to a rotation among themselves",
+                          UserWarning, stacklevel=2)
 
 
 def project_training(model: FittedKpca) -> np.ndarray:
-    """n x q training-set coordinates K~ @ alpha."""
-    return center_gram(model.K) @ model.alphas
+    """n x q training-set coordinates K~ alpha_k, which are mu_k alpha_k: alpha_k
+    is an eigenvector of K~ with eigenvalue mu_k."""
+    return model.alphas * model.eigvals
 
 
 def explained_variance(model: FittedKpca) -> np.ndarray:

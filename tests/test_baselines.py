@@ -14,9 +14,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kpcaig import (Dataset, DegenerateDataError, FeatureRanking, InputError, KernelSpec,
-                    fit_kpca, laplacian_score, permutation_importance, sigma_heuristic)
+                    fit_kpca, laplacian_score, permutation_importance, sigma_heuristic,
+                    standardize)
 from kpcaig import baselines, kernels, kpca, parallel
-from kpcaig.baselines import _projection_distance
+from kpcaig.baselines import _projection_distance, permutation_ranking
 from kpcaig.kernels import center_gram, gram_matrix, pairwise_base
 from kpcaig.kpca import check_gap
 from kpcaig.synthetic import planted_clusters
@@ -27,6 +28,24 @@ from kernel_oracles import permutation_scores_rebuild, permutation_scores_subset
 
 def rbf_for(data):
     return KernelSpec("rbf", sigma=sigma_heuristic(data))
+
+
+def quiet_fit(d, spec, q):
+    """The fit of spec with q components, its warning that q was lowered silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fit_kpca(d, spec, q)
+
+
+@contextmanager
+def lowers_q(q, q_fit):
+    """Expect the fit's one warning that q was reduced to q_fit where it was, and
+    no warning where it was not."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    want = [f"requested q={q} exceeds the numerically valid rank; reduced to q={q_fit}"]
+    assert [str(w.message) for w in caught] == (want if q_fit < q else [])
 
 
 # --- Laplacian score -------------------------------------------------------
@@ -353,14 +372,17 @@ def test_permutation_subspace_q_of_n_minus_1_raises(n, q):
     assert np.all(np.isfinite(permutation_importance(d, rbf_for(d), q, metric="gram").scores))
 
 
-def test_permutation_q_above_numerical_rank_raises():
-    # a third eigenvector would span rounding noise and every score would be ~1
+def test_permutation_q_above_numerical_rank_ranks_at_the_fits_q():
+    # the centred Gram has rank 2, so a third eigenvector would span rounding noise:
+    # like a fit, the baseline lowers q=3 to 2 with a warning and ranks there
     d = repeated_rows()
-    with pytest.raises(DegenerateDataError,
-                       match=r"q=3 exceeds the numerical rank .*: only 2 of its eigenvalues"):
-        permutation_importance(d, rbf_for(d), 3)
-    scores = permutation_importance(d, rbf_for(d), 2).scores
-    assert np.all(np.isfinite(scores)) and scores.max() > 0
+    for metric in ("subspace", "gram"):
+        with lowers_q(3, 2):
+            lowered = permutation_importance(d, rbf_for(d), 3, metric=metric)
+        kept = permutation_importance(d, rbf_for(d), 2, metric=metric)
+        assert lowered.scores.tobytes() == kept.scores.tobytes()
+        assert np.array_equal(lowered.order, kept.order)
+        assert np.all(np.isfinite(kept.scores)) and kept.scores.max() > 0
 
 
 def test_permutation_one_pairwise_pass():
@@ -374,6 +396,17 @@ def test_permutation_one_pairwise_pass():
             permutation_importance(d, spec, 2, n_perm=2, metric=metric)
         assert pairs.call_count == 1
         assert grams.call_count == 2
+
+
+def test_the_benchmarks_call_ranks_the_fit_of_its_arguments():
+    # perfbench's permute_baseline calls this shape, and tier-1 does not collect perfbench
+    for s in (0, 11):
+        d = standardize(planted_clusters(40, 30, 2, 6, seed=s)[0])
+        spec = KernelSpec("rbf", sigma=sigma_heuristic(d))
+        got = permutation_importance(d, spec, 3, n_perm=1, seed=s, metric="subspace")
+        want = permutation_ranking(fit_kpca(d, spec, 3), n_perm=1, seed=s, metric="subspace")
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.order.tobytes() == want.order.tobytes()
 
 
 def _draw_kernel(draw, d):
@@ -418,18 +451,23 @@ def test_permutation_matches_rebuild_reference(n, p, data):
     n_perm = data.draw(st.integers(1, 3))
     metric = data.draw(st.sampled_from(["subspace", "gram"]))
     seed = data.draw(st.integers(0, 1000))
-    ref, gap = permutation_scores_rebuild(X, spec, q, n_perm=n_perm, seed=seed, metric=metric)
-    # both forms round the Gram alike; a score that is a small difference of
-    # large kernel values is only known to that level (over the gap, for subspaces)
-    floor = n * _gram_rounding(spec, d)
     if metric == "subspace":
         K = gram_matrix(spec, d)
         mu1 = scipy.linalg.eigvalsh(center_gram(K))[-1]
         assume(mu1 > 1e-12 * np.abs(K).max())
+    # the baseline ranks at the q that the fit keeps, as rank_features does
+    q_fit = quiet_fit(d, spec, q).q
+    ref, gap = permutation_scores_rebuild(X, spec, q_fit, n_perm=n_perm, seed=seed,
+                                          metric=metric)
+    # both forms round the Gram alike; a score that is a small difference of
+    # large kernel values is only known to that level (over the gap, for subspaces)
+    floor = n * _gram_rounding(spec, d)
+    if metric == "subspace":
         # a closing q-th eigengap leaves the leading subspace undefined in both forms
         assume(gap >= 1e-6 * mu1)
         floor /= gap
-    got = permutation_importance(d, spec, q, n_perm=n_perm, seed=seed, metric=metric)
+    with lowers_q(q, q_fit):
+        got = permutation_importance(d, spec, q, n_perm=n_perm, seed=seed, metric=metric)
     const = np.ptp(X, axis=0) == 0
     assert np.all(got.scores[const] == 0.0)
     tol = 1e-10 * ref.max() + floor
@@ -453,27 +491,20 @@ def test_the_subspace_metric_refuses_a_rank_or_a_tie_exactly_where_a_fit_does(sh
     d = Dataset.from_matrix(X)
     spec = _draw_kernel(data.draw, d)
     q = data.draw(st.integers(1, len(X) - 2))
-    with warnings.catch_warnings(record=True) as lowered:
-        warnings.simplefilter("always")
-        model = fit_kpca(d, spec, q)
-    if model.q < q:
-        assert "reduced to q=" in str(lowered[0].message)
-        want = (f"q={q} exceeds the numerical rank of the centred Gram matrix: "
-                f"only {model.q} of its eigenvalues")
-    else:
-        try:
-            check_gap(model)
-            want = None
-        except DegenerateDataError as e:
-            want = str(e)
+    model = quiet_fit(d, spec, q)
+    # where the fit lowers q, the baseline lowers it alike and checks the gap there
     try:
-        permutation_importance(d, spec, q, metric="subspace")
+        check_gap(model)
+        want = None
+    except DegenerateDataError as e:
+        want = str(e)
+    try:
+        with lowers_q(q, model.q):
+            permutation_importance(d, spec, q, metric="subspace")
         got = None
     except DegenerateDataError as e:
         got = str(e)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.startswith(want)
+    assert got == want
 
 
 # --- forked blocks -------------------------------------------------------------
@@ -638,12 +669,14 @@ def test_permutation_matches_the_scipy_subset_form(forked, n, p, data):
     n_perm = data.draw(st.integers(1, 3))
     seed = data.draw(st.integers(0, 1000))
     try:
-        with split(forked):
+        q_fit = quiet_fit(d, spec, q).q
+        with lowers_q(q, q_fit), split(forked):
             got = permutation_importance(d, spec, q, n_perm=n_perm, seed=seed, metric=metric)
     except DegenerateDataError:
-        # a rank, a gap or a spectrum the baseline refuses (tested above): no scores
+        # a gap or a spectrum the baseline refuses (tested above): no scores
         assume(False)
-    ref = permutation_scores_subset(d, spec, q, n_perm=n_perm, seed=seed, metric=metric)
+    # at the q that the fit keeps
+    ref = permutation_scores_subset(d, spec, q_fit, n_perm=n_perm, seed=seed, metric=metric)
     assert np.abs(got.scores - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.all(got.scores[np.ptp(X, axis=0) == 0] == 0.0)
 

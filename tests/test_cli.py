@@ -670,10 +670,10 @@ CURVE_INPUT_ERRORS = [
                               "silhouette-k-1", "k-above-n", "runs-0"])
 def test_curve_checks_its_inputs_before_the_ranking(tmp_path, monkeypatch, capsys,
                                                     argv, message):
-    def permutation_importance(*args, **kwargs):
+    def permutation_ranking(*args, **kwargs):
         raise AssertionError("the ranking ran before the curve's inputs were checked")
 
-    monkeypatch.setattr("kpcaig.cli.permutation_importance", permutation_importance)
+    monkeypatch.setattr("kpcaig.cli.permutation_ranking", permutation_ranking)
     labels, short = tmp_path / "labels.txt", tmp_path / "short.txt"
     labels.write_text("0\n1\n" * 5, encoding="utf-8")
     short.write_text("0\n1\n" * 2, encoding="utf-8")
@@ -790,17 +790,23 @@ def test_permuted_gram_overflow_exits_3_naming_degree_and_coef0(tmp_path, capsys
     assert not out.exists()
 
 
-def test_permute_q_above_numerical_rank_exits_3(tmp_path, capsys):
-    # the centred Gram has rank 2, so a third eigenvector would be rounding noise
+def test_permute_q_above_numerical_rank_ranks_at_q_resolved(tmp_path, capsys):
+    # the centred Gram has rank 2, so a third eigenvector would be rounding noise:
+    # like rank, the baseline lowers q=3 to 2 with the fit's warning and ranks there
     path = tmp_path / "repeated.tsv"
     save_matrix(repeated_rows(), path)
-    out = tmp_path / "perm.tsv"
-    assert main(["baseline", "permute", str(path), "--q", "3", "-o", str(out)]) == 3
-    assert "q=3 exceeds the numerical rank" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["baseline", "permute", str(path), "--q", "2", "-o", str(out)]) == 0
-    _, _, rows = read_table(out)
-    assert len(rows) == 6
+    lowered, kept = tmp_path / "q3.tsv", tmp_path / "q2.tsv"
+    for metric in ("subspace", "gram"):
+        argv = ["baseline", "permute", str(path), "--metric", metric]
+        assert main([*argv, "--q", "3", "-o", str(lowered)]) == 0
+        assert capsys.readouterr().err == ("kpcaig: warning: requested q=3 exceeds the "
+                                           "numerically valid rank; reduced to q=2\n")
+        assert header_of(lowered)["q_resolved"] == 2
+        assert main([*argv, "--q", "2", "-o", str(kept)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_table(lowered)
+        assert len(rows) == 6
+        assert rows == read_table(kept)[2]
 
 
 @pytest.mark.parametrize("n, q", [(12, 11), (3, 2)])
@@ -1111,6 +1117,42 @@ def test_entrypoint_freezes_the_heap_before_exit():
         kpcaig.cli.entrypoint()
     assert info.value.code == 3
     assert calls == ["main", "freeze"]
+
+
+def test_a_long_tied_block_is_named_by_its_ends_and_its_count(tmp_path, capsys):
+    # every kernel value about exp(-120) (K ~ I) ties mu_1..mu_99; every one about
+    # 1 (K ~ 11^T) leaves mu_2..mu_100 at the rounding level of K
+    src = str(tmp_path / "planted.tsv")
+    save_matrix(planted_clusters(100, 60, 2, 10)[0], src)
+    ties = {"1": ("mu_1..mu_99", "1, ..., 0.999999999999998: 99 values"),
+            "1e-14": ("mu_2..mu_100", "5.24105515070404e-12, ..., -1.15852025320598e-14: "
+                                      "99 values")}
+    for sigma, (block, values) in ties.items():
+        assert main(["rank", src, "--sigma", sigma, "--q", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"kpcaig: eigenvalues {block} of the centred Gram are tied "
+                              f"({values}): the gap at q=3, ")
+        assert len(err) < 300
+    # the warning of a tied block inside the top q names it alike
+    out = tmp_path / "project.tsv"
+    assert main(["project", src, "--sigma", "1", "--q", "99", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"kpcaig: warning: eigenvalues mu_1..mu_99 of the centred Gram are tied "
+        f"({ties['1'][1]}), so axes 1..99 of the top q=99 are fixed only up to a rotation "
+        "among themselves\n")
+
+
+@pytest.mark.parametrize("command", [["baseline", "permute"],
+                                     ["curve", "selection", "--ranking", "permute"]],
+                         ids=["baseline-permute", "curve-selection"])
+def test_a_permute_run_fits_once(tmp_path, command):
+    # the baseline ranks the fit that gives the header its keys: one Gram, one eigh
+    mpath, lpath = planted_files(tmp_path)
+    extra = ["--labels", lpath, "--d-grid", "2,4", "--runs", "2"] if command[0] == "curve" else []
+    with mock.patch("kpcaig.kpca.gram_matrix", wraps=kpcaig.kpca.gram_matrix) as grams, \
+            mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eighs:
+        assert main([*command, mpath, *extra, "-o", str(tmp_path / "out.tsv")]) == 0
+    assert (grams.call_count, eighs.call_count) == (1, 1)
 
 
 @pytest.mark.parametrize("metric", ["subspace", "gram"])

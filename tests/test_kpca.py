@@ -131,6 +131,9 @@ def test_project_consistent_with_training():
         coords = project_training(model)
         for m in range(data.n):
             assert np.abs(project_point(model, data.matrix[m]) - coords[m]).max() < 1e-10
+        # mu_k alpha_k is K~ alpha_k, the product the coordinates once came from
+        old = center_gram(model.K) @ model.alphas
+        assert np.abs(coords - old).max() <= 1e-14 * np.abs(old).max()
 
 
 @pytest.mark.parametrize("seed", range(5))
