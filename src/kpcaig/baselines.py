@@ -214,7 +214,7 @@ def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
     every OpenBLAS on one thread (``parallel.run_in_blocks``), and in one
     process when the draws are too few for ``_DRAW_CELLS_PER_PROCESS``.
     K, its spectrum and q are the fit's, q as the fit lowered it; both
-    metrics refuse an rbf K = I (``kpca.check_determined``). The subspace
+    metrics refuse an rbf K ~ I (``kpca.check_determined``). The subspace
     metric reads the top-q axes, so it also needs q <= n-2 (at q = n-1 they
     span the whole centred space and every distance is rounding noise) and
     a gap at the cut that ``kpca.check_gap`` passes. A permuted Gram that

@@ -17,8 +17,8 @@ never materialized even for very wide matrices.
 
 Fields are plain n x q arrays; FeatureRanking is the one ranking type, which
 the baselines return too. A ranking raises instead when its top-q axes are
-arbitrary: for an rbf Gram that is exactly I (``kpca.check_determined``), and
-when the gap at the cut q is below its rounding bound (``kpca.check_gap``).
+arbitrary: for an rbf Gram with K ~ I (``kpca.check_determined``), and when
+the gap at the cut q is below its rounding level (``kpca.check_gap``).
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def rank_features(model: FittedKpca) -> FeatureRanking:
     """Score every variable and sort descending (ties: lower index first).
 
     Raises DegenerateDataError when the top-q axes are not determined: an rbf
-    Gram that is exactly I (``kpca.check_determined``), or a gap at the cut q
-    below its rounding bound (``kpca.check_gap``); and when a field overflows
+    Gram with K ~ I (``kpca.check_determined``), or a gap at the cut q below
+    its rounding bound (``kpca.check_gap``); and when a field overflows
     float64, as one of a high polynomial degree can where K is finite.
     """
     check_determined(model)

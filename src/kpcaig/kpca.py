@@ -9,6 +9,11 @@ all n eigenvalues of K~.
 Since K~ alpha_k = mu_k alpha_k, the training points' coordinates are mu_k
 alpha_k, plain arrays with no product over K~. A fit takes any Dataset;
 standardizing it first is the caller's choice.
+
+One level, ``rounding_level(K)``, decides every numerical zero: the fit's
+rank counts the eigenvalues above it and refuses a spectrum with none (K ~
+11^T); a gap at the cut below it is a tie (``check_gap``, ``warn_ties``); an
+rbf K with no off-diagonal value above it is K ~ I (``check_determined``).
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from .exceptions import DegenerateDataError, InputError
 from .kernels import (KernelSpec, _double_centred, gram_matrix, median_sq_distance,
                       overflow_error, pairwise_base, sigma_heuristic)
 
-# relative cutoff below which an eigenvalue is treated as numerically zero
-EIG_DROP_REL = 1e-10
 # entries this close to an eigenvector's largest |entry|, relatively, tie with it:
 # repeated samples make exact ties, and rounding would pick among them per LAPACK
 SIGN_TIE_REL = 1e-10
@@ -59,12 +62,11 @@ class FittedKpca:
 def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     """Fit kernel PCA with q retained components.
 
-    Components whose eigenvalue falls below EIG_DROP_REL * mu_1 are dropped
-    (with a warning); the sign of each eigenvector is fixed so its largest
-    absolute entry is positive, making refits bit-reproducible. Entries
-    within SIGN_TIE_REL of the largest count as tied with it, and the first
-    of them sets the sign. Raises DegenerateDataError when K or its centring
-    overflows float64, or ``check_top_eigenvalue`` fails.
+    Components whose eigenvalue is at or below ``rounding_level(K)`` are dropped
+    (with a warning). Each eigenvector's sign makes its largest absolute entry
+    positive (the first of the entries within SIGN_TIE_REL of it), so refits are
+    bit-reproducible. Raises DegenerateDataError when K or its centring
+    overflows float64, or when no eigenvalue is above the level.
     """
     if q < 1:
         raise InputError(f"q must be >= 1, got {q}")
@@ -77,8 +79,15 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     # a call into it the two thread pools contend and numpy's products slow down
     evals, evecs = np.linalg.eigh(Kc)
     evals, evecs = evals[::-1], evecs[:, ::-1]
-    check_top_eigenvalue(data, spec, K, evals[0])
-    rank = int(np.count_nonzero(evals > EIG_DROP_REL * evals[0]))
+    rank = int(np.count_nonzero(evals > rounding_level(K)))
+    if rank == 0 and spec.family == "rbf" and pairwise_base(data, True).any():
+        raise DegenerateDataError(
+            f"rbf bandwidth sigma={spec.sigma!r} is too small for these samples: "
+            f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}, "
+            "so every kernel value rounds to 1 (K ~ 11^T); use a larger sigma")
+    if rank == 0:
+        raise DegenerateDataError("centered Gram matrix has no eigenvalue above its "
+                                  "rounding level (all samples identical?)")
     q_eff = min(q, rank, data.n - 1)
     if q_eff < q:
         warnings.warn(f"requested q={q} exceeds the numerically valid rank; "
@@ -93,43 +102,33 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
                       eigvals=mu, alphas=alphas, q=q_eff, spectrum=evals)
 
 
-def check_top_eigenvalue(data, spec: KernelSpec, K: np.ndarray, top: float) -> None:
-    """Raise DegenerateDataError unless top, the largest eigenvalue of K centred,
-    stands above the rounding level of K, 4 n eps max|K|."""
-    if top > 4 * len(K) * np.finfo(np.float64).eps * np.abs(K).max():
-        return
-    if spec.family == "rbf" and pairwise_base(data, True).any():
-        raise DegenerateDataError(
-            f"rbf bandwidth sigma={spec.sigma!r} is too small for these samples: "
-            f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}, "
-            "so every kernel value rounds to 1 (K ~ 11^T); use a larger sigma")
-    raise DegenerateDataError("centered Gram matrix has no eigenvalue above its "
-                              "rounding level (all samples identical?)")
+def rounding_level(K: np.ndarray) -> float:
+    """2 n eps (n max|K|): a value of K, or of K~'s spectrum, at or below it is
+    numerically zero. By Davis-Kahan, rounding error E moves the top-q subspace
+    by sin(theta) <= 2 ||E|| / gap, and ||E|| is about n eps ||K||, with ||K||_2
+    <= n max|K|: a gap below the level leaves that subspace, and so every score,
+    undetermined."""
+    return float(2 * len(K) ** 2 * np.finfo(np.float64).eps * np.abs(K).max())
 
 
 def check_determined(model: FittedKpca) -> None:
-    """Raise DegenerateDataError when the fit's K is an rbf Gram that is exactly
-    I, whose top-q eigenvectors are arbitrary. Rankings call this, fits do not:
-    grid search scores a K = I fit like any other."""
-    spec, K = model.kernel, model.K
-    if spec.family == "rbf" and np.array_equal(K, np.eye(len(K))):
+    """Raise DegenerateDataError when the fit's K is an rbf Gram whose
+    off-diagonal values are all at or below ``rounding_level(K)`` (K ~ I), so
+    its top-q eigenvectors are arbitrary. Rankings call this, fits do not:
+    grid search scores a K ~ I fit like any other."""
+    spec, K, data = model.kernel, model.K, model.training_data
+    if spec.family == "rbf" and K[~np.eye(len(K), dtype=bool)].max() <= rounding_level(K):
         raise DegenerateDataError(
-            f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: every "
-            "off-diagonal kernel value underflows to 0 (K = I), so the top "
-            f"q={model.q} eigenvectors are not determined; use a smaller sigma")
+            f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: "
+            f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}, so every "
+            "off-diagonal kernel value is at most the rounding level of K (K ~ I), so the "
+            f"top q={model.q} eigenvectors are not determined; use a smaller sigma")
 
 
 def eigengap(model: FittedKpca) -> tuple[float, float]:
-    """The gap mu_q - mu_{q+1} of K~'s spectrum at the cut q, and its rounding
-    bound 2 n eps (n max|K|).
-
-    By Davis-Kahan, rounding error E moves the top-q subspace by sin(theta)
-    <= 2 ||E|| / gap, and ||E|| is about n eps ||K||, with ||K||_2 <= n max|K|.
-    A gap below the bound leaves that subspace, and so every score, undetermined.
-    """
-    q, n = model.q, model.n
-    bound = float(2 * n * np.finfo(np.float64).eps * n * np.abs(model.K).max())
-    return float(model.spectrum[q - 1] - model.spectrum[q]), bound
+    """The gap mu_q - mu_{q+1} of K~'s spectrum at the cut q, and ``rounding_level(K)``."""
+    q = model.q
+    return float(model.spectrum[q - 1] - model.spectrum[q]), rounding_level(model.K)
 
 
 def check_gap(model: FittedKpca) -> None:

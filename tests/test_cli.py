@@ -1120,26 +1120,66 @@ def test_entrypoint_freezes_the_heap_before_exit():
 
 
 def test_a_long_tied_block_is_named_by_its_ends_and_its_count(tmp_path, capsys):
-    # every kernel value about exp(-120) (K ~ I) ties mu_1..mu_99; every one about
-    # 1 (K ~ 11^T) leaves mu_2..mu_100 at the rounding level of K
+    # 30 equidistant samples, the rows of I, tie mu_1..mu_29 at 1 - exp(-1) under the
+    # median sigma; every kernel value about 1 (K ~ 11^T) leaves mu_2..mu_100 at the
+    # rounding level of K
     src = str(tmp_path / "planted.tsv")
     save_matrix(planted_clusters(100, 60, 2, 10)[0], src)
-    ties = {"1": ("mu_1..mu_99", "1, ..., 0.999999999999998: 99 values"),
-            "1e-14": ("mu_2..mu_100", "5.24105515070404e-12, ..., -1.15852025320598e-14: "
-                                      "99 values")}
-    for sigma, (block, values) in ties.items():
-        assert main(["rank", src, "--sigma", sigma, "--q", "3"]) == 3
+    eye = str(tmp_path / "equidistant.tsv")
+    save_matrix(Dataset.from_matrix(np.eye(30)), eye)
+    ties = {(eye, "median"): ("mu_1..mu_29", "0.632120558828559, ..., 0.632120558828557: "
+                                             "29 values"),
+            (src, "1e-14"): ("mu_2..mu_100", "5.24105515070404e-12, ..., -1.15852025320598e-14: "
+                                             "99 values")}
+    for (path, sigma), (block, values) in ties.items():
+        assert main(["rank", path, "--sigma", sigma, "--q", "3"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"kpcaig: eigenvalues {block} of the centred Gram are tied "
                               f"({values}): the gap at q=3, ")
         assert len(err) < 300
-    # the warning of a tied block inside the top q names it alike
+    # the warning of a tied block inside the top q names it alike: every kernel value
+    # about exp(-120) (K ~ I) ties mu_1..mu_99
     out = tmp_path / "project.tsv"
     assert main(["project", src, "--sigma", "1", "--q", "99", "-o", str(out)]) == 0
     assert capsys.readouterr().err == (
-        f"kpcaig: warning: eigenvalues mu_1..mu_99 of the centred Gram are tied "
-        f"({ties['1'][1]}), so axes 1..99 of the top q=99 are fixed only up to a rotation "
-        "among themselves\n")
+        "kpcaig: warning: eigenvalues mu_1..mu_99 of the centred Gram are tied "
+        "(1, ..., 0.999999999999998: 99 values), so axes 1..99 of the top q=99 are fixed "
+        "only up to a rotation among themselves\n")
+
+
+def test_a_bandwidth_at_the_rounding_level_exits_3_naming_it(tmp_path, capsys):
+    # median d^2 is 121: at sigma=1e-16 every kernel value rounds to 1 (K ~ 11^T), so no
+    # centred eigenvalue clears the rounding level of K; at sigma=1 and 3 no off-diagonal
+    # kernel value does (K ~ I). `arrows` may warn of the tie first
+    data = planted_clusters(100, 60, 2, 10)[0]
+    src = str(tmp_path / "planted.tsv")
+    save_matrix(data, src)
+    med = 1 / sigma_heuristic(standardize(data))
+    out = tmp_path / "out.tsv"
+    cases = [(["rank"], "1e-16", "small"), (["project"], "1e-16", "small"),
+             *((command, sigma, "large") for command in (["rank"], ["arrows", "--feature", "f0"])
+               for sigma in ("1", "3"))]
+    for command, sigma, cause in cases:
+        assert main([*command, src, "--sigma", sigma, "--q", "3", "-o", str(out)]) == 3
+        error = capsys.readouterr().err.splitlines()[-1]
+        value = float(sigma)
+        assert error.startswith(f"kpcaig: rbf bandwidth sigma={value!r} is too {cause} for these "
+                                f"samples: sigma * median d^2 = {value * med:.3g}, ")
+        assert len(error) < 300
+        assert not out.exists()
+
+
+def test_a_wide_input_ranks_from_a_thousandth_to_ten_times_the_median_sigma(tmp_path, capsys):
+    # at p >> n every pairwise d^2 lies near the median, so no such sigma puts the kernel
+    # at the rounding level of K
+    data = planted_clusters(60, 3000, 2, 30)[0]
+    src = str(tmp_path / "wide.tsv")
+    save_matrix(data, src)
+    median = sigma_heuristic(standardize(data))
+    for factor in (1e-3, 1e-2, 1e-1, 1, 10):
+        assert main(["rank", src, "--sigma", repr(factor * median), "--q", "3",
+                     "-o", str(tmp_path / "rank.tsv")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", [["baseline", "permute"],

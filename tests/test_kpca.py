@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import warnings
 
@@ -11,7 +12,8 @@ from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, SigmaR
                     center_gram, explained_variance, fit_kpca, gram_matrix, grid_search_sigma,
                     project_training, rank_features, save_matrix, selection_curve,
                     sigma_heuristic, silhouette_curve, standardize, variance_generalization)
-from kpcaig.cli import main
+from kpcaig.cli import _fit, main
+from kpcaig.kpca import check_determined, rounding_level
 from kpcaig.synthetic import planted_clusters
 
 from generators import OVERFLOWS_WHEN_CENTRED
@@ -340,3 +342,39 @@ def test_fit_eigenpairs_are_numpys_eigh_of_center_gram(n, p, q, family, seed):
     ref, _ = refit(model, np.linalg.eigh)
     assert np.array_equal(model.eigvals, ref.eigvals)
     assert np.array_equal(model.alphas, ref.alphas)
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 30), st.integers(1, 6), st.sampled_from(["rbf", "linear", "polynomial"]),
+       st.data())
+def test_one_rounding_level_decides_every_numerical_zero_of_a_fit(n, p, family, data):
+    q = data.draw(st.integers(1, n + 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
+    # distinct rows, or repeated ones, down to one sample n times, which lower the rank
+    rows = data.draw(st.permutations(range(n))
+                     | st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    d = Dataset.from_matrix(X[rows])
+    spec = {"rbf": KernelSpec("rbf", sigma=10.0 ** data.draw(st.floats(-20, 4))),   # 11^T to I
+            "linear": KernelSpec("linear"),
+            "polynomial": KernelSpec("polynomial", degree=data.draw(st.integers(2, 3)),
+                                     coef0=1.0)}[family]
+    K = gram_matrix(spec, d)
+    mu = np.linalg.eigh(center_gram(K))[0][::-1]
+    level = rounding_level(K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        if mu[0] <= level:
+            with pytest.raises(DegenerateDataError):
+                fit_kpca(d, spec, q)
+            return
+        model, header = _fit(argparse.Namespace(q=q), d, (spec, None))
+    assert np.array_equal(model.spectrum, mu)
+    assert model.q == min(q, np.count_nonzero(mu > level), n - 1)
+    assert header["eigengap_bound"] == level
+    # an rbf K with no off-diagonal value above the level is K ~ I, and refused for rankings
+    if family == "rbf" and K[~np.eye(n, dtype=bool)].max() <= level:
+        with pytest.raises(DegenerateDataError, match="is too large for these samples"):
+            check_determined(model)
+    else:
+        check_determined(model)
