@@ -166,8 +166,8 @@ def _dsyevr(a: np.ndarray, il: int, iu: int) -> tuple[np.ndarray, np.ndarray, in
     return w, z, int(m[0]), info
 
 
-def _leading_subspace(Kc: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-q eigenvalues (ascending) and eigenvectors of a finite centred Gram,
+def _leading_subspace(Kc: np.ndarray, q: int) -> np.ndarray:
+    """The top-q eigenvectors, by ascending eigenvalue, of a finite centred Gram,
     read from its lower triangle, which the call may overwrite: the reference
     projector of each block of features and every permuted Gram's axes.
 
@@ -180,13 +180,13 @@ def _leading_subspace(Kc: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     fewer pairs than asked raises: the top q axes are not determined.
     """
     n = len(Kc)
-    mu, U, m, info = _dsyevr(Kc, n - q + 1, n)
+    _, U, m, info = _dsyevr(Kc, n - q + 1, n)
     if info:
         raise np.linalg.LinAlgError(f"LAPACK dsyevr failed (info={info})")
     if m < q:     # LAPACK can return fewer pairs on a tied spectrum
         raise DegenerateDataError(f"the top q={q} eigenvalues of the centred Gram matrix are "
                                   f"tied, so its top q={q} eigenvectors are not determined")
-    return mu[:q], U
+    return U
 
 
 def permutation_importance(data: Dataset, spec: KernelSpec, q: int,
@@ -213,13 +213,13 @@ def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
     The features are scored in contiguous blocks, one process per CPU with
     every OpenBLAS on one thread (``parallel.run_in_blocks``), and in one
     process when the draws are too few for ``_DRAW_CELLS_PER_PROCESS``.
-    K, its spectrum and q are the fit's, q as the fit lowered it; both
-    metrics refuse an rbf K ~ I (``kpca.check_determined``). The subspace
-    metric reads the top-q axes, so it also needs q <= n-2 (at q = n-1 they
-    span the whole centred space and every distance is rounding noise) and
-    a gap at the cut that ``kpca.check_gap`` passes. A permuted Gram that
-    overflows float64 raises the DegenerateDataError that ``gram_matrix``
-    raises for the unpermuted one.
+    K, its spectrum and q are the fit's, q as the fit lowered it. The gram
+    metric refuses an rbf K ~ I (``kpca.check_determined``). The subspace
+    metric reads the top-q axes, so it needs q <= n-2 (at q = n-1 they span
+    the whole centred space and every distance is rounding noise) and a fit
+    that ``kpca.check_gap`` passes: no K ~ I and no tie at the cut. A
+    permuted Gram that overflows float64 raises the DegenerateDataError that
+    ``gram_matrix`` raises for the unpermuted one.
     """
     if n_perm < 1:
         raise InputError(f"n_perm must be >= 1, got {n_perm}")
@@ -234,9 +234,7 @@ def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
             f"matrix has rank at most n-1={n - 1}, so its top q={q} eigenvectors span the "
             "whole centred space under every permutation and each distance is rounding "
             "noise; use q <= n-2")
-    check_determined(model)
-    if metric == "subspace":
-        check_gap(model)
+    (check_gap if metric == "subspace" else check_determined)(model)
     rule = kernel_rule(spec)
     base = pairwise_base(data, rule.distance)
 
@@ -251,7 +249,7 @@ def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
         if metric == "subspace":
             # the reference projector from the draws' own call at their BLAS thread
             # count, so an unchanged Gram (a constant column) scores 0 exactly
-            U = _leading_subspace(centred(K), q)[1]
+            U = _leading_subspace(centred(K), q)
             P = U @ U.T
         out = np.empty(hi - lo)
         base_p = np.empty((n, n))     # the permuted base, rebuilt in place each draw
@@ -266,7 +264,7 @@ def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
                 base_p += base
                 Kp = rule.value(base_p)
                 if metric == "subspace":
-                    dists[r] = _projection_distance(P, _leading_subspace(centred(Kp), q)[1])
+                    dists[r] = _projection_distance(P, _leading_subspace(centred(Kp), q))
                 else:
                     dists[r] = _frobenius(K - Kp)
             out[j - lo] = dists.mean()

@@ -252,9 +252,10 @@ def _feature_index(data: Dataset, name: str) -> int:
 
 def _cmd_arrows(args, data: Dataset, kernel) -> tuple:
     model, resolved = _fit(args, data, kernel)
-    warn_ties(model, 2)    # x, y, dx and dy come from axes 1 and 2
     j = _feature_index(data, args.feature)
+    # before warn_ties: arrow_field refuses K ~ I, which warn_ties would warn of
     points, vectors = zip(*arrow_field(model, j, scale=args.scale))
+    warn_ties(model, 2)    # x, y, dx and dy come from axes 1 and 2
     return (resolved, ("x", "y", "dx", "dy", "sample_id"),
             (*zip(*points), *zip(*vectors), data.sample_ids))
 

@@ -16,9 +16,9 @@ q x n x c. Blocks fit in kernels.BLOCK_BYTES, so the q x n x p tensor is
 never materialized even for very wide matrices.
 
 Fields are plain n x q arrays; FeatureRanking is the one ranking type, which
-the baselines return too. A ranking raises instead when its top-q axes are
-arbitrary: for an rbf Gram with K ~ I (``kpca.check_determined``), and when
-the gap at the cut q is below its rounding level (``kpca.check_gap``).
+the baselines return too. A field raises when the fit's axes are arbitrary,
+for an rbf Gram with K ~ I (``kpca.check_determined``); a ranking raises also
+when the gap at the cut q is below its rounding level (``kpca.check_gap``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _fields(model: FittedKpca, blocks):
     rule = kernel_rule(model.kernel)
     data = model.training_data
     X = data.matrix
-    n, q = model.n, model.q
+    n, q = data.n, model.q
     P = rule.slope(pairwise_base(data, rule.distance), model.K)
     B = model.alphas - model.alphas.mean(axis=0)  # (I - (1/n) 11^T) alpha
     # block k of S is P diag(B_k): S @ x_j stacks P (x_j * B_k)
@@ -65,8 +65,9 @@ def _fields(model: FittedKpca, blocks):
 
 def gradient_field(model: FittedKpca, j: int) -> np.ndarray:
     """n x q matrix of projected gradient directions for variable j."""
-    if not 0 <= j < model.p:
-        raise InputError(f"feature index {j} out of range for p={model.p}")
+    p = model.training_data.p
+    if not 0 <= j < p:
+        raise InputError(f"feature index {j} out of range for p={p}")
     check_determined(model)
     return next(_fields(model, [slice(j, j + 1)]))[:, :, 0].T
 
@@ -74,12 +75,11 @@ def gradient_field(model: FittedKpca, j: int) -> np.ndarray:
 def rank_features(model: FittedKpca) -> FeatureRanking:
     """Score every variable and sort descending (ties: lower index first).
 
-    Raises DegenerateDataError when the top-q axes are not determined: an rbf
-    Gram with K ~ I (``kpca.check_determined``), or a gap at the cut q below
-    its rounding bound (``kpca.check_gap``); and when a field overflows
-    float64, as one of a high polynomial degree can where K is finite.
+    Raises DegenerateDataError when the top-q axes are not determined
+    (``kpca.check_gap``: an rbf Gram with K ~ I, or a gap at the cut q below
+    its rounding bound), and when a field overflows float64, as one of a high
+    polynomial degree can where K is finite.
     """
-    check_determined(model)
     check_gap(model)
     n, p = model.training_data.matrix.shape
     blocks = column_blocks(p, 8 * n * model.q)     # q x n x c fields a block

@@ -12,8 +12,10 @@ standardizing it first is the caller's choice.
 
 One level, ``rounding_level(K)``, decides every numerical zero: the fit's
 rank counts the eigenvalues above it and refuses a spectrum with none (K ~
-11^T); a gap at the cut below it is a tie (``check_gap``, ``warn_ties``); an
-rbf K with no off-diagonal value above it is K ~ I (``check_determined``).
+11^T); an rbf K with no off-diagonal value above it is K ~ I, and a gap at
+the cut below it a tie. Fields check K ~ I (``check_determined``), rankings
+K ~ I then the tie (``check_gap``), and ``warn_ties`` warns of them in that
+order; a fit refuses neither, so grid search scores such a sigma.
 """
 
 from __future__ import annotations
@@ -44,19 +46,6 @@ class FittedKpca:
     alphas: np.ndarray       # n x q, scaled so alpha^T K~ alpha = 1 per column
     q: int
     spectrum: np.ndarray     # all n eigenvalues of K~, descending
-
-    @property
-    def n(self) -> int:
-        return self.training_data.n
-
-    @property
-    def p(self) -> int:
-        return self.training_data.p
-
-    @property
-    def eigval_total(self) -> float:
-        """Sum of ALL positive eigenvalues of K~."""
-        return float(self.spectrum[self.spectrum > 0].sum())
 
 
 def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
@@ -111,18 +100,23 @@ def rounding_level(K: np.ndarray) -> float:
     return float(2 * len(K) ** 2 * np.finfo(np.float64).eps * np.abs(K).max())
 
 
+def _near_identity(model: FittedKpca) -> str | None:
+    """The words naming K ~ I when the fit's K is an rbf Gram whose
+    off-diagonal values are all at or below ``rounding_level(K)``, else None."""
+    spec, K = model.kernel, model.K
+    if spec.family != "rbf" or K[~np.eye(len(K), dtype=bool)].max() > rounding_level(K):
+        return None
+    return (f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: "
+            f"sigma * median d^2 = {spec.sigma * median_sq_distance(model.training_data):.3g}, "
+            "so every off-diagonal kernel value is at most the rounding level of K (K ~ I), "
+            f"so the top q={model.q} eigenvectors are not determined; use a smaller sigma")
+
+
 def check_determined(model: FittedKpca) -> None:
-    """Raise DegenerateDataError when the fit's K is an rbf Gram whose
-    off-diagonal values are all at or below ``rounding_level(K)`` (K ~ I), so
-    its top-q eigenvectors are arbitrary. Rankings call this, fits do not:
-    grid search scores a K ~ I fit like any other."""
-    spec, K, data = model.kernel, model.K, model.training_data
-    if spec.family == "rbf" and K[~np.eye(len(K), dtype=bool)].max() <= rounding_level(K):
-        raise DegenerateDataError(
-            f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: "
-            f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}, so every "
-            "off-diagonal kernel value is at most the rounding level of K (K ~ I), so the "
-            f"top q={model.q} eigenvectors are not determined; use a smaller sigma")
+    """Raise DegenerateDataError at K ~ I (``_near_identity``): the fit's top-q
+    eigenvectors, and so every field, are arbitrary."""
+    if message := _near_identity(model):
+        raise DegenerateDataError(message)
 
 
 def eigengap(model: FittedKpca) -> tuple[float, float]:
@@ -132,12 +126,14 @@ def eigengap(model: FittedKpca) -> tuple[float, float]:
 
 
 def check_gap(model: FittedKpca) -> None:
-    """Raise ``tie_error`` when the gap at the cut q is below its rounding
-    bound (``eigengap``). A tie inside the top q is harmless: another
-    eigenbasis rotates the alphas and leaves every field row's norm as is."""
+    """Raise DegenerateDataError when the top-q subspace is not determined: at
+    K ~ I (``check_determined``), else at a gap at the cut q below its rounding
+    bound (``eigengap``). A tie inside the top q rotates the alphas among
+    themselves and leaves every field row's norm as is."""
+    check_determined(model)
     gap, bound = eigengap(model)
     if gap < bound:
-        raise tie_error(model.spectrum, model.q, gap, bound)
+        raise _tie_error(model)
 
 
 def _tied(mu: np.ndarray, lo: int, hi: int) -> str:
@@ -149,10 +145,11 @@ def _tied(mu: np.ndarray, lo: int, hi: int) -> str:
     return f"eigenvalues mu_{lo + 1}..mu_{hi} of the centred Gram are tied ({values})"
 
 
-def tie_error(mu: np.ndarray, q: int, gap: float, bound: float) -> DegenerateDataError:
+def _tie_error(model: FittedKpca) -> DegenerateDataError:
     """The error for a gap at the cut q below its rounding bound, naming the
-    tied eigenvalues among mu (all of K~'s, descending) and the nearest q
-    whose gap clears the bound."""
+    tied eigenvalues of K~ and the nearest q whose gap clears the bound."""
+    mu, q = model.spectrum, model.q
+    gap, bound = eigengap(model)
     clear = np.flatnonzero(mu[:-1] - mu[1:] >= bound) + 1    # each q whose gap clears
     lo, hi = clear[clear < q].max(initial=0), clear[clear > q].min(initial=len(mu))
     nearest = min((c for c in (lo, hi) if 0 < c < len(mu)), key=lambda c: abs(c - q),
@@ -165,20 +162,23 @@ def tie_error(mu: np.ndarray, q: int, gap: float, bound: float) -> DegenerateDat
 
 
 def warn_ties(model: FittedKpca, axes: int) -> None:
-    """Warn of each tie that leaves one of the first ``axes`` axes of the fit
+    """Warn of what leaves one of the first ``axes`` axes of the fit
     undetermined, for the commands that print axes (``project`` prints all q,
-    ``arrows`` the first 2): a gap at the cut q below its rounding bound, with
-    ``tie_error``'s text, and each block of tied eigenvalues inside the top q,
-    whose axes are fixed only up to a rotation among themselves. A tied block
-    that starts past the printed axes leaves them as they are. A ranking needs
-    only the first (``check_gap``)."""
+    ``arrows`` the first 2): K ~ I alone, with ``check_determined``'s text;
+    else a gap at the cut q below its rounding bound, with ``check_gap``'s
+    text, and each block of tied eigenvalues inside the top q, whose axes are
+    fixed only up to a rotation among themselves. A tied block that starts
+    past the printed axes leaves them as they are."""
+    if message := _near_identity(model):
+        warnings.warn(message, UserWarning, stacklevel=2)
+        return
     mu, q = model.spectrum, model.q
     gap, bound = eigengap(model)
     # 0 and each c <= q whose gap mu_c - mu_{c+1} clears the bound: two neighbours more
     # than one apart enclose a tied block (one reaching past q is the cut's)
     cuts = [0, *(np.flatnonzero(mu[:q] - mu[1:q + 1] >= bound) + 1)]
     if gap < bound and cuts[-1] < axes:
-        warnings.warn(str(tie_error(mu, q, gap, bound)), UserWarning, stacklevel=2)
+        warnings.warn(str(_tie_error(model)), UserWarning, stacklevel=2)
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo > 1 and lo < axes:
             warnings.warn(f"{_tied(mu, lo, hi)}, so axes {lo + 1}..{hi} of the top q={q} "
@@ -198,7 +198,7 @@ def explained_variance(model: FittedKpca) -> np.ndarray:
     The denominator sums all positive eigenvalues of the centered Gram
     matrix, not just the retained ones.
     """
-    return model.eigvals / model.eigval_total
+    return model.eigvals / model.spectrum[model.spectrum > 0].sum()
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,6 @@ class SigmaRule:
             raise InputError(f"sigma {text!r} is not a number, 'median' or 'grid:v1,...'") from None
         return cls("grid", grid=values) if grid else cls("fixed", value=values)
 
-    def resolve(self, data: Dataset, q: int) -> float:
-        if self.mode == "fixed":
-            return self.value
-        if self.mode == "median":
-            return sigma_heuristic(data)
-        return grid_search_sigma(data, self.grid, q)
-
 
 def grid_search_sigma(data: Dataset, grid, q: int) -> float:
     """Pick sigma from a grid, maximizing the summed retained-q variance share."""
@@ -256,7 +249,10 @@ def grid_search_sigma(data: Dataset, grid, q: int) -> float:
 
 def resolve_spec(spec: KernelSpec, rule: SigmaRule | None, data: Dataset,
                  q: int) -> KernelSpec:
-    """Apply a sigma rule to an rbf spec; other families pass through."""
+    """Apply a sigma rule to an rbf spec: its fixed value, the median heuristic
+    or the grid's pick for q components. Other families pass through."""
     if spec.family != "rbf" or rule is None:
         return spec
-    return KernelSpec("rbf", sigma=rule.resolve(data, q))
+    if rule.mode == "grid":
+        return KernelSpec("rbf", sigma=grid_search_sigma(data, rule.grid, q))
+    return KernelSpec("rbf", sigma=rule.value if rule.mode == "fixed" else sigma_heuristic(data))

@@ -17,7 +17,7 @@ import pytest
 
 from kpcaig import (Dataset, KernelSpec, center_gram, clustering_accuracy,
                     explained_variance, fit_kpca, gradient_field, gram_matrix,
-                    nmi, project_training, rank_features, save_matrix,
+                    nmi, project_training, rank_features, resolve_spec, save_matrix,
                     selection_curve, sigma_heuristic, silhouette, silhouette_curve,
                     standardize, variance_generalization)
 from kpcaig.kpca import SigmaRule
@@ -253,8 +253,9 @@ def test_criterion_9_benchmark_reproduction():
         X = np.asarray(raw["X"], dtype=np.float64)
         y = np.asarray(raw["Y"]).ravel().astype(int)
         data = standardize(Dataset.from_matrix(X, labels=y))
-        sigma = SigmaRule("grid", grid=tuple(10.0**e for e in range(-7, 1))).resolve(data, q)
-        order = rank_features(fit_kpca(data, KernelSpec("rbf", sigma=sigma), q)).order
+        rule = SigmaRule("grid", grid=tuple(10.0**e for e in range(-7, 1)))
+        spec = resolve_spec(KernelSpec("rbf", sigma=1.0), rule, data, q)
+        order = rank_features(fit_kpca(data, spec, q)).order
         pts = selection_curve(data, order, y, int(np.unique(y).size), [d],
                               runs=20, seed=0)
         acc = pts[0].acc_mean

@@ -1137,20 +1137,20 @@ def test_a_long_tied_block_is_named_by_its_ends_and_its_count(tmp_path, capsys):
         assert err.startswith(f"kpcaig: eigenvalues {block} of the centred Gram are tied "
                               f"({values}): the gap at q=3, ")
         assert len(err) < 300
-    # the warning of a tied block inside the top q names it alike: every kernel value
-    # about exp(-120) (K ~ I) ties mu_1..mu_99
+    # the warning of a tied block inside the top q names it alike: the identity rows'
+    # mu_1..mu_29 all lie inside q=29
     out = tmp_path / "project.tsv"
-    assert main(["project", src, "--sigma", "1", "--q", "99", "-o", str(out)]) == 0
+    assert main(["project", eye, "--sigma", "median", "--q", "29", "-o", str(out)]) == 0
     assert capsys.readouterr().err == (
-        "kpcaig: warning: eigenvalues mu_1..mu_99 of the centred Gram are tied "
-        "(1, ..., 0.999999999999998: 99 values), so axes 1..99 of the top q=99 are fixed "
-        "only up to a rotation among themselves\n")
+        "kpcaig: warning: eigenvalues mu_1..mu_29 of the centred Gram are tied "
+        "(0.632120558828559, ..., 0.632120558828557: 29 values), so axes 1..29 of the top "
+        "q=29 are fixed only up to a rotation among themselves\n")
 
 
 def test_a_bandwidth_at_the_rounding_level_exits_3_naming_it(tmp_path, capsys):
     # median d^2 is 121: at sigma=1e-16 every kernel value rounds to 1 (K ~ 11^T), so no
     # centred eigenvalue clears the rounding level of K; at sigma=1 and 3 no off-diagonal
-    # kernel value does (K ~ I). `arrows` may warn of the tie first
+    # kernel value does (K ~ I). The refusal is the only line, with no tie warning
     data = planted_clusters(100, 60, 2, 10)[0]
     src = str(tmp_path / "planted.tsv")
     save_matrix(data, src)
@@ -1161,12 +1161,32 @@ def test_a_bandwidth_at_the_rounding_level_exits_3_naming_it(tmp_path, capsys):
                for sigma in ("1", "3"))]
     for command, sigma, cause in cases:
         assert main([*command, src, "--sigma", sigma, "--q", "3", "-o", str(out)]) == 3
-        error = capsys.readouterr().err.splitlines()[-1]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = err.rstrip("\n")
         value = float(sigma)
         assert error.startswith(f"kpcaig: rbf bandwidth sigma={value!r} is too {cause} for these "
                                 f"samples: sigma * median d^2 = {value * med:.3g}, ")
         assert len(error) < 300
         assert not out.exists()
+
+
+def test_project_at_k_near_identity_warns_naming_the_bandwidth(tmp_path, capsys):
+    # at sigma=1 no off-diagonal kernel value clears the rounding level of K (K ~ I):
+    # `project` prints its embedding with one warning naming sigma, not a 99-value tie
+    data = planted_clusters(100, 60, 2, 10)[0]
+    src = str(tmp_path / "planted.tsv")
+    save_matrix(data, src)
+    out = tmp_path / "project.tsv"
+    assert main(["project", src, "--sigma", "1", "--q", "3", "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert len(err) < 300
+    assert err.startswith("kpcaig: warning: rbf bandwidth sigma=1.0 is too large for these "
+                          "samples: sigma * median d^2 = 121, ")
+    model = fit_kpca(standardize(data), KernelSpec("rbf", sigma=1.0), 3)
+    rows = read_table(out)[2]
+    assert np.array_equal([[float(v) for v in row[1:]] for row in rows], project_training(model))
 
 
 def test_a_wide_input_ranks_from_a_thousandth_to_ten_times_the_median_sigma(tmp_path, capsys):
@@ -1204,7 +1224,7 @@ def test_permute_refuses_a_tie_at_the_cut_for_the_subspace_metric(tmp_path, caps
     if metric == "subspace":
         assert main([*argv, "--q", "1"]) == 3
         err = capsys.readouterr().err
-        # the message of `rank` on the same file, from the same spectrum (kpca.tie_error)
+        # the message of `rank` on the same file, from the same spectrum (kpca.check_gap)
         assert main(["rank", src, "--q", "1"]) == 3
         assert capsys.readouterr().err == err
         assert err.startswith("kpcaig: eigenvalues mu_1..mu_2 of the centred Gram are tied "

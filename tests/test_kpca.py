@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, SigmaRule,
                     center_gram, explained_variance, fit_kpca, gram_matrix, grid_search_sigma,
-                    project_training, rank_features, save_matrix, selection_curve,
+                    project_training, rank_features, resolve_spec, save_matrix, selection_curve,
                     sigma_heuristic, silhouette_curve, standardize, variance_generalization)
+from kpcaig.baselines import permutation_ranking
 from kpcaig.cli import _fit, main
-from kpcaig.kpca import check_determined, rounding_level
+from kpcaig.kpca import check_determined, check_gap, rounding_level, warn_ties
 from kpcaig.synthetic import planted_clusters
 
 from generators import OVERFLOWS_WHEN_CENTRED
@@ -222,7 +223,8 @@ def test_grid_search_sigma_maximizes_retained_variance():
 def test_sigma_rule_parse_and_resolve():
     data = Dataset.from_matrix([[0.0], [2.0], [4.0]])
     assert SigmaRule.parse("0.5") == SigmaRule("fixed", value=0.5)
-    assert SigmaRule.parse("median").resolve(data, 1) == sigma_heuristic(data)
+    rbf = KernelSpec("rbf", sigma=1.0)
+    assert resolve_spec(rbf, SigmaRule.parse("median"), data, 1).sigma == sigma_heuristic(data)
     rule = SigmaRule.parse("grid:0.1,1.0")
     assert rule.grid == (0.1, 1.0)
     for bad in (-1.0, float("inf"), float("nan")):
@@ -378,3 +380,41 @@ def test_one_rounding_level_decides_every_numerical_zero_of_a_fit(n, p, family, 
             check_determined(model)
     else:
         check_determined(model)
+
+
+@settings(max_examples=100)
+@given(st.integers(4, 12), st.integers(1, 5), st.sampled_from(["rbf", "linear", "polynomial"]),
+       st.booleans(), st.data())
+def test_every_question_about_a_fit_names_k_near_identity_first(n, p, family, spread, data):
+    # Gaussian rows, or the rows of I jittered, whose pairwise distances lie near their
+    # median; rbf at 0.25x, a drawn factor and 300x the median sigma, where K ~ I sets in
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = np.eye(n) + 0.3 * rng.normal(size=(n, n)) if spread else rng.normal(size=(n, p))
+    d = standardize(Dataset.from_matrix(X))
+    q = data.draw(st.integers(1, n - 2))
+    factors = (0.25, 10.0 ** data.draw(st.floats(np.log10(0.25), np.log10(300.0))), 300.0)
+    specs = {"rbf": [KernelSpec("rbf", sigma=f * sigma_heuristic(d)) for f in factors],
+             "linear": [KernelSpec("linear")],
+             "polynomial": [KernelSpec("polynomial", degree=2, coef0=1.0)]}[family]
+    for spec in specs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            model = fit_kpca(d, spec, q)
+        try:
+            check_determined(model)
+            message = None
+        except DegenerateDataError as e:
+            message = str(e)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warn_ties(model, model.q)
+        warned = [str(w.message) for w in caught]
+        if message is None:
+            assert not any("too large for these samples" in w for w in warned)
+            continue
+        assert warned == [message]
+        for call in (check_gap, rank_features,
+                     lambda m: permutation_ranking(m, metric="subspace")):
+            with pytest.raises(DegenerateDataError) as info:
+                call(model)
+            assert str(info.value) == message
