@@ -15,7 +15,8 @@ rank counts the eigenvalues above it and refuses a spectrum with none (K ~
 11^T); an rbf K with no off-diagonal value above it is K ~ I, and a gap at
 the cut below it a tie. Fields check K ~ I (``check_determined``), rankings
 K ~ I then the tie (``check_gap``), and ``warn_ties`` warns of them in that
-order; a fit refuses neither, so grid search scores such a sigma.
+order; a fit refuses neither, so grid search scores such a sigma. Grid search
+skips, with a warning, a sigma whose fit is refused (K ~ 11^T).
 """
 
 from __future__ import annotations
@@ -234,16 +235,29 @@ class SigmaRule:
 
 
 def grid_search_sigma(data: Dataset, grid, q: int) -> float:
-    """Pick sigma from a grid, maximizing the summed retained-q variance share."""
+    """Pick sigma from a grid, maximizing the summed retained-q variance share.
+
+    A value whose fit is refused (DegenerateDataError, as at K ~ 11^T) is
+    skipped with one warning each; the first refusal is raised when no value fits.
+    """
     grid = tuple(grid)
     if not grid:
         raise InputError("sigma grid is empty")
-    best_sigma, best_score = None, -np.inf
+    best_sigma, best_score, refused = None, -np.inf, []
     for sigma in grid:
-        model = fit_kpca(data, KernelSpec("rbf", sigma=sigma), q)
+        try:
+            model = fit_kpca(data, KernelSpec("rbf", sigma=sigma), q)
+        except DegenerateDataError as err:
+            refused.append(err)
+            continue
         score = float(explained_variance(model).sum())
         if score > best_score:
             best_sigma, best_score = sigma, score
+    if best_sigma is None:
+        raise refused[0]
+    for err in refused:
+        warnings.warn(f"grid search skips a sigma its fit refuses: {err}",
+                      UserWarning, stacklevel=2)
     return best_sigma
 
 

@@ -17,37 +17,33 @@ def planted_clusters(n: int, p: int, k: int, n_informative: int, *,
 
     Returns the Dataset, with its labels, and the informative columns'
     positions, so a ranking that breaks ties by index does not find them.
-    Cluster centres are +-SEPARATION sign patterns on those columns; each
-    column differs across clusters, and each pair of clusters in at least
-    h = min(n_informative, max(2, 0.4 n_informative)) of them. Every other
-    column is standard normal noise. Labels are balanced and shuffled.
-    At k = 2 the second pattern is minus the first, the only pair that passes,
-    so the first draw does. Raises InputError for k < 2, n_informative > p, or
-    when no k patterns exist (more than the Singleton bound
-    2^(n_informative - h + 1)) or turn up in 50 000 draws.
+    Cluster centres are +-SEPARATION sign patterns on those columns, drawn
+    once: every column varies across clusters and no two centres coincide.
+    At k = 2 the second pattern is minus the first. If two drawn patterns
+    coincide, the first m = bit_length(k - 1) columns take each cluster's
+    index in binary, times the first pattern's signs; a column that all
+    clusters share then flips the entry of cluster (column index mod k).
+    Every other column is standard normal noise. Labels are balanced and
+    shuffled. Raises InputError for k < 2, n_informative > p, or
+    n_informative < m, where no k distinct sign patterns exist.
     """
     if k < 2:
         raise InputError(f"planted clusters need k >= 2, got k={k}")
     if n_informative > p:
         raise InputError(f"n_informative={n_informative} exceeds p={p}")
+    m = (k - 1).bit_length()
+    if n_informative < m:
+        raise InputError(f"k={k} distinct cluster centres need n_informative >= m={m} "
+                         f"columns, got n_informative={n_informative}")
     rng = np.random.default_rng(seed)
-    min_hamming = min(n_informative, max(2, int(0.4 * n_informative)))
-    feasible = not min_hamming or k <= 2 ** (n_informative - min_hamming + 1)
-    pairs = np.triu_indices(k, 1)
-    for _ in range(50_000 if feasible else 0):
-        patterns = rng.choice([-1.0, 1.0], size=(k, n_informative))
-        if k == 2:
-            patterns[1] = -patterns[0]
-        # every informative column must differ across clusters, and every
-        # cluster pair must be separated in enough coordinates
-        if np.any(patterns.min(axis=0) == patterns.max(axis=0)):
-            continue
-        if (patterns[:, None] != patterns[None]).sum(axis=2)[pairs].min() >= min_hamming:
-            break
-    else:
-        raise InputError(f"found no k={k} cluster centres that differ on each of "
-                         f"n_informative={n_informative} columns and pairwise on "
-                         f"{min_hamming} of them")
+    patterns = rng.choice([-1.0, 1.0], size=(k, n_informative))
+    if k == 2:
+        patterns[1] = -patterns[0]
+    if len(np.unique(patterns, axis=0)) < k:
+        bits = (np.arange(k)[:, None] >> np.arange(m)) & 1
+        patterns[:, :m] = patterns[0, :m] * (1 - 2 * bits)
+    shared = np.flatnonzero(patterns.min(axis=0) == patterns.max(axis=0))
+    patterns[shared % k, shared] *= -1
     labels = rng.permutation(np.arange(n) % k)
     X = rng.normal(0.0, 1.0, size=(n, p))
     signal = (SEPARATION * patterns[labels]

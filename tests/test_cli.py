@@ -1171,6 +1171,29 @@ def test_a_bandwidth_at_the_rounding_level_exits_3_naming_it(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_grid_skips_a_bandwidth_its_fit_refuses(tmp_path, capsys):
+    # sigma=1e-16 puts K ~ 11^T (previous test): the grid ranks at its other value, the
+    # median sigma, with one warning naming the skipped one; a grid of refused values only
+    # exits 3 with the first one's refusal, as a fixed sigma does
+    src = str(tmp_path / "planted.tsv")
+    save_matrix(planted_clusters(100, 60, 2, 10)[0], src)
+    out, fixed = tmp_path / "grid.tsv", tmp_path / "fixed.tsv"
+    assert main(["rank", src, "--sigma", "grid:1e-16,0.00827", "--q", "3", "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 300
+    assert err.startswith("kpcaig: warning: grid search skips a sigma its fit refuses: rbf "
+                          "bandwidth sigma=1e-16 is too small for these samples: "
+                          "sigma * median d^2 = 1.21e-14, ")
+    assert header_of(out)["sigma_resolved"] == 0.00827
+    assert main(["rank", src, "--sigma", "0.00827", "--q", "3", "-o", str(fixed)]) == 0
+    assert read_table(out)[2] == read_table(fixed)[2]
+    capsys.readouterr()
+    assert main(["rank", src, "--sigma", "1e-16", "--q", "3"]) == 3
+    refusal = capsys.readouterr().err
+    assert main(["rank", src, "--sigma", "grid:1e-16,1e-17", "--q", "3"]) == 3
+    assert capsys.readouterr().err == refusal
+
+
 def test_project_at_k_near_identity_warns_naming_the_bandwidth(tmp_path, capsys):
     # at sigma=1 no off-diagonal kernel value clears the rounding level of K (K ~ I):
     # `project` prints its embedding with one warning naming sigma, not a 99-value tie
