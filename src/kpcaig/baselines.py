@@ -15,9 +15,7 @@ check, no workspace query and no input copy, from numpy's own OpenBLAS
 wherever it exports the routine, so the baseline then imports no scipy
 (``_dsyevr``). The unpermuted Gram, its spectrum, q and their checks are a
 fitted model's (``kpca.fit_kpca``); the reference projector U U^T is formed
-once per process, not per draw. Each Gram, the reference and every permuted
-one, goes to the eigensolver as ``kernels._double_centred`` transposed (see
-``kernels``), unmirrored.
+once per process, not per draw.
 """
 
 from __future__ import annotations
@@ -28,9 +26,8 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .importance import FeatureRanking
-from .kernels import (KernelSpec, _double_centred, column_blocks, kernel_rule, overflow_error,
-                      pairwise_base)
+from .importance import FeatureRanking, _descending
+from .kernels import KernelSpec, _eigh_input, column_blocks, kernel_rule, pairwise_base
 from .kpca import FittedKpca, check_determined, check_gap, fit_kpca
 from .parallel import _openblas_libraries, run_in_blocks
 
@@ -176,7 +173,7 @@ def _leading_subspace(Kc: np.ndarray, q: int) -> np.ndarray:
     rounding. The routine comes from the LAPACK numpy loaded, through ctypes,
     and from scipy's wrapper only where numpy's LAPACK exports no ILP64
     ``dsyevr`` (see ``_dsyevr``). A Fortran-ordered Kc, as
-    ``_double_centred(K).T`` is, is used in place, not copied. A result with
+    ``kernels._eigh_input`` gives, is used in place, not copied. A result with
     fewer pairs than asked raises: the top q axes are not determined.
     """
     n = len(Kc)
@@ -238,18 +235,11 @@ def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
     rule = kernel_rule(spec)
     base = pairwise_base(data, rule.distance)
 
-    def centred(Kp):
-        # the eigensolver's input, which LAPACK needs finite
-        Kc = _double_centred(Kp).T
-        if not np.isfinite(Kc).all():
-            raise overflow_error(spec)
-        return Kc
-
     def score(lo, hi):
         if metric == "subspace":
             # the reference projector from the draws' own call at their BLAS thread
             # count, so an unchanged Gram (a constant column) scores 0 exactly
-            U = _leading_subspace(centred(K), q)
+            U = _leading_subspace(_eigh_input(K, spec), q)
             P = U @ U.T
         out = np.empty(hi - lo)
         base_p = np.empty((n, n))     # the permuted base, rebuilt in place each draw
@@ -264,7 +254,8 @@ def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
                 base_p += base
                 Kp = rule.value(base_p)
                 if metric == "subspace":
-                    dists[r] = _projection_distance(P, _leading_subspace(centred(Kp), q))
+                    V = _leading_subspace(_eigh_input(Kp, spec), q)
+                    dists[r] = _projection_distance(P, V)
                 else:
                     dists[r] = _frobenius(K - Kp)
             out[j - lo] = dists.mean()
@@ -275,7 +266,4 @@ def permutation_ranking(model: FittedKpca, n_perm: int = 1, seed: int = 0,
         scores = run_in_blocks(p, cells // _DRAW_CELLS_PER_PROCESS, (), score, blas=True)
     # a gram metric distance is infinite or NaN only where a permuted Gram, or
     # its difference from K, overflowed, and then so is the mean
-    if not np.isfinite(scores).all():
-        raise overflow_error(spec)
-    order = np.lexsort((np.arange(p), -scores))
-    return FeatureRanking(scores, order)
+    return _descending(scores, spec)

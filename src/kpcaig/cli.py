@@ -4,8 +4,8 @@ Each command, and each variant of ``baseline`` and ``curve``, takes only the
 options it reads, spelled in full, after the command and variant words; any
 other option, an abbreviation included, is a usage error, and so is an option
 placed before the command or variant word, whose message says where it goes.
-``-o``, and a curve's ``--d-grid``, ``--labels``, ``--k`` and ``--runs``, are
-checked before any ranking is computed. Each command writes exactly one table,
+``-o``, a curve's ``--d-grid``, ``--labels``, ``--k``, ``--runs`` and ``--splits``, and
+``--n-perm`` are checked before any fit. Each command writes exactly one table,
 which starts with a ``# ``-prefixed JSON comment: the command's options as parsed
 plus the values resolved from the data (``sigma_resolved``, ``q_resolved``,
 ``eigengap`` and ``eigengap_bound`` of the fit behind ``rank``, ``project``,
@@ -35,8 +35,8 @@ from .data import Dataset, load_labels, load_matrix, standardize
 from .exceptions import DegenerateDataError, InputError, ParseError
 from .importance import FeatureRanking, arrow_field, rank_features
 from .kernels import KernelSpec
-from .kpca import (FittedKpca, SigmaRule, eigengap, explained_variance, fit_kpca,
-                   project_training, resolve_spec, warn_ties)
+from .kpca import (FittedKpca, SigmaRule, eigengap, explained_variance, fit_with_rule,
+                   project_training, warn_ties)
 from .synthetic import random_ranking
 
 EXIT_OK = 0
@@ -210,7 +210,7 @@ def _kernel(args) -> tuple[KernelSpec, SigmaRule | None]:
 
 def _fit(args, data: Dataset, kernel) -> tuple[FittedKpca, dict]:
     """The fitted model and the values its fit resolved from the data."""
-    model = fit_kpca(data, resolve_spec(*kernel, data, args.q), args.q)
+    model = fit_with_rule(data, *kernel, args.q)
     gap, bound = eigengap(model)
     return model, {"sigma_resolved": model.kernel.sigma, "q_resolved": model.q,
                    "eigengap": gap, "eigengap_bound": bound}
@@ -261,6 +261,8 @@ def _cmd_arrows(args, data: Dataset, kernel) -> tuple:
 
 
 def _cmd_baseline(args, data: Dataset, kernel) -> tuple:
+    if args.variant == "permute" and args.n_perm < 1:
+        raise InputError(f"--n-perm {args.n_perm}: must be >= 1")
     options = ({"k_nn": args.knn, "t": args.t} if args.variant == "laplacian"
                else {"n_perm": args.n_perm, "metric": args.metric})
     ranking, resolved = _ranking(args, data, kernel, args.variant, **options)
@@ -280,6 +282,8 @@ def _cmd_curve(args, data: Dataset, kernel) -> tuple:
     except InputError as e:
         raise InputError(f"--d-grid {args.d_grid}: {e}") from None
     if args.variant == "variance-split":
+        if args.splits < 1:
+            raise InputError(f"--splits {args.splits}: must be >= 1")
         points = variance_generalization(data, spec, args.q, d_grid, n_splits=args.splits,
                                          seed=args.seed, sigma_rule=rule)
         resolved = {}

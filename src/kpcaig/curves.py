@@ -21,7 +21,8 @@ from .data import Dataset
 from .exceptions import InputError
 from .importance import rank_features
 from .kernels import KernelSpec
-from .kpca import SigmaRule, explained_variance, fit_kpca, project_training, resolve_spec
+from .kpca import (SigmaRule, explained_variance, fit_kpca,  # noqa: F401, perfbench traces it
+                   fit_with_rule, project_training)
 from .metrics import contingency_tables, kmeans, silhouette, table_accuracy, table_nmi
 from .parallel import run_in_blocks
 
@@ -126,8 +127,7 @@ def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
     points = []
     for d in grid:
         sub = data.select_features(order[:d])
-        spec_d = resolve_spec(spec, sigma_rule, sub, 2)
-        coords = project_training(fit_kpca(sub, spec_d, 2))
+        coords = project_training(fit_with_rule(sub, spec, sigma_rule, 2))
         best = min(kmeans(coords, k, range(seed, seed + SILHOUETTE_RESTARTS)),
                    key=lambda res: res.inertia)
         points.append(CurvePoint(d=d, silhouette=silhouette(coords, best.labels)))
@@ -164,14 +164,13 @@ def variance_generalization(data: Dataset, spec: KernelSpec, q: int, d_grid,
         if min(tr.size, te.size) < 3:
             raise InputError(f"split {s} leaves fewer than 3 samples on one side")
         train = data.subset_samples(tr)
-        spec_rank = resolve_spec(spec, sigma_rule, train, q)
-        ranking = rank_features(fit_kpca(train, spec_rank, q))
+        ranking = rank_features(fit_with_rule(train, spec, sigma_rule, q))
         for d in grid:
             cols = ranking.order[:d]
             sub_tr = train.select_features(cols)
             sub_te = data.select_features(cols).subset_samples(te)
-            m_tr = fit_kpca(sub_tr, resolve_spec(spec, sigma_rule, sub_tr, q), q)
-            m_te = fit_kpca(sub_te, resolve_spec(spec, sigma_rule, sub_te, q), q)
+            m_tr = fit_with_rule(sub_tr, spec, sigma_rule, q)
+            m_te = fit_with_rule(sub_te, spec, sigma_rule, q)
             points.append(CurvePoint(d=d, split=s,
                                      var_train=float(explained_variance(m_tr).sum()),
                                      var_test=float(explained_variance(m_te).sum())))

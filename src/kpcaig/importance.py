@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import InputError
 from .kpca import FittedKpca, check_determined, check_gap, project_training
-from .kernels import column_blocks, kernel_rule, overflow_error, pairwise_base
+from .kernels import KernelSpec, column_blocks, kernel_rule, overflow_error, pairwise_base
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,19 @@ def rank_features(model: FittedKpca) -> FeatureRanking:
     blocks = column_blocks(p, 8 * n * model.q)     # q x n x c fields a block
     scores = np.empty(p)
     stds = np.empty(p)
-    with np.errstate(over="ignore", invalid="ignore"):   # the error below says it
+    with np.errstate(over="ignore", invalid="ignore"):   # _descending's error says it
         for cols, W in zip(blocks, _fields(model, blocks)):
             norms = np.sqrt(np.einsum("kic,kic->ic", W, W))
             scores[cols] = norms.mean(axis=0)
             stds[cols] = norms.std(axis=0)
-    if not (np.isfinite(scores).all() and np.isfinite(stds).all()):
-        raise overflow_error(model.kernel)
-    order = np.lexsort((np.arange(p), -scores))
-    return FeatureRanking(scores, order, stds)
+    return _descending(scores, model.kernel, stds)
+
+
+def _descending(scores, spec: KernelSpec, stds=None) -> FeatureRanking:
+    """Scores ranked highest first, ties by lower index; refused unless all are finite."""
+    if not (np.isfinite(scores).all() and (stds is None or np.isfinite(stds).all())):
+        raise overflow_error(spec)
+    return FeatureRanking(scores, np.lexsort((np.arange(len(scores)), -scores)), stds)
 
 
 def arrow_field(model: FittedKpca, j: int, scale: float = 1.0):

@@ -20,8 +20,8 @@ the permutation baseline reuse it. The base is a sum over columns, and
 Gram matrices are plain arrays.
 
 Double centring, K - 1K - K1 + 1K1, is written once, in ``_double_centred``.
-``center_gram`` mirrors its upper triangle. The eigensolvers read only a lower
-triangle and take its transpose, whose lower triangle is center_gram's bits.
+``center_gram`` mirrors its upper triangle. The eigensolvers read the lower
+triangle of its transpose (``_eigh_input``), which is center_gram's bits.
 
 Squared distances come from the inner products of the column-centred rows,
 G = Xc Xc^T: d_ij = g_i + g_j - 2 G_ij with g_i = G_ii. G is one GEMM per
@@ -185,6 +185,14 @@ def overflow_error(spec: KernelSpec) -> DegenerateDataError:
 def _double_centred(V: np.ndarray) -> np.ndarray:
     """The square float64 array V double-centred, before any mirroring."""
     return V - V.mean(axis=1)[:, None] - V.mean(axis=0)[None, :] + V.mean()
+
+
+def _eigh_input(K: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """``_double_centred(K).T`` for LAPACK, refused unless finite (callers silence overflow)."""
+    Kc = _double_centred(K).T
+    if not np.isfinite(Kc).all():
+        raise overflow_error(spec)
+    return Kc
 
 
 def center_gram(K) -> np.ndarray:

@@ -3,9 +3,8 @@
 The centered Gram matrix K~ is diagonalized directly; its eigenvalues mu_k
 are kept in descending order and the eigenvectors are rescaled by
 1/sqrt(mu_k) so that each principal axis has unit norm in feature space
-(alpha_k^T K~ alpha_k = 1). eigh reads K~ from the lower triangle of
-``kernels._double_centred(K)`` transposed, and a fit keeps K, not K~, with
-all n eigenvalues of K~.
+(alpha_k^T K~ alpha_k = 1). eigh reads K~ from ``kernels._eigh_input(K)``,
+and a fit keeps K, not K~, with all n eigenvalues of K~; the first q are ``eigvals``.
 Since K~ alpha_k = mu_k alpha_k, the training points' coordinates are mu_k
 alpha_k, plain arrays with no product over K~. A fit takes any Dataset;
 standardizing it first is the caller's choice.
@@ -15,8 +14,9 @@ rank counts the eigenvalues above it and refuses a spectrum with none (K ~
 11^T); an rbf K with no off-diagonal value above it is K ~ I, and a gap at
 the cut below it a tie. Fields check K ~ I (``check_determined``), rankings
 K ~ I then the tie (``check_gap``), and ``warn_ties`` warns of them in that
-order; a fit refuses neither, so grid search scores such a sigma. Grid search
-skips, with a warning, a sigma whose fit is refused (K ~ 11^T).
+order, each reading one list of the gaps that clear the level. A fit refuses
+neither, so grid search scores such a sigma, and it skips, with a warning, a
+sigma whose fit is refused (K ~ 11^T); its winning fit is ``fit_with_rule``'s.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
-from .kernels import (KernelSpec, _double_centred, gram_matrix, median_sq_distance,
-                      overflow_error, pairwise_base, sigma_heuristic)
+from .kernels import (KernelSpec, _eigh_input, gram_matrix, median_sq_distance,
+                      pairwise_base, sigma_heuristic)
 
 # entries this close to an eigenvector's largest |entry|, relatively, tie with it:
 # repeated samples make exact ties, and rounding would pick among them per LAPACK
@@ -43,10 +43,10 @@ class FittedKpca:
     training_data: Dataset
     kernel: KernelSpec
     K: np.ndarray            # uncentered n x n training Gram, the only n x n array kept
-    eigvals: np.ndarray      # q retained eigenvalues of K~, descending
     alphas: np.ndarray       # n x q, scaled so alpha^T K~ alpha = 1 per column
     q: int
     spectrum: np.ndarray     # all n eigenvalues of K~, descending
+    eigvals = property(lambda self: self.spectrum[:self.q])   # the q retained ones
 
 
 def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
@@ -61,20 +61,15 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     if q < 1:
         raise InputError(f"q must be >= 1, got {q}")
     K = gram_matrix(spec, data)
-    with np.errstate(over="ignore", invalid="ignore"):   # the error below says it
-        Kc = _double_centred(K).T
-    if not np.isfinite(Kc).all():
-        raise overflow_error(spec)
     # numpy's LAPACK, not scipy's: scipy ships a second OpenBLAS, and right after
     # a call into it the two thread pools contend and numpy's products slow down
-    evals, evecs = np.linalg.eigh(Kc)
+    with np.errstate(over="ignore", invalid="ignore"):   # _eigh_input's error says it
+        evals, evecs = np.linalg.eigh(_eigh_input(K, spec))
     evals, evecs = evals[::-1], evecs[:, ::-1]
     rank = int(np.count_nonzero(evals > rounding_level(K)))
     if rank == 0 and spec.family == "rbf" and pairwise_base(data, True).any():
-        raise DegenerateDataError(
-            f"rbf bandwidth sigma={spec.sigma!r} is too small for these samples: "
-            f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}, "
-            "so every kernel value rounds to 1 (K ~ 11^T); use a larger sigma")
+        raise DegenerateDataError(f"{_bandwidth(spec, data, 'small')}, so every kernel "
+                                  "value rounds to 1 (K ~ 11^T); use a larger sigma")
     if rank == 0:
         raise DegenerateDataError("centered Gram matrix has no eigenvalue above its "
                                   "rounding level (all samples identical?)")
@@ -82,14 +77,18 @@ def fit_kpca(data: Dataset, spec: KernelSpec, q: int) -> FittedKpca:
     if q_eff < q:
         warnings.warn(f"requested q={q} exceeds the numerically valid rank; "
                       f"reduced to q={q_eff}", UserWarning, stacklevel=2)
-    mu = np.ascontiguousarray(evals[:q_eff])
     A = np.ascontiguousarray(evecs[:, :q_eff])
     mag = np.abs(A)
     lead = np.argmax(mag >= (1 - SIGN_TIE_REL) * mag.max(axis=0), axis=0)
     A *= np.sign(A[lead, np.arange(q_eff)])
-    alphas = A / np.sqrt(mu)
-    return FittedKpca(training_data=data, kernel=spec, K=K,
-                      eigvals=mu, alphas=alphas, q=q_eff, spectrum=evals)
+    return FittedKpca(training_data=data, kernel=spec, K=K, alphas=A / np.sqrt(evals[:q_eff]),
+                      q=q_eff, spectrum=evals)
+
+
+def _bandwidth(spec: KernelSpec, data: Dataset, regime: str) -> str:
+    """The words naming an rbf sigma too small or too large (regime) for data."""
+    return (f"rbf bandwidth sigma={spec.sigma!r} is too {regime} for these samples: "
+            f"sigma * median d^2 = {spec.sigma * median_sq_distance(data):.3g}")
 
 
 def rounding_level(K: np.ndarray) -> float:
@@ -107,10 +106,9 @@ def _near_identity(model: FittedKpca) -> str | None:
     spec, K = model.kernel, model.K
     if spec.family != "rbf" or K[~np.eye(len(K), dtype=bool)].max() > rounding_level(K):
         return None
-    return (f"rbf bandwidth sigma={spec.sigma!r} is too large for these samples: "
-            f"sigma * median d^2 = {spec.sigma * median_sq_distance(model.training_data):.3g}, "
-            "so every off-diagonal kernel value is at most the rounding level of K (K ~ I), "
-            f"so the top q={model.q} eigenvectors are not determined; use a smaller sigma")
+    return (f"{_bandwidth(spec, model.training_data, 'large')}, so every off-diagonal "
+            "kernel value is at most the rounding level of K (K ~ I), so the top "
+            f"q={model.q} eigenvectors are not determined; use a smaller sigma")
 
 
 def check_determined(model: FittedKpca) -> None:
@@ -126,15 +124,20 @@ def eigengap(model: FittedKpca) -> tuple[float, float]:
     return float(model.spectrum[q - 1] - model.spectrum[q]), rounding_level(model.K)
 
 
+def _clearing_cuts(model: FittedKpca) -> np.ndarray:
+    """Each cut c, ascending, whose gap mu_c - mu_{c+1} clears ``rounding_level(K)``."""
+    return np.flatnonzero(-np.diff(model.spectrum) >= rounding_level(model.K)) + 1
+
+
 def check_gap(model: FittedKpca) -> None:
     """Raise DegenerateDataError when the top-q subspace is not determined: at
     K ~ I (``check_determined``), else at a gap at the cut q below its rounding
     bound (``eigengap``). A tie inside the top q rotates the alphas among
     themselves and leaves every field row's norm as is."""
     check_determined(model)
-    gap, bound = eigengap(model)
-    if gap < bound:
-        raise _tie_error(model)
+    clear = _clearing_cuts(model)
+    if model.q not in clear:
+        raise _tie_error(model, clear)
 
 
 def _tied(mu: np.ndarray, lo: int, hi: int) -> str:
@@ -146,12 +149,11 @@ def _tied(mu: np.ndarray, lo: int, hi: int) -> str:
     return f"eigenvalues mu_{lo + 1}..mu_{hi} of the centred Gram are tied ({values})"
 
 
-def _tie_error(model: FittedKpca) -> DegenerateDataError:
+def _tie_error(model: FittedKpca, clear: np.ndarray) -> DegenerateDataError:
     """The error for a gap at the cut q below its rounding bound, naming the
-    tied eigenvalues of K~ and the nearest q whose gap clears the bound."""
+    tied eigenvalues of K~ and the nearest q among the clearing cuts."""
     mu, q = model.spectrum, model.q
     gap, bound = eigengap(model)
-    clear = np.flatnonzero(mu[:-1] - mu[1:] >= bound) + 1    # each q whose gap clears
     lo, hi = clear[clear < q].max(initial=0), clear[clear > q].min(initial=len(mu))
     nearest = min((c for c in (lo, hi) if 0 < c < len(mu)), key=lambda c: abs(c - q),
                   default=None)
@@ -174,12 +176,12 @@ def warn_ties(model: FittedKpca, axes: int) -> None:
         warnings.warn(message, UserWarning, stacklevel=2)
         return
     mu, q = model.spectrum, model.q
-    gap, bound = eigengap(model)
-    # 0 and each c <= q whose gap mu_c - mu_{c+1} clears the bound: two neighbours more
-    # than one apart enclose a tied block (one reaching past q is the cut's)
-    cuts = [0, *(np.flatnonzero(mu[:q] - mu[1:q + 1] >= bound) + 1)]
-    if gap < bound and cuts[-1] < axes:
-        warnings.warn(str(_tie_error(model)), UserWarning, stacklevel=2)
+    clear = _clearing_cuts(model)
+    # 0 and each clearing cut c <= q: two neighbours more than one apart enclose
+    # a tied block (one reaching past q is the cut's)
+    cuts = [0, *clear[clear <= q]]
+    if q not in clear and cuts[-1] < axes:
+        warnings.warn(str(_tie_error(model, clear)), UserWarning, stacklevel=2)
     for lo, hi in zip(cuts, cuts[1:]):
         if hi - lo > 1 and lo < axes:
             warnings.warn(f"{_tied(mu, lo, hi)}, so axes {lo + 1}..{hi} of the top q={q} "
@@ -234,16 +236,13 @@ class SigmaRule:
         return cls("grid", grid=values) if grid else cls("fixed", value=values)
 
 
-def grid_search_sigma(data: Dataset, grid, q: int) -> float:
-    """Pick sigma from a grid, maximizing the summed retained-q variance share.
-
-    A value whose fit is refused (DegenerateDataError, as at K ~ 11^T) is
-    skipped with one warning each; the first refusal is raised when no value fits.
-    """
-    grid = tuple(grid)
-    if not grid:
+def _grid_fit(data: Dataset, grid, q: int) -> FittedKpca:
+    """The fit of the grid's sigma with the largest summed retained-q variance share
+    (the first of equal ones). A sigma whose fit is refused is skipped with a
+    warning; with none left, the first refusal is raised."""
+    if not (grid := tuple(grid)):
         raise InputError("sigma grid is empty")
-    best_sigma, best_score, refused = None, -np.inf, []
+    best, best_score, refused = None, -np.inf, []
     for sigma in grid:
         try:
             model = fit_kpca(data, KernelSpec("rbf", sigma=sigma), q)
@@ -252,21 +251,26 @@ def grid_search_sigma(data: Dataset, grid, q: int) -> float:
             continue
         score = float(explained_variance(model).sum())
         if score > best_score:
-            best_sigma, best_score = sigma, score
-    if best_sigma is None:
+            best, best_score = model, score
+    if best is None:
         raise refused[0]
     for err in refused:
         warnings.warn(f"grid search skips a sigma its fit refuses: {err}",
-                      UserWarning, stacklevel=2)
-    return best_sigma
+                      UserWarning, stacklevel=3)
+    return best
 
 
-def resolve_spec(spec: KernelSpec, rule: SigmaRule | None, data: Dataset,
-                 q: int) -> KernelSpec:
-    """Apply a sigma rule to an rbf spec: its fixed value, the median heuristic
-    or the grid's pick for q components. Other families pass through."""
-    if spec.family != "rbf" or rule is None:
-        return spec
-    if rule.mode == "grid":
-        return KernelSpec("rbf", sigma=grid_search_sigma(data, rule.grid, q))
-    return KernelSpec("rbf", sigma=rule.value if rule.mode == "fixed" else sigma_heuristic(data))
+def grid_search_sigma(data: Dataset, grid, q: int) -> float:
+    """Pick sigma from a grid, maximizing the summed retained-q variance share (``_grid_fit``)."""
+    return _grid_fit(data, grid, q).kernel.sigma
+
+
+def fit_with_rule(data: Dataset, spec: KernelSpec, rule: SigmaRule | None, q: int) -> FittedKpca:
+    """Fit spec with q components, an rbf sigma set by rule (its fixed value, the
+    median heuristic or, for a grid, the winning fit itself); else spec as it is."""
+    if spec.family == "rbf" and rule is not None:
+        if rule.mode == "grid":
+            return _grid_fit(data, rule.grid, q)
+        sigma = rule.value if rule.mode == "fixed" else sigma_heuristic(data)
+        spec = KernelSpec("rbf", sigma=sigma)
+    return fit_kpca(data, spec, q)

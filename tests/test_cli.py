@@ -649,38 +649,46 @@ def test_bad_d_grid_exits_3_naming_it(tmp_path, capsys, d_grid, message):
     assert not out.exists()
 
 
-# a curve command line that ranks by --ranking permute, and the error it must give first
+# a command line that fits (a curve ranking by --ranking permute, the permutation
+# baseline, the variance curve), and the error it must give before any fit
+PERMUTE = ["--ranking", "permute"]
 CURVE_INPUT_ERRORS = [
-    (["selection", "--labels", "LABELS"],
+    (["curve", "selection", "--labels", "LABELS", *PERMUTE],
      "--d-grid 10:300:10: grid values must lie in [1, p=5], got (10, 20,"),
-    (["selection", "--d-grid", "2,4"], "curve selection needs --labels"),
-    (["selection", "--d-grid", "2,4", "--labels", "SHORT"], "4 labels for n=10 samples"),
-    (["silhouette", "--d-grid", "2,4"], "curve needs --k"),
-    (["silhouette", "--d-grid", "2,4", "--k", "0"], "--k 0: must lie in [2, n=10]\n"),
-    (["silhouette", "--d-grid", "2,4", "--k", "1"], "--k 1: must lie in [2, n=10]\n"),
-    (["selection", "--d-grid", "2,4", "--labels", "LABELS", "--k", "11"],
+    (["curve", "selection", "--d-grid", "2,4", *PERMUTE], "curve selection needs --labels"),
+    (["curve", "selection", "--d-grid", "2,4", "--labels", "SHORT", *PERMUTE],
+     "4 labels for n=10 samples"),
+    (["curve", "silhouette", "--d-grid", "2,4", *PERMUTE], "curve needs --k"),
+    (["curve", "silhouette", "--d-grid", "2,4", "--k", "0", *PERMUTE],
+     "--k 0: must lie in [2, n=10]\n"),
+    (["curve", "silhouette", "--d-grid", "2,4", "--k", "1", *PERMUTE],
+     "--k 1: must lie in [2, n=10]\n"),
+    (["curve", "selection", "--d-grid", "2,4", "--labels", "LABELS", "--k", "11", *PERMUTE],
      "--k 11: must lie in [1, n=10]\n"),
-    (["selection", "--d-grid", "2,4", "--labels", "LABELS", "--runs", "0"],
+    (["curve", "selection", "--d-grid", "2,4", "--labels", "LABELS", "--runs", "0", *PERMUTE],
      "--runs 0: must be >= 1\n"),
+    (["baseline", "permute", "--n-perm", "0"], "--n-perm 0: must be >= 1\n"),
+    (["curve", "variance-split", "--d-grid", "2,4", "--splits", "0"],
+     "--splits 0: must be >= 1\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", CURVE_INPUT_ERRORS,
                          ids=["default-d-grid", "no-labels", "short-labels", "no-k", "k-0",
-                              "silhouette-k-1", "k-above-n", "runs-0"])
+                              "silhouette-k-1", "k-above-n", "runs-0", "n-perm-0", "splits-0"])
 def test_curve_checks_its_inputs_before_the_ranking(tmp_path, monkeypatch, capsys,
                                                     argv, message):
-    def permutation_ranking(*args, **kwargs):
-        raise AssertionError("the ranking ran before the curve's inputs were checked")
+    def fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the command's inputs were checked")
 
-    monkeypatch.setattr("kpcaig.cli.permutation_ranking", permutation_ranking)
+    for name in ("fit_with_rule", "permutation_ranking", "variance_generalization"):
+        monkeypatch.setattr(f"kpcaig.cli.{name}", fit)
     labels, short = tmp_path / "labels.txt", tmp_path / "short.txt"
     labels.write_text("0\n1\n" * 5, encoding="utf-8")
     short.write_text("0\n1\n" * 2, encoding="utf-8")
     files = {"LABELS": str(labels), "SHORT": str(short)}
     out = tmp_path / "out.tsv"
-    assert main(["curve", *(files.get(a, a) for a in argv), toy_matrix(tmp_path),
-                 "--ranking", "permute", "-o", str(out)]) == 3
+    assert main([*(files.get(a, a) for a in argv), toy_matrix(tmp_path), "-o", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"kpcaig: {message}")
     assert not out.exists()
 
@@ -884,6 +892,7 @@ def test_identity_gram_ranking_exits_3_naming_the_bandwidth(tmp_path, capsys, co
      "sigma 'x' is not a number, 'median' or 'grid:v1,...'"),
     (["project", "--sigma", "grid:1,nan"],
      "grid sigma values must be finite and > 0, got (1.0, nan)"),
+    (["arrows", "--feature", "nosuch"], "unknown feature 'nosuch'"),
 ])
 def test_non_finite_option_exits_3_naming_it(tmp_path, capsys, argv, message):
     out = tmp_path / "out.tsv"

@@ -13,7 +13,7 @@ from kpcaig import (Dataset, InputError, KernelSpec, SigmaRule, clustering_accur
 from kpcaig.synthetic import planted_clusters, random_ranking
 
 from kpcaig import curves, kernels
-from kpcaig.kpca import project_training, resolve_spec
+from kpcaig.kpca import project_training
 
 from generators import smooth_manifold
 from metric_oracles import kmeans_per_run
@@ -63,7 +63,7 @@ def test_curves_equal_per_run_loops():
     points = silhouette_curve(data, order, spec, 4, grid, sigma_rule=MEDIAN, seed=2)
     for pt, d in zip(points, grid):
         sub = data.select_features(order[:d])
-        model = fit_kpca(sub, resolve_spec(spec, MEDIAN, sub, 2), 2)
+        model = fit_kpca(sub, KernelSpec("rbf", sigma=sigma_heuristic(sub)), 2)
         coords = project_training(model)
         best = min((kmeans_per_run(coords, 4, 2 + r) for r in range(5)), key=lambda res: res.inertia)
         assert pt.silhouette == silhouette(coords, best.labels)
@@ -191,6 +191,8 @@ def test_variance_generalization_split_too_small():
     with pytest.raises(InputError):
         variance_generalization(data, KernelSpec("rbf", sigma=0.1), 2, [5],
                                 split_indices=[(np.arange(6), np.arange(6, 8))])
+    with pytest.raises(InputError, match="n_splits must be >= 1, got 0"):
+        variance_generalization(data, KernelSpec("rbf", sigma=0.1), 2, [5], n_splits=0)
 
 
 def test_variance_generalization_holds_one_training_copy():

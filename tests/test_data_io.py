@@ -181,6 +181,9 @@ def test_load_labels(tmp_path):
     bad = write(tmp_path / "bad.txt", "0\nx\n")
     with pytest.raises(ParseError):
         load_labels(bad)
+    blank = write(tmp_path / "blank.txt", "\n  \n\n")
+    with pytest.raises(ParseError, match="no labels found"):
+        load_labels(blank)
 
 
 # (loader, file bytes, the bad byte and its reason as the ParseError names them)
@@ -280,6 +283,12 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 2)), ("a", "a"), ("s1", "s2"))
     with pytest.raises(InputError):
         Dataset(np.zeros((2, 2)), ("a", "b"), ("s1",))
+    with pytest.raises(InputError, match="matrix must be 2-D, got ndim=1"):
+        Dataset(np.zeros(2), ("a", "b"), ("s1",))
+    with pytest.raises(InputError, match="3 feature names for p=2 columns"):
+        Dataset(np.zeros((2, 2)), ("a", "b", "c"), ("s1", "s2"))
+    with pytest.raises(InputError, match=r"labels must have shape \(2,\), got \(3,\)"):
+        Dataset(np.zeros((2, 2)), ("a", "b"), ("s1", "s2"), labels=[0, 1, 1])
 
 
 def test_dataset_keeps_a_private_read_only_copy():

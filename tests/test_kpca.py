@@ -8,10 +8,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kpcaig
 from kpcaig import (Dataset, DegenerateDataError, InputError, KernelSpec, SigmaRule,
-                    center_gram, explained_variance, fit_kpca, gram_matrix, grid_search_sigma,
-                    project_training, rank_features, resolve_spec, save_matrix, selection_curve,
-                    sigma_heuristic, silhouette_curve, standardize, variance_generalization)
+                    center_gram, explained_variance, fit_kpca, fit_with_rule, gram_matrix,
+                    grid_search_sigma, project_training, rank_features, save_matrix,
+                    selection_curve, sigma_heuristic, silhouette_curve, standardize,
+                    variance_generalization)
 from kpcaig.baselines import permutation_ranking
 from kpcaig.cli import _fit, main
 from kpcaig.kpca import check_determined, check_gap, rounding_level, warn_ties
@@ -218,13 +220,16 @@ def test_grid_search_sigma_maximizes_retained_variance():
         m = fit_kpca(data, KernelSpec("rbf", sigma=s), 2)
         scores[s] = explained_variance(m).sum()
     assert scores[best] == max(scores.values())
+    with pytest.raises(InputError, match="sigma grid is empty"):
+        grid_search_sigma(data, (), 2)
 
 
 def test_sigma_rule_parse_and_resolve():
     data = Dataset.from_matrix([[0.0], [2.0], [4.0]])
     assert SigmaRule.parse("0.5") == SigmaRule("fixed", value=0.5)
     rbf = KernelSpec("rbf", sigma=1.0)
-    assert resolve_spec(rbf, SigmaRule.parse("median"), data, 1).sigma == sigma_heuristic(data)
+    model = fit_with_rule(data, rbf, SigmaRule.parse("median"), 1)
+    assert model.kernel.sigma == sigma_heuristic(data)
     rule = SigmaRule.parse("grid:0.1,1.0")
     assert rule.grid == (0.1, 1.0)
     for bad in (-1.0, float("inf"), float("nan")):
@@ -237,6 +242,28 @@ def test_sigma_rule_parse_and_resolve():
         SigmaRule("grid")
     with pytest.raises(InputError):
         SigmaRule("best")
+
+
+def test_a_grid_rule_fits_each_grid_value_once(monkeypatch, tmp_path):
+    # the grid's winning fit is the fit the command uses, not refitted
+    sigmas = []
+
+    def counted(data, spec, q, fit=fit_kpca):
+        sigmas.append(spec.sigma)
+        return fit(data, spec, q)
+
+    for module in (kpcaig.kpca, kpcaig.cli, kpcaig.curves):
+        monkeypatch.setattr(module, "fit_kpca", counted, raising=False)
+    data, _ = planted_clusters(40, 30, 4, 6, within_std=0.1, seed=2)
+    path = tmp_path / "planted.tsv"
+    save_matrix(data, path)
+    out = str(tmp_path / "out.tsv")
+    assert main(["rank", str(path), "--sigma", "grid:0.01,0.03,0.1", "-o", out]) == 0
+    assert sigmas == [0.01, 0.03, 0.1]
+    sigmas.clear()
+    assert main(["curve", "silhouette", str(path), "--sigma", "grid:0.01,0.1", "--k", "4",
+                 "--d-grid", "5,30", "--ranking", "random", "-o", out]) == 0
+    assert sigmas == [0.01, 0.1, 0.01, 0.1]
 
 
 def test_fit_path_never_calls_scipy_eigh(monkeypatch, tmp_path):
@@ -268,7 +295,7 @@ def refit(model, eigh):
         col = np.abs(A[:, k])
         if A[np.flatnonzero(col >= (1 - 1e-10) * col.max())[0], k] < 0:
             A[:, k] = -A[:, k]
-    return dataclasses.replace(model, eigvals=mu[:model.q], alphas=A / np.sqrt(mu[:model.q])), mu
+    return dataclasses.replace(model, spectrum=mu, alphas=A / np.sqrt(mu[:model.q])), mu
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -439,6 +439,11 @@ def test_silhouette_single_cluster_error():
         silhouette(np.zeros((4, 2)), [0, 0, 0, 0])
 
 
+def test_silhouette_label_count_error():
+    with pytest.raises(InputError, match="3 labels for m=4 points"):
+        silhouette(np.zeros((4, 2)), [0, 1, 1])
+
+
 def test_silhouette_singleton_contributes_zero():
     X = np.array([[0.0], [1.0], [10.0]])
     got = silhouette(X, [0, 0, 1])
