@@ -14,9 +14,9 @@ rank counts the eigenvalues above it and refuses a spectrum with none (K ~
 11^T); an rbf K with no off-diagonal value above it is K ~ I, and a gap at
 the cut below it a tie. Fields check K ~ I (``check_determined``), rankings
 K ~ I then the tie (``check_gap``), and ``warn_ties`` warns of them in that
-order, each reading one list of the gaps that clear the level. A fit refuses
-neither, so grid search scores such a sigma, and it skips, with a warning, a
-sigma whose fit is refused (K ~ 11^T); its winning fit is ``fit_with_rule``'s.
+order; the two tie checks read one list of the cuts whose gap clears it. A fit
+refuses neither, so grid search scores such a sigma; it skips, with a warning, a
+sigma whose fit is refused (K ~ 11^T), and ``fit_with_rule`` keeps its winning fit.
 """
 
 from __future__ import annotations
