@@ -335,7 +335,8 @@ def standardize(data: Dataset) -> Dataset:
     """
     X = data.matrix
     out = X - X.mean(axis=0)
-    sd = np.sqrt(np.mean(out * out, axis=0))
+    blocks = np.array_split(out, max(1, out.nbytes >> 21), axis=1)   # 2 MB each, not n x p
+    sd = np.sqrt(np.concatenate([np.mean(np.square(b), axis=0) for b in blocks]))
     const = np.flatnonzero((np.ptp(X, axis=0) == 0) | (sd == 0))
     sd[const] = 1.0
     out /= sd

@@ -63,7 +63,7 @@ class KernelSpec:
             raise InputError(f"unknown kernel family {self.family!r}")
         if self.family == "rbf":
             if self.sigma is None or not 0 < self.sigma < np.inf:
-                raise InputError(f"rbf kernel needs a finite sigma > 0, got {self.sigma}")
+                raise InputError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.family == "polynomial":
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InputError(f"polynomial degree must be an integer >= 1, got {self.degree}")

@@ -17,6 +17,7 @@ K ~ I then the tie (``check_gap``), and ``warn_ties`` warns of them in that
 order; the two tie checks read one list of the cuts whose gap clears it. A fit
 refuses neither, so grid search scores such a sigma; it skips, with a warning, a
 sigma whose fit is refused (K ~ 11^T), and ``fit_with_rule`` keeps its winning fit.
+A fixed sigma is an rbf KernelSpec; a SigmaRule picks one from the data (median or grid).
 """
 
 from __future__ import annotations
@@ -206,26 +207,24 @@ def explained_variance(model: FittedKpca) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SigmaRule:
-    """How the rbf bandwidth is chosen: fixed value, median heuristic, or a
-    grid search maximizing the retained-q explained variance."""
+    """How sigma is picked from the data: the median heuristic, or a grid search."""
 
-    mode: str                      # fixed | median | grid
-    value: float | None = None
+    mode: str                      # median | grid
     grid: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "median", "grid"):
+        if self.mode not in ("median", "grid"):
             raise InputError(f"unknown sigma mode {self.mode!r}")
-        if self.mode == "fixed" and (self.value is None or not 0 < self.value < np.inf):
-            raise InputError(f"fixed sigma must be finite and > 0, got {self.value}")
+        if self.mode == "median" and self.grid:
+            raise InputError(f"median sigma mode reads no grid, got {self.grid}")
         if self.mode == "grid" and not self.grid:
-            raise InputError("grid sigma mode needs a non-empty grid")
-        if not all(0 < v < np.inf for v in self.grid):
-            raise InputError(f"grid sigma values must be finite and > 0, got {self.grid}")
+            raise InputError("sigma grid is empty")
+        for sigma in self.grid:
+            KernelSpec("rbf", sigma=sigma)    # its check is the one for every sigma
 
     @classmethod
-    def parse(cls, text: str) -> "SigmaRule":
-        """Parse a CLI-style value: a number, 'median', or 'grid:v1,v2,...'."""
+    def parse(cls, text: str) -> "SigmaRule | KernelSpec":
+        """Parse a CLI-style value: 'median', 'grid:v1,v2,...', or a number (a KernelSpec)."""
         if text == "median":
             return cls("median")
         grid = text.startswith("grid:")
@@ -233,17 +232,15 @@ class SigmaRule:
             values = tuple(float(v) for v in text[5:].split(",") if v) if grid else float(text)
         except ValueError:
             raise InputError(f"sigma {text!r} is not a number, 'median' or 'grid:v1,...'") from None
-        return cls("grid", grid=values) if grid else cls("fixed", value=values)
+        return cls("grid", grid=values) if grid else KernelSpec("rbf", sigma=values)
 
 
 def _grid_fit(data: Dataset, grid, q: int) -> FittedKpca:
     """The fit of the grid's sigma with the largest summed retained-q variance share
     (the first of equal ones). A sigma whose fit is refused is skipped with a
     warning; with none left, the first refusal is raised."""
-    if not (grid := tuple(grid)):
-        raise InputError("sigma grid is empty")
     best, best_score, refused = None, -np.inf, []
-    for sigma in grid:
+    for sigma in SigmaRule("grid", tuple(grid)).grid:
         try:
             model = fit_kpca(data, KernelSpec("rbf", sigma=sigma), q)
         except DegenerateDataError as err:
@@ -266,11 +263,12 @@ def grid_search_sigma(data: Dataset, grid, q: int) -> float:
 
 
 def fit_with_rule(data: Dataset, spec: KernelSpec, rule: SigmaRule | None, q: int) -> FittedKpca:
-    """Fit spec with q components, an rbf sigma set by rule (its fixed value, the
-    median heuristic or, for a grid, the winning fit itself); else spec as it is."""
-    if spec.family == "rbf" and rule is not None:
-        if rule.mode == "grid":
-            return _grid_fit(data, rule.grid, q)
-        sigma = rule.value if rule.mode == "fixed" else sigma_heuristic(data)
-        spec = KernelSpec("rbf", sigma=sigma)
-    return fit_kpca(data, spec, q)
+    """Fit spec with q components; given a rule, an rbf fit at the sigma it picks
+    from the data (the median heuristic or, for a grid, the winning fit itself)."""
+    if rule is None:
+        return fit_kpca(data, spec, q)
+    if spec.family != "rbf":
+        raise InputError(f"a sigma rule picks an rbf bandwidth, but the kernel is {spec.family}")
+    if rule.mode == "grid":
+        return _grid_fit(data, rule.grid, q)
+    return fit_kpca(data, KernelSpec("rbf", sigma=sigma_heuristic(data)), q)

@@ -890,9 +890,14 @@ def test_identity_gram_ranking_exits_3_naming_the_bandwidth(tmp_path, capsys, co
      "polynomial degree must be an integer >= 1, got 0"),
     (["curve", "silhouette", "--k", "2", "--d-grid", "2", "--kernel", "poly", "--sigma", "x"],
      "sigma 'x' is not a number, 'median' or 'grid:v1,...'"),
-    (["project", "--sigma", "grid:1,nan"],
-     "grid sigma values must be finite and > 0, got (1.0, nan)"),
+    # one text per sigma refusal, the one KernelSpec, SigmaRule and grid_search_sigma
+    # raise (tests/test_kpca.py::test_sigma_rule_parse_and_resolve)
+    (["project", "--sigma", "grid:1,nan"], "sigma must be finite and > 0, got nan"),
     (["arrows", "--feature", "nosuch"], "unknown feature 'nosuch'"),
+    (["rank", "--sigma", "-1"], "sigma must be finite and > 0, got -1.0"),
+    (["rank", "--kernel", "linear", "--sigma", "-1"], "sigma must be finite and > 0, got -1.0"),
+    (["rank", "--sigma", "grid:0,1"], "sigma must be finite and > 0, got 0.0"),
+    (["rank", "--sigma", "grid:"], "sigma grid is empty"),
 ])
 def test_non_finite_option_exits_3_naming_it(tmp_path, capsys, argv, message):
     out = tmp_path / "out.tsv"

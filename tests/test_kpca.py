@@ -226,7 +226,8 @@ def test_grid_search_sigma_maximizes_retained_variance():
 
 def test_sigma_rule_parse_and_resolve():
     data = Dataset.from_matrix([[0.0], [2.0], [4.0]])
-    assert SigmaRule.parse("0.5") == SigmaRule("fixed", value=0.5)
+    # a fixed sigma is the rbf spec itself; a rule only picks sigma from the data
+    assert SigmaRule.parse("0.5") == KernelSpec("rbf", sigma=0.5)
     rbf = KernelSpec("rbf", sigma=1.0)
     model = fit_with_rule(data, rbf, SigmaRule.parse("median"), 1)
     assert model.kernel.sigma == sigma_heuristic(data)
@@ -234,7 +235,7 @@ def test_sigma_rule_parse_and_resolve():
     assert rule.grid == (0.1, 1.0)
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(InputError):
-            SigmaRule("fixed", value=bad)
+            KernelSpec("rbf", sigma=bad)
     for text in ("abc", "grid:1e-3,x", "inf", "grid:1e-3,inf", "grid:0,1", "grid:1,nan"):
         with pytest.raises(InputError):
             SigmaRule.parse(text)
@@ -242,6 +243,30 @@ def test_sigma_rule_parse_and_resolve():
         SigmaRule("grid")
     with pytest.raises(InputError):
         SigmaRule("best")
+    with pytest.raises(InputError, match=r"^unknown sigma mode 'fixed'$"):
+        SigmaRule("fixed")
+    # a rule refuses a field it would not read, and a kernel that takes no sigma
+    with pytest.raises(InputError, match=r"^median sigma mode reads no grid, got \(0\.1,\)$"):
+        SigmaRule("median", grid=(0.1,))
+    with pytest.raises(TypeError):
+        SigmaRule("median", value=0.5)
+    with pytest.raises(InputError, match="^a sigma rule picks an rbf bandwidth, but the "
+                       "kernel is linear$"):
+        fit_with_rule(data, KernelSpec("linear"), SigmaRule("median"), 1)
+    # one text per cause, whichever entry point meets it (the CLI's are in test_cli.py)
+    for message, refusals in [
+            ("sigma must be finite and > 0, got -1.0",
+             [lambda: KernelSpec("rbf", sigma=-1.0), lambda: SigmaRule.parse("-1"),
+              lambda: SigmaRule("grid", (0.5, -1.0)), lambda: grid_search_sigma(data, (-1.0,), 1)]),
+            ("sigma must be finite and > 0, got 0.0",
+             [lambda: SigmaRule.parse("grid:0,1"), lambda: grid_search_sigma(data, (0.0, 1.0), 1)]),
+            ("sigma grid is empty",
+             [lambda: SigmaRule.parse("grid:"), lambda: SigmaRule("grid"),
+              lambda: grid_search_sigma(data, (), 1)])]:
+        for refusal in refusals:
+            with pytest.raises(InputError) as info:
+                refusal()
+            assert str(info.value) == message
 
 
 def test_a_grid_rule_fits_each_grid_value_once(monkeypatch, tmp_path):
