@@ -48,8 +48,8 @@ EXIT_DATA = 4
 
 def _parse_d_grid(text: str) -> tuple[int, ...]:
     is_range = ":" in text
-    try:
-        grid = tuple(int(v) for v in text.split(":" if is_range else ",") if v)
+    try:   # an empty text is an empty grid; an empty entry is no integer
+        grid = tuple(map(int, text.split(":" if is_range else ","))) if text else ()
     except ValueError:
         raise InputError("values must be integers") from None
     if is_range and (len(grid) != 3 or grid[2] < 1):
@@ -198,20 +198,18 @@ def _load(args) -> Dataset:
     return standardize(data) if args.standardize else data
 
 
-def _kernel(args) -> tuple[KernelSpec, SigmaRule | None]:
-    """The kernel of the command line and, for rbf at median or on a grid, its sigma
-    rule beside a placeholder rbf spec. A header records every kernel option, whatever
-    the family, so each is checked here (json writes a non-finite coef0 as invalid JSON)."""
+def _kernel(args) -> KernelSpec | SigmaRule:
+    """The command line's kernel as one value, for rbf ``SigmaRule.parse(args.sigma)``.
+    A header records every kernel option, whatever the family, so each is checked
+    here (json writes a non-finite coef0 as invalid JSON)."""
     sigma = SigmaRule.parse(args.sigma)
     poly = KernelSpec("polynomial", degree=args.degree, coef0=args.coef0)
-    if args.kernel != "rbf":
-        return (poly if args.kernel == "poly" else KernelSpec("linear")), None
-    return (sigma, None) if isinstance(sigma, KernelSpec) else (KernelSpec("rbf", sigma=1.0), sigma)
+    return {"rbf": sigma, "poly": poly, "linear": KernelSpec("linear")}[args.kernel]
 
 
 def _fit(args, data: Dataset, kernel) -> tuple[FittedKpca, dict]:
     """The fitted model and the values its fit resolved from the data."""
-    model = fit_with_rule(data, *kernel, args.q)
+    model = fit_with_rule(data, kernel, args.q)
     gap, bound = eigengap(model)
     return model, {"sigma_resolved": model.kernel.sigma, "q_resolved": model.q,
                    "eigengap": gap, "eigengap_bound": bound}
@@ -277,7 +275,6 @@ _CURVE_COLUMNS = {"selection": ("d", "acc_mean", "acc_std", "nmi_mean", "nmi_std
 
 
 def _cmd_curve(args, data: Dataset, kernel) -> tuple:
-    spec, rule = kernel
     try:
         d_grid = check_grid(_parse_d_grid(args.d_grid), data.p)
     except InputError as e:
@@ -285,8 +282,7 @@ def _cmd_curve(args, data: Dataset, kernel) -> tuple:
     if args.variant == "variance-split":
         if args.splits < 1:
             raise InputError(f"--splits {args.splits}: must be >= 1")
-        points = variance_generalization(data, spec, args.q, d_grid, n_splits=args.splits,
-                                         seed=args.seed, sigma_rule=rule)
+        points = variance_generalization(data, kernel, args.q, d_grid, args.splits, args.seed)
         resolved = {}
     else:
         truth = load_labels(args.labels) if args.labels else None
@@ -312,8 +308,7 @@ def _cmd_curve(args, data: Dataset, kernel) -> tuple:
             points = selection_curve(data, order, truth, k, d_grid,
                                      runs=args.runs, seed=args.seed)
         else:
-            points = silhouette_curve(data, order, spec, k, d_grid,
-                                      sigma_rule=rule, seed=args.seed)
+            points = silhouette_curve(data, order, kernel, k, d_grid, seed=args.seed)
     columns = _CURVE_COLUMNS[args.variant]
     return ({**resolved, "d_grid": d_grid}, columns,
             [[getattr(pt, name) for pt in points] for name in columns])

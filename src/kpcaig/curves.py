@@ -110,33 +110,37 @@ def selection_curve(data: Dataset, order, truth, k: int, d_grid,
             for d, (acc, acc_sd, nmi, nmi_sd) in zip(grid, table.tolist())]
 
 
-def silhouette_curve(data: Dataset, order, spec: KernelSpec, k: int, d_grid,
+def silhouette_curve(data: Dataset, order, kernel: KernelSpec | SigmaRule, k: int, d_grid,
                      sigma_rule: SigmaRule | None = None,
                      seed: int = 0) -> list[CurvePoint]:
     """Mean silhouette of k-means clusters on the 2-D embedding per d.
 
-    When a sigma rule is given the rbf bandwidth is re-resolved on every
-    feature subset, so the kernel adapts to the number of columns kept.
+    A SigmaRule kernel re-resolves the rbf bandwidth on every feature subset,
+    so the kernel adapts to the number of columns kept. A sigma_rule replaces
+    an rbf kernel spec and refuses any other: perfbench's EvalProtocol passes
+    that pair, and perfbench changes only at ROADMAP item 1 step C.
     The clustering takes the best of SILHOUETTE_RESTARTS seeded k-means runs
     (the first of equal inertia), which keeps the curve stable against
     unlucky initializations. The order must list at least max(d_grid)
     features.
     """
+    if sigma_rule is not None and kernel.family != "rbf":
+        raise InputError(f"a sigma rule picks an rbf bandwidth, but the kernel is {kernel.family}")
+    kernel = sigma_rule or kernel
     grid = check_grid(d_grid, data.p)
     order = _check_order(order, grid)
     points = []
     for d in grid:
         sub = data.select_features(order[:d])
-        coords = project_training(fit_with_rule(sub, spec, sigma_rule, 2))
+        coords = project_training(fit_with_rule(sub, kernel, 2))
         best = min(kmeans(coords, k, range(seed, seed + SILHOUETTE_RESTARTS)),
                    key=lambda res: res.inertia)
         points.append(CurvePoint(d=d, silhouette=silhouette(coords, best.labels)))
     return points
 
 
-def variance_generalization(data: Dataset, spec: KernelSpec, q: int, d_grid,
+def variance_generalization(data: Dataset, kernel: KernelSpec | SigmaRule, q: int, d_grid,
                             n_splits: int = 5, seed: int = 0,
-                            sigma_rule: SigmaRule | None = None,
                             split_indices=None) -> list[CurvePoint]:
     """Train/test explained-variance shares for train-ranked top-d features.
 
@@ -147,15 +151,12 @@ def variance_generalization(data: Dataset, spec: KernelSpec, q: int, d_grid,
     of seeded random splits.
     """
     grid = check_grid(d_grid, data.p)
-    n = data.n
     if split_indices is None:
         if n_splits < 1:
             raise InputError(f"n_splits must be >= 1, got {n_splits}")
-        n_train = int(0.75 * n)
-        splits = []
-        for s in range(n_splits):
-            perm = np.random.default_rng([seed, s]).permutation(n)
-            splits.append((perm[:n_train], perm[n_train:]))
+        n_train = int(0.75 * data.n)
+        perms = [np.random.default_rng([seed, s]).permutation(data.n) for s in range(n_splits)]
+        splits = [(perm[:n_train], perm[n_train:]) for perm in perms]
     else:
         splits = [(np.asarray(tr, dtype=np.int64), np.asarray(te, dtype=np.int64))
                   for tr, te in split_indices]
@@ -164,13 +165,13 @@ def variance_generalization(data: Dataset, spec: KernelSpec, q: int, d_grid,
         if min(tr.size, te.size) < 3:
             raise InputError(f"split {s} leaves fewer than 3 samples on one side")
         train = data.subset_samples(tr)
-        ranking = rank_features(fit_with_rule(train, spec, sigma_rule, q))
+        ranking = rank_features(fit_with_rule(train, kernel, q))
         for d in grid:
             cols = ranking.order[:d]
             sub_tr = train.select_features(cols)
             sub_te = data.select_features(cols).subset_samples(te)
-            m_tr = fit_with_rule(sub_tr, spec, sigma_rule, q)
-            m_te = fit_with_rule(sub_te, spec, sigma_rule, q)
+            m_tr = fit_with_rule(sub_tr, kernel, q)
+            m_te = fit_with_rule(sub_te, kernel, q)
             points.append(CurvePoint(d=d, split=s,
                                      var_train=float(explained_variance(m_tr).sum()),
                                      var_test=float(explained_variance(m_te).sum())))

@@ -48,23 +48,28 @@ import numpy as np
 from .data import Dataset
 from .exceptions import DegenerateDataError, InputError
 
-FAMILIES = ("rbf", "linear", "polynomial")
+# each family and the fields it reads; a field it does not read stays None
+FAMILIES = {"rbf": ("sigma",), "linear": (), "polynomial": ("degree", "coef0")}
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     family: str = "rbf"
     sigma: float | None = None    # rbf bandwidth, k = exp(-sigma * d^2)
-    degree: int = 2               # polynomial only
-    coef0: float = 1.0            # polynomial only
+    degree: int | None = None     # polynomial only, 2 when not given
+    coef0: float | None = None    # polynomial only, 1.0 when not given
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}")
-        if self.family == "rbf":
-            if self.sigma is None or not 0 < self.sigma < np.inf:
-                raise InputError(f"sigma must be finite and > 0, got {self.sigma}")
+        for name, value in (("sigma", self.sigma), ("degree", self.degree), ("coef0", self.coef0)):
+            if value is not None and name not in FAMILIES[self.family]:
+                raise InputError(f"{self.family} kernel reads no {name}, got {value!r}")
+        if self.family == "rbf" and (self.sigma is None or not 0 < self.sigma < np.inf):
+            raise InputError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.family == "polynomial":
+            object.__setattr__(self, "degree", 2 if self.degree is None else self.degree)
+            object.__setattr__(self, "coef0", 1.0 if self.coef0 is None else self.coef0)
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InputError(f"polynomial degree must be an integer >= 1, got {self.degree}")
             if not np.isfinite(self.coef0):

@@ -17,7 +17,7 @@ K ~ I then the tie (``check_gap``), and ``warn_ties`` warns of them in that
 order; the two tie checks read one list of the cuts whose gap clears it. A fit
 refuses neither, so grid search scores such a sigma; it skips, with a warning, a
 sigma whose fit is refused (K ~ 11^T), and ``fit_with_rule`` keeps its winning fit.
-A fixed sigma is an rbf KernelSpec; a SigmaRule picks one from the data (median or grid).
+A kernel is one value: a KernelSpec, or a SigmaRule (rbf at a median or grid sigma).
 """
 
 from __future__ import annotations
@@ -225,11 +225,11 @@ class SigmaRule:
     @classmethod
     def parse(cls, text: str) -> "SigmaRule | KernelSpec":
         """Parse a CLI-style value: 'median', 'grid:v1,v2,...', or a number (a KernelSpec)."""
-        if text == "median":
-            return cls("median")
+        if text in ("median", "grid:"):    # 'grid:' is the empty grid, refused as one
+            return cls(text.removesuffix(":"))
         grid = text.startswith("grid:")
-        try:
-            values = tuple(float(v) for v in text[5:].split(",") if v) if grid else float(text)
+        try:   # an empty entry is no number
+            values = tuple(map(float, text[5:].split(","))) if grid else float(text)
         except ValueError:
             raise InputError(f"sigma {text!r} is not a number, 'median' or 'grid:v1,...'") from None
         return cls("grid", grid=values) if grid else KernelSpec("rbf", sigma=values)
@@ -262,13 +262,11 @@ def grid_search_sigma(data: Dataset, grid, q: int) -> float:
     return _grid_fit(data, grid, q).kernel.sigma
 
 
-def fit_with_rule(data: Dataset, spec: KernelSpec, rule: SigmaRule | None, q: int) -> FittedKpca:
-    """Fit spec with q components; given a rule, an rbf fit at the sigma it picks
-    from the data (the median heuristic or, for a grid, the winning fit itself)."""
-    if rule is None:
-        return fit_kpca(data, spec, q)
-    if spec.family != "rbf":
-        raise InputError(f"a sigma rule picks an rbf bandwidth, but the kernel is {spec.family}")
-    if rule.mode == "grid":
-        return _grid_fit(data, rule.grid, q)
+def fit_with_rule(data: Dataset, kernel: KernelSpec | SigmaRule, q: int) -> FittedKpca:
+    """Fit the kernel with q components: a KernelSpec as given, a SigmaRule at the rbf
+    sigma it picks from the data (the median, or a grid's winning fit itself)."""
+    if isinstance(kernel, KernelSpec):
+        return fit_kpca(data, kernel, q)
+    if kernel.mode == "grid":
+        return _grid_fit(data, kernel.grid, q)
     return fit_kpca(data, KernelSpec("rbf", sigma=sigma_heuristic(data)), q)

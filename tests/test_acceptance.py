@@ -183,13 +183,11 @@ def test_criterion_6_planted_signal_recovery():
         data = standardize(planted_clusters(120, 500, 4, 10, within_std=0.1, seed=seed)[0])
         spec = KernelSpec("rbf", sigma=sigma_heuristic(data))
         order = rank_features(fit_kpca(data, spec, 3)).order
-        informed = silhouette_curve(data, order, KernelSpec("rbf", sigma=1.0), 4, grid,
-                                    sigma_rule=SigmaRule("median"), seed=7)
+        informed = silhouette_curve(data, order, SigmaRule("median"), 4, grid, seed=7)
         rand_curves = []
         for r in range(5):
             pts = silhouette_curve(data, random_ranking(500, seed * 100 + r),
-                                   KernelSpec("rbf", sigma=1.0), 4, grid,
-                                   sigma_rule=SigmaRule("median"), seed=7)
+                                   SigmaRule("median"), 4, grid, seed=7)
             rand_curves.append([p.silhouette for p in pts])
         mean_rand = np.mean(rand_curves, axis=0)
         dominating += all(a.silhouette >= b for a, b in zip(informed, mean_rand))
@@ -203,9 +201,8 @@ def test_criterion_6_planted_signal_recovery():
 def test_criterion_7_variance_generalization():
     t0 = time.perf_counter()
     data = standardize(smooth_manifold(200, 40, noise=0.02, seed=5))
-    pts = variance_generalization(data, KernelSpec("rbf", sigma=1.0), 2,
-                                  [5, 10, 20, 30, 40], n_splits=5, seed=11,
-                                  sigma_rule=SigmaRule("median"))
+    pts = variance_generalization(data, SigmaRule("median"), 2, [5, 10, 20, 30, 40],
+                                  n_splits=5, seed=11)
     worst = max(abs(p.var_train - p.var_test) for p in pts)
     assert worst < 0.1, f"max train/test gap {worst:.3f}"
     elapsed = time.perf_counter() - t0
@@ -254,7 +251,7 @@ def test_criterion_9_benchmark_reproduction():
         y = np.asarray(raw["Y"]).ravel().astype(int)
         data = standardize(Dataset.from_matrix(X, labels=y))
         rule = SigmaRule("grid", grid=tuple(10.0**e for e in range(-7, 1)))
-        order = rank_features(fit_with_rule(data, KernelSpec("rbf", sigma=1.0), rule, q)).order
+        order = rank_features(fit_with_rule(data, rule, q)).order
         pts = selection_curve(data, order, y, int(np.unique(y).size), [d],
                               runs=20, seed=0)
         acc = pts[0].acc_mean

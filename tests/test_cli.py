@@ -634,7 +634,12 @@ BAD_D_GRIDS = [
     ("2:4", "a range must be start:stop:step with step >= 1"),
     ("2:4:0", "a range must be start:stop:step with step >= 1"),
     ("4:2:1", "feature-count grid is empty"),
-    (",", "feature-count grid is empty"),
+    ("", "feature-count grid is empty"),
+    # an empty entry is a bad entry, not one to skip
+    (",", "values must be integers"),
+    ("2,,4", "values must be integers"),
+    ("2,4,", "values must be integers"),
+    ("2::4", "values must be integers"),
     ("0:4:2", "grid values must lie in [1, p=5], got (0, 2, 4)"),
     ("2,6", "grid values must lie in [1, p=5], got (2, 6)"),
 ]
@@ -898,6 +903,11 @@ def test_identity_gram_ranking_exits_3_naming_the_bandwidth(tmp_path, capsys, co
     (["rank", "--kernel", "linear", "--sigma", "-1"], "sigma must be finite and > 0, got -1.0"),
     (["rank", "--sigma", "grid:0,1"], "sigma must be finite and > 0, got 0.0"),
     (["rank", "--sigma", "grid:"], "sigma grid is empty"),
+    # an empty entry is a bad entry, not one to skip
+    (["rank", "--sigma", "grid:1,,2"],
+     "sigma 'grid:1,,2' is not a number, 'median' or 'grid:v1,...'"),
+    (["curve", "variance-split", "--d-grid", "2", "--sigma", "grid:1,2,"],
+     "sigma 'grid:1,2,' is not a number, 'median' or 'grid:v1,...'"),
 ])
 def test_non_finite_option_exits_3_naming_it(tmp_path, capsys, argv, message):
     out = tmp_path / "out.tsv"

@@ -59,8 +59,7 @@ def test_curves_equal_per_run_loops():
         nmis = np.array([nmi(res.labels, data.labels) for res in runs])
         assert (pt.acc_mean, pt.acc_std, pt.nmi_mean, pt.nmi_std) == \
             (accs.mean(), accs.std(), nmis.mean(), nmis.std())
-    spec = KernelSpec("rbf", sigma=1.0)
-    points = silhouette_curve(data, order, spec, 4, grid, sigma_rule=MEDIAN, seed=2)
+    points = silhouette_curve(data, order, MEDIAN, 4, grid, seed=2)
     for pt, d in zip(points, grid):
         sub = data.select_features(order[:d])
         model = fit_kpca(sub, KernelSpec("rbf", sigma=sigma_heuristic(sub)), 2)
@@ -124,26 +123,35 @@ def test_selection_curve_planted_signal_beats_random():
     assert wins == 5
 
 
+def test_silhouette_curve_reads_a_rule_beside_an_rbf_spec_as_the_kernel():
+    # perfbench's EvalProtocol spells the median kernel as a placeholder rbf
+    # spec with sigma_rule=; it gives the one-value curve's points, bit for bit
+    data = planted(1, n=60, p=40)
+    order, grid = kpcaig_order(data), [5, 20, 40]
+    pair = silhouette_curve(data, order, KernelSpec("rbf", sigma=1.0), 4, grid,
+                            sigma_rule=MEDIAN, seed=3)
+    assert pair == silhouette_curve(data, order, MEDIAN, 4, grid, seed=3)
+    with pytest.raises(InputError, match="^a sigma rule picks an rbf bandwidth, but the "
+                       "kernel is linear$"):
+        silhouette_curve(data, order, KernelSpec("linear"), 4, grid, sigma_rule=MEDIAN)
+
+
 def test_silhouette_curve_full_set_ranking_independent():
     data = planted(2, n=50, p=30)
-    spec = KernelSpec("rbf", sigma=1.0)
-    a = silhouette_curve(data, np.arange(30), spec, 4, [30], sigma_rule=MEDIAN, seed=4)
-    b = silhouette_curve(data, random_ranking(30, 77), spec, 4, [30],
-                         sigma_rule=MEDIAN, seed=4)
+    a = silhouette_curve(data, np.arange(30), MEDIAN, 4, [30], seed=4)
+    b = silhouette_curve(data, random_ranking(30, 77), MEDIAN, 4, [30], seed=4)
     assert a[0].silhouette == pytest.approx(b[0].silhouette, abs=1e-9)
 
 
 def test_silhouette_curve_planted_dominates_mean_of_random():
     grid = [10, 50, 100, 150, 200, 250]
-    spec = KernelSpec("rbf", sigma=1.0)
     for seed in range(3):
         data = planted(seed)
-        informed = silhouette_curve(data, kpcaig_order(data), spec, 4, grid,
-                                    sigma_rule=MEDIAN, seed=7)
+        informed = silhouette_curve(data, kpcaig_order(data), MEDIAN, 4, grid, seed=7)
         rand_curves = []
         for r in range(5):
             pts = silhouette_curve(data, random_ranking(data.p, seed * 100 + r),
-                                   spec, 4, grid, sigma_rule=MEDIAN, seed=7)
+                                   MEDIAN, 4, grid, seed=7)
             rand_curves.append([p.silhouette for p in pts])
         mean_rand = np.mean(rand_curves, axis=0)
         assert all(a.silhouette >= b for a, b in zip(informed, mean_rand))
@@ -151,12 +159,10 @@ def test_silhouette_curve_planted_dominates_mean_of_random():
 
 def test_silhouette_curve_noise_band():
     data = noise(100, 200, 9)
-    spec = KernelSpec("rbf", sigma=1.0)
     grid = [20, 60, 120, 200]
     curves = []
     for seed in range(5):
-        pts = silhouette_curve(data, random_ranking(200, seed), spec, 3, grid,
-                               sigma_rule=MEDIAN, seed=3)
+        pts = silhouette_curve(data, random_ranking(200, seed), MEDIAN, 3, grid, seed=3)
         curves.append([p.silhouette for p in pts])
     curves = np.asarray(curves)
     assert (curves.max(axis=0) - curves.min(axis=0)).max() <= 0.3  # +-0.15 band
@@ -217,7 +223,5 @@ def test_variance_generalization_holds_one_training_copy():
 
 def test_variance_generalization_smooth_manifold_gap():
     data = standardize(smooth_manifold(200, 40, noise=0.02, seed=5))
-    pts = variance_generalization(data, KernelSpec("rbf", sigma=1.0), 2,
-                                  [5, 10, 20, 40], n_splits=5, seed=11,
-                                  sigma_rule=MEDIAN)
+    pts = variance_generalization(data, MEDIAN, 2, [5, 10, 20, 40], n_splits=5, seed=11)
     assert max(abs(p.var_train - p.var_test) for p in pts) < 0.1

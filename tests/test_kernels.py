@@ -40,6 +40,22 @@ def test_spec_validation():
             KernelSpec("polynomial", coef0=coef0)
     with pytest.raises(InputError):
         KernelSpec("cosine")
+    # a field the family does not read is refused, not kept beside the fit
+    for family, fields, message in [
+            ("linear", {"sigma": 0.5}, "linear kernel reads no sigma, got 0.5"),
+            ("rbf", {"sigma": 0.5, "degree": 7, "coef0": 3.0}, "rbf kernel reads no degree, got 7"),
+            ("rbf", {"sigma": 0.5, "coef0": 1.0}, "rbf kernel reads no coef0, got 1.0"),
+            ("linear", {"degree": 2}, "linear kernel reads no degree, got 2"),
+            ("polynomial", {"sigma": 1.0}, "polynomial kernel reads no sigma, got 1.0")]:
+        with pytest.raises(InputError) as info:
+            KernelSpec(family, **fields)
+        assert str(info.value) == message
+    # the fields a family reads, with the polynomial's defaults degree 2 and coef0 1.0
+    assert KernelSpec("linear") == KernelSpec("linear", None, None, None)
+    assert KernelSpec("rbf", sigma=0.5).sigma == 0.5
+    assert KernelSpec("polynomial") == KernelSpec("polynomial", degree=2) == \
+        KernelSpec("polynomial", degree=2, coef0=1.0)
+    assert KernelSpec("polynomial", degree=3, coef0=0.0).coef0 == 0.0
 
 
 def test_rbf_identical_points():

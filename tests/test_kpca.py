@@ -228,15 +228,15 @@ def test_sigma_rule_parse_and_resolve():
     data = Dataset.from_matrix([[0.0], [2.0], [4.0]])
     # a fixed sigma is the rbf spec itself; a rule only picks sigma from the data
     assert SigmaRule.parse("0.5") == KernelSpec("rbf", sigma=0.5)
-    rbf = KernelSpec("rbf", sigma=1.0)
-    model = fit_with_rule(data, rbf, SigmaRule.parse("median"), 1)
+    model = fit_with_rule(data, SigmaRule.parse("median"), 1)
     assert model.kernel.sigma == sigma_heuristic(data)
     rule = SigmaRule.parse("grid:0.1,1.0")
     assert rule.grid == (0.1, 1.0)
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(InputError):
             KernelSpec("rbf", sigma=bad)
-    for text in ("abc", "grid:1e-3,x", "inf", "grid:1e-3,inf", "grid:0,1", "grid:1,nan"):
+    for text in ("abc", "grid:1e-3,x", "inf", "grid:1e-3,inf", "grid:0,1", "grid:1,nan",
+                 "grid:1,,2", "grid:1,2,", "grid:,"):
         with pytest.raises(InputError):
             SigmaRule.parse(text)
     with pytest.raises(InputError):
@@ -245,14 +245,11 @@ def test_sigma_rule_parse_and_resolve():
         SigmaRule("best")
     with pytest.raises(InputError, match=r"^unknown sigma mode 'fixed'$"):
         SigmaRule("fixed")
-    # a rule refuses a field it would not read, and a kernel that takes no sigma
+    # a rule refuses a field it would not read (a rule beside a spec: test_curves.py)
     with pytest.raises(InputError, match=r"^median sigma mode reads no grid, got \(0\.1,\)$"):
         SigmaRule("median", grid=(0.1,))
     with pytest.raises(TypeError):
         SigmaRule("median", value=0.5)
-    with pytest.raises(InputError, match="^a sigma rule picks an rbf bandwidth, but the "
-                       "kernel is linear$"):
-        fit_with_rule(data, KernelSpec("linear"), SigmaRule("median"), 1)
     # one text per cause, whichever entry point meets it (the CLI's are in test_cli.py)
     for message, refusals in [
             ("sigma must be finite and > 0, got -1.0",
@@ -262,7 +259,10 @@ def test_sigma_rule_parse_and_resolve():
              [lambda: SigmaRule.parse("grid:0,1"), lambda: grid_search_sigma(data, (0.0, 1.0), 1)]),
             ("sigma grid is empty",
              [lambda: SigmaRule.parse("grid:"), lambda: SigmaRule("grid"),
-              lambda: grid_search_sigma(data, (), 1)])]:
+              lambda: grid_search_sigma(data, (), 1)]),
+            # an empty entry is a bad entry, not one to skip
+            ("sigma 'grid:1,,2' is not a number, 'median' or 'grid:v1,...'",
+             [lambda: SigmaRule.parse("grid:1,,2")])]:
         for refusal in refusals:
             with pytest.raises(InputError) as info:
                 refusal()
@@ -422,7 +422,7 @@ def test_one_rounding_level_decides_every_numerical_zero_of_a_fit(n, p, family, 
             with pytest.raises(DegenerateDataError):
                 fit_kpca(d, spec, q)
             return
-        model, header = _fit(argparse.Namespace(q=q), d, (spec, None))
+        model, header = _fit(argparse.Namespace(q=q), d, spec)
     assert np.array_equal(model.spectrum, mu)
     assert model.q == min(q, np.count_nonzero(mu > level), n - 1)
     assert header["eigengap_bound"] == level
