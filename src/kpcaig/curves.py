@@ -117,14 +117,14 @@ def silhouette_curve(data: Dataset, order, kernel: KernelSpec | SigmaRule, k: in
 
     A SigmaRule kernel re-resolves the rbf bandwidth on every feature subset,
     so the kernel adapts to the number of columns kept. A sigma_rule replaces
-    an rbf kernel spec and refuses any other: perfbench's EvalProtocol passes
-    that pair, and perfbench changes only at ROADMAP item 1 step C.
+    an rbf kernel, spec or rule, and refuses any other: perfbench's
+    EvalProtocol passes it, and perfbench changes only at ROADMAP item 1 step C.
     The clustering takes the best of SILHOUETTE_RESTARTS seeded k-means runs
     (the first of equal inertia), which keeps the curve stable against
     unlucky initializations. The order must list at least max(d_grid)
     features.
     """
-    if sigma_rule is not None and kernel.family != "rbf":
+    if sigma_rule is not None and isinstance(kernel, KernelSpec) and kernel.family != "rbf":
         raise InputError(f"a sigma rule picks an rbf bandwidth, but the kernel is {kernel.family}")
     kernel = sigma_rule or kernel
     grid = check_grid(d_grid, data.p)
@@ -140,28 +140,23 @@ def silhouette_curve(data: Dataset, order, kernel: KernelSpec | SigmaRule, k: in
 
 
 def variance_generalization(data: Dataset, kernel: KernelSpec | SigmaRule, q: int, d_grid,
-                            n_splits: int = 5, seed: int = 0,
-                            split_indices=None) -> list[CurvePoint]:
+                            n_splits: int = 5, seed: int = 0) -> list[CurvePoint]:
     """Train/test explained-variance shares for train-ranked top-d features.
 
-    Each split holds out ~25% of the samples; features are ranked on the
-    training part only, and the retained-q variance share is computed from
-    independent kernel PCA fits on both parts restricted to those
-    features. Explicit (train, test) index pairs may be supplied instead
-    of seeded random splits.
+    Split s is the seeded random permutation ``default_rng([seed, s])`` of
+    the samples: its first 75% train and the rest (~25%) are held out.
+    Features are ranked on the training part only, and the retained-q
+    variance share is computed from independent kernel PCA fits on both
+    parts restricted to those features.
     """
     grid = check_grid(d_grid, data.p)
-    if split_indices is None:
-        if n_splits < 1:
-            raise InputError(f"n_splits must be >= 1, got {n_splits}")
-        n_train = int(0.75 * data.n)
-        perms = [np.random.default_rng([seed, s]).permutation(data.n) for s in range(n_splits)]
-        splits = [(perm[:n_train], perm[n_train:]) for perm in perms]
-    else:
-        splits = [(np.asarray(tr, dtype=np.int64), np.asarray(te, dtype=np.int64))
-                  for tr, te in split_indices]
+    if n_splits < 1:
+        raise InputError(f"n_splits must be >= 1, got {n_splits}")
+    n_train = int(0.75 * data.n)
     points = []
-    for s, (tr, te) in enumerate(splits):
+    for s in range(n_splits):
+        perm = np.random.default_rng([seed, s]).permutation(data.n)
+        tr, te = perm[:n_train], perm[n_train:]
         if min(tr.size, te.size) < 3:
             raise InputError(f"split {s} leaves fewer than 3 samples on one side")
         train = data.subset_samples(tr)

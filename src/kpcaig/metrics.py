@@ -26,6 +26,9 @@ from .exceptions import InputError
 
 _DISTANCE_MODULE = "scipy.spatial._distance_pybind"
 
+# Lloyd iterations after which a k-means run stops
+MAX_ITER = 300
+
 
 @functools.cache
 def _distance_kernels():
@@ -86,7 +89,6 @@ def _cdist(XA, XB, metric: str) -> np.ndarray:
 class ClusteringResult:
     labels: np.ndarray
     inertia: float
-    seed: int
     n_iter: int              # Lloyd iterations run
 
 
@@ -148,14 +150,14 @@ def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return (sums / counts[:, None]).reshape(runs, k, -1)
 
 
-def kmeans(coords, k: int, seeds, *, max_iter: int = 300, init_centers=None):
+def kmeans(coords, k: int, seeds):
     """Lloyd's algorithm with k-means++ seeding, one run per seed of a sequence.
 
     Returns one ClusteringResult per seed, in order. The runs are seeded
     together, then iterate in lockstep: each iteration assigns every active
     run's points from one distance array to their centres, and a run drops
     out when its assignment stops changing, when its cost stops falling (it
-    then keeps its previous assignment) or after max_iter iterations. A
+    then keeps its previous assignment) or after MAX_ITER iterations. A
     distance depends only on its point and centre, so each result equals
     that of a call with its seed alone. Empty clusters are repaired by
     claiming the point farthest from its assigned centroid (among clusters
@@ -167,22 +169,17 @@ def kmeans(coords, k: int, seeds, *, max_iter: int = 300, init_centers=None):
     m = X.shape[0]
     if not 1 <= k <= m:
         raise InputError(f"k must be in [1, m], got k={k} for m={m}")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be >= 1, got {max_iter}")
     seeds = list(seeds)
     if not seeds:
         raise InputError("k-means needs at least one seed")
     runs = len(seeds)
-    if init_centers is None:
-        centers = _kmeanspp(X, k, [np.random.default_rng(s) for s in seeds])
-    else:
-        centers = np.repeat(np.array(init_centers, dtype=np.float64)[None], runs, axis=0)
+    centers = _kmeanspp(X, k, [np.random.default_rng(s) for s in seeds])
     labels = np.full((runs, m), -1)          # each run's latest assignment
     prev_cost = np.full(runs, np.inf)
     n_iter = np.zeros(runs, dtype=np.int64)
     active = np.arange(runs)
     rows = np.arange(m)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         a = active.size
         d2 = _cdist(X, centers[active].reshape(a * k, -1), "sqeuclidean").reshape(m, a, k)
         lab = np.ascontiguousarray(d2.argmin(axis=2).T)
@@ -207,9 +204,9 @@ def kmeans(coords, k: int, seeds, *, max_iter: int = 300, init_centers=None):
         if not active.size:
             break
         centers[active] = _cluster_means(X, lab[going], k)
-    return [ClusteringResult(labels=labels[r], seed=s, n_iter=int(n_iter[r]),
+    return [ClusteringResult(labels=labels[r], n_iter=int(n_iter[r]),
                              inertia=float(np.square(X - centers[r, labels[r]]).sum()))
-            for r, s in enumerate(seeds)]
+            for r in range(runs)]
 
 
 def contingency_tables(preds, truth) -> np.ndarray:

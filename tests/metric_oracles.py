@@ -67,4 +67,4 @@ def kmeans_per_run(coords, k: int, seed: int, *, max_iter: int = 300,
             break
         prev = labels
     inertia = float(((X - centers[labels]) ** 2).sum())
-    return ClusteringResult(labels=labels, inertia=inertia, seed=seed, n_iter=n_iter)
+    return ClusteringResult(labels=labels, inertia=inertia, n_iter=n_iter)

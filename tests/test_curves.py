@@ -125,15 +125,17 @@ def test_selection_curve_planted_signal_beats_random():
 
 def test_silhouette_curve_reads_a_rule_beside_an_rbf_spec_as_the_kernel():
     # perfbench's EvalProtocol spells the median kernel as a placeholder rbf
-    # spec with sigma_rule=; it gives the one-value curve's points, bit for bit
+    # spec with sigma_rule=; it gives the one-value curve's points, bit for bit.
+    # A rule is an rbf kernel too, so sigma_rule= replaces it in the same way
     data = planted(1, n=60, p=40)
     order, grid = kpcaig_order(data), [5, 20, 40]
-    pair = silhouette_curve(data, order, KernelSpec("rbf", sigma=1.0), 4, grid,
-                            sigma_rule=MEDIAN, seed=3)
-    assert pair == silhouette_curve(data, order, MEDIAN, 4, grid, seed=3)
-    with pytest.raises(InputError, match="^a sigma rule picks an rbf bandwidth, but the "
-                       "kernel is linear$"):
-        silhouette_curve(data, order, KernelSpec("linear"), 4, grid, sigma_rule=MEDIAN)
+    one = silhouette_curve(data, order, MEDIAN, 4, grid, seed=3)
+    for kernel in (KernelSpec("rbf", sigma=1.0), SigmaRule("grid", grid=(1e-4, 1e-3))):
+        assert silhouette_curve(data, order, kernel, 4, grid, sigma_rule=MEDIAN, seed=3) == one
+    for family in ("linear", "polynomial"):
+        with pytest.raises(InputError, match="^a sigma rule picks an rbf bandwidth, but the "
+                           f"kernel is {family}$"):
+            silhouette_curve(data, order, KernelSpec(family), 4, grid, sigma_rule=MEDIAN)
 
 
 def test_silhouette_curve_full_set_ranking_independent():
@@ -181,22 +183,11 @@ def test_variance_generalization_full_set_equals_full_fit():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_variance_generalization_identical_halves():
-    rng = np.random.default_rng(4)
-    half = rng.normal(size=(20, 8))
-    data = standardize(Dataset.from_matrix(np.vstack([half, half])))
-    spec = KernelSpec("rbf", sigma=0.1)
-    pts = variance_generalization(data, spec, 2, [4, 8], split_indices=[
-        (np.arange(20), np.arange(20, 40))])
-    for pt in pts:
-        assert abs(pt.var_train - pt.var_test) < 1e-8
-
-
 def test_variance_generalization_split_too_small():
     data = noise(8, 5, 5)
-    with pytest.raises(InputError):
-        variance_generalization(data, KernelSpec("rbf", sigma=0.1), 2, [5],
-                                split_indices=[(np.arange(6), np.arange(6, 8))])
+    # a 6/2 split
+    with pytest.raises(InputError, match="^split 0 leaves fewer than 3 samples on one side$"):
+        variance_generalization(data, KernelSpec("rbf", sigma=0.1), 2, [5], n_splits=1)
     with pytest.raises(InputError, match="n_splits must be >= 1, got 0"):
         variance_generalization(data, KernelSpec("rbf", sigma=0.1), 2, [5], n_splits=0)
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.machinery
 import itertools
 import os
@@ -24,6 +25,12 @@ from metric_oracles import kmeans_per_run
 # hand-computed for contingency [[3, 1], [1, 3]]: I = 0.75*ln(3/2) + 0.25*ln(1/2),
 # H_pred = H_true = ln 2, NMI = I / ln 2
 NMI_3113 = 0.18872187554086714
+
+
+def fixed_centres(init):
+    """Patch k-means++ seeding so that every run starts from the centres init."""
+    return mock.patch.object(metrics, "_kmeanspp", lambda X, k, rngs: np.repeat(
+        np.asarray(init, dtype=np.float64)[None], len(rngs), axis=0))
 
 
 def brute_force_acc(pred, truth):
@@ -233,7 +240,8 @@ def test_kmeans_k_too_large():
 def test_kmeans_empty_cluster_repair():
     X = np.array([[0.0], [0.1], [0.2], [50.0]])
     # second initial center is far from every point, so its cluster starts empty
-    (res,) = kmeans(X, 2, [0], init_centers=np.array([[0.1], [500.0]]))
+    with fixed_centres([[0.1], [500.0]]):
+        (res,) = kmeans(X, 2, [0])
     counts = np.bincount(res.labels, minlength=2)
     assert counts.min() >= 1
     assert res.labels[3] != res.labels[0]
@@ -249,11 +257,12 @@ def test_kmeans_nonincreasing_objective_smoke():
 
 def test_kmeans_stops_when_the_cost_stops_falling():
     # 3 distinct rows, k = 4: the empty-cluster repair used to move a duplicate
-    # back and forth at the same cost until max_iter
+    # back and forth at the same cost until MAX_ITER
     X = np.repeat(np.random.default_rng(0).normal(size=(3, 2)), 3, axis=0)
     (res,) = kmeans(X, 4, [0])
-    assert res.n_iter < 300
-    assert np.array_equal(res.labels, kmeans(X, 4, [0], max_iter=301)[0].labels)
+    assert res.n_iter < metrics.MAX_ITER == 300
+    with mock.patch.object(metrics, "MAX_ITER", 301):
+        assert np.array_equal(res.labels, kmeans(X, 4, [0])[0].labels)
     ref = kmeans_per_run(X, 4, 0)
     assert np.array_equal(res.labels, ref.labels) and res.n_iter == ref.n_iter
 
@@ -264,7 +273,7 @@ def test_kmeans_single_seed_is_the_one_run_case():
     one = kmeans_per_run(X, 3, 4)
     (batch,) = kmeans(X, 3, [4])
     assert np.array_equal(one.labels, batch.labels)
-    assert (one.inertia, one.seed, one.n_iter) == (batch.inertia, batch.seed, batch.n_iter)
+    assert (one.inertia, one.n_iter) == (batch.inertia, batch.n_iter)
     with pytest.raises(InputError):
         kmeans(X, 3, [])
 
@@ -288,18 +297,24 @@ def test_kmeans_lockstep_matches_per_run_reference(m, d, data):
     if data.draw(st.booleans()):
         # fixed start centres, some far from every point: forced repairs
         init = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(0, 3, size=(k, 1))
-    # a small cap also ends some runs at max_iter
+    # a small cap also ends some runs at MAX_ITER
     max_iter = data.draw(st.integers(1, 40))
+
+    def lockstep():
+        with mock.patch.object(metrics, "MAX_ITER", max_iter), \
+                contextlib.nullcontext() if init is None else fixed_centres(init):
+            return kmeans(X, k, seeds)
+
     try:
         refs = [kmeans_per_run(X, k, s, max_iter=max_iter, init_centers=init) for s in seeds]
     except RuntimeError:        # if the objective rises in a run, both forms raise
         with pytest.raises(RuntimeError):
-            kmeans(X, k, seeds, max_iter=max_iter, init_centers=init)
+            lockstep()
         assume(False)
     # every distance, centre and so every tie is computed as in the
     # reference, so exact ties break the same way and need no assume()
-    got = kmeans(X, k, seeds, max_iter=max_iter, init_centers=init)
-    assert [r.seed for r in got] == seeds
+    got = lockstep()
+    assert len(got) == len(seeds)
     for ref, res in zip(refs, got):
         assert np.array_equal(res.labels, ref.labels)
         assert res.n_iter == ref.n_iter
