@@ -97,8 +97,8 @@ def selection_curve(data: Dataset, order, truth, k: int, d_grid,
     def stats(lo, hi):
         out = np.empty((hi - lo, 4))
         for i, d in enumerate(grid[lo:hi]):
-            results = kmeans(data.matrix[:, order[:d]], k, range(seed, seed + runs))
-            tables = contingency_tables([res.labels for res in results], truth)
+            labels, _ = kmeans(data.matrix[:, order[:d]], k, range(seed, seed + runs))
+            tables = contingency_tables(labels, truth)
             accs = np.array([table_accuracy(C) for C in tables])
             nmis = np.array([table_nmi(C) for C in tables])
             out[i] = accs.mean(), accs.std(), nmis.mean(), nmis.std()
@@ -133,9 +133,8 @@ def silhouette_curve(data: Dataset, order, kernel: KernelSpec | SigmaRule, k: in
     for d in grid:
         sub = data.select_features(order[:d])
         coords = project_training(fit_with_rule(sub, kernel, 2))
-        best = min(kmeans(coords, k, range(seed, seed + SILHOUETTE_RESTARTS)),
-                   key=lambda res: res.inertia)
-        points.append(CurvePoint(d=d, silhouette=silhouette(coords, best.labels)))
+        labels, inertia = kmeans(coords, k, range(seed, seed + SILHOUETTE_RESTARTS))
+        points.append(CurvePoint(d=d, silhouette=silhouette(coords, labels[inertia.argmin()])))
     return points
 
 

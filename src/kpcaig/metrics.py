@@ -17,7 +17,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,34 +84,37 @@ def _cdist(XA, XB, metric: str) -> np.ndarray:
     return kernel(XA, XB)
 
 
-@dataclass(frozen=True)
-class ClusteringResult:
-    labels: np.ndarray
-    inertia: float
-    n_iter: int              # Lloyd iterations run
+def _points(coords) -> np.ndarray:
+    """coords as a finite m x d float64 array, or InputError."""
+    X = np.asarray(coords, dtype=np.float64)
+    if X.ndim != 2:
+        raise InputError(f"points must be a 2-D array (m x d), got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise InputError(f"points must be finite, got {X[~np.isfinite(X)][0]}")
+    return X
 
 
 def _kmeanspp(X: np.ndarray, k: int, rngs) -> np.ndarray:
     """k-means++ centres (runs x k x d), one run per generator.
 
     Each run makes the generator calls a run on its own makes, on the same
-    distances, so it draws the same centres.
+    distances, so it draws the same centres. A later centre is ``choice(m,
+    p=w / w.sum())`` for the run's squared distances w to its nearest centre:
+    one ``random()`` looked up in a cumulative table, built here for all runs.
     """
     m = X.shape[0]
     chosen = np.empty((len(rngs), k), dtype=np.int64)
-    for c in range(k):
-        for r, rng in enumerate(rngs):
-            if c == 0:
-                idx = rng.integers(m)
-            elif (total := nearest[r].sum()) > 0:
-                idx = rng.choice(m, p=nearest[r] / total)
-            else:
-                # all remaining points coincide with a chosen center
-                taken = set(chosen[r, :c].tolist())
-                idx = next(i for i in range(m) if i not in taken)
-            chosen[r, c] = idx
-        d2 = _cdist(X[chosen[:, c]], X, "sqeuclidean")
-        nearest = d2 if c == 0 else np.minimum(nearest, d2)
+    chosen[:, 0] = [rng.integers(m) for rng in rngs]
+    nearest = _cdist(X[chosen[:, 0]], X, "sqeuclidean")
+    for c in range(1, k):
+        live = (total := nearest.sum(axis=1)) > 0
+        cdf = np.cumsum(nearest[live] / total[live, None], axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rng.random() for rng, draws in zip(rngs, live) if draws])
+        chosen[live, c] = np.count_nonzero(cdf <= u[:, None], axis=1)
+        for r in np.flatnonzero(~live):     # every point coincides with a chosen centre
+            chosen[r, c] = np.setdiff1d(np.arange(m), chosen[r, :c])[0]
+        nearest = np.minimum(nearest, _cdist(X[chosen[:, c]], X, "sqeuclidean"))
     return X[chosen]
 
 
@@ -144,31 +146,32 @@ def _cluster_means(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(groups, kind="stable")
     counts = np.bincount(groups, minlength=runs * k)
     rows = X[order % m]                      # cluster by cluster
-    ends = np.cumsum(counts).tolist()
-    sums = np.stack([np.add.reduce(rows[e - c:e], axis=0)
-                     for e, c in zip(ends, counts.tolist())])
+    sums = np.empty((runs * k, X.shape[1]))
+    for g, (e, c) in enumerate(zip(np.cumsum(counts).tolist(), counts.tolist())):
+        np.add.reduce(rows[e - c:e], axis=0, out=sums[g])
     return (sums / counts[:, None]).reshape(runs, k, -1)
 
 
 def kmeans(coords, k: int, seeds):
     """Lloyd's algorithm with k-means++ seeding, one run per seed of a sequence.
 
-    Returns one ClusteringResult per seed, in order. The runs are seeded
+    Returns ``(labels, inertia)``: runs x m int64 labels, row r seed r's, and
+    each run's sum of squared distances to its centroids. The runs are seeded
     together, then iterate in lockstep: each iteration assigns every active
     run's points from one distance array to their centres, and a run drops
     out when its assignment stops changing, when its cost stops falling (it
     then keeps its previous assignment) or after MAX_ITER iterations. A
-    distance depends only on its point and centre, so each result equals
-    that of a call with its seed alone. Empty clusters are repaired by
-    claiming the point farthest from its assigned centroid (among clusters
-    that can spare a point).
+    distance depends only on its point and centre, so each run equals a
+    call with its seed alone. Empty clusters are repaired by claiming the
+    point farthest from its assigned centroid (among clusters that can
+    spare a point).
     """
     # row-major, like the arrays X[labels == c] and X - centers[labels] that a
     # run on its own sums, so every sum below adds in the same order
-    X = np.ascontiguousarray(np.atleast_2d(np.asarray(coords, dtype=np.float64)))
+    X = np.ascontiguousarray(_points(coords))
     m = X.shape[0]
-    if not 1 <= k <= m:
-        raise InputError(f"k must be in [1, m], got k={k} for m={m}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= m:
+        raise InputError(f"k must be an integer in [1, m], got k={k!r} for m={m}")
     seeds = list(seeds)
     if not seeds:
         raise InputError("k-means needs at least one seed")
@@ -176,7 +179,6 @@ def kmeans(coords, k: int, seeds):
     centers = _kmeanspp(X, k, [np.random.default_rng(s) for s in seeds])
     labels = np.full((runs, m), -1)          # each run's latest assignment
     prev_cost = np.full(runs, np.inf)
-    n_iter = np.zeros(runs, dtype=np.int64)
     active = np.arange(runs)
     rows = np.arange(m)
     for _ in range(MAX_ITER):
@@ -197,16 +199,14 @@ def kmeans(coords, k: int, seeds):
         stalled = cost >= prev_cost[active]
         lab[stalled] = labels[active[stalled]]
         prev_cost[active] = cost
-        n_iter[active] += 1
         going = (lab != labels[active]).any(axis=1)
         labels[active] = lab
         active = active[going]
         if not active.size:
             break
         centers[active] = _cluster_means(X, lab[going], k)
-    return [ClusteringResult(labels=labels[r], n_iter=int(n_iter[r]),
-                             inertia=float(np.square(X - centers[r, labels[r]]).sum()))
-            for r in range(runs)]
+    residuals = X - centers[np.arange(runs)[:, None], labels]
+    return labels, np.square(residuals).reshape(runs, -1).sum(axis=1)
 
 
 def contingency_tables(preds, truth) -> np.ndarray:
@@ -307,9 +307,9 @@ def silhouette(coords, labels) -> float:
     """Mean silhouette (b - a) / max(a, b) with Euclidean distances.
 
     Points in singleton clusters contribute 0; a single-cluster labeling is
-    an error.
+    an error, and so are points that are not a finite m x d array.
     """
-    X = np.atleast_2d(np.asarray(coords, dtype=np.float64))
+    X = _points(coords)
     lab = np.asarray(labels).ravel()
     if lab.size != X.shape[0]:
         raise InputError(f"{lab.size} labels for m={X.shape[0]} points")

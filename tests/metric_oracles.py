@@ -4,10 +4,18 @@
 seed, one Lloyd loop, one cluster mean at a time.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from kpcaig import ClusteringResult, InputError
+from kpcaig import InputError
+
+
+class PerRun(NamedTuple):
+    labels: np.ndarray
+    inertia: float
+    n_iter: int              # Lloyd iterations run
 
 
 def kmeanspp_per_run(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -30,7 +38,7 @@ def kmeanspp_per_run(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
 
 
 def kmeans_per_run(coords, k: int, seed: int, *, max_iter: int = 300,
-                   init_centers=None) -> ClusteringResult:
+                   init_centers=None) -> PerRun:
     """Lloyd's algorithm with k-means++ seeding for a single seed."""
     X = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     m = X.shape[0]
@@ -67,4 +75,4 @@ def kmeans_per_run(coords, k: int, seed: int, *, max_iter: int = 300,
             break
         prev = labels
     inertia = float(((X - centers[labels]) ** 2).sum())
-    return ClusteringResult(labels=labels, inertia=inertia, n_iter=n_iter)
+    return PerRun(labels=labels, inertia=inertia, n_iter=n_iter)

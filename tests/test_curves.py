@@ -39,9 +39,9 @@ def test_selection_curve_full_set_matches_direct_clustering():
     pts = selection_curve(data, np.arange(40), data.labels, 4, [40], runs=5, seed=9)
     accs, nmis = [], []
     for r in range(5):
-        (res,) = kmeans(data.matrix, 4, [9 + r])
-        accs.append(clustering_accuracy(res.labels, data.labels))
-        nmis.append(nmi(res.labels, data.labels))
+        (labels,), _ = kmeans(data.matrix, 4, [9 + r])
+        accs.append(clustering_accuracy(labels, data.labels))
+        nmis.append(nmi(labels, data.labels))
     assert pts[0].acc_mean == pytest.approx(np.mean(accs), abs=1e-15)
     assert pts[0].acc_std == pytest.approx(np.std(accs), abs=1e-15)
     assert pts[0].nmi_mean == pytest.approx(np.mean(nmis), abs=1e-15)

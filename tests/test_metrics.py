@@ -27,6 +27,11 @@ from metric_oracles import kmeans_per_run
 NMI_3113 = 0.18872187554086714
 
 
+def counting(seam):
+    """Patch the metrics function named seam with a mock that counts its calls."""
+    return mock.patch.object(metrics, seam, wraps=getattr(metrics, seam))
+
+
 def fixed_centres(init):
     """Patch k-means++ seeding so that every run starts from the centres init."""
     return mock.patch.object(metrics, "_kmeanspp", lambda X, k, rngs: np.repeat(
@@ -96,21 +101,22 @@ def silhouette_loop(coords, labels) -> float:
 def test_kmeans_separated_blobs_every_seed():
     for seed in range(20):
         d = two_blobs(40, 2, separation=10.0, spread=1.0, seed=seed)
-        (res,) = kmeans(d.matrix, 2, [seed])
-        assert clustering_accuracy(res.labels, d.labels) == 1.0
+        labels, _ = kmeans(d.matrix, 2, [seed])
+        assert clustering_accuracy(labels[0], d.labels) == 1.0
 
 
 @pytest.mark.parametrize("runs", [1, 4, 20])
-def test_kmeans_distance_calls_do_not_grow_with_restarts(monkeypatch, runs):
+def test_kmeans_distance_calls_do_not_grow_with_restarts(runs):
     # lockstep: one distance call per k-means++ centre and one per Lloyd step,
     # shared by every restart; blobs this far apart leave no cluster empty,
     # so no repair adds a call
     data, _ = planted_clusters(60, 6, 4, 6, within_std=0.3, seed=0)
-    calls = []
-    seam = metrics._cdist
-    monkeypatch.setattr(metrics, "_cdist", lambda *a, **kw: calls.append(a) or seam(*a, **kw))
-    results = kmeans(data.matrix, 4, range(runs))
-    assert len(calls) == 4 + max(res.n_iter for res in results)
+    with counting("_cdist") as distances, counting("_cluster_means") as means:
+        kmeans(data.matrix, 4, range(runs))
+    steps = max(kmeans_per_run(data.matrix, 4, seed).n_iter for seed in range(runs))
+    assert distances.call_count == 4 + steps
+    # every Lloyd step but the last, after which no run goes on, moves centres
+    assert means.call_count == steps - 1
 
 
 # --- the distance seam ---------------------------------------------------
@@ -165,14 +171,13 @@ def clusterings(data, order, forked: bool):
     """k-means results, a silhouette and a selection curve, its points split over
     three processes or computed in one."""
     X = data.matrix[:, order[:6]]
-    results = kmeans(X, 4, range(6))
+    labels, inertia = kmeans(X, 4, range(6))
     with mock.patch.object(curves, "_SAMPLE_RUNS_PER_PROCESS", 1 if forked else sys.maxsize), \
             mock.patch("os.sched_getaffinity", return_value={0, 1, 2}, create=True), \
             mock.patch("os.fork", wraps=os.fork) as fork:
         curve = selection_curve(data, order, data.labels, 4, [1, 2, 5, 9, 12], runs=4, seed=3)
     assert fork.call_count == (2 if forked else 0)
-    return ([(res.labels.tobytes(), res.n_iter, res.inertia) for res in results],
-            silhouette(X[:, :2], results[0].labels), curve)
+    return ((labels.tobytes(), inertia.tobytes()), silhouette(X[:, :2], labels[0]), curve)
 
 
 @needs_distance_module
@@ -218,18 +223,17 @@ def test_a_missing_distance_module_file_falls_back_to_cdist(monkeypatch):
 def test_kmeans_k_equals_m():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(6, 2))
-    (res,) = kmeans(X, 6, [3])
-    assert res.inertia == 0.0
-    assert len(set(res.labels.tolist())) == 6
+    labels, inertia = kmeans(X, 6, [3])
+    assert inertia[0] == 0.0
+    assert len(set(labels[0].tolist())) == 6
 
 
 def test_kmeans_deterministic():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(30, 3))
-    (a,) = kmeans(X, 4, [7])
-    (b,) = kmeans(X, 4, [7])
-    assert np.array_equal(a.labels, b.labels)
-    assert a.inertia == b.inertia
+    (labels_a, inertia_a), (labels_b, inertia_b) = kmeans(X, 4, [7]), kmeans(X, 4, [7])
+    assert np.array_equal(labels_a, labels_b)
+    assert np.array_equal(inertia_a, inertia_b)
 
 
 def test_kmeans_k_too_large():
@@ -237,14 +241,70 @@ def test_kmeans_k_too_large():
         kmeans(np.zeros((3, 2)), 4, [0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_refused(value):
+    X = np.random.default_rng(0).normal(size=(6, 2))
+    X[4, 1] = value
+    for call in (lambda: kmeans(X, 2, [0]), lambda: silhouette(X, [0, 0, 0, 1, 1, 1])):
+        with pytest.raises(InputError, match=f"points must be finite, got {value}"):
+            call()
+
+
+def test_a_three_dimensional_point_array_is_refused():
+    X = np.zeros((4, 2, 2))
+    for call in (lambda: kmeans(X, 2, [0]), lambda: silhouette(X, [0, 0, 1, 1])):
+        with pytest.raises(InputError, match=r"2-D array \(m x d\), got shape \(4, 2, 2\)"):
+            call()
+
+
+def test_a_one_dimensional_point_array_is_refused():
+    # once read as a single 4-dimensional point
+    x = np.arange(4.0)
+    for call in (lambda: kmeans(x, 1, [0]), lambda: kmeans(x, 2, [0]),
+                 lambda: silhouette(x, [0, 0, 1, 1])):
+        with pytest.raises(InputError, match=r"2-D array \(m x d\), got shape \(4,\)"):
+            call()
+
+
+def test_a_non_integer_k_is_refused():
+    for k in (2.5, 2.0, "2"):
+        with pytest.raises(InputError, match=rf"an integer in \[1, m\], got k={k!r} for m=4"):
+            kmeans(np.zeros((4, 2)), k, [0])
+    labels, _ = kmeans(np.arange(8.0).reshape(4, 2), np.int64(2), [0])
+    assert labels.shape == (1, 4)
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 30), st.integers(1, 5), st.data())
+def test_kmeanspp_draws_as_generator_choice(m, runs, data):
+    # random weights stand in for the distances to the first centre, zeros
+    # frequent and some rows all zero; each point is its own index
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e100), st.floats(0.0, 1e-300))
+    w = np.array(data.draw(st.lists(st.lists(weight, min_size=m, max_size=m),
+                                    min_size=runs, max_size=runs)))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    with mock.patch.object(metrics, "_cdist", side_effect=[w, w]):
+        centres = metrics._kmeanspp(np.arange(m, dtype=np.float64)[:, None], 2, rngs)
+    for row, seed, rng, (first, drawn) in zip(w, seeds, rngs, centres[:, :, 0].astype(int)):
+        ref = np.random.default_rng(seed)
+        assert first == ref.integers(m)
+        if row.sum() > 0:
+            assert drawn == ref.choice(m, p=row / row.sum())
+        else:               # no draw: the first point that is not a centre
+            assert drawn == int(first == 0)
+        # each generator is left where choice leaves it, or untouched
+        assert rng.random() == ref.random()
+
+
 def test_kmeans_empty_cluster_repair():
     X = np.array([[0.0], [0.1], [0.2], [50.0]])
     # second initial center is far from every point, so its cluster starts empty
     with fixed_centres([[0.1], [500.0]]):
-        (res,) = kmeans(X, 2, [0])
-    counts = np.bincount(res.labels, minlength=2)
+        (labels,), _ = kmeans(X, 2, [0])
+    counts = np.bincount(labels, minlength=2)
     assert counts.min() >= 1
-    assert res.labels[3] != res.labels[0]
+    assert labels[3] != labels[0]
 
 
 def test_kmeans_nonincreasing_objective_smoke():
@@ -259,21 +319,26 @@ def test_kmeans_stops_when_the_cost_stops_falling():
     # 3 distinct rows, k = 4: the empty-cluster repair used to move a duplicate
     # back and forth at the same cost until MAX_ITER
     X = np.repeat(np.random.default_rng(0).normal(size=(3, 2)), 3, axis=0)
-    (res,) = kmeans(X, 4, [0])
-    assert res.n_iter < metrics.MAX_ITER == 300
-    with mock.patch.object(metrics, "MAX_ITER", 301):
-        assert np.array_equal(res.labels, kmeans(X, 4, [0])[0].labels)
+    with counting("_cluster_means") as means:
+        (labels,), _ = kmeans(X, 4, [0])
     ref = kmeans_per_run(X, 4, 0)
-    assert np.array_equal(res.labels, ref.labels) and res.n_iter == ref.n_iter
+    # the centres move after every Lloyd step but the last
+    assert means.call_count + 1 == ref.n_iter < metrics.MAX_ITER == 300
+    with mock.patch.object(metrics, "MAX_ITER", 301):
+        assert np.array_equal(labels, kmeans(X, 4, [0])[0][0])
+    assert np.array_equal(labels, ref.labels)
 
 
 def test_kmeans_single_seed_is_the_one_run_case():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(25, 3))
     one = kmeans_per_run(X, 3, 4)
-    (batch,) = kmeans(X, 3, [4])
-    assert np.array_equal(one.labels, batch.labels)
-    assert (one.inertia, one.n_iter) == (batch.inertia, batch.n_iter)
+    with counting("_cluster_means") as means:
+        labels, inertia = kmeans(X, 3, [4])
+    assert (labels.shape, labels.dtype, inertia.shape, inertia.dtype) == \
+        ((1, 25), np.int64, (1,), np.float64)
+    assert np.array_equal(one.labels, labels[0])
+    assert (one.inertia, one.n_iter) == (inertia[0], means.call_count + 1)
     with pytest.raises(InputError):
         kmeans(X, 3, [])
 
@@ -313,12 +378,11 @@ def test_kmeans_lockstep_matches_per_run_reference(m, d, data):
         assume(False)
     # every distance, centre and so every tie is computed as in the
     # reference, so exact ties break the same way and need no assume()
-    got = lockstep()
-    assert len(got) == len(seeds)
-    for ref, res in zip(refs, got):
-        assert np.array_equal(res.labels, ref.labels)
-        assert res.n_iter == ref.n_iter
-        assert abs(res.inertia - ref.inertia) <= 1e-12 * ref.inertia
+    labels, inertia = lockstep()
+    assert labels.shape == (len(seeds), m) and inertia.shape == (len(seeds),)
+    for ref, lab, cost in zip(refs, labels, inertia):
+        assert np.array_equal(lab, ref.labels)
+        assert cost == ref.inertia
 
 
 # --- accuracy ------------------------------------------------------------
